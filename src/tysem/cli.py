@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from .composer import (CoercionReport, ComposeResult, SynTree, compose,
                        parse_tree, print_tree)
 from .discourse import DiscourseState
-from .errors import InputError, SemanticError, TysemError
+from .errors import (FreeSymbol, InputError, ModelError, SemanticError,
+                     TysemError)
 from .kernel import Term, print_term, reduction_steps
 from .lexicon import Lexicon, load_lexicon
 from .logic import (Formula, conjoin, extract_formula, formula_alpha_eq,
@@ -245,20 +246,12 @@ def _read(path: str) -> str:
 
 def _signature_of(*formulas: Formula):
     """Sorts and predicate signatures mentioned by the formulas, for the
-    model enumeration of an equivalence check."""
+    model enumeration of an equivalence check.  Rejects a free constant or
+    function symbol, and a predicate used with two signatures."""
     from . import logic
 
     sorts: list[str] = []
     predicates: dict[str, tuple[str, ...]] = {}
-
-    def sort_of_term(t) -> str:
-        match t:
-            case logic.LVar(_, sort) | logic.LConst(_, sort):
-                return sort
-            case logic.Eps(_, sort, _, _):
-                return sort
-            case _:
-                return "e"
 
     def add_sort(s: str):
         if s not in sorts:
@@ -266,9 +259,8 @@ def _signature_of(*formulas: Formula):
 
     def walk_term(t):
         match t:
-            case logic.LApp(_, args):
-                for a in args:
-                    walk_term(a)
+            case logic.LConst(name, _) | logic.LApp(name, _):
+                raise FreeSymbol(name)
             case logic.Eps(_, sort, _, body):
                 add_sort(sort)
                 walk(body)
@@ -276,10 +268,14 @@ def _signature_of(*formulas: Formula):
     def walk(f: Formula):
         match f:
             case logic.Pred(name, args):
-                if name not in predicates:
-                    predicates[name] = tuple(sort_of_term(a) for a in args)
                 for a in args:
                     walk_term(a)
+                sig = tuple(a.sort for a in args)  # variables, choice terms
+                if predicates.setdefault(name, sig) != sig:
+                    raise ModelError(
+                        f"predicate '{name}' is used with argument sorts "
+                        f"({', '.join(predicates[name])}) and "
+                        f"({', '.join(sig)})")
             case logic.And(l, r) | logic.Or(l, r) | logic.Implies(l, r):
                 walk(l)
                 walk(r)
@@ -299,6 +295,17 @@ def _signature_of(*formulas: Formula):
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="formula in s-expression style")
     ev.add_argument("--equiv", help="second formula: check equivalence by "
                                     "enumerating all small models")
-    ev.add_argument("--max-carrier", type=int, default=4)
+    ev.add_argument("--max-carrier", type=_positive_int, default=4)
     ev.set_defaults(fn=run_eval)
 
     check = sub.add_parser("check-lexicon",

@@ -61,6 +61,17 @@ class ModelError(InputError):
     """Invalid model file or uninterpretable formula constant."""
 
 
+class FreeSymbol(ModelError):
+    """A constant or function symbol in a formula checked on enumerated
+    models, which interpret none."""
+
+    def __init__(self, name: str):
+        super().__init__(
+            f"free constant or function symbol '{name}': enumerated models "
+            "interpret none; bind it with a quantifier or a choice term")
+        self.name = name
+
+
 # ---------------------------------------------------------------------------
 # semantic errors
 

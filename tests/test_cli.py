@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tysem.cli import main
 
 LEXICA = "lexica"
@@ -189,6 +191,34 @@ def test_eval_counter_model(capsys, tmp_path):
     assert code == 0
     assert "not equivalent" in out
     assert "(model" in out
+
+
+def test_eval_equivalence_free_constant(capsys):
+    code, out, err = run(capsys, "eval", "--model", "models/chat.model",
+                         "--formula", "(P felix)", "--equiv", "(P felix)")
+    assert code == 1 and not out
+    assert err.startswith("error: free constant") and "'felix'" in err
+
+
+def test_eval_max_carrier_must_be_positive(capsys):
+    for bad in ("0", "-2", "x"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", "--model", "models/chat.model",
+                  "--formula", "(P (eps s x (P x)))",
+                  "--equiv", "(exists (x s) (P x))", "--max-carrier", bad])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert "argument --max-carrier: expected a positive integer" in err
+        assert "Traceback" not in err
+
+
+def test_eval_equivalence_predicate_signatures_differ(capsys):
+    code, out, err = run(capsys, "eval", "--model", "models/chat.model",
+                         "--formula", "(exists (x s) (R x))",
+                         "--equiv", "(exists (x s) (exists (y t) (R x y)))")
+    assert code == 1 and not out
+    assert err.strip() == ("error: predicate 'R' is used with argument sorts "
+                           "(s) and (s, t)")
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,11 @@ def test_henkin_dependency_rejected(two_cats):
         eval_formula(m, f)
 
 
+def test_union_carrier_keeps_first_occurrences_in_order():
+    m = Model({"ani": ("c2", "c1"), "obj": ("o1", "c1"), "lieu": ("o1",)})
+    assert m.carrier("e") == ("c2", "c1", "o1")
+
+
 def test_empty_union_carrier():
     with pytest.raises((EmptyCarrier, ModelError)):
         eval_formula(Model({}, {}),
