@@ -25,11 +25,13 @@ from .composer import (CoercionReport, ComposeResult, SynTree, compose,
 from .discourse import DiscourseState
 from .errors import (FreeSymbol, InputError, ModelError, SemanticError,
                      TysemError)
-from .kernel import Term, print_term, reduction_steps
+from .kernel import Term, normalize, print_term, reduction_steps
 from .lexicon import Lexicon, load_lexicon
-from .logic import (Formula, conjoin, extract_formula, formula_alpha_eq,
+from .logic import (Formula, canon_formula, conjoin, extract_formula,
                     formula_to_json, parse_formula, presuppositions,
                     print_formula, rewrite_hilbert)
+# looked up on this module by perfbench/spans.py, which counts its calls
+from .logic import formula_alpha_eq  # noqa: F401
 from .model import check_equivalence, eval_formula, load_model, print_model
 
 # ---------------------------------------------------------------------------
@@ -43,7 +45,7 @@ class AnalysisResult:
     tree: SynTree
     term: Term
     normal: Term
-    steps: list[Term]
+    steps: list[Term]  # every reduction step, kept only with --trace
     report: CoercionReport
     formula: Formula
     presupposition_list: list[Formula]
@@ -61,8 +63,12 @@ class AnalysisOptions:
 def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
                  options: AnalysisOptions) -> tuple[AnalysisResult, DiscourseState]:
     result: ComposeResult = compose(tree, lex, state)
-    steps = list(reduction_steps(result.term))
-    normal = steps[-1] if steps else result.term
+    if options.trace:
+        steps = list(reduction_steps(result.term))
+        normal = steps[-1] if steps else result.term
+    else:
+        steps = []
+        normal = normalize(result.term)
     ctx = lex.typing_context()
     formula = extract_formula(normal, ctx)
     presupps = presuppositions(normal)
@@ -82,9 +88,12 @@ def discourse_formula(results: list[AnalysisResult],
     assertions in sentence order."""
     parts: list[Formula] = []
     if options.presuppositions != "off":
+        seen: set[Formula] = set()  # canon_formula of each part
         for r in results:
             for p in r.presupposition_list:
-                if not any(formula_alpha_eq(p, q) for q in parts):
+                key = canon_formula(p)
+                if key not in seen:
+                    seen.add(key)
                     parts.append(p)
     parts.extend(r.formula for r in results)
     out = conjoin(parts)
@@ -247,7 +256,9 @@ def _read(path: str) -> str:
 def _signature_of(*formulas: Formula):
     """Sorts and predicate signatures mentioned by the formulas, for the
     model enumeration of an equivalence check.  Rejects a free constant or
-    function symbol, and a predicate used with two signatures."""
+    function symbol, and a predicate used with two signatures.  `hat_<sort>`
+    is left out when its sort is enumerated or is `e`: it then denotes
+    carrier membership on every model."""
     from . import logic
 
     sorts: list[str] = []
@@ -290,7 +301,9 @@ def _signature_of(*formulas: Formula):
 
     for f in formulas:
         walk(f)
-    return sorts, sorted(predicates.items())
+    return sorts, sorted(
+        (name, sig) for name, sig in predicates.items()
+        if not (name.startswith("hat_") and name[4:] in (*sorts, "e")))
 
 
 # ---------------------------------------------------------------------------

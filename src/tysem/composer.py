@@ -270,7 +270,7 @@ def compose(tree: SynTree, lex: Lexicon,
         raise CompositionError(
             f"type variables {', '.join(value.pending_vars())} of "
             f"'{value.head_word}' were never determined by any argument")
-    type_of(lex.typing_context(), value.term)  # soundness guard
+    type_of(composer.ctx, value.term)  # soundness guard
     return ComposeResult(value.term, value.type, composer.report,
                          composer.state)
 

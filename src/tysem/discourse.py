@@ -13,10 +13,12 @@ new state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NoAntecedent
-from .kernel import BaseSort, Term, Type, alpha_eq
+from .kernel import BaseSort, Term, Type, canon
+# looked up on this module by perfbench/spans.py, which counts its calls
+from .kernel import alpha_eq  # noqa: F401
 
 
 def _sort_name(ty: Type | str) -> str:
@@ -32,6 +34,11 @@ class Referent:
     sort: str
     predicate: Term       # the restriction the term was built from
     introduced_by: str    # word occurrence, e.g. "un#1"
+    key: Term = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # canonical form of the restriction, compared by resolve_definite
+        object.__setattr__(self, "key", canon(self.predicate))
 
 
 @dataclass(frozen=True)
@@ -55,18 +62,18 @@ def resolve_definite(state: DiscourseState, sort: Type | str, predicate: Term,
                      lex=None) -> Referent | None:
     """Most salient referent matching a definite description, or None.
 
-    Scans newest-first three times: exact restriction and sort, then sort
-    alone, then any referent whose sort reaches the requested one through a
-    single coercion declared in `lex`.  The caller treats None as "no
-    antecedent" and falls back to a fresh choice term plus presupposition.
+    Prefers, newest first: the requested sort with an alpha-equivalent
+    restriction, then the sort alone, then any referent whose sort reaches
+    the requested one through a single coercion declared in `lex`.  The
+    caller treats None as "no antecedent" and falls back to a fresh choice
+    term plus presupposition.
     """
     want = _sort_name(sort)
-    for ref in state.newest_first():
-        if ref.sort == want and alpha_eq(ref.predicate, predicate):
-            return ref
-    for ref in state.newest_first():
-        if ref.sort == want:
-            return ref
+    same_sort = [ref for ref in state.newest_first() if ref.sort == want]
+    if same_sort:
+        key = canon(predicate)
+        return next((ref for ref in same_sort if ref.key == key),
+                    same_sort[0])
     if lex is not None:
         for ref in state.newest_first():
             if coercion_between(lex, ref.sort, want) is not None:

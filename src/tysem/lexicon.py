@@ -22,6 +22,7 @@ state rather than by a term of its own; the optional symbol is a sort hint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import kernel
 from .errors import LexiconError, NotFound, ParseError, UnknownSort
@@ -79,6 +80,11 @@ class Lexicon:
     pronouns: dict[str, str | None] = field(default_factory=dict)
 
     def typing_context(self) -> TypingContext:
+        """Built once per lexicon; a loaded lexicon is never changed."""
+        return self._typing_context
+
+    @cached_property
+    def _typing_context(self) -> TypingContext:
         base = TypingContext.default().with_sorts(self.sorts)
         return replace(base, consts={**base.consts, **self.constants})
 
@@ -147,21 +153,21 @@ def load_lexicon(text: str) -> Lexicon:
             raise ParseError(f"unknown declaration '{head}'",
                                form.line, form.col)
 
-    lex = Lexicon(sorts=frozenset(sorts), constants=constants,
-                  pronouns=pronouns)
+    # option constants registered by earlier entries must be visible, so
+    # the context grows entry by entry
+    ctx = Lexicon(frozenset(sorts), constants).typing_context()
     entries: dict[str, LexEntry] = {}
     for form in entry_forms:
-        # option constants registered by earlier entries must be visible,
-        # so the context is rebuilt per entry
-        ctx = lex.typing_context()
         entry, new_consts = _parse_entry(form, ctx)
         if entry.word in entries or entry.word in pronouns:
             raise LexiconError("duplicate word", entry.word)
         for name, ty in new_consts.items():
             constants[name] = ty
+            ctx = ctx.with_const(name, ty)
         entries[entry.word] = entry
 
-    return replace(lex, constants=constants, entries=entries)
+    return Lexicon(sorts=frozenset(sorts), constants=constants,
+                   entries=entries, pronouns=pronouns)
 
 
 def _parse_entry(form: SList, ctx: TypingContext):

@@ -139,9 +139,51 @@ def conjoin(formulas) -> Formula:
 
 
 def flatten_and(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return flatten_and(f.left) + flatten_and(f.right)
-    return [f]
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
+
+
+def _and_spine(f: And) -> tuple[Formula, list[Formula]]:
+    """The formula at the bottom of f's left And spine, and the right
+    operands met on the way down, innermost first.  A discourse is one long
+    left-nested conjunction, so walkers follow the spine with this loop
+    rather than with one recursive call per sentence."""
+    rights = []
+    while isinstance(f, And):
+        rights.append(f.right)
+        f = f.left
+    rights.reverse()
+    return f, rights
+
+
+def _map_formula(f: Formula, walk) -> Formula:
+    """f rebuilt with `walk` applied to each immediate subformula, and to
+    every right operand of a conjunction's left spine."""
+    match f:
+        case And():
+            first, rights = _and_spine(f)
+            out = walk(first)
+            for r in rights:
+                out = And(out, walk(r))
+            return out
+        case Or(l, r):
+            return Or(walk(l), walk(r))
+        case Implies(l, r):
+            return Implies(walk(l), walk(r))
+        case Not(op):
+            return Not(walk(op))
+        case Exists(var, sort, body):
+            return Exists(var, sort, walk(body))
+        case Forall(var, sort, body):
+            return Forall(var, sort, walk(body))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +337,15 @@ def presuppositions(term: Term) -> list[Formula]:
     Formulas are collected left-to-right and alpha-duplicates emitted once.
     """
     found: list[Formula] = []
+    seen: set[Formula] = set()  # canon_formula of each formula in found
 
     def walk(t: Term):
         match t:
             case App(TyApp(Const("eps" | "ieps", _), _), pred):
                 candidate = extract_formula(normalize(App(pred, t)))
-                if not any(formula_alpha_eq(candidate, g) for g in found):
+                key = canon_formula(candidate)
+                if key not in seen:
+                    seen.add(key)
                     found.append(candidate)
                 walk(pred)
             case App(fun, arg):
@@ -381,74 +426,105 @@ def rewrite_hilbert(f: Formula) -> Formula:
     of the abstracted subformula, which is the shape a sentence takes once
     its presuppositions are conjoined in.  Choice terms that fit no pattern
     are left intact: they are strictly more expressive than quantifiers.
+
+    A subformula with no choice term in a term position cannot match and is
+    returned as it is.  Pivots are collected once per tree, bottom-up, into
+    a memo that lives for this call, so rewriting a discourse costs time
+    linear in its number of sentences.
     """
-    rewritten = _rewrite_here(f)
-    if rewritten is not None:
-        return rewrite_hilbert(rewritten)
-    match f:
-        case And(l, r):
-            return And(rewrite_hilbert(l), rewrite_hilbert(r))
-        case Or(l, r):
-            return Or(rewrite_hilbert(l), rewrite_hilbert(r))
-        case Implies(l, r):
-            return Implies(rewrite_hilbert(l), rewrite_hilbert(r))
-        case Not(op):
-            return Not(rewrite_hilbert(op))
-        case Exists(var, sort, body):
-            return Exists(var, sort, rewrite_hilbert(body))
-        case Forall(var, sort, body):
-            return Forall(var, sort, rewrite_hilbert(body))
-        case _:
-            return f
+    memo: dict[int, tuple[Formula, tuple[Eps, ...]]] = {}
+
+    def rewrite(g: Formula) -> Formula:
+        rights = []
+        while True:
+            if not _eps_pivots(g, memo):
+                out = g
+                break
+            rewritten = _rewrite_here(g, memo)
+            if rewritten is not None:
+                out = rewrite(rewritten)
+                break
+            if not isinstance(g, And):
+                out = _map_formula(g, rewrite)
+                break
+            rights.append(g.right)
+            g = g.left
+        for r in reversed(rights):
+            out = And(out, rewrite(r))
+        return out
+
+    return rewrite(f)
 
 
-def _rewrite_here(g: Formula) -> Formula | None:
-    for pivot in _eps_pivots(g):
+def _rewrite_here(g: Formula, memo: dict) -> Formula | None:
+    for pivot in _eps_pivots(g, memo):
         sentinel = LVar("!pivot", pivot.sort)
         abstracted = _abstract(g, pivot, sentinel)
         names = _formula_names(abstracted) - {sentinel.name}
         var = pivot.hole if pivot.hole not in names else _fresh_var(names)
         abstracted = _abstract_var(abstracted, sentinel.name,
                                    LVar(var, pivot.sort))
-        body_renamed = _rename_hole(pivot, var)
-        if any(formula_alpha_eq(c, body_renamed)
+        body_key = canon_formula(_rename_hole(pivot, var))
+        if any(canon_formula(c) == body_key
                for c in flatten_and(abstracted)):
             cls = Forall if pivot.mode == UNIVERSAL else Exists
             return cls(var, pivot.sort, abstracted)
     return None
 
 
-def _eps_pivots(g: Formula) -> list[Eps]:
+def _eps_pivots(g: Formula, memo: dict) -> tuple[Eps, ...]:
     """Choice terms occurring in term positions of g, in occurrence order,
-    without descending into other choice terms' bodies."""
+    without descending into other choice terms' bodies.
+
+    `memo` maps the id() of every subformula already seen to the subformula
+    (which keeps the id from being reused) and its pivots."""
+    hit = memo.get(id(g))
+    if hit is not None:
+        return hit[1]
+    match g:
+        case And():
+            spine = []
+            while isinstance(g, And) and id(g) not in memo:
+                spine.append(g)
+                g = g.left
+            out = _eps_pivots(g, memo)
+            for node in reversed(spine):
+                out = _merge_pivots(out, _eps_pivots(node.right, memo))
+                memo[id(node)] = (node, out)
+            return out
+        case Or(l, r) | Implies(l, r):
+            out = _merge_pivots(_eps_pivots(l, memo), _eps_pivots(r, memo))
+        case Not(op) | Exists(_, _, op) | Forall(_, _, op):
+            out = _eps_pivots(op, memo)
+        case Pred(_, args):
+            out = _term_pivots(args)
+        case Eq(l, r):
+            out = _term_pivots((l, r))
+        case _:
+            out = ()
+    memo[id(g)] = (g, out)
+    return out
+
+
+def _merge_pivots(first: tuple[Eps, ...],
+                  second: tuple[Eps, ...]) -> tuple[Eps, ...]:
+    return first + tuple(p for p in second if p not in first)
+
+
+def _term_pivots(terms) -> tuple[Eps, ...]:
     out: list[Eps] = []
 
     def from_term(t: LTerm):
         if isinstance(t, Eps):
-            if not any(e == t for e in out):
+            if t not in out:
                 out.append(t)
         elif isinstance(t, LApp):
             for a in t.args:
                 from_term(a)
 
-    def from_formula(f: Formula):
-        match f:
-            case Pred(_, args):
-                for a in args:
-                    from_term(a)
-            case And(l, r) | Or(l, r) | Implies(l, r):
-                from_formula(l)
-                from_formula(r)
-            case Not(op):
-                from_formula(op)
-            case Exists(_, _, body) | Forall(_, _, body):
-                from_formula(body)
-            case Eq(l, r):
-                from_term(l)
-                from_term(r)
-
-    from_formula(g)
-    return out
+    for t in terms:
+        from_term(t)
+    return tuple(out)
 
 
 def _abstract(f: Formula, pivot: Eps, var: LVar) -> Formula:
@@ -459,26 +535,15 @@ def _abstract(f: Formula, pivot: Eps, var: LVar) -> Formula:
             return LApp(t.fn, tuple(in_term(a) for a in t.args))
         return t
 
-    match f:
-        case Pred(name, args):
-            return Pred(name, tuple(in_term(a) for a in args))
-        case And(l, r):
-            return And(_abstract(l, pivot, var), _abstract(r, pivot, var))
-        case Or(l, r):
-            return Or(_abstract(l, pivot, var), _abstract(r, pivot, var))
-        case Implies(l, r):
-            return Implies(_abstract(l, pivot, var),
-                           _abstract(r, pivot, var))
-        case Not(op):
-            return Not(_abstract(op, pivot, var))
-        case Exists(v, s, body):
-            return Exists(v, s, _abstract(body, pivot, var))
-        case Forall(v, s, body):
-            return Forall(v, s, _abstract(body, pivot, var))
-        case Eq(l, r):
-            return Eq(in_term(l), in_term(r))
-        case _:
-            return f
+    def walk(g: Formula) -> Formula:
+        match g:
+            case Pred(name, args):
+                return Pred(name, tuple(in_term(a) for a in args))
+            case Eq(l, r):
+                return Eq(in_term(l), in_term(r))
+        return _map_formula(g, walk)
+
+    return walk(f)
 
 
 def _rename_hole(pivot: Eps, var: str) -> Formula:
@@ -493,67 +558,41 @@ def _abstract_var(f: Formula, name: str, var: LVar) -> Formula:
             case LApp(fn, args):
                 return LApp(fn, tuple(in_term(a) for a in args))
             case Eps(mode, sort, hole, body) if hole != name:
-                return Eps(mode, sort, hole, _abstract_var(body, name, var))
+                return Eps(mode, sort, hole, walk(body))
             case _:
                 return t
 
-    match f:
-        case Pred(pname, args):
-            return Pred(pname, tuple(in_term(a) for a in args))
-        case And(l, r):
-            return And(_abstract_var(l, name, var),
-                       _abstract_var(r, name, var))
-        case Or(l, r):
-            return Or(_abstract_var(l, name, var),
-                      _abstract_var(r, name, var))
-        case Implies(l, r):
-            return Implies(_abstract_var(l, name, var),
-                           _abstract_var(r, name, var))
-        case Not(op):
-            return Not(_abstract_var(op, name, var))
-        case Exists(v, s, body) if v != name:
-            return Exists(v, s, _abstract_var(body, name, var))
-        case Forall(v, s, body) if v != name:
-            return Forall(v, s, _abstract_var(body, name, var))
-        case Eq(l, r):
-            return Eq(in_term(l), in_term(r))
-        case _:
-            return f
+    def walk(g: Formula) -> Formula:
+        match g:
+            case Pred(pname, args):
+                return Pred(pname, tuple(in_term(a) for a in args))
+            case Eq(l, r):
+                return Eq(in_term(l), in_term(r))
+            case Exists(v, _, _) | Forall(v, _, _) if v == name:
+                return g
+        return _map_formula(g, walk)
+
+    return walk(f)
 
 
 def _formula_names(f: Formula) -> set[str]:
     """All variable names occurring in f, bound or free."""
     out: set[str] = set()
-
-    def from_term(t: LTerm):
-        match t:
+    stack: list[Formula | LTerm] = [f]
+    while stack:
+        match stack.pop():
             case LVar(name, _):
                 out.add(name)
-            case LApp(_, args):
-                for a in args:
-                    from_term(a)
-            case Eps(_, _, hole, body):
-                out.add(hole)
-                from_formula(body)
-
-    def from_formula(g: Formula):
-        match g:
-            case Pred(_, args):
-                for a in args:
-                    from_term(a)
-            case And(l, r) | Or(l, r) | Implies(l, r):
-                from_formula(l)
-                from_formula(r)
+            case LApp(_, args) | Pred(_, args):
+                stack.extend(args)
+            case Eps(_, _, var, body) | Exists(var, _, body) \
+                    | Forall(var, _, body):
+                out.add(var)
+                stack.append(body)
+            case And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
+                stack += (l, r)
             case Not(op):
-                from_formula(op)
-            case Exists(v, _, body) | Forall(v, _, body):
-                out.add(v)
-                from_formula(body)
-            case Eq(l, r):
-                from_term(l)
-                from_term(r)
-
-    from_formula(f)
+                stack.append(op)
     return out
 
 
@@ -630,8 +669,13 @@ def _infix_f(f: Formula, context: int, style: str) -> str:
             sym = "¬" if uni else "not "
             text = sym + _infix_f(op, _PREC_NOT, style)
             return f"({text})" if _PREC_NOT < context else text
-        case And(l, r):
-            return binop("&", "∧", _PREC_AND, l, r)
+        case And():
+            first, rights = _and_spine(f)
+            sym = " ∧ " if uni else " & "
+            text = sym.join([_infix_f(first, _PREC_AND, style)]
+                            + [_infix_f(r, _PREC_AND + 1, style)
+                               for r in rights])
+            return f"({text})" if _PREC_AND < context else text
         case Or(l, r):
             return binop("|", "∨", _PREC_OR, l, r)
         case Implies(l, r):
@@ -672,8 +716,10 @@ def _sexpr_f(f: Formula) -> str:
             if not args:
                 return name
             return f"({name} {' '.join(_sexpr_t(a) for a in args)})"
-        case And(l, r):
-            return f"(and {_sexpr_f(l)} {_sexpr_f(r)})"
+        case And():
+            first, rights = _and_spine(f)
+            return "".join(["(and " * len(rights), _sexpr_f(first)]
+                           + [f" {_sexpr_f(r)})" for r in rights])
         case Or(l, r):
             return f"(or {_sexpr_f(l)} {_sexpr_f(r)})"
         case Implies(l, r):

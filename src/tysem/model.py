@@ -198,10 +198,17 @@ def _resolve(t: LTerm, m: Model, env: dict[str, str]) -> str:
             if isinstance(interp, str):
                 raise EvalError(f"'{fn}' is an individual, not a function")
             elems = tuple(_resolve(a, m, env) for a in args)
-            for row in interp:
-                if len(row) == len(elems) + 1 and row[:-1] == elems:
-                    return row[-1]
-            raise EvalError(f"function '{fn}' undefined at ({', '.join(elems)})")
+            values = sorted(row[-1] for row in interp
+                            if len(row) == len(elems) + 1
+                            and row[:-1] == elems)
+            if len(values) > 1:
+                raise EvalError(
+                    f"function '{fn}' has more than one value at "
+                    f"({', '.join(elems)}): {', '.join(values)}")
+            if not values:
+                raise EvalError(
+                    f"function '{fn}' undefined at ({', '.join(elems)})")
+            return values[0]
         case Eps(mode, sort, hole, body):
             outer = free_formula_vars(body) - {hole}
             if outer:

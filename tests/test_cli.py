@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tysem.cli import main
+from tysem.cli import AnalysisOptions, analyze_tree, main
+from tysem.composer import parse_tree
+from tysem.discourse import DiscourseState
+from tysem.kernel import reduction_steps
 
 LEXICA = "lexica"
 
@@ -148,6 +155,54 @@ def test_session_mode(capsys):
                                     "(homme(x) & est_entre(x) & a_hurle(x))")
 
 
+# sessions longer than the recursion limit: one referent shared by every
+# sentence, so the discourse is one existential over all the verbs
+LONG_SESSIONS = {
+    "homme": ("humain", "homme", ("est_entre", "a_hurle"), ("il",)),
+    "chat": ("ani", "chat", ("dort", "aboie"), ("(le chien)", "(le chat)")),
+}
+
+
+@pytest.mark.parametrize("family, n", [("homme", 640), ("chat", 640),
+                                       ("homme", 1400)])
+@pytest.mark.parametrize("fmt", ["text", "sexpr", "json"])
+def test_long_session_rewrites_to_one_existential(capsys, tmp_path, family,
+                                                  n, fmt):
+    sort, noun, verbs, others = LONG_SESSIONS[family]
+    args = [f"(un {noun})", *others]
+    lines = [f"({verbs[i % 2]} {args[i % len(args)]})" for i in range(n)]
+    session = tmp_path / f"{family}.session"
+    session.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "analyze", "--lexicon",
+                         f"{LEXICA}/{family}.lex", "--session", str(session),
+                         "--rewrite", "--format", fmt)
+    assert code == 0 and "Traceback" not in err
+    used = [verbs[i % 2] for i in range(n)]
+    if fmt == "sexpr":
+        body = ("(and " * n + f"({noun} x)"
+                + "".join(f" ({v} x))" for v in used))
+        expected = f"discourse: (exists (x {sort}) {body})"
+    else:
+        body = " & ".join([f"{noun}(x)"] + [f"{v}(x)" for v in used])
+        expected = f"discourse: exists x:{sort}. ({body})"
+    if fmt == "json":
+        doc = json.loads(out)
+        assert len(doc["sentences"]) == n
+        assert "discourse: " + doc["discourse"] == expected
+    else:
+        assert out.splitlines()[-1] == expected
+
+
+def test_analyze_keeps_steps_only_with_trace(fig1):
+    tree = parse_tree("((un club) (a_battu Leeds))")
+    plain, _ = analyze_tree(fig1, tree, DiscourseState(), AnalysisOptions())
+    traced, _ = analyze_tree(fig1, tree, DiscourseState(),
+                             AnalysisOptions(trace=True))
+    assert plain.steps == []
+    assert traced.steps == list(reduction_steps(traced.term))
+    assert traced.steps[-1] == traced.normal == plain.normal
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -210,6 +265,30 @@ def test_eval_max_carrier_must_be_positive(capsys):
         assert exit_.value.code == 2
         assert "argument --max-carrier: expected a positive integer" in err
         assert "Traceback" not in err
+
+
+def test_eval_equivalence_reads_hat_as_carrier_membership(capsys):
+    code, out, _ = run(capsys, "eval", "--model", "models/chat.model",
+                       "--formula", "(hat_s (eps s x (P x)))",
+                       "--equiv", "true")
+    assert code == 0
+    assert out.strip() == "equivalent (30 models)"
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_eval_function_with_two_values_is_an_error(tmp_path, hash_seed):
+    model = tmp_path / "m.model"
+    model.write_text("(model (carrier s (a b c)) (interp f ((a b) (a c)))"
+                     " (interp P ((b))) (interp k ((a))))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tysem.cli", "eval", "--model", str(model),
+         "--formula", "(P (f k))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.strip() == \
+        "error: function 'f' has more than one value at (a): b, c"
 
 
 def test_eval_equivalence_predicate_signatures_differ(capsys):

@@ -129,3 +129,19 @@ def test_type_to_predicate_rejects_t(chat_lex):
 def test_type_to_predicate_unknown_sort(chat_lex):
     with pytest.raises(UnknownSort):
         type_to_predicate(chat_lex, "zebra")
+
+
+def test_typing_context_is_built_once_and_sees_option_constants():
+    lex = load_lexicon("""
+    (sort T) (sort P)
+    (const ville T)
+    (const vote (-> P t))
+    (entry "ville" (principal ville) (option hab (-> T P) flexible))
+    (entry "vote_ville" (principal (vote (hab ville))))
+    """)
+    ctx = lex.typing_context()
+    assert ctx is lex.typing_context()
+    assert ctx.consts["hab"] == Arrow(BaseSort("T"), BaseSort("P"))
+    lex2, _ = type_to_predicate(lex, "T")
+    assert lex2.typing_context().consts["hat_T"] == Arrow(E, T)
+    assert "hat_T" not in ctx.consts
