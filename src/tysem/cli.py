@@ -71,7 +71,7 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
         normal = normalize(result.term)
     ctx = lex.typing_context()
     formula = extract_formula(normal, ctx)
-    presupps = presuppositions(normal)
+    presupps = presuppositions(normal, ctx)
     final = formula
     if options.presuppositions == "conjoin" and presupps:
         final = conjoin(presupps + [formula])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import kernel
 from .errors import (ExtractionError, NotNormal, NotTruthType, ResidualLambda,
@@ -330,11 +330,14 @@ def _to_lterm(term: Term) -> LTerm:
 # presuppositions
 
 
-def presuppositions(term: Term) -> list[Formula]:
+def presuppositions(term: Term,
+                    ctx: TypingContext | None = None) -> list[Formula]:
     """The restriction of every indefinite (and every definite left
     unresolved, which behaves the same) applied to its own choice term.
 
     Formulas are collected left-to-right and alpha-duplicates emitted once.
+    `ctx` types the term's constants; each candidate's free variables, bound
+    above the choice term, are added to it.
     """
     found: list[Formula] = []
     seen: set[Formula] = set()  # canon_formula of each formula in found
@@ -342,7 +345,11 @@ def presuppositions(term: Term) -> list[Formula]:
     def walk(t: Term):
         match t:
             case App(TyApp(Const("eps" | "ieps", _), _), pred):
-                candidate = extract_formula(normalize(App(pred, t)))
+                body = normalize(App(pred, t))
+                local = ctx
+                if ctx is not None and (free := free_vars(body)):
+                    local = replace(ctx, vars={**ctx.vars, **free})
+                candidate = extract_formula(body, local)
                 key = canon_formula(candidate)
                 if key not in seen:
                     seen.add(key)

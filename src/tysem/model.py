@@ -9,14 +9,21 @@ the universal choice term denotes the first element falsifying it.  With
 this semantics `B(choice_x B)` agrees with the corresponding quantifier on
 every finite model, which the brute-force equivalence checker verifies by
 enumerating all small models.
+
+`eval_formula` evaluates a formula on one model.  The equivalence checker
+evaluates a formula on up to 2^16 models at once: each subformula becomes
+an int with one bit per model, connectives become bitwise operations,
+quantifiers combine their body over the carrier, and a choice term becomes
+the set of models on which it denotes each element.  `enumerate_models`
+and `eval_formula` stay as the reference it is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable
+import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import cached_property
 
 from .errors import (EmptyCarrier, EvalError, FreeSymbol, ModelError,
                      ParseError, UninterpretedConstant)
@@ -252,15 +259,18 @@ class Verdict:
 
 PredicateSig = tuple[str, tuple[str, ...]]  # name, argument sorts
 
+# A word holds the models of one step, at most 2**WORD_BITS of them; a
+# larger step runs in chunks over its high bits.
+WORD_BITS = 16
+
 
 class _ModelSpace:
     """The models over `sorts` with carrier sizes 1..max_carrier and every
-    extension of `predicates`, encoded as ints.
+    extension of `predicates`.
 
     Element i of sort s is named `s<i+1>` and gets an integer id; equal
     names share one id, so comparing ids compares elements across sorts
-    too.  An extension is a mask with one bit per tuple, at the tuple's
-    row-major position over the ids."""
+    too."""
 
     def __init__(self, sorts: list[str], max_carrier: int,
                  predicates: list[PredicateSig]):
@@ -271,42 +281,99 @@ class _ModelSpace:
                              for i in range(max_carrier))
                     for s in sorts}
         self.names = list(ids)
-        self.stride = len(self.names)
-
-    def position(self, row: Iterable[int]) -> int:
-        pos = 0
-        for el in row:
-            pos = pos * self.stride + el
-        return pos
 
     def steps(self):
-        """The enumeration order.  Per combination of carrier sizes, in
-        `itertools.product` order, yield the carriers (sort -> ids) and per
-        predicate its extensions, by cardinality and then in
-        `itertools.combinations` order; the models of a step are the
-        `itertools.product` of those lists."""
+        """The enumeration order: one `_Step` per combination of carrier
+        sizes, in `itertools.product` order."""
         for sizes in itertools.product(range(1, self.max_carrier + 1),
                                        repeat=len(self.sorts)):
-            carriers = {s: self.ids[s][:n] for s, n in zip(self.sorts, sizes)}
-            extensions = []
-            for _, arg_sorts in self.predicates:
-                bits = [1 << self.position(row) for row in itertools.product(
-                    *(carriers[s] for s in arg_sorts))]
-                extensions.append([sum(rows) for k in range(len(bits) + 1)
-                                   for rows in itertools.combinations(bits, k)])
-            yield carriers, extensions
+            yield _Step(self, {s: self.ids[s][:n]
+                               for s, n in zip(self.sorts, sizes)})
 
-    def decode(self, carriers: dict[str, tuple[int, ...]],
-               masks: tuple[int, ...]) -> Model:
-        names = self.names
+
+class _Step:
+    """The models of one combination of carrier sizes (sort -> ids).
+
+    Predicate i has `rows[i]`, its argument tuples in `itertools.product`
+    order, and an extension is a mask over those rows.  Extensions come by
+    cardinality and then in `itertools.combinations` order, and the models
+    in the `itertools.product` order of the predicates' extensions.  A
+    model is numbered by its extensions' bits, predicate i's at
+    `offsets[i]` and the first predicate highest, so numbers run over
+    `2**bits`; `rank` gives a number's place in the enumeration order."""
+
+    def __init__(self, space: _ModelSpace,
+                 carriers: dict[str, tuple[int, ...]]):
+        self.space, self.carriers = space, carriers
+        self.rows = [tuple(itertools.product(*(carriers[s] for s in sorts)))
+                     for _, sorts in space.predicates]
+        self.offsets = [sum(map(len, self.rows[i + 1:]))
+                        for i in range(len(self.rows))]
+        self.bits = sum(map(len, self.rows))
+        self.by_sort: dict[str, tuple[int, ...] | None] = {}
+
+    def carrier(self, sort: str) -> tuple[int, ...] | None:
+        """`Model.carrier` over ids, or None where it raises."""
+        if sort not in self.by_sort:
+            try:
+                self.by_sort[sort] = Model(self.carriers).carrier(sort)
+            except (EvalError, ModelError):
+                self.by_sort[sort] = None
+        return self.by_sort[sort]
+
+    def models(self):
+        """The model numbers in enumeration order."""
+        extensions = [[sum(1 << j for j in subset)
+                       for k in range(len(rows) + 1)
+                       for subset in itertools.combinations(range(len(rows)),
+                                                            k)]
+                      for rows in self.rows]
+        widths = list(map(len, self.rows))
+        for masks in itertools.product(*extensions):
+            number = 0
+            for mask, width in zip(masks, widths):
+                number = number << width | mask
+            yield number
+
+    def rank(self, number: int) -> int:
+        """The place of model `number` in the enumeration order."""
+        index = 0
+        for rows, offset in zip(self.rows, self.offsets):
+            n = len(rows)
+            mask = number >> offset & ((1 << n) - 1)
+            left = mask.bit_count()
+            # the smaller extensions, then the subsets before this one
+            place = sum(math.comb(n, k) for k in range(left))
+            previous = -1
+            for j in range(n):
+                if mask >> j & 1:
+                    place += sum(math.comb(n - 1 - x, left - 1)
+                                 for x in range(previous + 1, j))
+                    previous, left = j, left - 1
+            index = index << n | place
+        return index
+
+    @cached_property
+    def named(self) -> tuple[dict[str, tuple[str, ...]], list[tuple]]:
+        """The carriers and every predicate's rows by element name."""
+        names = self.space.names
+        return ({s: tuple(names[el] for el in elems)
+                 for s, elems in self.carriers.items()},
+                [tuple(tuple(names[el] for el in row) for row in rows)
+                 for rows in self.rows])
+
+    def decode(self, number: int) -> Model:
+        carriers, tables = self.named
         interps: dict[str, Interp] = {}
-        for (name, arg_sorts), mask in zip(self.predicates, masks):
-            rows = itertools.product(*(carriers[s] for s in arg_sorts))
-            interps[name] = frozenset(
-                tuple(names[el] for el in row) for row in rows
-                if mask >> self.position(row) & 1)
-        return Model({s: tuple(names[el] for el in elems)
-                      for s, elems in carriers.items()}, interps)
+        for (name, _), table, offset in zip(self.space.predicates, tables,
+                                            self.offsets):
+            mask, rows = number >> offset & ((1 << len(table)) - 1), []
+            while mask:
+                low = mask & -mask
+                rows.append(table[low.bit_length() - 1])
+                mask ^= low
+            interps[name] = frozenset(rows)
+        return Model(dict(carriers), interps)
 
 
 def enumerate_models(sorts: list[str], max_carrier: int,
@@ -314,10 +381,9 @@ def enumerate_models(sorts: list[str], max_carrier: int,
     """All models over the given sorts with carrier sizes 1..max_carrier
     and every extension of the given predicates, in the order
     `check_equivalence` checks them."""
-    space = _ModelSpace(sorts, max_carrier, predicates)
-    for carriers, extensions in space.steps():
-        for masks in itertools.product(*extensions):
-            yield space.decode(carriers, masks)
+    for step in _ModelSpace(sorts, max_carrier, predicates).steps():
+        for number in step.models():
+            yield step.decode(number)
 
 
 def check_equivalence(f1: Formula, f2: Formula, sorts: list[str],
@@ -326,194 +392,229 @@ def check_equivalence(f1: Formula, f2: Formula, sorts: list[str],
     """Brute force: evaluate both formulas on every enumerated model and
     return the first counter-model, or `equivalent`.
 
-    Both formulas are compiled once and run on the encoded models; only
-    the counter-model is decoded.  A free constant or function symbol is
-    rejected before enumeration, since no enumerated model interprets it."""
+    Each formula is evaluated once per word of models, one bit per model
+    (`_Word`).  The first model in enumeration order on which the formulas
+    differ or either raises is decoded and evaluated again by
+    `eval_formula`, so that an error keeps the interpreter's class and
+    message.  A free constant or function symbol is rejected before
+    enumeration, since no enumerated model interprets it."""
     if max_carrier < 1:
         raise ValueError("max_carrier must be at least 1")
-    space = _ModelSpace(sorts, max_carrier, predicates)
-    compiler = _Compiler(space)
-    test1, test2 = compiler.formula(f1, {}), compiler.formula(f2, {})
-    frame: list = [None] * (compiler.size + compiler.cached)
-    no_choices = [None] * compiler.cached
-    n, checked = len(predicates), 0
-    for carriers, extensions in space.steps():
-        compiler.load(frame, carriers)
-        for masks in itertools.product(*extensions):
-            checked += 1
-            frame[:n] = masks
-            frame[compiler.size:] = no_choices
-            if test1(frame) != test2(frame):
-                return Verdict(False, space.decode(carriers, masks), checked)
+    for f in (f1, f2):
+        _reject_free_symbols(f)
+    checked = 0
+    for step in _ModelSpace(sorts, max_carrier, predicates).steps():
+        width = min(step.bits, WORD_BITS)
+        row_masks = _row_masks(width)
+        candidates = []  # the first bad model of each word
+        for chunk in range(1 << step.bits - width):
+            word = _Word(step, chunk, width, row_masks)
+            holds1, raises1 = word.formula(f1, {})
+            holds2, raises2 = word.formula(f2, {})
+            bad = raises1 | raises2 | holds1 ^ holds2
+            if bad:
+                candidates.append(chunk << width | word.first(bad))
+        if candidates:
+            number = min(candidates, key=step.rank)
+            m = step.decode(number)
+            if eval_formula(m, f1) == eval_formula(m, f2):
+                raise AssertionError(
+                    "bit-parallel evaluation disagrees with eval_formula")
+            return Verdict(False, m, checked + step.rank(number) + 1)
+        checked += 1 << step.bits
     return Verdict(True, None, checked)
 
 
-Frame = list  # masks, carriers, variables and cached choices; see _Compiler
-Test = Callable[[Frame], object]  # a bool or 0/1
-Value = Callable[[Frame], int]  # an element id
-
-
-class _Compiler:
-    """Compiles formulas into closures over a frame holding one encoded
-    model: each predicate's mask at the predicate's index, then carriers
-    and bound variables at slots allocated here, then, at negative indices,
-    one cache slot per closed choice term.
-
-    A closure evaluates as `eval_formula` does on the decoded model: in the
-    same order, with the same short circuits, raising the same errors."""
-
-    def __init__(self, space: _ModelSpace):
-        self.space = space
-        self.masks = {name: i for i, (name, _) in enumerate(space.predicates)}
-        self.arity = {name: len(sorts) for name, sorts in space.predicates}
-        self.size = len(space.predicates)
-        self.cached = 0
-        self.carriers: dict[str, int] = {}
-        self.choices: dict[Eps, Value] = {}
-
-    def slot(self) -> int:
-        self.size += 1
-        return self.size - 1
-
-    def load(self, frame: Frame, carriers: dict[str, tuple[int, ...]]):
-        """Store the carriers of one step of `_ModelSpace.steps`."""
-        by_id = Model(carriers)  # ids in place of names
-        for sort, slot in self.carriers.items():
-            frame[slot] = by_id.carrier(sort)
-
-    def carrier(self, sort: str) -> Callable[[Frame], tuple[int, ...]]:
-        if sort in self.space.ids or (sort == "e" and self.space.ids):
-            if sort not in self.carriers:
-                self.carriers[sort] = self.slot()
-            return itemgetter(self.carriers[sort])
-        # Model.carrier raises on every model: no sorts or no such sort
-        return _raiser(lambda: EmptyCarrier(sort) if sort == "e"
-                       else _no_carrier(sort))
-
-    def formula(self, f: Formula, scope: dict[str, int]) -> Test:
-        match f:
-            case TruthConst(v):
-                return lambda M: v
-            case Pred(name, args):
-                return self.pred(name, [self.term(a, scope) for a in args])
-            case And(l, r):
-                l, r = self.formula(l, scope), self.formula(r, scope)
-                return lambda M: l(M) and r(M)
-            case Or(l, r):
-                l, r = self.formula(l, scope), self.formula(r, scope)
-                return lambda M: l(M) or r(M)
-            case Implies(l, r):
-                l, r = self.formula(l, scope), self.formula(r, scope)
-                return lambda M: not l(M) or r(M)
-            case Not(op):
-                op = self.formula(op, scope)
-                return lambda M: not op(M)
-            case Eq(l, r):
-                l, r = self.term(l, scope), self.term(r, scope)
-                return lambda M: l(M) == r(M)
-            case Exists(var, sort, body):
-                carrier, v = self.carrier(sort), self.slot()
-                body = self.formula(body, {**scope, var: v})
-
-                def exists(M):
-                    for el in carrier(M):
-                        M[v] = el
-                        if body(M):
-                            return True
-                    return False
-                return exists
-            case Forall(var, sort, body):
-                carrier, v = self.carrier(sort), self.slot()
-                body = self.formula(body, {**scope, var: v})
-
-                def forall(M):
-                    for el in carrier(M):
-                        M[v] = el
-                        if not body(M):
-                            return False
-                    return True
-                return forall
-        raise AssertionError(f)
-
-    def pred(self, name: str, args: list[Value]) -> Test:
-        """`_pred_holds` after resolving the arguments."""
-        if name in self.masks:
-            if len(args) != self.arity[name]:
-                return _after(args, lambda: False)
-            p, n = self.masks[name], self.space.stride
-            if len(args) == 1:
-                a, = args
-                return lambda M: M[p] >> a(M) & 1
-            if len(args) == 2:
-                a, b = args
-                return lambda M: M[p] >> (a(M) * n + b(M)) & 1
-            position = self.space.position
-            return lambda M: M[p] >> position([a(M) for a in args]) & 1
-        sort = name[4:]
-        if name.startswith("hat_") and (sort in self.space.ids
-                                        or sort == "e"):
-            if len(args) != 1:
-                return _after(args, lambda: False)
-            a, carrier = args[0], self.carrier(sort)
-            return lambda M: a(M) in carrier(M)
-        return _after(args, _raiser(lambda: UninterpretedConstant(name)))
-
-    def term(self, t: LTerm, scope: dict[str, int]) -> Value:
-        match t:
-            case LVar(name, _):
-                if name in scope:
-                    return itemgetter(scope[name])
-                return _raiser(lambda: _unbound(name))
-            case Eps():
-                return self.choice(t, scope)
+def _reject_free_symbols(f: Formula):
+    stack: list[Formula | LTerm] = [f]
+    while stack:
+        match stack.pop():
             case LConst(name, _) | LApp(name, _):
                 raise FreeSymbol(name)
-        raise AssertionError(t)
+            case Pred(_, args):
+                stack.extend(reversed(args))
+            case And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
+                stack += (r, l)
+            case Not(body) | Exists(_, _, body) | Forall(_, _, body) \
+                    | Eps(_, _, _, body):
+                stack.append(body)
 
-    def choice(self, eps: Eps, scope: dict[str, int]) -> Value:
-        """The chosen element, computed at the first use in a model and
-        cached there; equal choice terms share the cache slot."""
-        if eps in self.choices:
-            return self.choices[eps]
-        hole = self.slot()
-        body = self.formula(eps.body, {**scope, eps.hole: hole})
-        outer = free_formula_vars(eps.body) - {eps.hole}
-        if outer:
-            value = _raiser(lambda: _henkin(outer))
-        else:
-            carrier = self.carrier(eps.sort)
-            self.cached += 1
-            cache, want = -self.cached, eps.mode != UNIVERSAL
 
-            def value(M):
-                el = M[cache]
-                if el is None:
-                    elems = carrier(M)
-                    for el in elems:
-                        M[hole] = el
-                        if (not body(M)) != want:  # body(M) == want
-                            break
+def _row_masks(width: int) -> list[int]:
+    """Mask q holds the models of a 2**width-model word whose bit q is set:
+    2**q clear bits, 2**q set bits, repeated.  Built by doubling with
+    shifts; big-int division is slow at these sizes."""
+    masks = []
+    for q in range(width):
+        span = 2 << q
+        mask = ((1 << (1 << q)) - 1) << (1 << q)
+        while span < 1 << width:
+            mask |= mask << span
+            span <<= 1
+        masks.append(mask)
+    return masks
+
+
+Masks = tuple[int, int]  # the models on which it holds, on which it raises
+Choice = tuple[dict[int, int], int]  # element id -> models, raises
+
+
+class _Word:
+    """The models `chunk << width | w`, w < 2**width, of one step, as the
+    bits of an int.  `formula` gives the models on which `eval_formula`
+    holds and those on which it raises, in one pass for all of them: the
+    same short circuits, in the same order, decide which errors are
+    reached.  Where a formula raises, its holds-mask is unspecified."""
+
+    def __init__(self, step: _Step, chunk: int, width: int,
+                 row_masks: list[int]):
+        self.step = step
+        self.all = (1 << (1 << width)) - 1
+        self.bit = row_masks + [self.all if chunk >> q - width & 1 else 0
+                                for q in range(width, step.bits)]
+        self.width = width
+        # later duplicates win, as in the decoded model's dict
+        self.atoms = {name: {row: self.bit[offset + j]
+                             for j, row in enumerate(rows)}
+                      for (name, _), rows, offset
+                      in zip(step.space.predicates, step.rows, step.offsets)}
+        self.choices: dict[Eps, Choice] = {}
+
+    def formula(self, f: Formula, env: dict[str, int]) -> Masks:
+        match f:
+            case TruthConst(v):
+                return (self.all if v else 0), 0
+            case Pred(name, args):
+                return self.pred(name, args, env)
+            case And(l, r):
+                holds, raises = self.formula(l, env)
+                if not holds:
+                    return 0, raises
+                r_holds, r_raises = self.formula(r, env)
+                return holds & r_holds, raises | holds & r_raises
+            case Or(l, r):
+                holds, raises = self.formula(l, env)
+                if holds == self.all:
+                    return holds, raises
+                r_holds, r_raises = self.formula(r, env)
+                return holds | r_holds, raises | r_raises & ~holds
+            case Implies(l, r):
+                holds, raises = self.formula(l, env)
+                if not holds:
+                    return self.all, raises
+                r_holds, r_raises = self.formula(r, env)
+                return self.all ^ holds | r_holds, raises | holds & r_raises
+            case Not(op):
+                holds, raises = self.formula(op, env)
+                return self.all ^ holds, raises
+            case Eq(l, r):
+                (left, l_raises), (right, r_raises) = \
+                    self.term(l, env), self.term(r, env)
+                return (sum(models & right[el] for el, models in left.items()
+                            if el in right), l_raises | r_raises)
+            case Exists(var, sort, body) | Forall(var, sort, body):
+                carrier = self.step.carrier(sort)
+                if carrier is None:
+                    return 0, self.all
+                every = isinstance(f, Forall)
+                holds, raises = (self.all if every else 0), 0
+                undecided = self.all  # no verdict and no error yet
+                for el in carrier:
+                    b_holds, b_raises = self.formula(body, {**env, var: el})
+                    raises |= undecided & b_raises
+                    if every:
+                        holds &= b_holds
+                        undecided &= b_holds & ~b_raises
                     else:
-                        el = elems[0]
-                    M[cache] = el
-                return el
-        self.choices[eps] = value
-        return value
+                        holds |= b_holds
+                        undecided &= ~(b_holds | b_raises)
+                    if not undecided:
+                        break
+                return holds, raises
+        raise AssertionError(f)
 
-
-def _after(args: list[Value], outcome: Callable[[], bool]) -> Test:
-    """Resolve the arguments, for their errors only, then give `outcome`."""
-    def test(M):
+    def pred(self, name: str, args, env: dict[str, int]) -> Masks:
+        """`_pred_holds` after resolving the arguments."""
+        values, raises = [], 0
         for a in args:
-            a(M)
-        return outcome()
-    return test
+            value, a_raises = self.term(a, env)
+            values.append(value.items())
+            raises |= a_raises
+        if name in self.atoms:
+            atoms, holds = self.atoms[name], 0
+            for combo in itertools.product(*values):
+                # no row matches arguments off the predicate's signature
+                models = atoms.get(tuple(el for el, _ in combo), 0)
+                for _, m in combo:
+                    models &= m
+                holds |= models
+            return holds, raises
+        sort = name[4:]
+        if name.startswith("hat_") and (sort in self.step.carriers
+                                        or sort == "e"):
+            if len(args) != 1:
+                return 0, raises
+            carrier = self.step.carrier(sort)
+            if carrier is None:
+                return 0, self.all
+            return sum(m for el, m in values[0] if el in carrier), raises
+        return 0, self.all  # uninterpreted
 
+    def term(self, t: LTerm, env: dict[str, int]) -> Choice:
+        match t:
+            case LVar(name, _):
+                if name in env:
+                    return {env[name]: self.all}, 0
+                return {}, self.all  # unbound
+            case Eps():
+                if t not in self.choices:
+                    self.choices[t] = self.choose(t)
+                return self.choices[t]
+        raise AssertionError(t)  # free symbols are rejected up front
 
-def _raiser(error: Callable[[], Exception]):
-    def fail(*_):
-        raise error()
-    return fail
+    def choose(self, eps: Eps) -> Choice:
+        """The element a closed choice term denotes on each model: the
+        first in carrier order whose body has the wanted value, else the
+        first element."""
+        if free_formula_vars(eps.body) - {eps.hole}:
+            return {}, self.all  # a Henkin dependency
+        carrier = self.step.carrier(eps.sort)
+        if carrier is None:
+            return {}, self.all
+        want = eps.mode != UNIVERSAL
+        chosen, raises, undecided = {}, 0, self.all
+        for el in carrier:
+            holds, b_raises = self.formula(eps.body, {eps.hole: el})
+            raises |= undecided & b_raises
+            undecided &= ~b_raises
+            hit = undecided & (holds if want else ~holds)
+            if hit:
+                chosen[el] = hit
+                undecided ^= hit
+            if not undecided:
+                break
+        if undecided:
+            chosen[carrier[0]] = chosen.get(carrier[0], 0) | undecided
+        return chosen, raises
+
+    def first(self, models: int) -> int:
+        """The number within the word of the first of `models` in
+        enumeration order: predicate by predicate, the fewest rows set,
+        then the rows set earliest.  Rows in the high bits are fixed."""
+        for offset, rows in zip(self.step.offsets, self.step.rows):
+            low = self.bit[offset:min(offset + len(rows), self.width)]
+            if not low:
+                continue
+            # by_count[k]: the models that set k of the low rows
+            by_count = [self.all]
+            for m in low:
+                by_count = [fewer & ~m | more & m for fewer, more
+                            in zip(by_count + [0], [0] + by_count)]
+            models &= next(c for c in by_count if models & c)
+            for m in low:
+                if models & m:
+                    models &= m
+        return models.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------

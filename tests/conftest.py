@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from tysem.lexicon import load_lexicon
 
@@ -9,6 +10,11 @@ REPO = Path(__file__).resolve().parent.parent
 LEXICA = REPO / "lexica"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# Property tests draw the same examples on every run and keep no database.
+settings.register_profile("tysem", derandomize=True, database=None,
+                          deadline=None, max_examples=100)
+settings.load_profile("tysem")
 
 
 @pytest.fixture(scope="session")

@@ -248,6 +248,17 @@ def test_eval_counter_model(capsys, tmp_path):
     assert "(model" in out
 
 
+def test_eval_equivalence_nested_pair_at_carrier_5(capsys):
+    # one binary predicate: 2 + 2**4 + 2**9 + 2**16 + 2**25 models
+    outer = "(eps s x (exists (y s) (R x y)))"
+    code, out, _ = run(capsys, "eval", "--model", "models/chat.model",
+                       "--formula", f"(R {outer} (eps s y (R {outer} y)))",
+                       "--equiv", "(exists (x s) (exists (y s) (R x y)))",
+                       "--max-carrier", "5")
+    assert code == 0
+    assert out.strip() == "equivalent (33620498 models)"
+
+
 def test_eval_equivalence_free_constant(capsys):
     code, out, err = run(capsys, "eval", "--model", "models/chat.model",
                          "--formula", "(P felix)", "--equiv", "(P felix)")

@@ -1,7 +1,8 @@
-"""The compiled equivalence checker against the interpretive evaluator.
+"""The bit-parallel equivalence checker against the interpretive evaluator.
 
-`check_equivalence` compiles both formulas and runs them on models encoded
-as masks.  The reference below walks the decoded models of
+`check_equivalence` evaluates each formula once per word of up to 2^16
+models, one bit per model, and decodes only the first model on which the
+formulas differ or raise.  The reference below walks the decoded models of
 `enumerate_models` with `eval_formula`; the two must give the same verdict
 (equivalence, models checked and counter-model) or raise the same error.
 """
@@ -13,11 +14,14 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from generators import FormulaGen
 from tysem.cli import _signature_of
-from tysem.errors import FreeSymbol, TysemError
-from tysem.logic import (Eq, Exists, Forall, LVar, Pred, TruthConst,
+from tysem.errors import EvalError, FreeSymbol, TysemError
+from tysem.logic import (DEF, INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
+                         Implies, LVar, Not, Or, Pred, TruthConst,
                          parse_formula, print_formula, rewrite_hilbert)
 from tysem.model import (Model, Verdict, check_equivalence, enumerate_models,
                          eval_formula, print_model)
@@ -231,3 +235,158 @@ def _frozenset_enumeration(sorts, max_carrier, predicates):
 def test_enumeration_order_is_unchanged(sorts, max_carrier, predicates):
     assert list(enumerate_models(sorts, max_carrier, predicates)) == \
         list(_frozenset_enumeration(sorts, max_carrier, predicates))
+
+
+# ---------------------------------------------------------------------------
+# random pairs drawn by hypothesis
+
+SIGNATURES = [
+    (["s"], [("P", ("s",)), ("R", ("s", "s"))]),
+    (["s", "t"], [("P", ("s",)), ("Q", ("t",)), ("R", ("s", "t"))]),
+]
+
+
+@st.composite
+def formula_pairs(draw):
+    sorts, predicates = draw(st.sampled_from(SIGNATURES))
+    names = iter(f"v{i}" for i in itertools.count())
+
+    def term(sort, env, depth):
+        bound = [LVar(v, s) for v, s in env.items() if s == sort]
+        kind = draw(st.sampled_from(
+            ["var", "var", "choice"] if bound
+            else ["choice"] * 8 + ["unbound"] * (depth >= 0)))
+        if kind == "var":
+            return draw(st.sampled_from(bound))
+        if kind == "unbound":
+            return LVar("free", sort)
+        hole = next(names)
+        if depth < 0:
+            body = TruthConst(draw(st.booleans()))
+        else:
+            # a body that sees the enclosing binders is a Henkin dependency
+            outer = env if draw(st.integers(0, 3)) == 0 else {}
+            body = formula({**outer, hole: sort}, depth - 1)
+        return Eps(draw(st.sampled_from((INDEF, DEF, UNIVERSAL))), sort, hole,
+                   body)
+
+    def formula(env, depth):
+        kind = draw(st.sampled_from(
+            ["pred", "pred", "eq", "const"]
+            + ["not", "and", "or", "implies", "exists", "forall"]
+            * (depth > 0)))
+        if kind == "const":
+            return TruthConst(draw(st.booleans()))
+        if kind == "pred":
+            name, arg_sorts = draw(st.sampled_from(predicates))
+            return Pred(name, tuple(term(s, env, depth)
+                                    for s in arg_sorts))
+        if kind == "eq":
+            sort = draw(st.sampled_from(sorts))
+            return Eq(term(sort, env, depth), term(sort, env, depth))
+        if kind == "not":
+            return Not(formula(env, depth - 1))
+        if kind in ("and", "or", "implies"):
+            cls = {"and": And, "or": Or, "implies": Implies}[kind]
+            return cls(formula(env, depth - 1), formula(env, depth - 1))
+        var, sort = next(names), draw(st.sampled_from(sorts + ["e"]))
+        cls = Exists if kind == "exists" else Forall
+        return cls(var, sort, formula({**env, var: sort}, depth - 1))
+
+    f1 = formula({}, 3)
+    kind = draw(st.sampled_from(("random", "rewrite", "or", "and")))
+    if kind == "random":
+        f2 = formula({}, 3)
+    elif kind == "rewrite":
+        f2 = rewrite_hilbert(f1)
+    else:  # differs from f1 on some models only
+        f2 = (Or if kind == "or" else And)(f1, formula({}, 2))
+    return f1, f2, sorts, predicates
+
+
+@given(formula_pairs())
+def test_random_pairs_agree_with_interpreter(pair):
+    f1, f2, sorts, predicates = pair
+    k = max(k for k in (1, 2, 3)
+            if k == 1 or model_count(sorts, k, predicates) <= 600)
+    assert_agrees(f1, f2, sorts, k, predicates)
+
+
+# ---------------------------------------------------------------------------
+# errors behind short circuits
+
+HENKIN = "(forall (y s) (or (not (P y)) (Q (eps s x (and (P x) (P y))))))"
+FIRST = "(eps s y true)"  # the first element
+
+
+def test_error_behind_a_short_circuit_is_reached_on_model_3():
+    f1 = parse_formula(HENKIN)
+    f2 = parse_formula("(forall (y s) (not (P y)))")
+    sorts, predicates = _signature_of(f1, f2)
+    error = assert_agrees(f1, f2, sorts, 3, predicates)
+    assert error[0] is EvalError and "Henkin" in error[1]
+    first = list(itertools.islice(enumerate_models(sorts, 3, predicates), 3))
+    assert [eval_formula(m, f1) == eval_formula(m, f2)
+            for m in first[:2]] == [True, True]
+    with pytest.raises(EvalError, match="Henkin"):
+        eval_formula(first[2], f1)
+
+
+@pytest.mark.parametrize("f2", [
+    "(exists (y s) (Q y))",  # differs on model 1
+    "(and (forall (y s) (not (P y))) (forall (y s) (not (Q y))))",  # model 2
+])
+def test_counter_model_before_first_error(f2):
+    f1, f2 = parse_formula(HENKIN), parse_formula(f2)
+    sorts, predicates = _signature_of(f1, f2)
+    verdict = assert_agrees(f1, f2, sorts, 3, predicates)
+    assert not verdict.equivalent and verdict.models_checked < 3
+
+
+@pytest.mark.parametrize("f", [
+    "(and (exists (y s) (P y)) (forall (y s) (Q (eps s x (P y)))))",
+    "(implies (forall (y s) (P y)) (forall (y s) (Q (tau s x (P y)))))",
+    "(exists (y s) (or (not (P y)) (= y (eps s x (Q y)))))",
+    "(forall (z s) (and (Q z) (P (ieps s x (and (Q x) (P z))))))",
+    # decided at the first element on some models; where undecided, the
+    # second element raises
+    f"(forall (y s) (or (and (= y {FIRST}) (Q y)) (and (not (= y {FIRST}))"
+    f" (or (not (P y)) (Q (eps s x (P y)))))))",
+    f"(exists (y s) (or (and (= y {FIRST}) (not (Q y))) (and (not (= y"
+    f" {FIRST})) (and (P y) (Q (eps s x (P y)))))))",
+    f"(Q (eps s x (or (not (P x)) (and (not (= x {FIRST}))"
+    f" (and (Q x) (Q (eps s w (P x))))))))",
+])
+def test_first_error_comes_after_the_first_model(f):
+    """A formula against itself: the first model on which it raises."""
+    f = parse_formula(f)
+    sorts, predicates = _signature_of(f)
+    error = assert_agrees(f, f, sorts, 3, predicates)
+    assert error[0] is EvalError and "Henkin" in error[1]
+    eval_formula(next(enumerate_models(sorts, 3, predicates)), f)
+
+
+# ---------------------------------------------------------------------------
+# steps of more than one word
+
+
+SECOND = f"(eps s y (not (= y {FIRST})))"  # the first element at size 1
+
+
+def test_first_counter_model_outside_the_first_word():
+    """Two binary predicates at carrier size 3 give a step of 2**18
+    models.  The pair differs when R holds of the third element and itself
+    (a model numbered past the first word), or of that element and the
+    second together with R(s1, s1) (a word numbered before it, whose
+    models come later in enumeration order)."""
+    f1 = parse_formula(
+        f"(exists (x s) (and (and (not (= x {FIRST})) (not (= x {SECOND})))"
+        f" (and (or (R x x) (and (R x {SECOND}) (R {FIRST} {FIRST})))"
+        f" (or (S x x) (not (S x x))))))")
+    f2 = parse_formula("false")
+    sorts, predicates = _signature_of(f1, f2)
+    verdict = assert_agrees(f1, f2, sorts, 3, predicates)
+    assert verdict.models_checked == 4 + 2 ** 8 + 9 * 2 ** 9 + 1
+    assert print_model(verdict.counter_model) == (
+        "(model\n  (carrier s (s1 s2 s3))\n  (interp R ((s3 s3)))\n"
+        "  (interp S ()))")

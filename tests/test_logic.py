@@ -102,6 +102,20 @@ def test_presupposition_of_indefinite(chat_lex):
     assert print_formula(ps[0]) == "chat(eps[ani](x. chat(x)))"
 
 
+def test_presupposition_under_a_binder_types_in_the_lexicon_context(
+        chat_lex):
+    ctx = chat_lex.typing_context()
+    ctx = ctx.with_const("voit", Arrow(ANI, Arrow(ANI, T)))
+    term = parse_term(
+        "((tyapp forall ani) (lam y ani (dort ((tyapp eps ani)"
+        " (lam x ani (and (chat x) ((voit y) x)))))))", ctx)
+    ps = presuppositions(term, ctx)
+    assert ps == presuppositions(term)
+    assert [print_formula(p) for p in ps] == [
+        "chat(eps[ani](x. chat(x) & voit(y,x)))"
+        " & voit(y,eps[ani](x. chat(x) & voit(y,x)))"]
+
+
 def test_no_choice_no_presupposition(fig1):
     term = normalize(compose(parse_tree("((un club) (a_battu Leeds))"),
                              fig1).term)
