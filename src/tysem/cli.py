@@ -61,7 +61,10 @@ class AnalysisOptions:
 
 
 def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
-                 options: AnalysisOptions) -> tuple[AnalysisResult, DiscourseState]:
+                 options: AnalysisOptions, memo: dict | None = None
+                 ) -> tuple[AnalysisResult, DiscourseState]:
+    """Analyze one sentence against the discourse state.  `memo` is the
+    session's presupposition memo (see `logic.presuppositions`)."""
     result: ComposeResult = compose(tree, lex, state)
     if options.trace:
         steps = list(reduction_steps(result.term))
@@ -71,7 +74,7 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
         normal = normalize(result.term)
     ctx = lex.typing_context()
     formula = extract_formula(normal, ctx)
-    presupps = presuppositions(normal, ctx)
+    presupps = presuppositions(normal, ctx, memo)
     final = formula
     if options.presuppositions == "conjoin" and presupps:
         final = conjoin(presupps + [formula])
@@ -83,15 +86,20 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
 
 
 def discourse_formula(results: list[AnalysisResult],
-                      options: AnalysisOptions) -> Formula:
+                      options: AnalysisOptions,
+                      memo: dict | None = None) -> Formula:
     """Conjoin a session: deduplicated presuppositions first, then the
-    assertions in sentence order."""
+    assertions in sentence order.  The canonical keys that dedupe them come
+    from the session's presupposition memo where it has them."""
     parts: list[Formula] = []
     if options.presuppositions != "off":
+        keys = dict(memo.values()) if memo else {}
         seen: set[Formula] = set()  # canon_formula of each part
         for r in results:
             for p in r.presupposition_list:
-                key = canon_formula(p)
+                key = keys.get(p)
+                if key is None:
+                    key = canon_formula(p)
                 if key not in seen:
                     seen.add(key)
                     parts.append(p)
@@ -175,10 +183,11 @@ def run_analyze(args) -> int:
         return 1
 
     state = DiscourseState()
+    memo: dict = {}  # presuppositions of closed choice terms, for this run
     results: list[AnalysisResult] = []
     try:
         for tree in trees:
-            analysis, state = analyze_tree(lex, tree, state, options)
+            analysis, state = analyze_tree(lex, tree, state, options, memo)
             results.append(analysis)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -192,7 +201,7 @@ def run_analyze(args) -> int:
         doc = {"sentences": [_json_report(r, options) for r in results]}
         if session:
             doc["discourse"] = print_formula(
-                discourse_formula(results, options), options.style)
+                discourse_formula(results, options, memo), options.style)
         print(json.dumps(doc, ensure_ascii=False, indent=2))
         return 0
 
@@ -205,7 +214,7 @@ def run_analyze(args) -> int:
         else:
             _text_report(r, options, out)
     if session:
-        f = discourse_formula(results, options)
+        f = discourse_formula(results, options, memo)
         style = "sexpr" if args.format == "sexpr" else options.style
         out.append(f"discourse: {print_formula(f, style)}")
     print("\n".join(out))

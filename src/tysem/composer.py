@@ -77,12 +77,6 @@ def print_tree(tree: SynTree) -> str:
     return f"({print_tree(tree.fun)} {print_tree(tree.arg)})"
 
 
-def tree_leaves(tree: SynTree) -> list[str]:
-    if isinstance(tree, Leaf):
-        return [tree.word]
-    return tree_leaves(tree.fun) + tree_leaves(tree.arg)
-
-
 # ---------------------------------------------------------------------------
 # coercion report
 

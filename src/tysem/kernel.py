@@ -533,10 +533,6 @@ def canon(term: Term) -> Term:
     return _canon(term, {}, {}, [0, 0])
 
 
-def canon_type(ty: Type) -> Type:
-    return _canon_ty(ty, {}, [0])
-
-
 def _canon_ty(ty: Type, tmap: dict[str, str], counter: list[int]) -> Type:
     match ty:
         case TypeVar(name):

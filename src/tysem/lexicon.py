@@ -68,9 +68,6 @@ class LexEntry:
             return ty.dom
         return None
 
-    def options_from(self, source: Type) -> list[Coercion]:
-        return [o for o in self.options if o.source == source]
-
 
 @dataclass(frozen=True)
 class Lexicon:

@@ -15,7 +15,6 @@ ascii, unicode or s-expression style.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, replace
 
 from . import kernel
@@ -295,11 +294,12 @@ def _predicate_body(pred: Term, sort_ty) -> tuple[str, Formula]:
     return hole, _to_formula(App(pred, Var(hole, sort_ty)))
 
 
+def _fresh_names():
+    return itertools.chain("xyzw", (f"x{i}" for i in itertools.count(1)))
+
+
 def _fresh_var(avoid) -> str:
-    for name in itertools.chain("xyzw", (f"x{i}" for i in itertools.count(1))):
-        if name not in avoid:
-            return name
-    raise AssertionError("unreachable")
+    return next(name for name in _fresh_names() if name not in avoid)
 
 
 def _to_lterm(term: Term) -> LTerm:
@@ -330,27 +330,44 @@ def _to_lterm(term: Term) -> LTerm:
 # presuppositions
 
 
-def presuppositions(term: Term,
-                    ctx: TypingContext | None = None) -> list[Formula]:
+def presuppositions(term: Term, ctx: TypingContext | None = None,
+                    memo: dict[Term, tuple[Formula, Formula]] | None = None
+                    ) -> list[Formula]:
     """The restriction of every indefinite (and every definite left
     unresolved, which behaves the same) applied to its own choice term.
 
     Formulas are collected left-to-right and alpha-duplicates emitted once.
     `ctx` types the term's constants; each candidate's free variables, bound
     above the choice term, are added to it.
+
+    `memo` maps each closed choice term already seen to its presupposition
+    and that formula's `canon_formula` key, so a caller analyzing a whole
+    discourse with one `ctx` passes one memo to every call and normalizes,
+    types, extracts and canonicalizes each distinct choice term once: the
+    cost of a session is then linear in its number of sentences.  A choice
+    term with free variables depends on its binders' context and is worked
+    out at each occurrence.
     """
+    if memo is None:
+        memo = {}
     found: list[Formula] = []
     seen: set[Formula] = set()  # canon_formula of each formula in found
 
     def walk(t: Term):
         match t:
             case App(TyApp(Const("eps" | "ieps", _), _), pred):
-                body = normalize(App(pred, t))
-                local = ctx
-                if ctx is not None and (free := free_vars(body)):
-                    local = replace(ctx, vars={**ctx.vars, **free})
-                candidate = extract_formula(body, local)
-                key = canon_formula(candidate)
+                hit = memo.get(t)
+                if hit is None:
+                    body = normalize(App(pred, t))
+                    free = free_vars(body)
+                    local = ctx
+                    if ctx is not None and free:
+                        local = replace(ctx, vars={**ctx.vars, **free})
+                    candidate = extract_formula(body, local)
+                    hit = candidate, canon_formula(candidate)
+                    if not free:
+                        memo[t] = hit
+                candidate, key = hit
                 if key not in seen:
                     seen.add(key)
                     found.append(candidate)
@@ -436,18 +453,29 @@ def rewrite_hilbert(f: Formula) -> Formula:
 
     A subformula with no choice term in a term position cannot match and is
     returned as it is.  Pivots are collected once per tree, bottom-up, into
-    a memo that lives for this call, so rewriting a discourse costs time
-    linear in its number of sentences.
+    a memo that lives for this call.  The left operand of a conjunction has
+    a subset of its conjuncts, so a pivot ruled out at a conjunction is not
+    tried again down its left spine.  A pivot is ruled out before any
+    abstraction when no conjunct has the head of its restriction (`_head`),
+    and after a failed try that would fail the same way below
+    (`_fails_below`).  Rewriting a discourse therefore costs time linear in
+    its number of sentences in every presupposition mode, `off` included,
+    where no sentence carries its choice term's restriction.
     """
     memo: dict[int, tuple[Formula, tuple[Eps, ...]]] = {}
 
     def rewrite(g: Formula) -> Formula:
         rights = []
+        ruled_out = None
         while True:
-            if not _eps_pivots(g, memo):
+            pivots = _eps_pivots(g, memo)
+            if not pivots:
                 out = g
                 break
-            rewritten = _rewrite_here(g, memo)
+            if ruled_out is None:
+                heads = {_head(c) for c in flatten_and(g)}
+                ruled_out = {p for p in pivots if _head(p.body) not in heads}
+            rewritten = _rewrite_here(g, pivots, ruled_out)
             if rewritten is not None:
                 out = rewrite(rewritten)
                 break
@@ -463,8 +491,19 @@ def rewrite_hilbert(f: Formula) -> Formula:
     return rewrite(f)
 
 
-def _rewrite_here(g: Formula, memo: dict) -> Formula | None:
-    for pivot in _eps_pivots(g, memo):
+def _head(f: Formula):
+    """What canon_formula keeps of a formula's top node: its class, and for
+    a predicate its name and arity."""
+    if isinstance(f, Pred):
+        return f.name, len(f.args)
+    return type(f)
+
+
+def _rewrite_here(g: Formula, pivots: tuple[Eps, ...],
+                  ruled_out: set[Eps]) -> Formula | None:
+    for pivot in pivots:
+        if pivot in ruled_out:
+            continue
         sentinel = LVar("!pivot", pivot.sort)
         abstracted = _abstract(g, pivot, sentinel)
         names = _formula_names(abstracted) - {sentinel.name}
@@ -476,7 +515,28 @@ def _rewrite_here(g: Formula, memo: dict) -> Formula | None:
                for c in flatten_and(abstracted)):
             cls = Forall if pivot.mode == UNIVERSAL else Exists
             return cls(var, pivot.sort, abstracted)
+        if _fails_below(pivot, var):
+            ruled_out.add(pivot)
     return None
+
+
+def _fails_below(pivot: Eps, var: str) -> bool:
+    """Whether a pivot whose try bound `var` and failed at a conjunction
+    fails at the conjunction's left operand too.
+
+    The operand has a subset of the conjunction's conjuncts and names, so
+    its try binds the hole again, or a name `_fresh_var` picks no later
+    than `var`.  Each of them is new to every conjunct, and the outcome is
+    the same for all of them unless one other than the hole occurs in the
+    restriction, where the renamed hole can be captured."""
+    if var == pivot.hole:
+        return True
+    names = _formula_names(pivot.body) - {pivot.hole}
+    for name in _fresh_names():
+        if name in names:
+            return False
+        if name == var:
+            return True
 
 
 def _eps_pivots(g: Formula, memo: dict) -> tuple[Eps, ...]:
@@ -790,10 +850,6 @@ def _lterm_to_json(t: LTerm) -> dict:
             return {"term": "choice", "mode": mode, "sort": sort,
                     "hole": hole, "body": formula_to_json(body)}
     raise AssertionError(t)
-
-
-def formula_to_json_text(f: Formula) -> str:
-    return json.dumps(formula_to_json(f), ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,10 @@ SExpr = Atom | SList
 
 _DELIMS = set(" \t\r\n();\"")
 
+# The parsers and evaluators downstream recurse once or more per level, so
+# inputs nested this deep still run within the default recursion limit.
+MAX_DEPTH = 256
+
 
 def _tokenize(text: str):
     line, col = 1, 1
@@ -97,13 +101,16 @@ def _tokenize(text: str):
 
 
 def read_all(text: str) -> list[SExpr]:
-    """Read every top-level s-expression in `text`."""
+    """Read every top-level s-expression in `text`.
+
+    Lists nested deeper than MAX_DEPTH are rejected with a ParseError."""
     stack: list[tuple[list, int, int]] = []
     top: list[SExpr] = []
-    last_line, last_col = 1, 1
     for tok, line, col, is_str in _tokenize(text):
-        last_line, last_col = line, col
         if tok == "(" and not is_str:
+            if len(stack) == MAX_DEPTH:
+                raise ParseError(f"lists nested {MAX_DEPTH + 1} deep; at "
+                                 f"most {MAX_DEPTH} are accepted", line, col)
             stack.append(([], line, col))
         elif tok == ")" and not is_str:
             if not stack:
@@ -117,7 +124,6 @@ def read_all(text: str) -> list[SExpr]:
     if stack:
         _, l0, c0 = stack[-1]
         raise ParseError("unbalanced parenthesis", l0, c0)
-    del last_line, last_col
     return top
 
 

@@ -193,6 +193,28 @@ def test_long_session_rewrites_to_one_existential(capsys, tmp_path, family,
         assert out.splitlines()[-1] == expected
 
 
+# without presuppositions no sentence carries its choice term's restriction,
+# so the rewrite fires nowhere and the discourse conjoins the assertions
+@pytest.mark.parametrize("n", [640, 1400])
+def test_long_session_without_presuppositions_rewrites_nothing(capsys,
+                                                               tmp_path, n):
+    sort, noun, verbs, others = LONG_SESSIONS["homme"]
+    args = [f"(un {noun})", *others]
+    lines = [f"({verbs[i % 2]} {args[i % len(args)]})" for i in range(n)]
+    session = tmp_path / "homme.session"
+    session.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "analyze", "--lexicon",
+                         f"{LEXICA}/homme.lex", "--session", str(session),
+                         "--rewrite", "--presuppositions", "off")
+    assert code == 0 and "Traceback" not in err
+    got = out.splitlines()
+    formulas = [g[len("formula: "):] for g in got
+                if g.startswith("formula: ")]
+    assert len(formulas) == n
+    assert formulas[0] == f"{verbs[0]}(eps[{sort}](x. {noun}(x)))"
+    assert got[-1] == "discourse: " + " & ".join(formulas)
+
+
 def test_analyze_keeps_steps_only_with_trace(fig1):
     tree = parse_tree("((un club) (a_battu Leeds))")
     plain, _ = analyze_tree(fig1, tree, DiscourseState(), AnalysisOptions())
@@ -257,6 +279,20 @@ def test_eval_equivalence_nested_pair_at_carrier_5(capsys):
                        "--max-carrier", "5")
     assert code == 0
     assert out.strip() == "equivalent (33620498 models)"
+
+
+def test_eval_rejects_deep_nesting_without_a_traceback():
+    depth = 1500
+    formula = "(not " * depth + "(dort (eps ani x (chat x)))" + ")" * depth
+    repo = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "tysem.cli", "eval", "--model",
+         str(repo / "models" / "chat.model"), "--formula", formula],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(repo / "src")})
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr == ("error: 1:1281: lists nested 257 deep; "
+                           "at most 256 are accepted\n")
 
 
 def test_eval_equivalence_free_constant(capsys):

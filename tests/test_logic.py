@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
+from tysem.cli import AnalysisOptions, analyze_tree, discourse_formula
 from tysem.composer import compose, parse_tree
+from tysem.discourse import DiscourseState
 from tysem.errors import NotNormal, NotTruthType, ResidualLambda
 from tysem.kernel import (App, Arrow, BaseSort, Const, Lam, T, TypingContext,
-                          Var, normalize, parse_term)
+                          Var, free_vars, normalize, parse_term)
 from tysem.logic import (And, Eps, Exists, Forall, Implies, LApp, LConst,
-                         LVar, Not, Or, Pred, TruthConst, conjoin,
-                         extract_formula, formula_alpha_eq, formula_to_json,
-                         parse_formula, presuppositions, print_formula,
-                         rewrite_hilbert)
+                         LVar, Not, Or, Pred, TruthConst, canon_formula,
+                         conjoin, extract_formula, formula_alpha_eq,
+                         formula_to_json, parse_formula, presuppositions,
+                         print_formula, rewrite_hilbert)
 
 ANI = BaseSort("ani")
 
@@ -154,6 +158,69 @@ def test_unresolved_definite_presupposes(chat_lex):
     ps = presuppositions(term)
     assert len(ps) == 1
     assert print_formula(ps[0]) == "chat(the[ani](x. chat(x)))"
+
+
+# indefinites, pronouns, definites that resolve and one that never matches
+# its restriction, universals
+SESSION_SENTENCES = {
+    "homme": ("(est_entre (un homme))", "(a_hurle il)", "(a_hurle (le homme))",
+              "(est_entre il)"),
+    "chat": ("(dort (un chat))", "(aboie (le chien))", "(dort (le chat))",
+             "(aboie (un chien))", "(dort (tout chat))",
+             "(aboie (tout chien))"),
+}
+
+
+@pytest.mark.parametrize("family", ["homme", "chat"])
+@pytest.mark.parametrize("mode", ["separate", "conjoin", "off"])
+def test_memoized_presuppositions_match_fresh_calls(family, mode, homme_lex,
+                                                    chat_lex):
+    lex = homme_lex if family == "homme" else chat_lex
+    ctx = lex.typing_context()
+    first, *rest = SESSION_SENTENCES[family]
+    rng = random.Random(9)
+    options = AnalysisOptions(mode, rewrite=True)
+    state, memo, results = DiscourseState(), {}, []
+    for text in [first] + [rng.choice((first, *rest)) for _ in range(60)]:
+        tree = parse_tree(text)
+        shared, after = analyze_tree(lex, tree, state, options, memo)
+        fresh, _ = analyze_tree(lex, tree, state, options)
+        assert shared.presupposition_list == fresh.presupposition_list
+        assert shared.final == fresh.final
+        assert presuppositions(shared.normal, ctx, memo) == \
+            presuppositions(shared.normal, ctx)
+        results.append(shared)
+        state = after
+    assert memo
+    for term, (formula, key) in memo.items():
+        assert not free_vars(term)
+        assert key == canon_formula(formula)
+    assert discourse_formula(results, options, memo) == \
+        discourse_formula(results, options)
+
+
+def test_presupposition_memo_holds_closed_choice_terms_only(chat_lex):
+    ctx = chat_lex.typing_context()
+    ctx = ctx.with_const("voit", Arrow(ANI, Arrow(ANI, T)))
+    closed = ("((tyapp eps ani) (lam x ani (and (chat x)"
+              " ((voit x) ((tyapp eps ani) chien)))))")
+    term = parse_term(
+        f"((tyapp forall ani) (lam y ani (and (dort {closed})"
+        " (dort ((tyapp eps ani) (lam x ani (and (chat x) ((voit y) x))))))))",
+        ctx)
+    memo = {}
+    ps = presuppositions(term, ctx, memo)
+    assert ps == presuppositions(term, ctx)
+    assert presuppositions(term, ctx, memo) == ps
+    assert list(memo) == [parse_term(closed, ctx),
+                          parse_term("((tyapp eps ani) chien)", ctx)]
+    assert [print_formula(p) for p in ps] == [
+        "chat(eps[ani](x. chat(x) & voit(x,eps[ani](x. chien(x)))))"
+        " & voit(eps[ani](x. chat(x) & voit(x,eps[ani](x. chien(x)))),"
+        "eps[ani](x. chien(x)))",
+        "chien(eps[ani](x. chien(x)))",
+        "chat(eps[ani](x. chat(x) & voit(y,x)))"
+        " & voit(y,eps[ani](x. chat(x) & voit(y,x)))"]
 
 
 # ---------------------------------------------------------------------------

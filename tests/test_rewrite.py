@@ -1,7 +1,8 @@
 """`rewrite_hilbert` and `resolve_definite` against their former versions.
 
-`rewrite_hilbert` collects pivots once per tree and follows conjunction
-chains with loops; `resolve_definite` compares stored canonical keys.  The
+`rewrite_hilbert` collects pivots once per tree, follows conjunction
+chains with loops and rules pivots out down a chain; `resolve_definite`
+compares stored canonical keys.  The
 recursive rewrite and the `alpha_eq` scan they replaced are copied below as
 oracles, and the results must be equal.
 """
@@ -276,14 +277,15 @@ def test_rewrite_matches_oracle_on_single_formulas():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_rewrite_matches_oracle_on_conjunctions(seed):
-    # each chain repeats a few formulas, as a discourse repeats its
-    # presuppositions: every distinct choice term that fits no pattern is
-    # tried again at every conjunction below it, in both versions
+    # each chain repeats twelve formulas, as a discourse repeats its
+    # presuppositions; the oracle tries every distinct choice term that
+    # fits no pattern again at every conjunction below it, which bounds
+    # how many formulas a chain can draw from
     pool = _formula_pool(seed=seed, n=60)
     rng = random.Random(seed)
     fired = 0
     for _ in range(15):
-        some = rng.sample(pool, 4)
+        some = rng.sample(pool, 12)
         chain = conjoin(rng.choice(some) for _ in range(rng.randint(1, 50)))
         fired += _assert_same_rewrite(chain)
     assert fired >= 5

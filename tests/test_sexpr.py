@@ -1,7 +1,7 @@
 import pytest
 
 from tysem.errors import ParseError
-from tysem.sexpr import Atom, SList, read_all, read_one
+from tysem.sexpr import MAX_DEPTH, Atom, SList, read_all, read_one
 
 
 def test_atoms_and_nesting():
@@ -43,3 +43,15 @@ def test_read_one_rejects_trailing():
 def test_escaped_quote():
     (e,) = read_all(r'"a \" b"')
     assert e.text == 'a " b'
+
+
+def test_nesting_limit():
+    (e,) = read_all("(" * MAX_DEPTH + ")" * MAX_DEPTH)
+    for _ in range(MAX_DEPTH - 1):
+        (e,) = e
+    assert len(e) == 0
+    text = "(a\n" + " (" * MAX_DEPTH + ")" * MAX_DEPTH + ")"
+    with pytest.raises(ParseError) as err:
+        read_all(text)
+    assert (err.value.line, err.value.col) == (2, 2 * MAX_DEPTH)
+    assert f"nested {MAX_DEPTH + 1} deep" in str(err.value)
