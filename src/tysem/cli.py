@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .composer import (CoercionReport, ComposeResult, SynTree, compose,
                        parse_tree, print_tree)
@@ -30,8 +30,6 @@ from .lexicon import Lexicon, load_lexicon
 from .logic import (Formula, canon_formula, conjoin, extract_formula,
                     formula_to_json, parse_formula, presuppositions,
                     print_formula, rewrite_hilbert)
-# looked up on this module by perfbench/spans.py, which counts its calls
-from .logic import formula_alpha_eq  # noqa: F401
 from .model import check_equivalence, eval_formula, load_model, print_model
 
 # ---------------------------------------------------------------------------
@@ -50,6 +48,9 @@ class AnalysisResult:
     formula: Formula
     presupposition_list: list[Formula]
     final: Formula  # after the presupposition and rewrite flags
+    # report lines that depend on the composed term only, once printed;
+    # shared by every sentence analyzed from an equal term (see analyze_tree)
+    printed: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass
@@ -61,11 +62,27 @@ class AnalysisOptions:
 
 
 def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
-                 options: AnalysisOptions, memo: dict | None = None
+                 options: AnalysisOptions, memo: dict | None = None,
+                 cache: dict | None = None
                  ) -> tuple[AnalysisResult, DiscourseState]:
     """Analyze one sentence against the discourse state.  `memo` is the
-    session's presupposition memo (see `logic.presuppositions`)."""
+    session's presupposition memo (see `logic.presuppositions`).
+
+    `cache` maps each composed term to its analysis, for one lexicon and
+    one set of options.  Composition always runs, since it reads and
+    extends the discourse state; a sentence that composes to a term seen
+    before then reuses the normal form, steps, formula, presuppositions and
+    final formula, and the report lines already printed for it.  Only the
+    tree and the coercion report are its own.  A sentence that fails raises
+    before anything is stored."""
     result: ComposeResult = compose(tree, lex, state)
+    if cache is not None:
+        seen = cache.get(result.term)
+        if seen is not None:
+            return AnalysisResult(
+                tree, result.term, seen.normal, seen.steps, result.report,
+                seen.formula, seen.presupposition_list, seen.final,
+                seen.printed), result.state
     if options.trace:
         steps = list(reduction_steps(result.term))
         normal = steps[-1] if steps else result.term
@@ -82,6 +99,8 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
         final = rewrite_hilbert(final)
     analysis = AnalysisResult(tree, result.term, normal, steps,
                               result.report, formula, presupps, final)
+    if cache is not None:
+        cache[result.term] = analysis
     return analysis, result.state
 
 
@@ -112,48 +131,68 @@ def discourse_formula(results: list[AnalysisResult],
 # reports
 
 
+# Each report prints the tree and the coercions of its own sentence; the
+# rest is printed once per composed term and kept in `r.printed`.
+
+
 def _text_report(r: AnalysisResult, options: AnalysisOptions,
                  out: list[str]):
     out.append(f"tree: {print_tree(r.tree)}")
-    out.append(f"term: {print_term(r.term)}")
-    if options.trace:
-        for i, step in enumerate(r.steps, 1):
-            out.append(f"step {i}: {print_term(step)}")
-    out.append(f"normal: {print_term(r.normal)}")
+    parts = r.printed.get("text")
+    if parts is None:
+        head = [f"term: {print_term(r.term)}"]
+        if options.trace:
+            for i, step in enumerate(r.steps, 1):
+                head.append(f"step {i}: {print_term(step)}")
+        head.append(f"normal: {print_term(r.normal)}")
+        tail = []
+        if options.presuppositions == "separate":
+            for p in r.presupposition_list:
+                tail.append(
+                    f"presupposition: {print_formula(p, options.style)}")
+        tail.append(f"formula: {print_formula(r.final, options.style)}")
+        parts = r.printed["text"] = (head, tail)
+    out.extend(parts[0])
     for occ, used in r.report.uses.items():
         uses = ", ".join(f"{label} ({rig})" for label, rig in used)
         out.append(f"coercions: {occ}: {uses}")
-    if options.presuppositions == "separate":
-        for p in r.presupposition_list:
-            out.append(
-                f"presupposition: {print_formula(p, options.style)}")
-    out.append(f"formula: {print_formula(r.final, options.style)}")
+    out.extend(parts[1])
 
 
 def _sexpr_report(r: AnalysisResult, options: AnalysisOptions,
                   out: list[str]):
     out.append(f"(tree {print_tree(r.tree)})")
-    out.append(f"(term {print_term(r.term)})")
-    out.append(f"(normal {print_term(r.normal)})")
-    if options.presuppositions == "separate":
-        for p in r.presupposition_list:
-            out.append(f"(presupposition {print_formula(p, 'sexpr')})")
-    out.append(f"(formula {print_formula(r.final, 'sexpr')})")
+    lines = r.printed.get("sexpr")
+    if lines is None:
+        lines = [f"(term {print_term(r.term)})",
+                 f"(normal {print_term(r.normal)})"]
+        if options.presuppositions == "separate":
+            for p in r.presupposition_list:
+                lines.append(f"(presupposition {print_formula(p, 'sexpr')})")
+        lines.append(f"(formula {print_formula(r.final, 'sexpr')})")
+        r.printed["sexpr"] = lines
+    out.extend(lines)
 
 
 def _json_report(r: AnalysisResult, options: AnalysisOptions) -> dict:
-    return {
-        "tree": print_tree(r.tree),
-        "term": print_term(r.term),
-        "normal": print_term(r.normal),
-        "steps": [print_term(s) for s in r.steps] if options.trace else None,
-        "coercions": {occ: [list(u) for u in used]
-                      for occ, used in r.report.uses.items()},
-        "presuppositions": [print_formula(p, options.style)
-                            for p in r.presupposition_list],
-        "formula": print_formula(r.final, options.style),
-        "formula_json": formula_to_json(r.final),
-    }
+    parts = r.printed.get("json")
+    if parts is None:
+        parts = r.printed["json"] = ({
+            "term": print_term(r.term),
+            "normal": print_term(r.normal),
+            "steps": ([print_term(s) for s in r.steps] if options.trace
+                      else None),
+        }, {
+            "presuppositions": [print_formula(p, options.style)
+                                for p in r.presupposition_list],
+            "formula": print_formula(r.final, options.style),
+            "formula_json": formula_to_json(r.final),
+        })
+    head, tail = parts
+    return {"tree": print_tree(r.tree), **head,
+            "coercions": {occ: [list(u) for u in used]
+                          for occ, used in r.report.uses.items()},
+            **tail}
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +216,20 @@ def run_analyze(args) -> int:
                          if line.strip() and not line.lstrip().startswith(";")]
         else:
             sentences = [args.tree]
-        trees = [parse_tree(s) for s in sentences]
+        parsed = {s: parse_tree(s) for s in dict.fromkeys(sentences)}
+        trees = [parsed[s] for s in sentences]
     except (OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     state = DiscourseState()
     memo: dict = {}  # presuppositions of closed choice terms, for this run
+    cache: dict = {}  # analysis of each composed term, for this run
     results: list[AnalysisResult] = []
     try:
         for tree in trees:
-            analysis, state = analyze_tree(lex, tree, state, options, memo)
+            analysis, state = analyze_tree(lex, tree, state, options, memo,
+                                           cache)
             results.append(analysis)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

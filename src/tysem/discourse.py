@@ -9,6 +9,11 @@ Salience is recency: the newest referent wins.  Definites refine that with a
 three-tier match (same restriction, then same sort, then reachable through a
 single lexicon coercion).  States are immutable; every operation returns a
 new state.
+
+Besides the referents in order, a state indexes the newest referent of each
+sort and of each (sort, restriction) pair, so resolving a pronoun or a
+definite is a dictionary lookup whatever the number of referents; only the
+coercion tier scans, over one referent per sort.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from dataclasses import dataclass, field
 
 from .errors import NoAntecedent
 from .kernel import BaseSort, Term, Type, canon
-# looked up on this module by perfbench/spans.py, which counts its calls
-from .kernel import alpha_eq  # noqa: F401
 
 
 def _sort_name(ty: Type | str) -> str:
@@ -44,9 +47,29 @@ class Referent:
 @dataclass(frozen=True)
 class DiscourseState:
     referents: tuple[Referent, ...] = ()
+    # derived from `referents`: the newest referent of each sort, oldest
+    # sort first, and of each (sort, restriction key) pair
+    newest: dict[str, Referent] = field(default=None, compare=False,
+                                        repr=False)
+    newest_by_key: dict[tuple[str, Term], Referent] = field(
+        default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.newest is None:
+            newest, by_key = {}, {}
+            for ref in self.referents:
+                _index(newest, by_key, ref)
+            object.__setattr__(self, "newest", newest)
+            object.__setattr__(self, "newest_by_key", by_key)
 
     def newest_first(self):
         return reversed(self.referents)
+
+
+def _index(newest: dict, by_key: dict, ref: Referent):
+    newest.pop(ref.sort, None)  # keeps `newest` in recency order
+    newest[ref.sort] = ref
+    by_key[ref.sort, ref.key] = ref
 
 
 def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
@@ -55,7 +78,9 @@ def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
     is by token: composing the same sentence twice yields two referents."""
     ref = Referent(len(state.referents), eps_term, _sort_name(sort),
                    predicate, source)
-    return DiscourseState(state.referents + (ref,))
+    newest, by_key = dict(state.newest), dict(state.newest_by_key)
+    _index(newest, by_key, ref)
+    return DiscourseState(state.referents + (ref,), newest, by_key)
 
 
 def resolve_definite(state: DiscourseState, sort: Type | str, predicate: Term,
@@ -69,13 +94,12 @@ def resolve_definite(state: DiscourseState, sort: Type | str, predicate: Term,
     term plus presupposition.
     """
     want = _sort_name(sort)
-    same_sort = [ref for ref in state.newest_first() if ref.sort == want]
-    if same_sort:
-        key = canon(predicate)
-        return next((ref for ref in same_sort if ref.key == key),
-                    same_sort[0])
+    newest = state.newest.get(want)
+    if newest is not None:
+        return state.newest_by_key.get((want, canon(predicate)), newest)
     if lex is not None:
-        for ref in state.newest_first():
+        # the newest referent of any sort is the newest of its own sort
+        for ref in reversed(state.newest.values()):
             if coercion_between(lex, ref.sort, want) is not None:
                 return ref
     return None
@@ -102,8 +126,11 @@ def resolve_pronoun(state: DiscourseState,
     sentence.  Raises NoAntecedent when nothing compatible is registered.
     """
     want = None if requested_sort is None else _sort_name(requested_sort)
-    for ref in state.newest_first():
-        if want is None or ref.sort == want:
-            return ref.term
+    if want is None:
+        ref = state.referents[-1] if state.referents else None
+    else:
+        ref = state.newest.get(want)
+    if ref is not None:
+        return ref.term
     raise NoAntecedent("no referent" if want is None
                        else f"no referent of sort {want}")

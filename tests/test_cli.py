@@ -1,12 +1,14 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from tysem.cli import AnalysisOptions, analyze_tree, main
+from tysem.cli import (AnalysisOptions, _json_report, _sexpr_report,
+                       _text_report, analyze_tree, main)
 from tysem.composer import parse_tree
 from tysem.discourse import DiscourseState
 from tysem.kernel import reduction_steps
@@ -164,7 +166,7 @@ LONG_SESSIONS = {
 
 
 @pytest.mark.parametrize("family, n", [("homme", 640), ("chat", 640),
-                                       ("homme", 1400)])
+                                       ("homme", 1400), ("chat", 5120)])
 @pytest.mark.parametrize("fmt", ["text", "sexpr", "json"])
 def test_long_session_rewrites_to_one_existential(capsys, tmp_path, family,
                                                   n, fmt):
@@ -213,6 +215,178 @@ def test_long_session_without_presuppositions_rewrites_nothing(capsys,
     assert len(formulas) == n
     assert formulas[0] == f"{verbs[0]}(eps[{sort}](x. {noun}(x)))"
     assert got[-1] == "discourse: " + " & ".join(formulas)
+
+
+# ---------------------------------------------------------------------------
+# the per-run sentence cache
+
+
+# distinct verbs, indefinites, pronouns, definites that resolve, one that
+# never matches its restriction (no chien is ever introduced), universals.
+# The homme session opens with a definite that registers its own referent,
+# so `il` and `le homme` compose to other terms once `un homme` came.
+CACHE_SENTENCES = {
+    "homme": ("(a_hurle (le homme))", "(est_entre (un homme))", "(a_hurle il)",
+              "(est_entre il)", "(a_hurle (un homme))"),
+    "chat": ("(dort (un chat))", "(aboie (le chien))", "(dort (le chat))",
+             "(aboie (un chat))", "(dort (tout chat))",
+             "(aboie (tout chien))"),
+}
+
+
+def _reports(r, options):
+    text, sexpr = [], []
+    _text_report(r, options, text)
+    _sexpr_report(r, options, sexpr)
+    return text, sexpr, _json_report(r, options)
+
+
+@pytest.mark.parametrize("family", ["homme", "chat"])
+@pytest.mark.parametrize("mode", ["separate", "conjoin", "off"])
+@pytest.mark.parametrize("rewrite, trace", [(True, False), (False, True)])
+def test_sentence_cache_matches_fresh_analysis(family, mode, rewrite, trace,
+                                               homme_lex, chat_lex):
+    lex = homme_lex if family == "homme" else chat_lex
+    first, *rest = CACHE_SENTENCES[family]
+    rng = random.Random(5)
+    options = AnalysisOptions(mode, rewrite=rewrite, trace=trace)
+    state, memo, cache, results = DiscourseState(), {}, {}, []
+    for text in [first] + [rng.choice((first, *rest)) for _ in range(60)]:
+        tree = parse_tree(text)
+        shared, after = analyze_tree(lex, tree, state, options, memo, cache)
+        fresh, fresh_after = analyze_tree(lex, tree, state, options, {}, {})
+        assert shared == fresh  # every field but the printed lines
+        assert after == fresh_after
+        assert shared.printed is cache[shared.term].printed
+        # print the shared analysis twice: the second report comes from the
+        # cache entry whichever sentence filled it
+        assert _reports(shared, options) == _reports(fresh, options)
+        assert _reports(shared, options) == _reports(fresh, options)
+        results.append(shared)
+        state = after
+    assert len(cache) < len(results)
+    # every sentence after the first of its term was served from the cache
+    assert all(r.printed is cache[r.term].printed for r in results)
+
+
+PANTHER_LEXICON = """
+(sort panth) (sort ani)
+(const panthere (-> panth t))
+(const animal (-> ani t))
+(const saute (-> panth t))
+(const dort (-> ani t))
+(entry "une" (principal eps) (mode indefinite))
+(entry "le" (principal ieps) (mode definite))
+(entry "panthere" (principal panthere)
+  (option panth_ani (-> panth ani) flexible))
+(entry "animal" (principal animal))
+(entry "saute" (principal saute))
+(entry "dort" (principal dort))
+"""
+
+
+def test_sentence_cache_keeps_each_sentences_tree_and_coercions(capsys,
+                                                                tmp_path):
+    # sentences 2 to 4 compose to one term, with the coercion recorded at
+    # the definite (through the discourse) or at the noun
+    lex = tmp_path / "panth.lex"
+    lex.write_text(PANTHER_LEXICON)
+    session = tmp_path / "s.session"
+    trees = ["(saute (une panthere))", "(dort (le animal))",
+             "(dort (une panthere))", "(dort (le animal))"]
+    session.write_text("\n".join(trees) + "\n")
+    argv = ("analyze", "--lexicon", str(lex), "--session", str(session))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert [l for l in lines if l.startswith("tree: ")] == \
+        [f"tree: {t}" for t in trees]
+    assert [l for l in lines if l.startswith("coercions: ")] == [
+        "coercions: le#2: panth_ani (flexible)",
+        "coercions: panthere#3: panth_ani (flexible)",
+        "coercions: le#2: panth_ani (flexible)"]
+    assert lines[lines.index("sentence 3") + 2:][:3] == [
+        "term: (dort (panth_ani ((tyapp eps panth) panthere)))",
+        "normal: (dort (panth_ani ((tyapp eps panth) panthere)))",
+        "coercions: panthere#3: panth_ani (flexible)"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    sentences = json.loads(out)["sentences"]
+    assert list(sentences[2]) == ["tree", "term", "normal", "steps",
+                                  "coercions", "presuppositions", "formula",
+                                  "formula_json"]
+    assert [s["tree"] for s in sentences] == trees
+    assert [s["coercions"] for s in sentences] == [
+        {}, {"le#2": [["panth_ani", "flexible"]]},
+        {"panthere#3": [["panth_ani", "flexible"]]},
+        {"le#2": [["panth_ani", "flexible"]]}]
+    assert len({json.dumps({**s, "tree": 0, "coercions": 0})
+                for s in sentences[1:]}) == 1
+
+
+def test_sentence_cache_lives_for_one_run(tmp_path):
+    session = tmp_path / "s.session"
+    session.write_text("(dort (un chat))\n(aboie (le chat))\n"
+                       "(dort (un chat))\n")
+    # the same words over another sort, and a lexicon whose indefinite is
+    # universal: each composes the session to other terms
+    chat = (Path(LEXICA) / "chat.lex").read_text()
+    animal = tmp_path / "animal.lex"
+    animal.write_text(chat.replace("ani", "animal"))
+    tout = tmp_path / "tout.lex"
+    tout.write_text(chat.replace('(entry "un" (principal eps) '
+                                 '(mode indefinite))',
+                                 '(entry "un" (principal tau) '
+                                 '(mode universal))'))
+    runs = [["--lexicon", f"{LEXICA}/chat.lex"],
+            ["--lexicon", str(animal)],
+            ["--lexicon", f"{LEXICA}/chat.lex", "--presuppositions", "off"],
+            ["--lexicon", str(tout), "--trace"],
+            ["--lexicon", f"{LEXICA}/chat.lex", "--format", "json"],
+            ["--lexicon", f"{LEXICA}/chat.lex"]]
+    repo = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    alone = [subprocess.run([sys.executable, "-m", "tysem.cli", "analyze",
+                             "--session", str(session), *argv],
+                            capture_output=True, text=True, env=env,
+                            timeout=60).stdout
+             for argv in runs]
+    assert len(set(alone)) == len(runs) - 1  # the first and last agree
+    script = ("import contextlib, io, json, sys\n"
+              "from tysem.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        assert main(argv) == 0\n"
+              "    print(json.dumps(out.getvalue()))\n")
+    one_process = subprocess.run(
+        [sys.executable, "-c", script,
+         json.dumps([["analyze", "--session", str(session), *argv]
+                     for argv in runs])],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert one_process.returncode == 0, one_process.stderr
+    assert [json.loads(line) for line in
+            one_process.stdout.splitlines()] == alone
+
+
+@pytest.mark.parametrize("family, k, bad, code, diagnostic", [
+    ("homme", 7, "(a_hurle elle)", 2, "word not in lexicon: 'elle'"),
+    ("homme", 12, "(est_entre (un homme)", 1, "1:1: unbalanced parenthesis"),
+    ("homme", 0, "(a_hurle il)", 2,
+     "no antecedent: no referent of sort humain"),
+    ("chat", 7, "(dort (un table))", 2, "word not in lexicon: 'table'"),
+    ("chat", 20, "(dort chat)", 2,
+     "type clash: expected ani, found ani -> t ('dort' applied to 'chat')"),
+    ("chat", 4, "(un chat)", 2, "term has type ani, not t"),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_session_failing_after_repeats(capsys, tmp_path, family, k, bad,
+                                       code, diagnostic, fmt):
+    good = [CACHE_SENTENCES[family][i % 3] for i in range(30)]
+    session = tmp_path / "s.session"
+    session.write_text("\n".join(good[:k] + [bad] + good[k:]) + "\n")
+    got = run(capsys, "analyze", "--lexicon", f"{LEXICA}/{family}.lex",
+              "--session", str(session), "--rewrite", "--format", fmt)
+    assert got == (code, "", f"error: {diagnostic}\n")
 
 
 def test_analyze_keeps_steps_only_with_trace(fig1):

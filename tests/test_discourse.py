@@ -1,11 +1,18 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tysem.composer import compose, parse_tree
-from tysem.discourse import (DiscourseState, register_referent,
-                             resolve_definite, resolve_pronoun)
+from tysem.discourse import (DiscourseState, coercion_between,
+                             register_referent, resolve_definite,
+                             resolve_pronoun)
 from tysem.errors import NoAntecedent
-from tysem.kernel import alpha_eq, parse_term
+from tysem.kernel import BaseSort, Const, alpha_eq, canon, parse_term
 from tysem.lexicon import load_lexicon
+
+LEXICA = Path(__file__).resolve().parent.parent / "lexica"
 
 
 def test_indefinite_registers_referent(chat_lex):
@@ -136,3 +143,111 @@ def test_register_referent_directly():
     state2 = register_referent(state, term, "ani", term, "x#1")
     assert len(state.referents) == 0  # original untouched
     assert len(state2.referents) == 1
+
+
+# ---------------------------------------------------------------------------
+# the indexed registry against a scan over every referent
+
+
+def linear_resolve_definite(state, sort, predicate, lex=None):
+    want = sort if isinstance(sort, str) else sort.name
+    same_sort = [ref for ref in reversed(state.referents) if ref.sort == want]
+    if same_sort:
+        key = canon(predicate)
+        return next((ref for ref in same_sort if ref.key == key),
+                    same_sort[0])
+    if lex is not None:
+        for ref in reversed(state.referents):
+            if coercion_between(lex, ref.sort, want) is not None:
+                return ref
+    return None
+
+
+def linear_resolve_pronoun(state, requested_sort=None):
+    for ref in reversed(state.referents):
+        if requested_sort is None or ref.sort == requested_sort:
+            return ref.term
+    raise NoAntecedent("no referent" if requested_sort is None
+                       else f"no referent of sort {requested_sort}")
+
+
+# fig2's sorts and coercions (T reaches T, F, P and Pl), plus P reaching Pl
+# and F, so the coercion tier can choose between referents of two sorts
+REGISTRY_LEXICON = load_lexicon((LEXICA / "fig2.lex").read_text() + """
+(const foule P)
+(entry "foule" (principal foule)
+  (option p_pl (-> P Pl) flexible)
+  (option p_f (-> P F) flexible))
+""")
+SORTS = ("T", "Pl", "P", "F")
+RESTRICTIONS = [parse_term(t, REGISTRY_LEXICON.typing_context()) for t in (
+    "est_vaste", "(lam x Pl (est_vaste x))", "(lam y Pl (est_vaste y))",
+    "a_vote", "(lam x P (a_vote x))", "a_gagne",
+    "(lam x F (and (a_gagne x) (a_gagne x)))")]
+
+registry_ops = st.lists(st.one_of(
+    st.tuples(st.just("register"), st.sampled_from(SORTS),
+              st.integers(0, len(RESTRICTIONS) - 1)),
+    st.tuples(st.just("definite"), st.sampled_from(SORTS),
+              st.integers(0, len(RESTRICTIONS) - 1), st.booleans()),
+    st.tuples(st.just("pronoun"), st.sampled_from((None, *SORTS)))),
+    max_size=40)
+
+
+def _same_pronoun(state, sort):
+    try:
+        want = linear_resolve_pronoun(state, sort)
+    except NoAntecedent as exc:
+        with pytest.raises(NoAntecedent) as got:
+            resolve_pronoun(state, sort)
+        assert str(got.value) == str(exc)
+    else:
+        assert resolve_pronoun(state, sort) is want
+
+
+@given(registry_ops)
+def test_indexed_registry_matches_linear_scan(ops):
+    state = DiscourseState()
+    for op in ops:
+        if op[0] == "register":
+            _, sort, i = op
+            term = Const(f"r{len(state.referents)}", BaseSort(sort))
+            before = state
+            state = register_referent(state, term, sort, RESTRICTIONS[i],
+                                      f"un#{len(state.referents)}")
+            assert before.referents == state.referents[:-1]
+        elif op[0] == "definite":
+            _, sort, i, with_lex = op
+            lex = REGISTRY_LEXICON if with_lex else None
+            assert resolve_definite(state, sort, RESTRICTIONS[i], lex) is \
+                linear_resolve_definite(state, sort, RESTRICTIONS[i], lex)
+        else:
+            _same_pronoun(state, op[1])
+    # every lookup, on the state and on one built from its referents alone
+    for st_ in (state, DiscourseState(state.referents)):
+        assert st_ == state
+        for sort in (None, *SORTS):
+            _same_pronoun(st_, sort)
+        for sort in SORTS:
+            for pred in RESTRICTIONS:
+                for lex in (None, REGISTRY_LEXICON):
+                    assert resolve_definite(st_, sort, pred, lex) is \
+                        linear_resolve_definite(state, sort, pred, lex)
+
+
+def test_coercion_tier_prefers_the_newest_reachable_sort():
+    ctx = REGISTRY_LEXICON.typing_context()
+    pred = parse_term("est_vaste", ctx)
+    state = DiscourseState()
+    for sort in ("T", "P", "F", "T"):
+        state = register_referent(state, Const(f"r{len(state.referents)}",
+                                               BaseSort(sort)),
+                                  sort, pred, "un#1")
+    # Pl is reached from T and from P: the newest of those referents wins
+    assert resolve_definite(state, "Pl", pred, REGISTRY_LEXICON) is \
+        state.referents[3]
+    assert resolve_definite(state, "Pl", pred) is None
+    state = register_referent(state, Const("r4", BaseSort("P")), "P", pred,
+                              "un#1")
+    assert resolve_definite(state, "Pl", pred, REGISTRY_LEXICON) is \
+        state.referents[4]
