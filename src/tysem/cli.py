@@ -27,9 +27,11 @@ from .errors import (FreeSymbol, InputError, ModelError, SemanticError,
                      TysemError)
 from .kernel import Term, normalize, print_term, reduction_steps
 from .lexicon import Lexicon, load_lexicon
-from .logic import (Formula, canon_formula, conjoin, extract_formula,
-                    formula_to_json, parse_formula, presuppositions,
-                    print_formula, rewrite_hilbert)
+from .logic import (And, Eps, Eq, Exists, Forall, Formula, Implies, LApp,
+                    LConst, Not, Or, Pred, canon_formula, conjoin,
+                    extract_formula, fold, formula_to_json, nodes,
+                    parse_formula, presuppositions, print_formula,
+                    rewrite_hilbert)
 from .model import check_equivalence, eval_formula, load_model, print_model
 
 # ---------------------------------------------------------------------------
@@ -304,54 +306,36 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+# every class but LApp: a function symbol is rejected before its arguments
+_SIGNATURE_INTO = frozenset({Pred, Eq, And, Or, Implies, Not, Exists, Forall,
+                             Eps})
+
+
 def _signature_of(*formulas: Formula):
     """Sorts and predicate signatures mentioned by the formulas, for the
     model enumeration of an equivalence check.  Rejects a free constant or
-    function symbol, and a predicate used with two signatures.  `hat_<sort>`
-    is left out when its sort is enumerated or is `e`: it then denotes
-    carrier membership on every model."""
-    from . import logic
-
-    sorts: list[str] = []
+    function symbol, and a predicate used with two signatures, whichever a
+    left-to-right walk meets first: a symbol on sight, a predicate after its
+    arguments.  `hat_<sort>` is left out when its sort is enumerated or is
+    `e`: it then denotes carrier membership on every model."""
+    sorts = list(dict.fromkeys(n.sort for f in formulas for n in nodes(f)
+                               if type(n) in (Exists, Forall, Eps)))
     predicates: dict[str, tuple[str, ...]] = {}
 
-    def add_sort(s: str):
-        if s not in sorts:
-            sorts.append(s)
-
-    def walk_term(t):
-        match t:
-            case logic.LConst(name, _) | logic.LApp(name, _):
+    def check(n, _):
+        match n:
+            case LConst(name, _) | LApp(name, _):
                 raise FreeSymbol(name)
-            case logic.Eps(_, sort, _, body):
-                add_sort(sort)
-                walk(body)
-
-    def walk(f: Formula):
-        match f:
-            case logic.Pred(name, args):
-                for a in args:
-                    walk_term(a)
+            case Pred(name, args):
                 sig = tuple(a.sort for a in args)  # variables, choice terms
                 if predicates.setdefault(name, sig) != sig:
                     raise ModelError(
                         f"predicate '{name}' is used with argument sorts "
                         f"({', '.join(predicates[name])}) and "
                         f"({', '.join(sig)})")
-            case logic.And(l, r) | logic.Or(l, r) | logic.Implies(l, r):
-                walk(l)
-                walk(r)
-            case logic.Not(op):
-                walk(op)
-            case logic.Exists(_, sort, body) | logic.Forall(_, sort, body):
-                add_sort(sort)
-                walk(body)
-            case logic.Eq(l, r):
-                walk_term(l)
-                walk_term(r)
 
     for f in formulas:
-        walk(f)
+        fold(f, check, into=_SIGNATURE_INTO)
     return sorts, sorted(
         (name, sig) for name, sig in predicates.items()
         if not (name.startswith("hat_") and name[4:] in (*sorts, "e")))

@@ -85,10 +85,9 @@ TypeSubstitution = dict[str, Type]
 
 @dataclass
 class CoercionReport:
-    """Coercions used per word occurrence, plus recorded violations."""
+    """Coercions used per word occurrence."""
 
     uses: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
 
     def record(self, occurrence: str, word: str, coercion: Coercion):
         used = self.uses.setdefault(occurrence, [])
@@ -99,40 +98,12 @@ class CoercionReport:
         if used and (rigid_before or coercion.rigid):
             labels = [label for label, _ in used] + [coercion.label]
             rigid = rigid_before or [coercion.label]
-            message = (f"rigid coercion {rigid[0]} on '{word}' excludes "
-                       f"any other aspect")
-            self.violations.append(message)
             raise RigidityViolation(word, labels, rigid)
         used.append((coercion.label, coercion.rigidity))
 
 
 # ---------------------------------------------------------------------------
 # type instantiation
-
-
-def infer_type_instantiation(fun_type: Type, arg_type: Type,
-                             existing: TypeSubstitution | None = None
-                             ) -> TypeSubstitution:
-    """Match the first arrow domain under a Pi prefix against an argument
-    type, binding only the Pi-bound variables.
-
-    Matching is structural and one-way; `existing` bindings are respected
-    and the returned map extends them.  A non-Pi type yields the existing
-    bindings unchanged.
-    """
-    subst: TypeSubstitution = dict(existing or {})
-    if not isinstance(fun_type, Pi):
-        return subst
-    bindable: list[str] = []
-    body = fun_type
-    while isinstance(body, Pi):
-        bindable.append(body.var)
-        body = body.body
-    body = _apply_subst(body, subst)
-    if not isinstance(body, Arrow):
-        raise NoMatch(body, arg_type)
-    _match_type(body.dom, arg_type, frozenset(bindable), subst)
-    return subst
 
 
 def _apply_subst(ty: Type, subst: TypeSubstitution) -> Type:

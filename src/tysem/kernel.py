@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .errors import (StepBudgetExceeded, ParseError, TyLamEscape, TypeClash,
                      UnboundName, UnknownSort)
@@ -64,7 +65,6 @@ class Pi(Type):
 
 T = BaseSort("t")
 E = BaseSort("e")
-EVENT = BaseSort("event")
 
 BUILTIN_SORTS = frozenset({"t", "e", "event"})
 
@@ -198,8 +198,6 @@ BUILTIN_CONSTANTS: dict[str, Type] = {
 }
 
 CHOICE_CONSTANTS = frozenset({"eps", "ieps", "tau"})
-CONNECTIVES = frozenset({"and", "or", "implies", "not"})
-QUANTIFIER_CONSTANTS = frozenset({"exists", "forall"})
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +225,6 @@ class TypingContext:
 
     def with_var(self, name: str, ty: Type) -> TypingContext:
         return replace(self, vars={**self.vars, name: ty})
-
-    def lookup(self, name: str) -> Type | None:
-        if name in self.vars:
-            return self.vars[name]
-        return self.consts.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +343,29 @@ def print_term(term: Term) -> str:
             spine.append(head)
             return "(" + " ".join(print_term(s) for s in reversed(spine)) + ")"
     raise AssertionError(term)
+
+
+# ---------------------------------------------------------------------------
+# traversal
+
+_CHILDREN = {
+    BaseSort: lambda n: (), TypeVar: lambda n: (), Var: lambda n: (),
+    Const: lambda n: (), Arrow: attrgetter("dom", "cod"),
+    Pi: lambda n: (n.body,), App: attrgetter("fun", "arg"),
+    Lam: lambda n: (n.body,), TyLam: lambda n: (n.body,),
+    TyApp: lambda n: (n.fun,),
+}
+
+
+def nodes(root: Term | Type):
+    """A term's subterms, or a type's subtypes, from root down in pre-order,
+    left to right, on an explicit stack.  The types annotating a term are
+    not among its subterms."""
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(_CHILDREN[type(n)](n)))
 
 
 # ---------------------------------------------------------------------------
@@ -648,12 +664,11 @@ def _find_redex_ri(term: Term):
             return None
 
 
-def reduction_steps(term: Term, strategy: str = "lo",
-                    budget: int = DEFAULT_STEP_BUDGET):
+def reduction_steps(term: Term, strategy: str = "lo"):
     """Yield each successive term after firing one beta or type-beta redex.
 
-    The calculus is strongly normalizing, so exhausting the budget means a
-    bug; we raise rather than loop.
+    The calculus is strongly normalizing, so firing more than
+    `DEFAULT_STEP_BUDGET` redexes means a bug; we raise rather than loop.
     """
     step = {"lo": _find_redex_lo, "ri": _find_redex_ri}[strategy]
     fired = 0
@@ -662,16 +677,15 @@ def reduction_steps(term: Term, strategy: str = "lo",
         if nxt is None:
             return
         fired += 1
-        if fired > budget:
-            raise StepBudgetExceeded(budget)
+        if fired > DEFAULT_STEP_BUDGET:
+            raise StepBudgetExceeded(DEFAULT_STEP_BUDGET)
         term = nxt
         yield term
 
 
-def normalize(term: Term, strategy: str = "lo",
-              budget: int = DEFAULT_STEP_BUDGET) -> Term:
+def normalize(term: Term, strategy: str = "lo") -> Term:
     """Reduce to beta/type-beta normal form."""
-    for term in reduction_steps(term, strategy, budget):
+    for term in reduction_steps(term, strategy):
         pass
     return term
 

@@ -10,19 +10,29 @@ The module also generates the presuppositions of choice terms (the
 restriction applied to the term itself), rewrites the classical patterns
 `B(choice_x B)` into sorted quantifiers, and prints formulas canonically in
 ascii, unicode or s-expression style.
+
+Formulas and their terms are walked through one core.  `children` gives a
+node's subformulas and subterms left to right and `rebuild` puts others in
+their place, both by a table on the node's class.  `nodes` iterates in
+pre-order on an explicit stack, `transform` rebuilds a formula with some
+nodes replaced and `fold` combines results bottom-up.  The last two recurse
+once per node but loop down a conjunction's left spine, the one dimension
+that grows with a discourse; every other path is bounded by the reader's
+`sexpr.MAX_DEPTH`.  The extraction, the parser and the infix printer, which
+threads precedence, keep their own recursion.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from operator import attrgetter, is_
 
 from . import kernel
 from .errors import (ExtractionError, NotNormal, NotTruthType, ResidualLambda,
                      ParseError)
-from .kernel import (App, Arrow, BaseSort, Const, Lam, Pi, Term, TyApp, TyLam,
-                     TypingContext, Var, free_vars, is_normal, normalize,
-                     type_of)
+from .kernel import (App, BaseSort, Const, Lam, Term, TyApp, TypingContext,
+                     Var, free_vars, is_normal, normalize, type_of)
 from .sexpr import Atom, SExpr, expect_atom, expect_list, read_one
 
 # ---------------------------------------------------------------------------
@@ -138,15 +148,8 @@ def conjoin(formulas) -> Formula:
 
 
 def flatten_and(f: Formula) -> list[Formula]:
-    out: list[Formula] = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack += (g.right, g.left)
-        else:
-            out.append(g)
-    return out
+    """The conjuncts of f, left to right."""
+    return [g for g in nodes(f, into=(And,)) if type(g) is not And]
 
 
 def _and_spine(f: And) -> tuple[Formula, list[Formula]]:
@@ -162,27 +165,98 @@ def _and_spine(f: And) -> tuple[Formula, list[Formula]]:
     return f, rights
 
 
-def _map_formula(f: Formula, walk) -> Formula:
-    """f rebuilt with `walk` applied to each immediate subformula, and to
-    every right operand of a conjunction's left spine."""
-    match f:
-        case And():
-            first, rights = _and_spine(f)
-            out = walk(first)
-            for r in rights:
-                out = And(out, walk(r))
-            return out
-        case Or(l, r):
-            return Or(walk(l), walk(r))
-        case Implies(l, r):
-            return Implies(walk(l), walk(r))
-        case Not(op):
-            return Not(walk(op))
-        case Exists(var, sort, body):
-            return Exists(var, sort, walk(body))
-        case Forall(var, sort, body):
-            return Forall(var, sort, walk(body))
-    return f
+# ---------------------------------------------------------------------------
+# traversal core
+
+_PAIR = attrgetter("left", "right")
+_CHILDREN = {
+    LVar: lambda n: (), LConst: lambda n: (), TruthConst: lambda n: (),
+    LApp: attrgetter("args"), Pred: attrgetter("args"),
+    Eps: lambda n: (n.body,), Exists: lambda n: (n.body,),
+    Forall: lambda n: (n.body,), Not: lambda n: (n.operand,),
+    And: _PAIR, Or: _PAIR, Implies: _PAIR, Eq: _PAIR,
+}
+_REBUILD = {
+    LApp: lambda n, k: LApp(n.fn, tuple(k)),
+    Pred: lambda n, k: Pred(n.name, tuple(k)),
+    Eps: lambda n, k: Eps(n.mode, n.sort, n.hole, k[0]),
+    Exists: lambda n, k: Exists(n.var, n.sort, k[0]),
+    Forall: lambda n, k: Forall(n.var, n.sort, k[0]),
+    Not: lambda n, k: Not(k[0]), And: lambda n, k: And(*k),
+    Or: lambda n, k: Or(*k), Implies: lambda n, k: Implies(*k),
+    Eq: lambda n, k: Eq(*k),
+}
+
+
+def children(n: Formula | LTerm) -> tuple:
+    """n's subformulas and subterms, left to right."""
+    return _CHILDREN[type(n)](n)
+
+
+def rebuild(n: Formula | LTerm, kids) -> Formula | LTerm:
+    """n with `kids` in place of its children, in the order of `children`."""
+    return _REBUILD[type(n)](n, kids) if kids else n
+
+
+def _bound(n: Formula | LTerm) -> str | None:
+    """The variable n binds, if it is a quantifier or a choice term."""
+    t = type(n)
+    if t is Exists or t is Forall:
+        return n.var
+    return n.hole if t is Eps else None
+
+
+def nodes(root: Formula | LTerm, into=None):
+    """root and every node below it, in pre-order, left to right, on an
+    explicit stack.  With `into`, only the children of nodes whose class is
+    in it are visited."""
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        yield n
+        if into is None or type(n) in into:
+            stack.extend(reversed(_CHILDREN[type(n)](n)))
+
+
+def transform(n: Formula | LTerm, visit, env=None) -> Formula | LTerm:
+    """n with nodes replaced, from the top down: `visit(m, env)` returns the
+    node that takes m's place, or None to rebuild m from its children
+    transformed in turn.  A visit that binds a name transforms the body
+    itself, with a new env."""
+    spine = []
+    while (out := visit(n, env)) is None:
+        t = type(n)
+        if t is not And:
+            kids = _CHILDREN[t](n)
+            new = [transform(k, visit, env) for k in kids]
+            out = n if all(map(is_, new, kids)) else _REBUILD[t](n, new)
+            break
+        spine.append(n)
+        n = n.left
+    for node in reversed(spine):
+        right = transform(node.right, visit, env)
+        out = node if out is node.left and right is node.right \
+            else And(out, right)
+    return out
+
+
+def fold(n: Formula | LTerm, combine, into=None):
+    """`combine(m, results)` at every node m, bottom-up, left to right, where
+    `results` holds the folds of m's children.  With `into`, the children of
+    nodes whose class is not in it are skipped and their results are
+    empty."""
+    spine = []
+    while type(n) is And and (into is None or And in into):
+        spine.append(n)
+        n = n.left
+    if into is None or type(n) in into:
+        out = combine(n, [fold(k, combine, into)
+                          for k in _CHILDREN[type(n)](n)])
+    else:
+        out = combine(n, ())
+    for node in reversed(spine):
+        out = combine(node, [out, fold(node.right, combine, into)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,40 +280,15 @@ def extract_formula(term: Term, ctx: TypingContext | None = None) -> Formula:
 
 def _term_type(term: Term, ctx: TypingContext | None):
     if ctx is None:
-        consts = {}
-        _collect_consts(term, consts)
-        sorts = set()
-        for t in consts.values():
-            _collect_sorts(t, sorts)
+        consts = {n.name: n.type for n in kernel.nodes(term)
+                  if type(n) is Const}
+        sorts = {s.name for ty in consts.values() for s in kernel.nodes(ty)
+                 if type(s) is BaseSort}
         ctx = TypingContext(
             sorts=kernel.BUILTIN_SORTS | frozenset(sorts),
             consts={**kernel.BUILTIN_CONSTANTS, **consts},
             vars=dict(free_vars(term)))
     return type_of(ctx, term)
-
-
-def _collect_consts(term: Term, out: dict):
-    match term:
-        case Const(name, ty):
-            out[name] = ty
-        case App(fun, arg):
-            _collect_consts(fun, out)
-            _collect_consts(arg, out)
-        case Lam(_, _, body) | TyLam(_, body):
-            _collect_consts(body, out)
-        case TyApp(fun, _):
-            _collect_consts(fun, out)
-
-
-def _collect_sorts(ty, out: set):
-    match ty:
-        case BaseSort(name):
-            out.add(name)
-        case Arrow(dom, cod):
-            _collect_sorts(dom, out)
-            _collect_sorts(cod, out)
-        case Pi(_, body):
-            _collect_sorts(body, out)
 
 
 def _spine(term: Term):
@@ -353,7 +402,7 @@ def presuppositions(term: Term, ctx: TypingContext | None = None,
     found: list[Formula] = []
     seen: set[Formula] = set()  # canon_formula of each formula in found
 
-    def walk(t: Term):
+    for t in kernel.nodes(term):
         match t:
             case App(TyApp(Const("eps" | "ieps", _), _), pred):
                 hit = memo.get(t)
@@ -371,16 +420,6 @@ def presuppositions(term: Term, ctx: TypingContext | None = None,
                 if key not in seen:
                     seen.add(key)
                     found.append(candidate)
-                walk(pred)
-            case App(fun, arg):
-                walk(fun)
-                walk(arg)
-            case Lam(_, _, body) | TyLam(_, body):
-                walk(body)
-            case TyApp(fun, _):
-                walk(fun)
-
-    walk(term)
     return found
 
 
@@ -393,49 +432,23 @@ def formula_alpha_eq(a: Formula, b: Formula) -> bool:
 
 
 def canon_formula(f: Formula) -> Formula:
-    return _canon_f(f, {}, [0])
+    """f with its bound variables renamed `!q0`, `!q1`, ... in pre-order, so
+    that alpha-equivalent formulas have equal canonical forms."""
+    fresh = (f"!q{i}" for i in itertools.count())
 
+    def visit(n, env):
+        t = type(n)
+        if t is LVar:
+            return LVar(env[n.name], n.sort) if n.name in env else n
+        if t is Exists or t is Forall or t is Eps:
+            name = next(fresh)
+            body = transform(n.body, visit, {**env, _bound(n): name})
+            if t is Eps:
+                return Eps(n.mode, n.sort, name, body)
+            return t(name, n.sort, body)
+        return None
 
-def _canon_f(f: Formula, env: dict[str, str], counter: list[int]) -> Formula:
-    match f:
-        case Pred(name, args):
-            return Pred(name, tuple(_canon_t(a, env, counter) for a in args))
-        case And(l, r):
-            return And(_canon_f(l, env, counter), _canon_f(r, env, counter))
-        case Or(l, r):
-            return Or(_canon_f(l, env, counter), _canon_f(r, env, counter))
-        case Implies(l, r):
-            return Implies(_canon_f(l, env, counter),
-                           _canon_f(r, env, counter))
-        case Not(op):
-            return Not(_canon_f(op, env, counter))
-        case Exists(var, sort, body) | Forall(var, sort, body):
-            fresh = f"!q{counter[0]}"
-            counter[0] += 1
-            cls = Exists if isinstance(f, Exists) else Forall
-            return cls(fresh, sort, _canon_f(body, {**env, var: fresh},
-                                             counter))
-        case Eq(l, r):
-            return Eq(_canon_t(l, env, counter), _canon_t(r, env, counter))
-        case TruthConst(_):
-            return f
-    raise AssertionError(f)
-
-
-def _canon_t(t: LTerm, env: dict[str, str], counter: list[int]) -> LTerm:
-    match t:
-        case LVar(name, sort):
-            return LVar(env.get(name, name), sort)
-        case LConst(_, _):
-            return t
-        case LApp(fn, args):
-            return LApp(fn, tuple(_canon_t(a, env, counter) for a in args))
-        case Eps(mode, sort, hole, body):
-            fresh = f"!q{counter[0]}"
-            counter[0] += 1
-            return Eps(mode, sort, fresh,
-                       _canon_f(body, {**env, hole: fresh}, counter))
-    raise AssertionError(t)
+    return transform(f, visit, {})
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +493,8 @@ def rewrite_hilbert(f: Formula) -> Formula:
                 out = rewrite(rewritten)
                 break
             if not isinstance(g, And):
-                out = _map_formula(g, rewrite)
+                out = g if isinstance(g, (Pred, Eq)) else rebuild(
+                    g, [rewrite(k) for k in children(g)])
                 break
             rights.append(g.right)
             g = g.left
@@ -559,16 +573,12 @@ def _eps_pivots(g: Formula, memo: dict) -> tuple[Eps, ...]:
                 out = _merge_pivots(out, _eps_pivots(node.right, memo))
                 memo[id(node)] = (node, out)
             return out
-        case Or(l, r) | Implies(l, r):
-            out = _merge_pivots(_eps_pivots(l, memo), _eps_pivots(r, memo))
-        case Not(op) | Exists(_, _, op) | Forall(_, _, op):
-            out = _eps_pivots(op, memo)
-        case Pred(_, args):
-            out = _term_pivots(args)
-        case Eq(l, r):
-            out = _term_pivots((l, r))
+        case Pred() | Eq():
+            out = _term_pivots(children(g))
         case _:
             out = ()
+            for k in children(g):
+                out = _merge_pivots(out, _eps_pivots(k, memo))
     memo[id(g)] = (g, out)
     return out
 
@@ -580,37 +590,20 @@ def _merge_pivots(first: tuple[Eps, ...],
 
 def _term_pivots(terms) -> tuple[Eps, ...]:
     out: list[Eps] = []
-
-    def from_term(t: LTerm):
-        if isinstance(t, Eps):
-            if t not in out:
-                out.append(t)
-        elif isinstance(t, LApp):
-            for a in t.args:
-                from_term(a)
-
     for t in terms:
-        from_term(t)
+        for n in nodes(t, into=(LApp,)):
+            if type(n) is Eps and n not in out:
+                out.append(n)
     return tuple(out)
 
 
 def _abstract(f: Formula, pivot: Eps, var: LVar) -> Formula:
-    def in_term(t: LTerm) -> LTerm:
-        if t == pivot:
-            return var
-        if isinstance(t, LApp):
-            return LApp(t.fn, tuple(in_term(a) for a in t.args))
-        return t
+    def visit(n, _):
+        if type(n) is Eps:
+            return var if n == pivot else n
+        return None
 
-    def walk(g: Formula) -> Formula:
-        match g:
-            case Pred(name, args):
-                return Pred(name, tuple(in_term(a) for a in args))
-            case Eq(l, r):
-                return Eq(in_term(l), in_term(r))
-        return _map_formula(g, walk)
-
-    return walk(f)
+    return transform(f, visit)
 
 
 def _rename_hole(pivot: Eps, var: str) -> Formula:
@@ -618,79 +611,31 @@ def _rename_hole(pivot: Eps, var: str) -> Formula:
 
 
 def _abstract_var(f: Formula, name: str, var: LVar) -> Formula:
-    def in_term(t: LTerm) -> LTerm:
-        match t:
-            case LVar(n, _) if n == name:
-                return var
-            case LApp(fn, args):
-                return LApp(fn, tuple(in_term(a) for a in args))
-            case Eps(mode, sort, hole, body) if hole != name:
-                return Eps(mode, sort, hole, walk(body))
-            case _:
-                return t
+    def visit(n, _):
+        if type(n) is LVar:
+            return var if n.name == name else n
+        return n if _bound(n) == name else None
 
-    def walk(g: Formula) -> Formula:
-        match g:
-            case Pred(pname, args):
-                return Pred(pname, tuple(in_term(a) for a in args))
-            case Eq(l, r):
-                return Eq(in_term(l), in_term(r))
-            case Exists(v, _, _) | Forall(v, _, _) if v == name:
-                return g
-        return _map_formula(g, walk)
-
-    return walk(f)
+    return transform(f, visit)
 
 
 def _formula_names(f: Formula) -> set[str]:
     """All variable names occurring in f, bound or free."""
-    out: set[str] = set()
-    stack: list[Formula | LTerm] = [f]
-    while stack:
-        match stack.pop():
-            case LVar(name, _):
-                out.add(name)
-            case LApp(_, args) | Pred(_, args):
-                stack.extend(args)
-            case Eps(_, _, var, body) | Exists(var, _, body) \
-                    | Forall(var, _, body):
-                out.add(var)
-                stack.append(body)
-            case And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
-                stack += (l, r)
-            case Not(op):
-                stack.append(op)
-    return out
+    names = {n.name if type(n) is LVar else _bound(n) for n in nodes(f)}
+    names.discard(None)
+    return names
 
 
-def free_formula_vars(f: Formula) -> set[str]:
-    match f:
-        case Pred(_, args):
-            return set().union(*(free_lterm_vars(a) for a in args)) \
-                if args else set()
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return free_formula_vars(l) | free_formula_vars(r)
-        case Not(op):
-            return free_formula_vars(op)
-        case Exists(v, _, body) | Forall(v, _, body):
-            return free_formula_vars(body) - {v}
-        case Eq(l, r):
-            return free_lterm_vars(l) | free_lterm_vars(r)
-        case _:
-            return set()
+def free_formula_vars(f: Formula | LTerm) -> set[str]:
+    """The variables free in a formula or a term."""
+    def combine(n, kids):
+        if type(n) is LVar:
+            return {n.name}
+        out = set().union(*kids)
+        out.discard(_bound(n))
+        return out
 
-
-def free_lterm_vars(t: LTerm) -> set[str]:
-    match t:
-        case LVar(name, _):
-            return {name}
-        case LApp(_, args):
-            return set().union(*(free_lterm_vars(a) for a in args)) \
-                if args else set()
-        case Eps(_, _, hole, body):
-            return free_formula_vars(body) - {hole}
-        case _:
-            return set()
+    return fold(f, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +652,7 @@ def print_formula(f: Formula, style: str = "ascii") -> str:
     precedence not < and < or < implies, with quantifier bodies
     parenthesized when they are binary connectives."""
     if style == "sexpr":
-        return _sexpr_f(f)
+        return _sexpr(f)
     if style in ("ascii", "unicode"):
         return _infix_f(f, 0, style)
     raise ValueError(f"unknown style '{style}'")
@@ -775,89 +720,62 @@ def _infix_t(t: LTerm, style: str) -> str:
     raise AssertionError(t)
 
 
-def _sexpr_f(f: Formula) -> str:
-    match f:
-        case TruthConst(v):
-            return "true" if v else "false"
-        case Pred(name, args):
-            if not args:
-                return name
-            return f"({name} {' '.join(_sexpr_t(a) for a in args)})"
-        case And():
-            first, rights = _and_spine(f)
-            return "".join(["(and " * len(rights), _sexpr_f(first)]
-                           + [f" {_sexpr_f(r)})" for r in rights])
-        case Or(l, r):
-            return f"(or {_sexpr_f(l)} {_sexpr_f(r)})"
-        case Implies(l, r):
-            return f"(implies {_sexpr_f(l)} {_sexpr_f(r)})"
-        case Not(op):
-            return f"(not {_sexpr_f(op)})"
-        case Exists(var, sort, body):
-            return f"(exists ({var} {sort}) {_sexpr_f(body)})"
-        case Forall(var, sort, body):
-            return f"(forall ({var} {sort}) {_sexpr_f(body)})"
-        case Eq(l, r):
-            return f"(= {_sexpr_t(l)} {_sexpr_t(r)})"
-    raise AssertionError(f)
+_SEXPR_HEAD = {
+    TruthConst: lambda n: "true" if n.value else "false",
+    LVar: attrgetter("name"), LConst: attrgetter("name"),
+    Pred: attrgetter("name"), LApp: attrgetter("fn"),
+    Eps: lambda n: f"{_CONST_OF_MODE[n.mode]} {n.sort} {n.hole}",
+    Exists: lambda n: f"exists ({n.var} {n.sort})",
+    Forall: lambda n: f"forall ({n.var} {n.sort})",
+    Not: lambda n: "not", Or: lambda n: "or", Implies: lambda n: "implies",
+    Eq: lambda n: "=",
+}
 
 
-def _sexpr_t(t: LTerm) -> str:
-    match t:
-        case LVar(name, _) | LConst(name, _):
-            return name
-        case LApp(fn, args):
-            return f"({fn} {' '.join(_sexpr_t(a) for a in args)})"
-        case Eps(mode, sort, hole, body):
-            return f"({_CONST_OF_MODE[mode]} {sort} {hole} {_sexpr_f(body)})"
-    raise AssertionError(t)
+def _sexpr(n: Formula | LTerm) -> str:
+    if type(n) is And:
+        first, rights = _and_spine(n)
+        return "".join(["(and " * len(rights), _sexpr(first)]
+                       + [f" {_sexpr(r)})" for r in rights])
+    head = _SEXPR_HEAD[type(n)](n)
+    kids = children(n)
+    # `(f )` keeps its parentheses, or it would read back as a constant
+    if not kids and type(n) is not LApp:
+        return head
+    return f"({head} {' '.join(map(_sexpr, kids))})"
+
+
+def _json_pair(tag):
+    return lambda n, k: {"node": tag, "left": k[0], "right": k[1]}
+
+
+def _json_quantifier(tag):
+    return lambda n, k: {"node": tag, "var": n.var, "sort": n.sort,
+                         "body": k[0]}
+
+
+_JSON = {
+    TruthConst: lambda n, k: {"node": "truth", "value": n.value},
+    Pred: lambda n, k: {"node": "pred", "name": n.name, "args": k},
+    And: _json_pair("and"), Or: _json_pair("or"),
+    Implies: _json_pair("implies"), Eq: _json_pair("eq"),
+    Not: lambda n, k: {"node": "not", "operand": k[0]},
+    Exists: _json_quantifier("exists"), Forall: _json_quantifier("forall"),
+    LVar: lambda n, k: {"term": "var", "name": n.name, "sort": n.sort},
+    LConst: lambda n, k: {"term": "const", "name": n.name, "sort": n.sort},
+    LApp: lambda n, k: {"term": "app", "fn": n.fn, "args": k},
+    Eps: lambda n, k: {"term": "choice", "mode": n.mode, "sort": n.sort,
+                       "hole": n.hole, "body": k[0]},
+}
 
 
 def formula_to_json(f: Formula) -> dict:
     """JSON-friendly tree with node-type tags, for downstream tools."""
-    match f:
-        case TruthConst(v):
-            return {"node": "truth", "value": v}
-        case Pred(name, args):
-            return {"node": "pred", "name": name,
-                    "args": [_lterm_to_json(a) for a in args]}
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            tag = {And: "and", Or: "or", Implies: "implies"}[type(f)]
-            return {"node": tag, "left": formula_to_json(l),
-                    "right": formula_to_json(r)}
-        case Not(op):
-            return {"node": "not", "operand": formula_to_json(op)}
-        case Exists(var, sort, body) | Forall(var, sort, body):
-            tag = "exists" if isinstance(f, Exists) else "forall"
-            return {"node": tag, "var": var, "sort": sort,
-                    "body": formula_to_json(body)}
-        case Eq(l, r):
-            return {"node": "eq", "left": _lterm_to_json(l),
-                    "right": _lterm_to_json(r)}
-    raise AssertionError(f)
-
-
-def _lterm_to_json(t: LTerm) -> dict:
-    match t:
-        case LVar(name, sort):
-            return {"term": "var", "name": name, "sort": sort}
-        case LConst(name, sort):
-            return {"term": "const", "name": name, "sort": sort}
-        case LApp(fn, args):
-            return {"term": "app", "fn": fn,
-                    "args": [_lterm_to_json(a) for a in args]}
-        case Eps(mode, sort, hole, body):
-            return {"term": "choice", "mode": mode, "sort": sort,
-                    "hole": hole, "body": formula_to_json(body)}
-    raise AssertionError(t)
+    return fold(f, lambda n, kids: _JSON[type(n)](n, kids))
 
 
 # ---------------------------------------------------------------------------
 # parsing (the s-expression style)
-
-_CONNECTIVE_HEADS = frozenset({"and", "or", "implies", "not", "exists",
-                               "forall", "=", "eps", "ieps", "tau"})
-
 
 def parse_formula(text: str,
                   constants: dict[str, str] | None = None) -> Formula:

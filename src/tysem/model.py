@@ -29,7 +29,7 @@ from .errors import (EmptyCarrier, EvalError, FreeSymbol, ModelError,
                      ParseError, UninterpretedConstant)
 from .logic import (And, Eps, Eq, Exists, Forall, Formula, Implies, LApp,
                     LConst, LTerm, LVar, Not, Or, Pred, TruthConst, UNIVERSAL,
-                    free_formula_vars)
+                    free_formula_vars, nodes)
 from .sexpr import expect_atom, expect_list, read_one
 
 Interp = str | frozenset[tuple[str, ...]]
@@ -426,18 +426,10 @@ def check_equivalence(f1: Formula, f2: Formula, sorts: list[str],
 
 
 def _reject_free_symbols(f: Formula):
-    stack: list[Formula | LTerm] = [f]
-    while stack:
-        match stack.pop():
+    for n in nodes(f):
+        match n:
             case LConst(name, _) | LApp(name, _):
                 raise FreeSymbol(name)
-            case Pred(_, args):
-                stack.extend(reversed(args))
-            case And(l, r) | Or(l, r) | Implies(l, r) | Eq(l, r):
-                stack += (r, l)
-            case Not(body) | Exists(_, _, body) | Forall(_, _, body) \
-                    | Eps(_, _, _, body):
-                stack.append(body)
 
 
 def _row_masks(width: int) -> list[int]:

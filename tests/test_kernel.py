@@ -1,10 +1,11 @@
 import pytest
 
+from tysem import kernel
 from tysem.errors import (StepBudgetExceeded, ParseError, TyLamEscape,
                           TypeClash, UnboundName, UnknownSort)
 from tysem.kernel import (App, Arrow, BaseSort, Const, E, Lam, Pi, T, TyApp,
                           TyLam, TypeVar, TypingContext, Var, alpha_eq,
-                          free_vars, is_normal, normalize, parse_term,
+                          free_vars, is_normal, nodes, normalize, parse_term,
                           print_term, reduction_steps, subst_term, type_of)
 
 ANI = BaseSort("ani")
@@ -140,6 +141,15 @@ def test_alpha_type_binders():
     assert not alpha_eq(a, parse_term("(tylam b (lam q (-> b b) q))"))
 
 
+def test_nodes_walks_terms_and_types_in_pre_order(ctx):
+    term = parse_term("((tyapp (tylam a (lam p (-> a t) p)) ani) chat)", ctx)
+    # the types annotating a term are not among its subterms
+    assert [type(n).__name__ for n in nodes(term)] == [
+        "App", "TyApp", "TyLam", "Lam", "Var", "Const"]
+    ty = Arrow(Arrow(ANI, T), Pi("a", TypeVar("a")))
+    assert list(nodes(ty)) == [ty, ty.dom, ANI, T, ty.cod, TypeVar("a")]
+
+
 def test_alpha_distinguishes_free_variables(ctx):
     assert not alpha_eq(Var("x", ANI), Var("y", ANI))
 
@@ -150,7 +160,7 @@ def test_alpha_distinguishes_free_variables(ctx):
 
 def test_normal_terms_are_fixed_points(ctx):
     v = Var("x", ANI)
-    assert normalize(v, budget=10) == v
+    assert normalize(v) == v
 
 
 def test_beta_step(ctx):
@@ -178,10 +188,11 @@ def test_subst_term_shadowing(ctx):
     assert subst_term(lam, "x", Const("fido", ANI)) == lam
 
 
-def test_step_budget(ctx):
+def test_step_budget(ctx, monkeypatch):
     term = parse_term("((lam x ani (chat x)) fido)", ctx)
+    monkeypatch.setattr(kernel, "DEFAULT_STEP_BUDGET", 0)
     with pytest.raises(StepBudgetExceeded):
-        list(reduction_steps(term, budget=0))
+        list(reduction_steps(term))
 
 
 def test_subject_reduction_figure_one_pipeline(fig1):

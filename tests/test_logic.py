@@ -1,18 +1,27 @@
+import dataclasses
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tysem.cli import AnalysisOptions, analyze_tree, discourse_formula
+from generators import FORMULA_CONSTANTS, FormulaGen
+from tysem.cli import (AnalysisOptions, _signature_of, analyze_tree,
+                       discourse_formula)
 from tysem.composer import compose, parse_tree
 from tysem.discourse import DiscourseState
 from tysem.errors import NotNormal, NotTruthType, ResidualLambda
 from tysem.kernel import (App, Arrow, BaseSort, Const, Lam, T, TypingContext,
                           Var, free_vars, normalize, parse_term)
-from tysem.logic import (And, Eps, Exists, Forall, Implies, LApp, LConst,
-                         LVar, Not, Or, Pred, TruthConst, canon_formula,
-                         conjoin, extract_formula, formula_alpha_eq,
-                         formula_to_json, parse_formula, presuppositions,
-                         print_formula, rewrite_hilbert)
+from tysem.logic import (INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
+                         Formula, Implies, LApp, LConst, LTerm, LVar, Not, Or,
+                         Pred, TruthConst, canon_formula, children, conjoin,
+                         extract_formula, flatten_and, formula_alpha_eq,
+                         formula_to_json, free_formula_vars, nodes,
+                         parse_formula, presuppositions, print_formula,
+                         rebuild, rewrite_hilbert)
 
 ANI = BaseSort("ani")
 
@@ -334,6 +343,9 @@ def test_parse_round_trip_simple():
     f = Exists("x", "ani", Implies(Pred("chat", (LVar("x", "ani"),)),
                                    Not(TruthConst(False))))
     assert parse_formula(print_formula(f, "sexpr")) == f
+    # a function symbol with no arguments keeps its parentheses
+    g = Pred("chat", (LApp("f", ()),))
+    assert parse_formula(print_formula(g, "sexpr")) == g
 
 
 def test_parse_eps_round_trip():
@@ -383,3 +395,170 @@ def test_conjoin_and_alpha_eq():
     assert conjoin([f1]) == f1
     assert conjoin([f1, f2]) == And(f1, f2)
     assert conjoin([]) == TruthConst(True)
+
+
+# ---------------------------------------------------------------------------
+# the traversal core
+
+formulas = st.integers(0, 2 ** 32).map(
+    lambda seed: FormulaGen(seed).random_formula(5))
+
+
+def field_children(n) -> tuple:
+    """The children of a node read off its dataclass fields."""
+    out = []
+    for f in dataclasses.fields(n):
+        value = getattr(n, f.name)
+        if isinstance(value, tuple):
+            out.extend(value)
+        elif isinstance(value, (Formula, LTerm)):
+            out.append(value)
+    return tuple(out)
+
+
+def field_preorder(n) -> list:
+    return [n] + [m for k in field_children(n) for m in field_preorder(k)]
+
+
+def rename_bound(f):
+    """f with every bound variable renamed to a new name, written without
+    the traversal core."""
+    fresh = (f"r{i}" for i in itertools.count())
+
+    def term(t, env):
+        match t:
+            case LVar(name, sort):
+                return LVar(env.get(name, name), sort)
+            case LApp(fn, args):
+                return LApp(fn, tuple(term(a, env) for a in args))
+            case Eps(mode, sort, hole, body):
+                new = next(fresh)
+                return Eps(mode, sort, new, form(body, {**env, hole: new}))
+        return t
+
+    def form(g, env):
+        match g:
+            case Pred(name, args):
+                return Pred(name, tuple(term(a, env) for a in args))
+            case Eq(l, r):
+                return Eq(term(l, env), term(r, env))
+            case And(l, r) | Or(l, r) | Implies(l, r):
+                return type(g)(form(l, env), form(r, env))
+            case Not(op):
+                return Not(form(op, env))
+            case Exists(var, sort, body) | Forall(var, sort, body):
+                new = next(fresh)
+                return type(g)(new, sort, form(body, {**env, var: new}))
+        return g
+
+    return term(f, {}) if isinstance(f, LTerm) else form(f, {})
+
+
+@given(formulas)
+def test_children_rebuild_and_nodes_agree_with_the_fields(f):
+    seen = list(nodes(f))
+    assert [id(n) for n in seen] == [id(n) for n in field_preorder(f)]
+    for n in seen:
+        kids = children(n)
+        assert kids == field_children(n)
+        assert rebuild(n, kids) == n
+        marks = tuple(Pred(f"m{i}", ()) if isinstance(k, Formula)
+                      else LConst(f"m{i}", "ani") for i, k in enumerate(kids))
+        assert children(rebuild(n, marks)) == marks
+
+
+@given(formulas)
+def test_canon_formula_is_idempotent_and_alpha_invariant(f):
+    assert canon_formula(canon_formula(f)) == canon_formula(f)
+    binds = any(isinstance(n, (Exists, Forall, Eps)) for n in nodes(f))
+    assert (rename_bound(f) != f) == binds
+    for n in nodes(f):
+        if isinstance(n, Formula):
+            assert canon_formula(rename_bound(n)) == canon_formula(n)
+        assert free_formula_vars(rename_bound(n)) == free_formula_vars(n)
+
+
+_JSON_TAGS = {
+    TruthConst: ("node", "truth"), Pred: ("node", "pred"),
+    And: ("node", "and"), Or: ("node", "or"), Implies: ("node", "implies"),
+    Not: ("node", "not"), Exists: ("node", "exists"),
+    Forall: ("node", "forall"), Eq: ("node", "eq"), LVar: ("term", "var"),
+    LConst: ("term", "const"), LApp: ("term", "app"),
+    Eps: ("term", "choice"),
+}
+
+
+def field_json(n) -> dict:
+    """formula_to_json's documented shape: a tag, then every field in
+    order."""
+    kind, tag = _JSON_TAGS[type(n)]
+    out = {kind: tag}
+    for f in dataclasses.fields(n):
+        value = getattr(n, f.name)
+        if isinstance(value, tuple):
+            value = [field_json(a) for a in value]
+        elif isinstance(value, (Formula, LTerm)):
+            value = field_json(value)
+        out[f.name] = value
+    return out
+
+
+@given(formulas)
+def test_printers_agree_with_the_parser_and_the_fields(f):
+    assert parse_formula(print_formula(f, "sexpr"), FORMULA_CONSTANTS) == f
+    assert json.dumps(formula_to_json(f)) == json.dumps(field_json(f))
+
+
+def test_canon_formula_tells_apart_what_renaming_cannot_join():
+    x, y = LVar("x", "ani"), LVar("y", "ani")
+    f = Exists("x", "ani", Exists("y", "ani", Pred("aime", (x, y))))
+    g = Exists("x", "ani", Exists("y", "ani", Pred("aime", (y, x))))
+    assert canon_formula(f) != canon_formula(g)
+    assert canon_formula(Pred("chat", (x,))) != canon_formula(
+        Pred("chat", (y,)))
+
+
+# ---------------------------------------------------------------------------
+# stack safety: a discourse is one long left-nested conjunction
+
+LONG = 5000
+
+
+def long_discourse():
+    """LONG conjuncts, each applying a predicate to a choice term."""
+    preds, restrictions = ("P", "Q", "R"), ("P", "Q")
+    modes = (INDEF, UNIVERSAL)
+    parts = [(preds[i % 3], restrictions[i % 2], modes[i % 4 // 2])
+             for i in range(LONG)]
+    x = LVar("x", "s")
+    f = conjoin(Pred(p, (Eps(m, "s", "x", Pred(r, (x,))),))
+                for p, r, m in parts)
+    return f, parts
+
+
+def test_walkers_take_a_long_discourse():
+    f, parts = long_discourse()
+    # `==` on two whole discourses would recurse, so compare conjuncts
+    assert flatten_and(canon_formula(f)) == [
+        Pred(p, (Eps(m, "s", f"!q{i}", Pred(r, (LVar(f"!q{i}", "s"),))),))
+        for i, (p, r, m) in enumerate(parts)]
+    assert free_formula_vars(f) == set()
+    doc, depth = formula_to_json(f), 0
+    while doc["node"] == "and":
+        doc, depth = doc["left"], depth + 1
+    assert depth == LONG - 1
+    heads = {INDEF: ("eps", "ε"), UNIVERSAL: ("tau", "τ")}
+    for style, sep, i in (("ascii", " & ", 0), ("unicode", " ∧ ", 1)):
+        assert print_formula(f, style) == sep.join(
+            f"{p}({heads[m][i]}[s](x. {r}(x)))" for p, r, m in parts)
+    sexpr = print_formula(f, "sexpr")
+    assert sexpr.startswith("(and " * (LONG - 1) + "(P (eps s x (P x))) ")
+    assert sexpr.endswith(") (Q (tau s x (Q x))))")
+    rewritten = rewrite_hilbert(f)
+    # the four choice terms, in order of occurrence, bind y, z, w and x
+    assert print_formula(rewritten) == (
+        "exists y:s. exists z:s. forall w:s. forall x:s. ("
+        + " & ".join(f"{p}({'yzwx'[i % 4]})" for i, (p, _, _)
+                     in enumerate(parts)) + ")")
+    assert _signature_of(f, rewritten) == (
+        ["s"], [("P", ("s",)), ("Q", ("s",)), ("R", ("s",))])

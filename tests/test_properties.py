@@ -30,7 +30,7 @@ def test_strategy_confluence_random_terms():
 def test_termination_within_budget():
     gen = TermGen(seed=13)
     for _ in range(300):
-        normalize(gen.random_term(7), budget=100_000)
+        normalize(gen.random_term(7))
 
 
 def test_formula_readiness():
