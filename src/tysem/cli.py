@@ -64,11 +64,9 @@ class AnalysisOptions:
 
 
 def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
-                 options: AnalysisOptions, memo: dict | None = None,
-                 cache: dict | None = None
+                 options: AnalysisOptions, cache: dict | None = None
                  ) -> tuple[AnalysisResult, DiscourseState]:
-    """Analyze one sentence against the discourse state.  `memo` is the
-    session's presupposition memo (see `logic.presuppositions`).
+    """Analyze one sentence against the discourse state.
 
     `cache` maps each composed term to its analysis, for one lexicon and
     one set of options.  Composition always runs, since it reads and
@@ -93,7 +91,7 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
         normal = normalize(result.term)
     ctx = lex.typing_context()
     formula = extract_formula(normal, ctx)
-    presupps = presuppositions(normal, ctx, memo)
+    presupps = presuppositions(normal, ctx)
     final = formula
     if options.presuppositions == "conjoin" and presupps:
         final = conjoin(presupps + [formula])
@@ -107,20 +105,19 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
 
 
 def discourse_formula(results: list[AnalysisResult],
-                      options: AnalysisOptions,
-                      memo: dict | None = None) -> Formula:
+                      options: AnalysisOptions) -> Formula:
     """Conjoin a session: deduplicated presuppositions first, then the
-    assertions in sentence order.  The canonical keys that dedupe them come
-    from the session's presupposition memo where it has them."""
+    assertions in sentence order.  Alpha-duplicates are found by their
+    `canon_formula` key, worked out once per distinct presupposition."""
     parts: list[Formula] = []
     if options.presuppositions != "off":
-        keys = dict(memo.values()) if memo else {}
+        keys: dict[Formula, Formula] = {}  # each presupposition's key
         seen: set[Formula] = set()  # canon_formula of each part
         for r in results:
             for p in r.presupposition_list:
                 key = keys.get(p)
                 if key is None:
-                    key = canon_formula(p)
+                    key = keys[p] = canon_formula(p)
                 if key not in seen:
                     seen.add(key)
                     parts.append(p)
@@ -225,13 +222,11 @@ def run_analyze(args) -> int:
         return 1
 
     state = DiscourseState()
-    memo: dict = {}  # presuppositions of closed choice terms, for this run
     cache: dict = {}  # analysis of each composed term, for this run
     results: list[AnalysisResult] = []
     try:
         for tree in trees:
-            analysis, state = analyze_tree(lex, tree, state, options, memo,
-                                           cache)
+            analysis, state = analyze_tree(lex, tree, state, options, cache)
             results.append(analysis)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -245,7 +240,7 @@ def run_analyze(args) -> int:
         doc = {"sentences": [_json_report(r, options) for r in results]}
         if session:
             doc["discourse"] = print_formula(
-                discourse_formula(results, options, memo), options.style)
+                discourse_formula(results, options), options.style)
         print(json.dumps(doc, ensure_ascii=False, indent=2))
         return 0
 
@@ -258,7 +253,7 @@ def run_analyze(args) -> int:
         else:
             _text_report(r, options, out)
     if session:
-        f = discourse_formula(results, options, memo)
+        f = discourse_formula(results, options)
         style = "sexpr" if args.format == "sexpr" else options.style
         out.append(f"discourse: {print_formula(f, style)}")
     print("\n".join(out))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from . import discourse as disc
 from .discourse import DiscourseState
 from .errors import (AmbiguousCoercion, CompositionError, NoCoercionPath,
-                     NoMatch, RigidityViolation, ParseError, TypeClash)
+                     RigidityViolation, ParseError, TypeClash)
 from .kernel import (App, Arrow, BaseSort, Const, Pi, Term, Type, TyApp,
                      TypeVar, free_tyvars, subst_type, type_of)
 from .lexicon import Coercion, LexEntry, Lexicon, lookup_entry
@@ -113,40 +113,33 @@ def _apply_subst(ty: Type, subst: TypeSubstitution) -> Type:
 
 
 def _match_type(pattern: Type, concrete: Type, bindable: frozenset[str],
-                subst: TypeSubstitution):
+                subst: TypeSubstitution) -> bool:
+    """Whether an instance of `pattern` is `concrete`, binding the
+    `bindable` type variables in `subst` on the way."""
     pattern = _apply_subst(pattern, subst)
     match pattern:
         case TypeVar(name) if name in bindable:
-            bound = subst.get(name)
-            if bound is None:
-                subst[name] = concrete
-            elif bound != concrete:
-                raise NoMatch(pattern, concrete)
+            return subst.setdefault(name, concrete) == concrete
         case TypeVar(_) | BaseSort(_):
-            if pattern != concrete:
-                raise NoMatch(pattern, concrete)
+            return pattern == concrete
         case Arrow(dom, cod):
-            if not isinstance(concrete, Arrow):
-                raise NoMatch(pattern, concrete)
-            _match_type(dom, concrete.dom, bindable, subst)
-            _match_type(cod, concrete.cod, bindable, subst)
+            return (isinstance(concrete, Arrow)
+                    and _match_type(dom, concrete.dom, bindable, subst)
+                    and _match_type(cod, concrete.cod, bindable, subst))
         case Pi(var, body):
             if not isinstance(concrete, Pi):
-                raise NoMatch(pattern, concrete)
+                return False
             renamed = subst_type(concrete.body, concrete.var, TypeVar(var))
-            _match_type(body, renamed, bindable - {var}, subst)
-        case _:
-            raise NoMatch(pattern, concrete)
+            return _match_type(body, renamed, bindable - {var}, subst)
+    return False
 
 
 def _matches(pattern: Type, concrete: Type, bindable: frozenset[str],
              subst: TypeSubstitution) -> TypeSubstitution | None:
+    """`subst` extended so that `pattern` instantiates to `concrete`, or
+    None if no extension does."""
     trial = dict(subst)
-    try:
-        _match_type(pattern, concrete, bindable, trial)
-        return trial
-    except NoMatch:
-        return None
+    return trial if _match_type(pattern, concrete, bindable, trial) else None
 
 
 # ---------------------------------------------------------------------------

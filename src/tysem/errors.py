@@ -123,15 +123,6 @@ class NotFound(SemanticError):
         self.word = word
 
 
-class NoMatch(SemanticError):
-    """Type instantiation failed: domain does not match the argument type."""
-
-    def __init__(self, domain, arg_type):
-        super().__init__(f"cannot match domain {domain} against {arg_type}")
-        self.domain = domain
-        self.arg_type = arg_type
-
-
 class NoCoercionPath(SemanticError):
     def __init__(self, found, wanted, word: str):
         super().__init__(

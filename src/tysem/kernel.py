@@ -335,14 +335,20 @@ def print_term(term: Term) -> str:
         case TyApp(fun, ty):
             return f"(tyapp {print_term(fun)} {type_to_sexpr(ty)})"
         case App():
-            spine = []
-            head = term
-            while isinstance(head, App):
-                spine.append(head.arg)
-                head = head.fun
-            spine.append(head)
-            return "(" + " ".join(print_term(s) for s in reversed(spine)) + ")"
+            head, args = spine(term)
+            return f"({' '.join(map(print_term, [head, *args]))})"
     raise AssertionError(term)
+
+
+def spine(term: Term) -> tuple[Term, list[Term]]:
+    """The head of an application spine and its arguments, left to right:
+    ((f a) b) gives f and [a, b]."""
+    args = []
+    while isinstance(term, App):
+        args.append(term.arg)
+        term = term.fun
+    args.reverse()
+    return term, args
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +360,14 @@ _CHILDREN = {
     Pi: lambda n: (n.body,), App: attrgetter("fun", "arg"),
     Lam: lambda n: (n.body,), TyLam: lambda n: (n.body,),
     TyApp: lambda n: (n.fun,),
+}
+
+# a term node rebuilt with other subterms in place of _CHILDREN's
+_REBUILD = {
+    App: lambda n, kids: App(*kids),
+    Lam: lambda n, kids: Lam(n.var, n.var_type, *kids),
+    TyApp: lambda n, kids: TyApp(*kids, n.ty),
+    TyLam: lambda n, kids: TyLam(n.tyvar, *kids),
 }
 
 
@@ -569,12 +583,9 @@ def _canon(term: Term, vmap: dict[str, str], tmap: dict[str, str],
     tcounter = [counters[1]]
 
     def cty(ty: Type) -> Type:
-        # bound type vars were renamed via tmap; Pi binders inside
+        # bound type vars are renamed via tmap; Pi binders inside
         # annotations are canonicalized independently
-        out = ty
-        for old, new in tmap.items():
-            out = subst_type(out, old, TypeVar(new))
-        return _canon_ty(out, {}, tcounter)
+        return _canon_ty(ty, tmap, tcounter)
 
     match term:
         case Var(name, ty):
@@ -605,63 +616,36 @@ def _canon(term: Term, vmap: dict[str, str], tmap: dict[str, str],
 DEFAULT_STEP_BUDGET = 100_000
 
 
-def _find_redex_lo(term: Term):
-    """Leftmost-outermost redex: returns a (kind, rebuild) pair or None."""
-    match term:
-        case App(Lam() as lam, arg):
-            return subst_term(lam.body, lam.var, arg)
-        case TyApp(TyLam() as tl, ty):
-            return subst_type_in_term(tl.body, tl.tyvar, ty)
-        case App(fun, arg):
-            red = _find_redex_lo(fun)
-            if red is not None:
-                return App(red, arg)
-            red = _find_redex_lo(arg)
-            if red is not None:
-                return App(fun, red)
-            return None
-        case TyApp(fun, ty):
-            red = _find_redex_lo(fun)
-            return None if red is None else TyApp(red, ty)
-        case Lam(var, vty, body):
-            red = _find_redex_lo(body)
-            return None if red is None else Lam(var, vty, red)
-        case TyLam(a, body):
-            red = _find_redex_lo(body)
-            return None if red is None else TyLam(a, red)
-        case _:
-            return None
+def _contract(term: Term) -> Term | None:
+    """The contractum of a redex at the root, or None."""
+    fun = getattr(term, "fun", None)
+    if type(fun) is Lam and type(term) is App:
+        return subst_term(fun.body, fun.var, term.arg)
+    if type(fun) is TyLam and type(term) is TyApp:
+        return subst_type_in_term(fun.body, fun.tyvar, term.ty)
+    return None
 
 
-def _find_redex_ri(term: Term):
-    """Rightmost-innermost redex, the dual strategy used by the confluence
-    checks."""
-    match term:
-        case App(fun, arg):
-            red = _find_redex_ri(arg)
-            if red is not None:
-                return App(fun, red)
-            red = _find_redex_ri(fun)
-            if red is not None:
-                return App(red, arg)
-            if isinstance(fun, Lam):
-                return subst_term(fun.body, fun.var, arg)
-            return None
-        case TyApp(fun, ty):
-            red = _find_redex_ri(fun)
-            if red is not None:
-                return TyApp(red, ty)
-            if isinstance(fun, TyLam):
-                return subst_type_in_term(fun.body, fun.tyvar, ty)
-            return None
-        case Lam(var, vty, body):
-            red = _find_redex_ri(body)
-            return None if red is None else Lam(var, vty, red)
-        case TyLam(a, body):
-            red = _find_redex_ri(body)
-            return None if red is None else TyLam(a, red)
-        case _:
-            return None
+_LEFT_FIRST = ((), (0,), (0, 1))  # child indices by number of children
+_RIGHT_FIRST = ((), (0,), (1, 0))
+
+
+def _find_redex(term: Term, lo: bool) -> Term | None:
+    """The term with one redex fired, or None if it is normal.  With `lo`
+    the leftmost-outermost redex: the root before its children, children
+    left to right.  Otherwise the rightmost-innermost one, the dual
+    strategy used by the confluence checks: children right to left, then
+    the root."""
+    kids = _CHILDREN[type(term)](term)
+    if not kids:
+        return None
+    if lo and (red := _contract(term)) is not None:
+        return red
+    for i in (_LEFT_FIRST if lo else _RIGHT_FIRST)[len(kids)]:
+        red = _find_redex(kids[i], lo)
+        if red is not None:
+            return _REBUILD[type(term)](term, (*kids[:i], red, *kids[i + 1:]))
+    return None if lo else _contract(term)
 
 
 def reduction_steps(term: Term, strategy: str = "lo"):
@@ -670,10 +654,10 @@ def reduction_steps(term: Term, strategy: str = "lo"):
     The calculus is strongly normalizing, so firing more than
     `DEFAULT_STEP_BUDGET` redexes means a bug; we raise rather than loop.
     """
-    step = {"lo": _find_redex_lo, "ri": _find_redex_ri}[strategy]
+    lo = {"lo": True, "ri": False}[strategy]
     fired = 0
     while True:
-        nxt = step(term)
+        nxt = _find_redex(term, lo)
         if nxt is None:
             return
         fired += 1
@@ -691,4 +675,4 @@ def normalize(term: Term, strategy: str = "lo") -> Term:
 
 
 def is_normal(term: Term) -> bool:
-    return _find_redex_lo(term) is None
+    return _find_redex(term, True) is None

@@ -32,7 +32,7 @@ from . import kernel
 from .errors import (ExtractionError, NotNormal, NotTruthType, ResidualLambda,
                      ParseError)
 from .kernel import (App, BaseSort, Const, Lam, Term, TyApp, TypingContext,
-                     Var, free_vars, is_normal, normalize, type_of)
+                     Var, free_vars, is_normal, normalize, spine, type_of)
 from .sexpr import Atom, SExpr, expect_atom, expect_list, read_one
 
 # ---------------------------------------------------------------------------
@@ -291,14 +291,6 @@ def _term_type(term: Term, ctx: TypingContext | None):
     return type_of(ctx, term)
 
 
-def _spine(term: Term):
-    args = []
-    while isinstance(term, App):
-        args.append(term.arg)
-        term = term.fun
-    return term, list(reversed(args))
-
-
 def _sort_of(ty) -> str:
     if not isinstance(ty, BaseSort):
         raise ResidualLambda(f"expected an entity sort, found {ty}")
@@ -306,7 +298,7 @@ def _sort_of(ty) -> str:
 
 
 def _to_formula(term: Term) -> Formula:
-    head, args = _spine(term)
+    head, args = spine(term)
     match head:
         case Const("and" | "or" | "implies" as name, _) if len(args) == 2:
             cls = {"and": And, "or": Or, "implies": Implies}[name]
@@ -362,7 +354,7 @@ def _to_lterm(term: Term) -> LTerm:
             hole, body = _predicate_body(pred, sort_ty)
             return Eps(_MODE_OF_CONST[cname], _sort_of(sort_ty), hole, body)
         case App():
-            head, args = _spine(term)
+            head, args = spine(term)
             if isinstance(head, Const):
                 return LApp(head.name, tuple(_to_lterm(a) for a in args))
             raise ResidualLambda(
@@ -379,44 +371,28 @@ def _to_lterm(term: Term) -> LTerm:
 # presuppositions
 
 
-def presuppositions(term: Term, ctx: TypingContext | None = None,
-                    memo: dict[Term, tuple[Formula, Formula]] | None = None
+def presuppositions(term: Term, ctx: TypingContext | None = None
                     ) -> list[Formula]:
     """The restriction of every indefinite (and every definite left
     unresolved, which behaves the same) applied to its own choice term.
 
     Formulas are collected left-to-right and alpha-duplicates emitted once.
     `ctx` types the term's constants; each candidate's free variables, bound
-    above the choice term, are added to it.
-
-    `memo` maps each closed choice term already seen to its presupposition
-    and that formula's `canon_formula` key, so a caller analyzing a whole
-    discourse with one `ctx` passes one memo to every call and normalizes,
-    types, extracts and canonicalizes each distinct choice term once: the
-    cost of a session is then linear in its number of sentences.  A choice
-    term with free variables depends on its binders' context and is worked
-    out at each occurrence.
+    above the choice term, are added to it.  A session works this out once
+    per distinct composed term (see `cli.analyze_tree`).
     """
-    if memo is None:
-        memo = {}
     found: list[Formula] = []
     seen: set[Formula] = set()  # canon_formula of each formula in found
 
     for t in kernel.nodes(term):
         match t:
             case App(TyApp(Const("eps" | "ieps", _), _), pred):
-                hit = memo.get(t)
-                if hit is None:
-                    body = normalize(App(pred, t))
-                    free = free_vars(body)
-                    local = ctx
-                    if ctx is not None and free:
-                        local = replace(ctx, vars={**ctx.vars, **free})
-                    candidate = extract_formula(body, local)
-                    hit = candidate, canon_formula(candidate)
-                    if not free:
-                        memo[t] = hit
-                candidate, key = hit
+                body = normalize(App(pred, t))
+                local = ctx
+                if ctx is not None and (free := free_vars(body)):
+                    local = replace(ctx, vars={**ctx.vars, **free})
+                candidate = extract_formula(body, local)
+                key = canon_formula(candidate)
                 if key not in seen:
                     seen.add(key)
                     found.append(candidate)

@@ -250,11 +250,11 @@ def test_sentence_cache_matches_fresh_analysis(family, mode, rewrite, trace,
     first, *rest = CACHE_SENTENCES[family]
     rng = random.Random(5)
     options = AnalysisOptions(mode, rewrite=rewrite, trace=trace)
-    state, memo, cache, results = DiscourseState(), {}, {}, []
+    state, cache, results = DiscourseState(), {}, []
     for text in [first] + [rng.choice((first, *rest)) for _ in range(60)]:
         tree = parse_tree(text)
-        shared, after = analyze_tree(lex, tree, state, options, memo, cache)
-        fresh, fresh_after = analyze_tree(lex, tree, state, options, {}, {})
+        shared, after = analyze_tree(lex, tree, state, options, cache)
+        fresh, fresh_after = analyze_tree(lex, tree, state, options, {})
         assert shared == fresh  # every field but the printed lines
         assert after == fresh_after
         assert shared.printed is cache[shared.term].printed

@@ -221,6 +221,31 @@ def test_trace_counts_redexes(fig1):
     assert is_normal(steps[-1])
 
 
+def test_reduction_orders(ctx):
+    # a root redex whose function and argument both hold redexes, one of
+    # them a type redex: lo fires the root first, ri the argument's
+    # innermost redex first
+    term = parse_term(
+        "((lam p (-> ani t) ((lam y ani (p y)) fido))"
+        " (tyapp (tylam a (lam x ani ((lam z ani (chat z)) x))) ani))", ctx)
+    lo = [print_term(t) for t in reduction_steps(term, "lo")]
+    ri = [print_term(t) for t in reduction_steps(term, "ri")]
+    assert lo == [
+        "((lam y ani ((tyapp (tylam a (lam x ani ((lam z ani (chat z)) x)))"
+        " ani) y)) fido)",
+        "((tyapp (tylam a (lam x ani ((lam z ani (chat z)) x))) ani) fido)",
+        "((lam x ani ((lam z ani (chat z)) x)) fido)",
+        "((lam z ani (chat z)) fido)",
+        "(chat fido)"]
+    assert ri == [
+        "((lam p (-> ani t) ((lam y ani (p y)) fido))"
+        " (tyapp (tylam a (lam x ani (chat x))) ani))",
+        "((lam p (-> ani t) ((lam y ani (p y)) fido)) (lam x ani (chat x)))",
+        "((lam p (-> ani t) (p fido)) (lam x ani (chat x)))",
+        "((lam x ani (chat x)) fido)",
+        "(chat fido)"]
+
+
 def test_strategies_agree_on_copredication(fig2):
     from tysem.composer import compose, parse_tree
     term = compose(parse_tree("((et est_vaste a_vote) Liverpool)"),

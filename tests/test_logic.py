@@ -14,7 +14,7 @@ from tysem.composer import compose, parse_tree
 from tysem.discourse import DiscourseState
 from tysem.errors import NotNormal, NotTruthType, ResidualLambda
 from tysem.kernel import (App, Arrow, BaseSort, Const, Lam, T, TypingContext,
-                          Var, free_vars, normalize, parse_term)
+                          Var, normalize, parse_term)
 from tysem.logic import (INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
                          Formula, Implies, LApp, LConst, LTerm, LVar, Not, Or,
                          Pred, TruthConst, canon_formula, children, conjoin,
@@ -169,8 +169,31 @@ def test_unresolved_definite_presupposes(chat_lex):
     assert print_formula(ps[0]) == "chat(the[ani](x. chat(x)))"
 
 
+def test_presuppositions_of_nested_and_henkin_choice_terms(chat_lex):
+    # a closed choice term with a nested one in its restriction, and a
+    # Henkin choice term that depends on the universal above it
+    ctx = chat_lex.typing_context()
+    ctx = ctx.with_const("voit", Arrow(ANI, Arrow(ANI, T)))
+    closed = ("((tyapp eps ani) (lam x ani (and (chat x)"
+              " ((voit x) ((tyapp eps ani) chien)))))")
+    term = parse_term(
+        f"((tyapp forall ani) (lam y ani (and (dort {closed})"
+        " (dort ((tyapp eps ani) (lam x ani (and (chat x) ((voit y) x))))))))",
+        ctx)
+    ps = presuppositions(term, ctx)
+    assert ps == presuppositions(term)
+    assert [print_formula(p) for p in ps] == [
+        "chat(eps[ani](x. chat(x) & voit(x,eps[ani](x. chien(x)))))"
+        " & voit(eps[ani](x. chat(x) & voit(x,eps[ani](x. chien(x)))),"
+        "eps[ani](x. chien(x)))",
+        "chien(eps[ani](x. chien(x)))",
+        "chat(eps[ani](x. chat(x) & voit(y,x)))"
+        " & voit(y,eps[ani](x. chat(x) & voit(y,x)))"]
+
+
 # indefinites, pronouns, definites that resolve and one that never matches
-# its restriction, universals
+# its restriction, universals; `(est_entre (un homme))` and `(a_hurle il)`
+# compose to distinct terms that share a choice term
 SESSION_SENTENCES = {
     "homme": ("(est_entre (un homme))", "(a_hurle il)", "(a_hurle (le homme))",
               "(est_entre il)"),
@@ -182,54 +205,30 @@ SESSION_SENTENCES = {
 
 @pytest.mark.parametrize("family", ["homme", "chat"])
 @pytest.mark.parametrize("mode", ["separate", "conjoin", "off"])
-def test_memoized_presuppositions_match_fresh_calls(family, mode, homme_lex,
-                                                    chat_lex):
+def test_session_presuppositions_match_fresh_calls(family, mode, homme_lex,
+                                                   chat_lex):
     lex = homme_lex if family == "homme" else chat_lex
     ctx = lex.typing_context()
     first, *rest = SESSION_SENTENCES[family]
     rng = random.Random(9)
     options = AnalysisOptions(mode, rewrite=True)
-    state, memo, results = DiscourseState(), {}, []
+    state, cache, results = DiscourseState(), {}, []
     for text in [first] + [rng.choice((first, *rest)) for _ in range(60)]:
-        tree = parse_tree(text)
-        shared, after = analyze_tree(lex, tree, state, options, memo)
-        fresh, _ = analyze_tree(lex, tree, state, options)
-        assert shared.presupposition_list == fresh.presupposition_list
-        assert shared.final == fresh.final
-        assert presuppositions(shared.normal, ctx, memo) == \
-            presuppositions(shared.normal, ctx)
-        results.append(shared)
-        state = after
-    assert memo
-    for term, (formula, key) in memo.items():
-        assert not free_vars(term)
-        assert key == canon_formula(formula)
-    assert discourse_formula(results, options, memo) == \
-        discourse_formula(results, options)
-
-
-def test_presupposition_memo_holds_closed_choice_terms_only(chat_lex):
-    ctx = chat_lex.typing_context()
-    ctx = ctx.with_const("voit", Arrow(ANI, Arrow(ANI, T)))
-    closed = ("((tyapp eps ani) (lam x ani (and (chat x)"
-              " ((voit x) ((tyapp eps ani) chien)))))")
-    term = parse_term(
-        f"((tyapp forall ani) (lam y ani (and (dort {closed})"
-        " (dort ((tyapp eps ani) (lam x ani (and (chat x) ((voit y) x))))))))",
-        ctx)
-    memo = {}
-    ps = presuppositions(term, ctx, memo)
-    assert ps == presuppositions(term, ctx)
-    assert presuppositions(term, ctx, memo) == ps
-    assert list(memo) == [parse_term(closed, ctx),
-                          parse_term("((tyapp eps ani) chien)", ctx)]
-    assert [print_formula(p) for p in ps] == [
-        "chat(eps[ani](x. chat(x) & voit(x,eps[ani](x. chien(x)))))"
-        " & voit(eps[ani](x. chat(x) & voit(x,eps[ani](x. chien(x)))),"
-        "eps[ani](x. chien(x)))",
-        "chien(eps[ani](x. chien(x)))",
-        "chat(eps[ani](x. chat(x) & voit(y,x)))"
-        " & voit(y,eps[ani](x. chat(x) & voit(y,x)))"]
+        r, state = analyze_tree(lex, parse_tree(text), state, options, cache)
+        assert r.presupposition_list == presuppositions(r.normal, ctx)
+        results.append(r)
+    # the session keeps the first of each alpha-class of presuppositions,
+    # found here by pairwise comparison instead of canon_formula keys
+    parts = []
+    if mode != "off":
+        for r in results:
+            for p in r.presupposition_list:
+                if not any(formula_alpha_eq(p, q) for q in parts):
+                    parts.append(p)
+        assert len(parts) < sum(len(r.presupposition_list) for r in results)
+    parts.extend(r.formula for r in results)
+    assert discourse_formula(results, options) == \
+        rewrite_hilbert(conjoin(parts))
 
 
 # ---------------------------------------------------------------------------
