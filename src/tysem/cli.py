@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .composer import (CoercionReport, ComposeResult, SynTree, compose,
-                       parse_tree, print_tree)
+                       parse_tree, print_tree, replay)
 from .discourse import DiscourseState
 from .errors import (FreeSymbol, InputError, ModelError, SemanticError,
                      TysemError)
@@ -50,8 +50,8 @@ class AnalysisResult:
     formula: Formula
     presupposition_list: list[Formula]
     final: Formula  # after the presupposition and rewrite flags
-    # report lines that depend on the composed term only, once printed;
-    # shared by every sentence analyzed from an equal term (see analyze_tree)
+    # each report, once printed; shared by every sentence this analysis
+    # serves (see analyze_tree)
     printed: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -64,25 +64,23 @@ class AnalysisOptions:
 
 
 def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
-                 options: AnalysisOptions, cache: dict | None = None
+                 options: AnalysisOptions, store: dict | None = None
                  ) -> tuple[AnalysisResult, DiscourseState]:
     """Analyze one sentence against the discourse state.
 
-    `cache` maps each composed term to its analysis, for one lexicon and
-    one set of options.  Composition always runs, since it reads and
-    extends the discourse state; a sentence that composes to a term seen
-    before then reuses the normal form, steps, formula, presuppositions and
-    final formula, and the report lines already printed for it.  Only the
-    tree and the coercion report are its own.  A sentence that fails raises
-    before anything is stored."""
+    `store` maps each tree to the (log, analysis) pairs composed from it,
+    for one lexicon and one set of options.  The sentence first replays its
+    tree's logs against `state` (see `composer.replay`): the first whose
+    reads all answer as recorded yields its analysis, the very object, and
+    the state the composition would leave.  Otherwise the sentence is
+    composed, analyzed and stored.  A replay never raises and a sentence
+    that fails stores nothing, so every error comes from composition."""
+    pairs = [] if store is None else store.setdefault(tree, [])
+    for log, seen in pairs:
+        after = replay(log, state, lex)
+        if after is not None:
+            return seen, after
     result: ComposeResult = compose(tree, lex, state)
-    if cache is not None:
-        seen = cache.get(result.term)
-        if seen is not None:
-            return AnalysisResult(
-                tree, result.term, seen.normal, seen.steps, result.report,
-                seen.formula, seen.presupposition_list, seen.final,
-                seen.printed), result.state
     if options.trace:
         steps = list(reduction_steps(result.term))
         normal = steps[-1] if steps else result.term
@@ -99,8 +97,7 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
         final = rewrite_hilbert(final)
     analysis = AnalysisResult(tree, result.term, normal, steps,
                               result.report, formula, presupps, final)
-    if cache is not None:
-        cache[result.term] = analysis
+    pairs.append((result.log, analysis))
     return analysis, result.state
 
 
@@ -108,16 +105,14 @@ def discourse_formula(results: list[AnalysisResult],
                       options: AnalysisOptions) -> Formula:
     """Conjoin a session: deduplicated presuppositions first, then the
     assertions in sentence order.  Alpha-duplicates are found by their
-    `canon_formula` key, worked out once per distinct presupposition."""
+    `canon_formula` key, worked out once per analysis: sentences served by
+    one stored analysis share it (see analyze_tree)."""
     parts: list[Formula] = []
     if options.presuppositions != "off":
-        keys: dict[Formula, Formula] = {}  # each presupposition's key
         seen: set[Formula] = set()  # canon_formula of each part
-        for r in results:
+        for r in {id(r): r for r in results}.values():
             for p in r.presupposition_list:
-                key = keys.get(p)
-                if key is None:
-                    key = keys[p] = canon_formula(p)
+                key = canon_formula(p)
                 if key not in seen:
                     seen.add(key)
                     parts.append(p)
@@ -130,40 +125,36 @@ def discourse_formula(results: list[AnalysisResult],
 # reports
 
 
-# Each report prints the tree and the coercions of its own sentence; the
-# rest is printed once per composed term and kept in `r.printed`.
+# Each report is printed once per analysis and kept in `r.printed`.
 
 
 def _text_report(r: AnalysisResult, options: AnalysisOptions,
                  out: list[str]):
-    out.append(f"tree: {print_tree(r.tree)}")
-    parts = r.printed.get("text")
-    if parts is None:
-        head = [f"term: {print_term(r.term)}"]
+    lines = r.printed.get("text")
+    if lines is None:
+        lines = [f"tree: {print_tree(r.tree)}", f"term: {print_term(r.term)}"]
         if options.trace:
             for i, step in enumerate(r.steps, 1):
-                head.append(f"step {i}: {print_term(step)}")
-        head.append(f"normal: {print_term(r.normal)}")
-        tail = []
+                lines.append(f"step {i}: {print_term(step)}")
+        lines.append(f"normal: {print_term(r.normal)}")
+        for occ, used in r.report.uses.items():
+            uses = ", ".join(f"{label} ({rig})" for label, rig in used)
+            lines.append(f"coercions: {occ}: {uses}")
         if options.presuppositions == "separate":
             for p in r.presupposition_list:
-                tail.append(
+                lines.append(
                     f"presupposition: {print_formula(p, options.style)}")
-        tail.append(f"formula: {print_formula(r.final, options.style)}")
-        parts = r.printed["text"] = (head, tail)
-    out.extend(parts[0])
-    for occ, used in r.report.uses.items():
-        uses = ", ".join(f"{label} ({rig})" for label, rig in used)
-        out.append(f"coercions: {occ}: {uses}")
-    out.extend(parts[1])
+        lines.append(f"formula: {print_formula(r.final, options.style)}")
+        r.printed["text"] = lines
+    out.extend(lines)
 
 
 def _sexpr_report(r: AnalysisResult, options: AnalysisOptions,
                   out: list[str]):
-    out.append(f"(tree {print_tree(r.tree)})")
     lines = r.printed.get("sexpr")
     if lines is None:
-        lines = [f"(term {print_term(r.term)})",
+        lines = [f"(tree {print_tree(r.tree)})",
+                 f"(term {print_term(r.term)})",
                  f"(normal {print_term(r.normal)})"]
         if options.presuppositions == "separate":
             for p in r.presupposition_list:
@@ -174,24 +165,22 @@ def _sexpr_report(r: AnalysisResult, options: AnalysisOptions,
 
 
 def _json_report(r: AnalysisResult, options: AnalysisOptions) -> dict:
-    parts = r.printed.get("json")
-    if parts is None:
-        parts = r.printed["json"] = ({
+    doc = r.printed.get("json")
+    if doc is None:
+        doc = r.printed["json"] = {
+            "tree": print_tree(r.tree),
             "term": print_term(r.term),
             "normal": print_term(r.normal),
             "steps": ([print_term(s) for s in r.steps] if options.trace
                       else None),
-        }, {
+            "coercions": {occ: [list(u) for u in used]
+                          for occ, used in r.report.uses.items()},
             "presuppositions": [print_formula(p, options.style)
                                 for p in r.presupposition_list],
             "formula": print_formula(r.final, options.style),
             "formula_json": formula_to_json(r.final),
-        })
-    head, tail = parts
-    return {"tree": print_tree(r.tree), **head,
-            "coercions": {occ: [list(u) for u in used]
-                          for occ, used in r.report.uses.items()},
-            **tail}
+        }
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +211,11 @@ def run_analyze(args) -> int:
         return 1
 
     state = DiscourseState()
-    cache: dict = {}  # analysis of each composed term, for this run
+    store: dict = {}  # each tree's compositions, for this run
     results: list[AnalysisResult] = []
     try:
         for tree in trees:
-            analysis, state = analyze_tree(lex, tree, state, options, cache)
+            analysis, state = analyze_tree(lex, tree, state, options, store)
             results.append(analysis)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,12 @@ Two departures from naive application make the polymorphic lexicon work:
 
 Determiner leaves feed the discourse registry: an indefinite registers the
 choice term it built, a definite tries to resolve against the registry and
-falls back to a fresh term, a pronoun copies its antecedent's term.
+falls back to a fresh term, a pronoun copies its antecedent's term.  These
+are composition's only contact with the discourse; everything else is a
+function of the lexicon and the tree.  The composer logs each of these
+calls in order, with the answer of each read, and the result carries the
+log: `replay` makes the calls again against another state, and where
+every read answers the same, the composition would too.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass, field
 
 from . import discourse as disc
 from .discourse import DiscourseState
-from .errors import (AmbiguousCoercion, CompositionError, NoCoercionPath,
-                     RigidityViolation, ParseError, TypeClash)
+from .errors import (AmbiguousCoercion, CompositionError, NoAntecedent,
+                     NoCoercionPath, RigidityViolation, ParseError, TypeClash)
 from .kernel import (App, Arrow, BaseSort, Const, Pi, Term, Type, TyApp,
                      TypeVar, free_tyvars, subst_type, type_of)
 from .lexicon import Coercion, LexEntry, Lexicon, lookup_entry
@@ -211,15 +216,16 @@ class ComposeResult:
     type: Type
     report: CoercionReport
     state: DiscourseState
+    log: list  # the discourse calls made, in order (see replay)
 
 
 def compose(tree: SynTree, lex: Lexicon,
             state: DiscourseState | None = None) -> ComposeResult:
     """Bottom-up assembly of the tree into a single well-typed term.
 
-    The result is returned un-normalized, together with the coercion report
-    and the discourse state extended by any referents the sentence
-    introduced.  Sort clashes that no coercion repairs raise TypeClash
+    The result is returned un-normalized, together with the coercion report,
+    the discourse state extended by any referents the sentence introduced,
+    and the log of the discourse calls made.  Sort clashes that no coercion repairs raise TypeClash
     naming both words.
     """
     composer = _Composer(lex, state or DiscourseState())
@@ -230,7 +236,32 @@ def compose(tree: SynTree, lex: Lexicon,
             f"'{value.head_word}' were never determined by any argument")
     type_of(composer.ctx, value.term)  # soundness guard
     return ComposeResult(value.term, value.type, composer.report,
-                         composer.state)
+                         composer.state, composer.log)
+
+
+def replay(log: list, state: DiscourseState,
+           lex: Lexicon) -> DiscourseState | None:
+    """Make a composition's logged discourse calls again against `state`.
+
+    Each read must give the answer it gave when the log was recorded, and
+    each registration is made again; the result is the state the
+    composition would leave.  None when a read answers otherwise or fails:
+    the sentence must then be composed afresh, which raises any error."""
+    for kind, args, answer in log:
+        if kind == "register":
+            state = disc.register_referent(state, *args)
+            continue
+        if kind == "pronoun":
+            try:
+                got = disc.resolve_pronoun(state, *args)
+            except NoAntecedent:
+                return None
+        else:
+            ref = disc.resolve_definite(state, *args, lex)
+            got = None if ref is None else (ref.term, ref.sort)
+        if not (got is answer or got == answer):
+            return None
+    return state
 
 
 class _Composer:
@@ -239,6 +270,7 @@ class _Composer:
         self.ctx = lex.typing_context()
         self.report = CoercionReport()
         self.state = state
+        self.log = []
         self._leaf_index = 0
 
     # -- leaves
@@ -256,6 +288,7 @@ class _Composer:
         if word in self.lex.pronouns:
             hint = self.lex.pronouns[word]
             term = disc.resolve_pronoun(self.state, hint)
+            self.log.append(("pronoun", (hint,), term))
             return _Value(term, type_of(self.ctx, term), word, occ, None)
         entry = lookup_entry(self.lex, word)
         return _Value(entry.principal, entry.principal_type, word, occ, entry)
@@ -410,15 +443,15 @@ class _Composer:
         sort = applied.fun.ty
         restriction = applied.arg
         if mode == "indefinite":
-            self.state = disc.register_referent(
-                self.state, applied, sort, restriction, det.head_occ)
+            self._register(applied, sort, restriction, det.head_occ)
             return value
         if mode == "definite":
             ref = disc.resolve_definite(self.state, sort, restriction,
                                         self.lex)
+            self.log.append(("definite", (sort, restriction),
+                             None if ref is None else (ref.term, ref.sort)))
             if ref is None:
-                self.state = disc.register_referent(
-                    self.state, applied, sort, restriction, det.head_occ)
+                self._register(applied, sort, restriction, det.head_occ)
                 return value
             term = ref.term
             want = sort.name if isinstance(sort, BaseSort) else str(sort)
@@ -429,3 +462,7 @@ class _Composer:
             return _Value(term, type_of(self.ctx, term), value.head_word,
                           value.head_occ, value.head_entry)
         return value  # universal: no referent introduced
+
+    def _register(self, *args):
+        self.state = disc.register_referent(self.state, *args)
+        self.log.append(("register", args, None))

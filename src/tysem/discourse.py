@@ -13,7 +13,11 @@ new state.
 Besides the referents in order, a state indexes the newest referent of each
 sort and of each (sort, restriction) pair, so resolving a pronoun or a
 definite is a dictionary lookup whatever the number of referents; only the
-coercion tier scans, over one referent per sort.
+coercion tier scans, over one referent per sort.  A state keeps its
+referents as a chain, newest first, that it shares with the state it
+extends, so a registration costs the same however many referents came
+before; only the index maps, one entry per sort and per distinct
+restriction, are copied.
 """
 
 from __future__ import annotations
@@ -44,26 +48,52 @@ class Referent:
         object.__setattr__(self, "key", canon(self.predicate))
 
 
-@dataclass(frozen=True)
 class DiscourseState:
-    referents: tuple[Referent, ...] = ()
-    # derived from `referents`: the newest referent of each sort, oldest
-    # sort first, and of each (sort, restriction key) pair
-    newest: dict[str, Referent] = field(default=None, compare=False,
-                                        repr=False)
-    newest_by_key: dict[tuple[str, Term], Referent] = field(
-        default=None, compare=False, repr=False)
+    """The referents in order of introduction, and the index maps derived
+    from them: the newest referent of each sort, oldest sort first, and of
+    each (sort, restriction key) pair.  Immutable; equal when the referents
+    are."""
 
-    def __post_init__(self):
-        if self.newest is None:
-            newest, by_key = {}, {}
-            for ref in self.referents:
-                _index(newest, by_key, ref)
-            object.__setattr__(self, "newest", newest)
-            object.__setattr__(self, "newest_by_key", by_key)
+    __slots__ = ("_chain", "_size", "_referents", "newest", "newest_by_key")
+
+    def __init__(self, referents: tuple[Referent, ...] = ()):
+        chain, newest, by_key = None, {}, {}
+        for ref in referents:
+            chain = (ref, chain)
+            _index(newest, by_key, ref)
+        _fill(self, chain, len(referents), tuple(referents), newest, by_key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a DiscourseState is immutable")
+
+    @property
+    def referents(self) -> tuple[Referent, ...]:
+        if self._referents is None:  # worked out once per state
+            object.__setattr__(self, "_referents",
+                               tuple(reversed(list(self.newest_first()))))
+        return self._referents
 
     def newest_first(self):
-        return reversed(self.referents)
+        chain = self._chain
+        while chain is not None:
+            ref, chain = chain
+            yield ref
+
+    def __eq__(self, other):
+        if not isinstance(other, DiscourseState):
+            return NotImplemented
+        return self.referents == other.referents
+
+    def __hash__(self):
+        return hash(self.referents)
+
+    def __repr__(self):
+        return f"DiscourseState(referents={self.referents!r})"
+
+
+def _fill(state: DiscourseState, *values):
+    for name, value in zip(DiscourseState.__slots__, values):
+        object.__setattr__(state, name, value)
 
 
 def _index(newest: dict, by_key: dict, ref: Referent):
@@ -76,11 +106,12 @@ def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
                       predicate: Term, source: str) -> DiscourseState:
     """Append a referent; the newest one is the most salient.  Registration
     is by token: composing the same sentence twice yields two referents."""
-    ref = Referent(len(state.referents), eps_term, _sort_name(sort),
-                   predicate, source)
+    ref = Referent(state._size, eps_term, _sort_name(sort), predicate, source)
     newest, by_key = dict(state.newest), dict(state.newest_by_key)
     _index(newest, by_key, ref)
-    return DiscourseState(state.referents + (ref,), newest, by_key)
+    out = object.__new__(DiscourseState)
+    _fill(out, (ref, state._chain), state._size + 1, None, newest, by_key)
+    return out
 
 
 def resolve_definite(state: DiscourseState, sort: Type | str, predicate: Term,
@@ -127,7 +158,7 @@ def resolve_pronoun(state: DiscourseState,
     """
     want = None if requested_sort is None else _sort_name(requested_sort)
     if want is None:
-        ref = state.referents[-1] if state.referents else None
+        ref = next(state.newest_first(), None)
     else:
         ref = state.newest.get(want)
     if ref is not None:

@@ -88,10 +88,31 @@ class Pred(Formula):
     args: tuple[LTerm, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
+
+    # `==` and `hash` loop down the left spine, which grows with a
+    # discourse; generated ones would recurse along it
+    def __eq__(self, other):
+        if type(other) is not And:
+            return NotImplemented
+        a, b = self, other
+        while a.right == b.right:
+            a, b = a.left, b.left
+            if a is b:
+                return True
+            if type(a) is not And or type(b) is not And:
+                return a == b
+        return False
+
+    def __hash__(self):
+        f, h = self, 0
+        while type(f.left) is And:
+            h = hash((h, f.right))
+            f = f.left
+        return hash((h, f.left, f.right))
 
 
 @dataclass(frozen=True)

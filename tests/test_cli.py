@@ -6,12 +6,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tysem.cli import (AnalysisOptions, _json_report, _sexpr_report,
-                       _text_report, analyze_tree, main)
+                       _text_report, analyze_tree, discourse_formula, main)
 from tysem.composer import parse_tree
 from tysem.discourse import DiscourseState
+from tysem.errors import TysemError
 from tysem.kernel import reduction_steps
+from tysem.lexicon import load_lexicon
 
 LEXICA = "lexica"
 
@@ -218,7 +222,7 @@ def test_long_session_without_presuppositions_rewrites_nothing(capsys,
 
 
 # ---------------------------------------------------------------------------
-# the per-run sentence cache
+# the per-run store of compositions, replayed against each new state
 
 
 # distinct verbs, indefinites, pronouns, definites that resolve, one that
@@ -250,23 +254,27 @@ def test_sentence_cache_matches_fresh_analysis(family, mode, rewrite, trace,
     first, *rest = CACHE_SENTENCES[family]
     rng = random.Random(5)
     options = AnalysisOptions(mode, rewrite=rewrite, trace=trace)
-    state, cache, results = DiscourseState(), {}, []
+    state, store, results = DiscourseState(), {}, []
     for text in [first] + [rng.choice((first, *rest)) for _ in range(60)]:
         tree = parse_tree(text)
-        shared, after = analyze_tree(lex, tree, state, options, cache)
+        shared, after = analyze_tree(lex, tree, state, options, store)
         fresh, fresh_after = analyze_tree(lex, tree, state, options, {})
         assert shared == fresh  # every field but the printed lines
         assert after == fresh_after
-        assert shared.printed is cache[shared.term].printed
+        assert _stored(store, shared)
         # print the shared analysis twice: the second report comes from the
-        # cache entry whichever sentence filled it
+        # stored analysis whichever sentence filled it
         assert _reports(shared, options) == _reports(fresh, options)
         assert _reports(shared, options) == _reports(fresh, options)
         results.append(shared)
         state = after
-    assert len(cache) < len(results)
-    # every sentence after the first of its term was served from the cache
-    assert all(r.printed is cache[r.term].printed for r in results)
+    assert sum(map(len, store.values())) < len(results)
+    # every sentence was served by the analysis stored for its tree
+    assert all(_stored(store, r) for r in results)
+
+
+def _stored(store, r):
+    return any(r is seen for _, seen in store[r.tree])
 
 
 PANTHER_LEXICON = """
@@ -321,6 +329,73 @@ def test_sentence_cache_keeps_each_sentences_tree_and_coercions(capsys,
         {"le#2": [["panth_ani", "flexible"]]}]
     assert len({json.dumps({**s, "tree": 0, "coercions": 0})
                 for s in sentences[1:]}) == 1
+
+
+# Replay against fresh composition, which stays the oracle: sentence pools
+# with indefinites, pronouns, definites that resolve by restriction, by sort
+# (`le chien` after `un chat`) or through a coercion (`le animal` after
+# `une panthere`), universals, and sentences that fail: a pronoun with no
+# antecedent, a sort clash, a rigid coercion used twice, an unknown word.
+REPLAY_LEXICON = PANTHER_LEXICON + """
+(entry "un" (principal eps) (mode indefinite))
+(entry "tout" (principal tau) (mode universal))
+(pronoun "elle" ani)
+"""
+REPLAY_POOLS = {
+    "chat.lex": ("(dort (un chat))", "(aboie (le chien))", "(dort (le chat))",
+                 "(aboie (un chien))", "(dort (tout chat))",
+                 "(aboie (le chat))", "(dort (un zzz))"),
+    "homme.lex": ("(a_hurle (le homme))", "(est_entre (un homme))",
+                  "(a_hurle il)", "(est_entre il)", "(a_hurle (un homme))"),
+    "panth": ("(saute (une panthere))", "(dort (le animal))",
+              "(dort (une panthere))", "(saute (le panthere))",
+              "(dort elle)", "(dort (un animal))", "(saute (le animal))",
+              "(dort (tout animal))", "(saute elle)"),
+    "fig2.lex": ("((et est_vaste a_vote) Liverpool)",
+                 "((et a_gagne a_vote) Liverpool)", "(a_vote Liverpool)"),
+}
+REPLAY_LEXICA = {name: load_lexicon(REPLAY_LEXICON if name == "panth" else
+                                    (Path(LEXICA) / name).read_text())
+                 for name in REPLAY_POOLS}
+
+
+def _outcome(lex, tree, state, options, store):
+    try:
+        r, after = analyze_tree(lex, tree, state, options, store)
+    except TysemError as exc:
+        return type(exc), str(exc)
+    return r, after, _reports(r, options)
+
+
+@given(st.sampled_from(sorted(REPLAY_POOLS)), st.data(),
+       st.sampled_from(["separate", "conjoin", "off"]), st.booleans(),
+       st.booleans(), st.sampled_from(["ascii", "unicode"]))
+def test_replay_matches_fresh_composition(family, data, mode, rewrite,
+                                          trace, style):
+    lex = REPLAY_LEXICA[family]
+    texts = data.draw(st.lists(st.sampled_from(REPLAY_POOLS[family]),
+                               min_size=1, max_size=30))
+    options = AnalysisOptions(mode, rewrite, trace, style)
+    state, store, shared_results, fresh_results = DiscourseState(), {}, [], []
+    for text in texts:
+        tree = parse_tree(text)
+        shared = _outcome(lex, tree, state, options, store)
+        fresh = _outcome(lex, tree, state, options, {})
+        # every AnalysisResult field, the three reports and the next state,
+        # or the exception class and message
+        assert shared == fresh
+        if len(shared) == 3:
+            shared_results.append(shared[0])
+            fresh_results.append(fresh[0])
+            state = shared[1]
+    if shared_results:
+        assert discourse_formula(shared_results, options) == \
+            discourse_formula(fresh_results, options)
+    # each stored composition against an empty discourse, where a pronoun
+    # read fails and a definite gets no answer
+    for tree in store:
+        assert _outcome(lex, tree, DiscourseState(), options, store) == \
+            _outcome(lex, tree, DiscourseState(), options, {})
 
 
 def test_sentence_cache_lives_for_one_run(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tysem.composer import compose, parse_tree
-from tysem.discourse import (DiscourseState, coercion_between,
+from tysem.discourse import (DiscourseState, Referent, coercion_between,
                              register_referent, resolve_definite,
                              resolve_pronoun)
 from tysem.errors import NoAntecedent
@@ -251,3 +252,35 @@ def test_coercion_tier_prefers_the_newest_reachable_sort():
                               "un#1")
     assert resolve_definite(state, "Pl", pred, REGISTRY_LEXICON) is \
         state.referents[4]
+
+
+def _registration_bytes(state):
+    """Peak bytes allocated by one registration onto `state`."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        after = register_referent(state, Const("x", BaseSort("T")), "T",
+                                  RESTRICTIONS[0], "un#1")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert after.referents[:-1] == state.referents
+    return peak
+
+
+def test_registration_does_not_grow_with_the_session():
+    # A state shares its older referents with the state it extends; only
+    # the index maps are copied, one entry per sort and per distinct
+    # restriction.  Both sizes below index every (sort, restriction) pair.
+    preds = [RESTRICTIONS[j] for j in (0, 3, 5)]  # constants: cheap keys
+    refs = tuple(Referent(i, Const(f"r{i}", BaseSort(SORTS[i % 4])),
+                          SORTS[i % 4], preds[i % 3], f"un#{i}")
+                 for i in range(50_000))
+    state = DiscourseState(refs)
+    small = _registration_bytes(DiscourseState(refs[:12]))
+    large = _registration_bytes(state)
+    empty = _registration_bytes(DiscourseState())
+    assert large < small + 512  # copying the referents would be 400 kB
+    assert large < empty + 4096
+    with pytest.raises(AttributeError):
+        state.newest = {}

@@ -6,8 +6,9 @@ name per command (its argv, with `@name` for a generated session file) to
 the sha256 of its exit code, stdout and stderr.  The commands are the README
 commands, every tree and flag combination of `perfbench/expected/oneshot.json`,
 40-sentence `homme` and `chat` sessions in every format, presupposition mode
-and flag set, and `eval --equiv` on the paper's pairs and on inputs that
-it rejects.
+and flag set, sessions in which a repeated sentence meets another discourse
+(so a replayed composition must miss), and `eval --equiv` on the paper's
+pairs and on inputs that it rejects.
 
 Regenerate the file only on a commit whose outputs are known to be right:
 
@@ -94,6 +95,32 @@ def session_commands() -> list[list[str]]:
             for flags in SESSION_FLAGS]
 
 
+# Repeated sentences whose discourse reads change answer: `(aboie (le
+# chien))` resolves by sort to the chat, then by restriction once `(un
+# chien)` has come; the homme session opens with a definite that registers
+# its own referent, which `il` copies until `(un homme)` comes.
+MISS_SESSIONS = {
+    "chatmiss": ["(dort (un chat))", "(aboie (le chien))",
+                 "(aboie (le chien))", "(dort (un chien))",
+                 "(aboie (le chien))", "(dort (un chat))",
+                 "(aboie (le chien))", "(dort (le chat))",
+                 "(aboie (un chien))", "(aboie (le chien))"],
+    "hommemiss": ["(a_hurle (le homme))", "(est_entre il)",
+                  "(a_hurle (le homme))", "(est_entre (un homme))",
+                  "(est_entre il)", "(a_hurle (le homme))",
+                  "(est_entre (un homme))", "(a_hurle il)",
+                  "(est_entre il)", "(a_hurle (le homme))"],
+}
+
+
+def miss_commands() -> list[list[str]]:
+    return [["analyze", "--lexicon", f"lexica/{name[:-4]}.lex",
+             "--session", f"@{name}", "--format", fmt] + flags
+            for name in MISS_SESSIONS
+            for fmt in ("text", "sexpr", "json")
+            for flags in ([], ["--rewrite"])]
+
+
 PAPER_PAIRS = [
     ("(P (eps s x (P x)))", "(exists (x s) (P x))"),
     ("(P (tau s x (P x)))", "(forall (x s) (P x))"),
@@ -136,7 +163,7 @@ def equiv_commands() -> list[list[str]]:
 
 def commands() -> dict[str, list[str]]:
     every = README + oneshot_commands() + session_commands() + \
-        equiv_commands()
+        miss_commands() + equiv_commands()
     named = {" ".join(argv): argv for argv in every}
     assert len(named) == len(every), "two commands share a name"
     return named
@@ -154,6 +181,10 @@ def digests() -> dict[str, str]:
             path.write_text("\n".join(session_lines(family)) + "\n",
                             encoding="utf-8")
             files[f"@{family}40"] = str(path)
+        for name, lines in MISS_SESSIONS.items():
+            path = Path(tmp) / f"{name}.session"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            files[f"@{name}"] = str(path)
         os.chdir(REPO)
         try:
             for name, argv in commands().items():

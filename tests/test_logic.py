@@ -537,10 +537,18 @@ def long_discourse():
 
 def test_walkers_take_a_long_discourse():
     f, parts = long_discourse()
-    # `==` on two whole discourses would recurse, so compare conjuncts
     assert flatten_and(canon_formula(f)) == [
         Pred(p, (Eps(m, "s", f"!q{i}", Pred(r, (LVar(f"!q{i}", "s"),))),))
         for i, (p, r, m) in enumerate(parts)]
+    # `==` and `hash` on two whole discourses, built apart
+    g, _ = long_discourse()
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f == And(f.left, f.right)  # a shared spine
+    assert formula_alpha_eq(f, g)
+    first, *rest = flatten_and(g)
+    h = conjoin([Pred("S", first.args)] + rest)
+    assert f != h and not formula_alpha_eq(f, h)
+    assert f != conjoin(rest) and f != And(f, first)
     assert free_formula_vars(f) == set()
     doc, depth = formula_to_json(f), 0
     while doc["node"] == "and":
