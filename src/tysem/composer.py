@@ -6,10 +6,13 @@ functions by first-order matching and repairing sort clashes with the
 argument head word's declared coercions.  Rigid coercions exclude any other
 coercion of the same word occurrence within the composed sentence.
 
-Two departures from naive application make the polymorphic lexicon work:
+Every application takes one path: the function starts as a `_Pending`
+whose type slots are its leading Pi variables, and an arrow-typed function
+is the case with no type slots.  Two departures from naive application make
+the polymorphic lexicon work:
 
 * a function whose leading Pi variables are not all determined by the first
-  argument stays "pending" until later arguments fix them, at which point
+  argument stays pending until later arguments fix them, at which point
   the type applications and the queued arguments are emitted in the order
   the function's type prescribes;
 * when an argument fills a bare type-variable slot and the function then
@@ -132,10 +135,10 @@ def _match_type(pattern: Type, concrete: Type, bindable: frozenset[str],
                     and _match_type(dom, concrete.dom, bindable, subst)
                     and _match_type(cod, concrete.cod, bindable, subst))
         case Pi(var, body):
-            if not isinstance(concrete, Pi):
-                return False
-            renamed = subst_type(concrete.body, concrete.var, TypeVar(var))
-            return _match_type(body, renamed, bindable - {var}, subst)
+            # binder names count, as in the kernel's `==` on types
+            return (isinstance(concrete, Pi) and concrete.var == var
+                    and _match_type(body, concrete.body, bindable - {var},
+                                    subst))
     return False
 
 
@@ -192,10 +195,14 @@ class _Value:
 
 @dataclass
 class _Pending:
-    """A polymorphic function whose leading Pi variables are not all fixed.
+    """A function in the middle of application.
 
-    `slots` records, in the order the type prescribes, the type applications
-    and term arguments to emit once every variable is bound.
+    Every application starts as one: a composed function is wrapped with
+    no slots.  An arrow-typed function is the case with no type slots and
+    completes on its first argument; a polymorphic one stays pending while
+    some leading Pi variable is unbound.  `slots` records, in the order the
+    type prescribes, the type applications and term arguments to emit once
+    every variable is bound.
     """
     head: Term
     slots: list[tuple[str, object]]
@@ -295,40 +302,14 @@ class _Composer:
 
     # -- application
 
-    def _apply(self, fun, arg) -> _Value | _Pending:
+    def _apply(self, fun: _Value | _Pending, arg) -> _Value | _Pending:
         if isinstance(arg, _Pending):
             raise CompositionError(
                 f"argument '{arg.head_word}' has undetermined type "
                 f"variables {', '.join(arg.pending_vars())}")
-        if isinstance(fun, _Pending):
-            return self._apply_pending(fun, arg)
-        if isinstance(fun.type, Pi):
-            pending = _Pending(fun.term, [], {}, fun.type, fun.head_word,
-                               fun.head_occ, fun.head_entry)
-            return self._apply_pending(pending, arg, determiner_from=fun)
-        if isinstance(fun.type, Arrow):
-            return self._apply_plain(fun, arg)
-        raise TypeClash("a function type", fun.type,
-                        fun_word=fun.head_word, arg_word=arg.head_word)
-
-    def _apply_plain(self, fun: _Value, arg: _Value) -> _Value:
-        wanted, result = fun.type.dom, fun.type.cod
-        if arg.type == wanted:
-            term = App(fun.term, arg.term)
-        else:
-            try:
-                coerced = insert_coercions(arg.term, arg.type, wanted,
-                                           arg.head_entry, self.report,
-                                           arg.head_occ)
-            except NoCoercionPath as exc:
-                raise TypeClash(wanted, arg.type, fun_word=fun.head_word,
-                                arg_word=arg.head_word) from exc
-            term = App(fun.term, coerced)
-        word, occ, entry = self._node_head(fun, arg)
-        return _Value(term, result, word, occ, entry)
-
-    def _apply_pending(self, fun: _Pending, arg: _Value,
-                       determiner_from: _Value | None = None):
+        if isinstance(fun, _Value):
+            fun = _Pending(fun.term, [], {}, fun.type, fun.head_word,
+                           fun.head_occ, fun.head_entry)
         body = _apply_subst(fun.body, fun.bindings)
         slots = list(fun.slots)
         while isinstance(body, Pi):
@@ -377,9 +358,7 @@ class _Composer:
 
         word, occ, entry = self._node_head(fun, arg)
         value = _Value(term, rest, word, occ, entry)
-        if determiner_from is not None:
-            value = self._notify_determiner(determiner_from, arg, value)
-        return value
+        return self._notify_determiner(fun, value)
 
     def _coerce_open(self, domain: Type, arg: _Value,
                      bindable: frozenset[str], bindings: TypeSubstitution,
@@ -421,7 +400,7 @@ class _Composer:
 
     # -- heads and determiners
 
-    def _node_head(self, fun: _Value | _Pending, arg: _Value):
+    def _node_head(self, fun: _Pending, arg: _Value):
         """Referent head of a composed node: the noun under a determiner,
         otherwise the function's head."""
         if (fun.head_entry is not None
@@ -429,9 +408,9 @@ class _Composer:
             return arg.head_word, arg.head_occ, arg.head_entry
         return fun.head_word, fun.head_occ, fun.head_entry
 
-    def _notify_determiner(self, det: _Value, arg: _Value,
-                           value: _Value) -> _Value:
-        """A determiner just combined with its restriction: tell the
+    def _notify_determiner(self, det: _Pending, value: _Value) -> _Value:
+        """If `det` is a determiner, it just combined with its restriction
+        (a choice constant completes on its first argument): tell the
         discourse registry."""
         mode = det.head_entry.determiner_mode if det.head_entry else "none"
         if mode == "none" or not isinstance(value.term, App):

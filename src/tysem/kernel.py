@@ -6,6 +6,11 @@ constants make the calculus a glue language for a multisorted logic: `eps`,
 `ieps` and `tau` are the polymorphic choice operators used as determiners,
 `exists`/`forall` the classical quantifiers, plus the connectives.
 
+Types occur inside terms, as annotations: `free_tyvars`, `print_term` and
+`canon` each take a type or a term, in one `match`.  The substitutions,
+`free_vars` and the type checker stay hand-written: each treats binders in
+its own way, and they are the normalizer's and the checker's hot paths.
+
 Everything here is immutable and pure; the operations are safe to share
 across threads.
 """
@@ -77,16 +82,25 @@ def arrow(*types: Type) -> Type:
     return out
 
 
-def free_tyvars(ty: Type) -> frozenset[str]:
-    match ty:
+def free_tyvars(n: Type | Term) -> frozenset[str]:
+    """The type variables free in a type, or in a term's annotations: those
+    no enclosing `pi` or `tylam` binds."""
+    match n:
+        case BaseSort():
+            return frozenset()
         case TypeVar(name):
             return frozenset({name})
         case Arrow(dom, cod):
             return free_tyvars(dom) | free_tyvars(cod)
-        case Pi(var, body):
+        case Pi(var, body) | TyLam(var, body):
             return free_tyvars(body) - {var}
-        case _:
-            return frozenset()
+        case Var(_, ty) | Const(_, ty):
+            return free_tyvars(ty)
+        case App(fun, arg):
+            return free_tyvars(fun) | free_tyvars(arg)
+        case Lam(_, ty, body) | TyApp(body, ty):
+            return free_tyvars(ty) | free_tyvars(body)
+    raise AssertionError(n)
 
 
 def subst_type(ty: Type, var: str, repl: Type) -> Type:
@@ -311,33 +325,30 @@ def _term_of(e: SExpr, ctx: TypingContext, bound: dict[str, Type],
 # printing
 
 
-def type_to_sexpr(ty: Type) -> str:
-    match ty:
+def print_term(n: Type | Term) -> str:
+    """Render a type or a term back into the s-expression grammar that
+    parse_type and parse_term read.  Application spines are flattened:
+    ((f a) b) prints as (f a b).  The term cases come first: a type is
+    reached only at a `lam` or `tyapp` annotation."""
+    match n:
+        case Var(name) | Const(name):
+            return name
+        case App():
+            head, args = spine(n)
+            return f"({' '.join(map(print_term, [head, *args]))})"
+        case Lam(var, var_type, body):
+            return f"(lam {var} {print_term(var_type)} {print_term(body)})"
+        case TyApp(fun, ty):
+            return f"(tyapp {print_term(fun)} {print_term(ty)})"
+        case TyLam(tyvar, body):
+            return f"(tylam {tyvar} {print_term(body)})"
         case BaseSort(name) | TypeVar(name):
             return name
         case Arrow(dom, cod):
-            return f"(-> {type_to_sexpr(dom)} {type_to_sexpr(cod)})"
+            return f"(-> {print_term(dom)} {print_term(cod)})"
         case Pi(var, body):
-            return f"(pi {var} {type_to_sexpr(body)})"
-    raise AssertionError(ty)
-
-
-def print_term(term: Term) -> str:
-    """Render a term back into the s-expression grammar.  Application
-    spines are flattened: ((f a) b) prints as (f a b)."""
-    match term:
-        case Var(name, _) | Const(name, _):
-            return name
-        case Lam(var, var_type, body):
-            return f"(lam {var} {type_to_sexpr(var_type)} {print_term(body)})"
-        case TyLam(tyvar, body):
-            return f"(tylam {tyvar} {print_term(body)})"
-        case TyApp(fun, ty):
-            return f"(tyapp {print_term(fun)} {type_to_sexpr(ty)})"
-        case App():
-            head, args = spine(term)
-            return f"({' '.join(map(print_term, [head, *args]))})"
-    raise AssertionError(term)
+            return f"(pi {var} {print_term(body)})"
+    raise AssertionError(n)
 
 
 def spine(term: Term) -> tuple[Term, list[Term]]:
@@ -451,26 +462,11 @@ def subst_type_in_term(term: Term, var: str, repl: Type) -> Term:
         case TyLam(a, body):
             if a == var:
                 return term
-            if a in free_tyvars(repl):
-                fresh = _fresh_name(a, free_tyvars(repl) | _tyvars_in_term(body))
+            if a in free_tyvars(repl) and var in free_tyvars(body):
+                fresh = _fresh_name(a, free_tyvars(repl) | free_tyvars(body))
                 body = subst_type_in_term(body, a, TypeVar(fresh))
                 a = fresh
             return TyLam(a, subst_type_in_term(body, var, repl))
-    raise AssertionError(term)
-
-
-def _tyvars_in_term(term: Term) -> frozenset[str]:
-    match term:
-        case Var(_, ty) | Const(_, ty):
-            return free_tyvars(ty)
-        case App(fun, arg):
-            return _tyvars_in_term(fun) | _tyvars_in_term(arg)
-        case Lam(_, vty, body):
-            return free_tyvars(vty) | _tyvars_in_term(body)
-        case TyApp(fun, ty):
-            return _tyvars_in_term(fun) | free_tyvars(ty)
-        case TyLam(a, body):
-            return _tyvars_in_term(body) - {a}
     raise AssertionError(term)
 
 
@@ -559,55 +555,40 @@ def alpha_eq(a: Term, b: Term) -> bool:
     return canon(a) == canon(b)
 
 
-def canon(term: Term) -> Term:
-    return _canon(term, {}, {}, [0, 0])
+def canon(n: Type | Term) -> Type | Term:
+    """The representative of an alpha-equivalence class: each bound
+    variable is named after its binder depth (a de Bruijn level), a term
+    variable `!v<depth>`, a type variable bound by `tylam` or by `pi` in an
+    annotation `!a<depth>`.  Free names are kept."""
+    return _canon(n, {}, {}, 0)
 
 
-def _canon_ty(ty: Type, tmap: dict[str, str], counter: list[int]) -> Type:
-    match ty:
+def _canon(n: Type | Term, vmap: dict[str, str], tmap: dict[str, str],
+           depth: int) -> Type | Term:
+    match n:
+        case BaseSort():
+            return n
         case TypeVar(name):
             return TypeVar(tmap.get(name, name))
-        case Arrow(dom, cod):
-            return Arrow(_canon_ty(dom, tmap, counter),
-                         _canon_ty(cod, tmap, counter))
-        case Pi(var, body):
-            fresh = f"!t{counter[0]}"
-            counter[0] += 1
-            return Pi(fresh, _canon_ty(body, {**tmap, var: fresh}, counter))
-        case _:
-            return ty
-
-
-def _canon(term: Term, vmap: dict[str, str], tmap: dict[str, str],
-           counters: list[int]) -> Term:
-    tcounter = [counters[1]]
-
-    def cty(ty: Type) -> Type:
-        # bound type vars are renamed via tmap; Pi binders inside
-        # annotations are canonicalized independently
-        return _canon_ty(ty, tmap, tcounter)
-
-    match term:
+        case Arrow(fun, arg) | App(fun, arg):
+            return type(n)(_canon(fun, vmap, tmap, depth),
+                           _canon(arg, vmap, tmap, depth))
+        case Pi(var, body) | TyLam(var, body):
+            fresh = f"!a{depth}"
+            return type(n)(fresh, _canon(body, vmap, {**tmap, var: fresh},
+                                         depth + 1))
         case Var(name, ty):
-            return Var(vmap.get(name, name), cty(ty))
+            return Var(vmap.get(name, name), _canon(ty, vmap, tmap, depth))
         case Const(name, ty):
-            return Const(name, cty(ty))
-        case App(fun, arg):
-            return App(_canon(fun, vmap, tmap, counters),
-                       _canon(arg, vmap, tmap, counters))
+            return Const(name, _canon(ty, vmap, tmap, depth))
         case Lam(var, var_type, body):
-            fresh = f"!v{counters[0]}"
-            counters[0] += 1
-            new_ty = cty(var_type)
-            return Lam(fresh, new_ty,
-                       _canon(body, {**vmap, var: fresh}, tmap, counters))
+            fresh = f"!v{depth}"
+            return Lam(fresh, _canon(var_type, vmap, tmap, depth),
+                       _canon(body, {**vmap, var: fresh}, tmap, depth + 1))
         case TyApp(fun, ty):
-            return TyApp(_canon(fun, vmap, tmap, counters), cty(ty))
-        case TyLam(a, body):
-            fresh = f"!a{counters[1]}"
-            counters[1] += 1
-            return TyLam(fresh, _canon(body, vmap, {**tmap, a: fresh}, counters))
-    raise AssertionError(term)
+            return TyApp(_canon(fun, vmap, tmap, depth),
+                         _canon(ty, vmap, tmap, depth))
+    raise AssertionError(n)
 
 
 # ---------------------------------------------------------------------------

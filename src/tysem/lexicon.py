@@ -28,7 +28,7 @@ from . import kernel
 from .errors import LexiconError, NotFound, ParseError, UnknownSort
 from .kernel import (Arrow, BaseSort, CHOICE_CONSTANTS, Const, Term, Type,
                      TypingContext, alpha_eq, free_vars, parse_type,
-                     print_term, term_of_sexpr, type_of, type_to_sexpr)
+                     print_term, term_of_sexpr, type_of)
 from .sexpr import Atom, SList, expect_atom, expect_list, read_all
 
 RIGID = "rigid"
@@ -275,12 +275,12 @@ def print_lexicon(lex: Lexicon) -> str:
     for name, ty in lex.constants.items():
         if name in option_consts:
             continue  # recreated from the option clause on reload
-        lines.append(f"(const {name} {type_to_sexpr(ty)})")
+        lines.append(f"(const {name} {print_term(ty)})")
     for entry in lex.entries.values():
         parts = [f'(entry "{entry.word}"',
                  f"(principal {print_term(entry.principal)})"]
         for o in entry.options:
-            opt = f"(option {o.label} {type_to_sexpr(Arrow(o.source, o.target))} {o.rigidity}"
+            opt = f"(option {o.label} {print_term(Arrow(o.source, o.target))} {o.rigidity}"
             if not (isinstance(o.term, Const) and o.term.name == o.label):
                 opt += f" {print_term(o.term)}"
             parts.append(opt + ")")

@@ -71,6 +71,33 @@ def test_analyze_type_clash_exit_code(capsys, tmp_path):
     assert "aboie" in err and "chaise" in err
 
 
+PI_DOMAIN_LEXICON = """
+(sort T)
+(const ville T)
+(entry "ville" (principal ville))
+(const f (-> (pi a (-> a a)) t))
+(entry "f" (principal f))
+(const h (pi c (-> (pi a (-> a a)) (-> c t))))
+(entry "h" (principal h))
+(entry "g" (principal (tylam b (lam x b x))))
+"""
+
+
+@pytest.mark.parametrize("tree", ["(f g)", "(h g)", "((h g) ville)"])
+def test_pi_domain_meeting_an_alpha_variant_names_both_words(capsys,
+                                                              tmp_path, tree):
+    # binder names count when a Pi domain is matched, as in the kernel's
+    # type equality; the clash is reported where the two words meet
+    lex = tmp_path / "pi.lex"
+    lex.write_text(PI_DOMAIN_LEXICON)
+    code, out, err = run(capsys, "analyze", "--lexicon", str(lex),
+                         "--tree", tree)
+    fun = tree.strip("(").split()[0]
+    assert (code, out, err) == (2, "", (
+        "error: type clash: expected pi a. a -> a, found pi b. b -> b "
+        f"('{fun}' applied to 'g')\n"))
+
+
 def test_analyze_io_error(capsys):
     code, _, err = run(capsys, "analyze", "--lexicon", "no-such-file.lex",
                        "--tree", "(a b)")

@@ -2,13 +2,22 @@
 when `tests/golden.json` was written.
 
 Each command runs through `cli.main` in-process.  The file maps a stable
-name per command (its argv, with `@name` for a generated session file) to
-the sha256 of its exit code, stdout and stderr.  The commands are the README
-commands, every tree and flag combination of `perfbench/expected/oneshot.json`,
-40-sentence `homme` and `chat` sessions in every format, presupposition mode
-and flag set, sessions in which a repeated sentence meets another discourse
-(so a replayed composition must miss), and `eval --equiv` on the paper's
-pairs and on inputs that it rejects.
+name per command (its argv, with `@name` for a generated session or lexicon
+file) to the sha256 of its exit code, stdout and stderr.  The commands are:
+
+- the README commands;
+- every tree and flag combination of `perfbench/expected/oneshot.json`;
+- every tree of two or three leaves over `lexica/fig2.lex`'s five words,
+  which pins each error they reach: a non-function applied, a sort clash,
+  type variables left undetermined, and a sentence not of type t (the
+  README's four-leaf tree pins the rigidity error);
+- trees over a generated lexicon whose coercions are ambiguous and whose
+  functions take Pi types;
+- 40-sentence `homme` and `chat` sessions in every format, presupposition
+  mode and flag set;
+- sessions in which a repeated sentence meets another discourse (so a
+  replayed composition must miss);
+- `eval --equiv` on the paper's pairs and on inputs that it rejects.
 
 Regenerate the file only on a commit whose outputs are known to be right:
 
@@ -62,6 +71,48 @@ def oneshot_commands() -> list[list[str]]:
                     "--format", fmt, "--presuppositions", mode]
                    + (["--rewrite"] if rewrite else []))
     return out
+
+
+FIG2_WORDS = ("Liverpool", "est_vaste", "a_vote", "a_gagne", "et")
+
+
+def fig2_tree_commands() -> list[list[str]]:
+    """Every tree of two or three leaves over fig2's words: (a b),
+    ((a b) c) and (a (b c))."""
+    w = FIG2_WORDS
+    trees = [f"({a} {b})" for a, b in itertools.product(w, w)]
+    trees += [t for a, b, c in itertools.product(w, w, w)
+              for t in (f"(({a} {b}) {c})", f"({a} ({b} {c}))")]
+    return [["analyze", "--lexicon", "lexica/fig2.lex", "--tree", tree]
+            for tree in trees]
+
+
+# Errors no file under lexica/ reaches: a coercion choice that is ambiguous
+# for a monomorphic and for a polymorphic function, and Pi-typed domains
+# that meet an alpha-variant or an equal type.
+INLINE_LEXICA = {
+    "piambig": """
+(sort T) (sort P)
+(const ville T)
+(entry "ville" (principal ville)
+  (option u1 (-> T P) flexible)
+  (option u2 (-> T P) flexible))
+(const grand (-> P t))
+(entry "grand" (principal grand))
+(const compte (pi a (-> P (-> a t))))
+(entry "compte" (principal compte))
+(const f (-> (pi a (-> a a)) t))
+(entry "f" (principal f))
+(entry "g" (principal (tylam b (lam x b x))))
+(entry "g2" (principal (tylam a (lam x a x))))
+""",
+}
+
+
+def inline_lexicon_commands() -> list[list[str]]:
+    return [["analyze", "--lexicon", "@piambig", "--tree", tree]
+            for tree in ("(grand ville)", "(compte ville)", "(f g)",
+                         "(f g2)")]
 
 
 def session_lines(family: str) -> list[str]:
@@ -162,8 +213,9 @@ def equiv_commands() -> list[list[str]]:
 
 
 def commands() -> dict[str, list[str]]:
-    every = README + oneshot_commands() + session_commands() + \
-        miss_commands() + equiv_commands()
+    every = README + oneshot_commands() + fig2_tree_commands() + \
+        inline_lexicon_commands() + session_commands() + miss_commands() + \
+        equiv_commands()
     named = {" ".join(argv): argv for argv in every}
     assert len(named) == len(every), "two commands share a name"
     return named
@@ -184,6 +236,10 @@ def digests() -> dict[str, str]:
         for name, lines in MISS_SESSIONS.items():
             path = Path(tmp) / f"{name}.session"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            files[f"@{name}"] = str(path)
+        for name, text in INLINE_LEXICA.items():
+            path = Path(tmp) / f"{name}.lex"
+            path.write_text(text, encoding="utf-8")
             files[f"@{name}"] = str(path)
         os.chdir(REPO)
         try:

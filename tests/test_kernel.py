@@ -4,9 +4,10 @@ from tysem import kernel
 from tysem.errors import (StepBudgetExceeded, ParseError, TyLamEscape,
                           TypeClash, UnboundName, UnknownSort)
 from tysem.kernel import (App, Arrow, BaseSort, Const, E, Lam, Pi, T, TyApp,
-                          TyLam, TypeVar, TypingContext, Var, alpha_eq,
-                          free_vars, is_normal, nodes, normalize, parse_term,
-                          print_term, reduction_steps, subst_term, type_of)
+                          TyLam, TypeVar, TypingContext, Var, alpha_eq, arrow,
+                          canon, free_tyvars, free_vars, is_normal, nodes,
+                          normalize, parse_term, print_term, reduction_steps,
+                          subst_term, subst_type_in_term, type_of)
 
 ANI = BaseSort("ani")
 FURN = BaseSort("furniture")
@@ -272,3 +273,98 @@ def test_type_substitution_avoids_capture(ctx):
     assert ty.body.var != "b"  # renamed inner binder
     normal = normalize(term)
     assert type_of(ctx, normal) == ty
+
+
+# ---------------------------------------------------------------------------
+# the walkers over types inside terms
+
+
+def test_type_substitution_renames_past_free_annotation_variables():
+    # b := a under (tylam a ...) renames the binder; a1 is free in the
+    # body's annotations, so the fresh name must skip it
+    a, a1, b = TypeVar("a"), TypeVar("a1"), TypeVar("b")
+    term = TyLam("a", Var("x", arrow(a1, a, b)))
+    assert subst_type_in_term(term, "b", a) == \
+        TyLam("a2", Var("x", arrow(a1, TypeVar("a2"), a)))
+
+
+def test_free_tyvars_of_types():
+    a, b = TypeVar("a"), TypeVar("b")
+    assert free_tyvars(T) == frozenset()
+    assert free_tyvars(arrow(a, b, T)) == {"a", "b"}
+    assert free_tyvars(Pi("a", Arrow(a, b))) == {"b"}
+    assert free_tyvars(Pi("a", Pi("b", Arrow(a, b)))) == frozenset()
+
+
+def test_alpha_eq_renames_pi_binders_in_annotations():
+    a = parse_term("(lam x (pi a (-> a a)) x)")
+    assert alpha_eq(a, parse_term("(lam y (pi b (-> b b)) y)"))
+    assert not alpha_eq(a, parse_term("(lam x (pi b (-> b t)) x)"))
+    poly = Var("f", Pi("a", Arrow(TypeVar("a"), T)))
+    assert alpha_eq(poly, Var("f", Pi("c", Arrow(TypeVar("c"), T))))
+    assert canon(TyLam("b", poly)) == canon(TyLam("a", Var(
+        "f", Pi("b", Arrow(TypeVar("b"), T)))))
+
+
+def test_print_term_every_form(ctx):
+    a = TypeVar("a")
+    cases = {
+        Var("x", ANI): "x",
+        Const("fido", ANI): "fido",
+        App(App(Var("f", arrow(ANI, ANI, T)), Var("x", ANI)),
+            Const("fido", ANI)): "(f x fido)",
+        App(Var("g", Arrow(ANI, T)), App(Var("h", Arrow(ANI, ANI)),
+                                         Var("x", ANI))): "(g (h x))",
+        Lam("x", ANI, Var("x", ANI)): "(lam x ani x)",
+        Lam("x", a, Var("x", a)): "(lam x a x)",
+        Lam("p", arrow(ANI, ANI, T), Var("p", arrow(ANI, ANI, T))):
+            "(lam p (-> ani (-> ani t)) p)",
+        Lam("p", Arrow(Arrow(ANI, ANI), T), Var("p", ANI)):
+            "(lam p (-> (-> ani ani) t) p)",
+        Lam("f", Pi("a", Arrow(a, a)), Var("f", T)):
+            "(lam f (pi a (-> a a)) f)",
+        TyLam("a", Lam("x", a, Var("x", a))): "(tylam a (lam x a x))",
+        TyApp(Const("eps", kernel.CHOICE_TYPE), ANI): "(tyapp eps ani)",
+        TyApp(Var("k", Pi("a", a)), Pi("b", Arrow(TypeVar("b"), T))):
+            "(tyapp k (pi b (-> b t)))",
+    }
+    assert [print_term(term) for term in cases] == list(cases.values())
+
+
+def test_walkers_take_a_type_or_a_term():
+    a, b, c = TypeVar("a"), TypeVar("b"), TypeVar("c")
+    poly = Pi("a", Arrow(a, b))
+    term = TyLam("a", Lam("f", poly, TyApp(Var("g", Pi("c", c)),
+                                          Arrow(a, TypeVar("d")))))
+    assert free_tyvars(term) == {"b", "d"}
+    assert free_tyvars(App(Const("k", Arrow(a, T)), Var("y", c))) == \
+        {"a", "c"}
+    assert print_term(poly) == "(pi a (-> a b))"
+    assert print_term(Arrow(Arrow(a, T), Pi("c", c))) == \
+        "(-> (-> a t) (pi c c))"
+    assert canon(poly) == Pi("!a0", Arrow(TypeVar("!a0"), b))
+    assert canon(term) == TyLam("!a0", Lam(
+        "!v1", Pi("!a1", Arrow(TypeVar("!a1"), b)),
+        TyApp(Var("g", Pi("!a2", TypeVar("!a2"))),
+              Arrow(TypeVar("!a0"), TypeVar("d")))))
+
+
+def test_canon_names_binders_by_depth_under_shadowing():
+    # the innermost a and b are distinct binders at depths 1 and 2 in both
+    a, b, c = TypeVar("a"), TypeVar("b"), TypeVar("c")
+    shadowed = TyLam("a", TyLam("a", TyLam("b", Var("x", Arrow(a, b)))))
+    distinct = TyLam("a", TyLam("c", TyLam("b", Var("x", Arrow(c, b)))))
+    assert alpha_eq(shadowed, distinct)
+    assert not alpha_eq(shadowed, TyLam("a", TyLam("c", TyLam(
+        "b", Var("x", Arrow(a, b))))))
+
+
+def test_type_substitution_renames_a_binder_only_when_needed():
+    # (tyapp (tylam a1 (tylam a (lam x a x))) a): a1 does not occur, so the
+    # inner binder needs no renaming, and renaming it to a1 would capture
+    a = TypeVar("a")
+    inner = TyLam("a", Lam("x", a, Var("x", a)))
+    assert subst_type_in_term(inner, "a1", a) == inner
+    term = TyLam("a", TyApp(TyLam("a1", inner), a))
+    ctx = TypingContext.default()
+    assert type_of(ctx, normalize(term)) == type_of(ctx, term)

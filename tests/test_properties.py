@@ -4,10 +4,18 @@ The acceptance module runs the same properties at the sizes the project
 commits to; these use different seeds for extra coverage.
 """
 
+import itertools
+
+from hypothesis import given
+from hypothesis import strategies as st
+
 from generators import FORMULA_CONSTANTS, FormulaGen, TermGen, \
     generator_context
-from tysem.kernel import T, alpha_eq, normalize, type_of
+from tysem.kernel import (App, Arrow, BaseSort, Const, Lam, Pi, T, TyApp,
+                          TyLam, TypeVar, Var, alpha_eq, canon, free_tyvars,
+                          nodes, normalize, parse_type, print_term, type_of)
 from tysem.logic import extract_formula, parse_formula, print_formula
+from tysem.sexpr import read_one
 
 
 def test_subject_reduction_random_terms():
@@ -64,3 +72,67 @@ def test_printing_is_injective_on_distinct_formulas():
         if text in seen:
             assert seen[text] == f
         seen[text] = f
+
+
+def renamed(n, fresh, vmap, tmap):
+    """`n` with every bound term and type variable, `pi` binders in
+    annotations included, renamed to the next name of `fresh`."""
+    match n:
+        case TypeVar(name):
+            return TypeVar(tmap.get(name, name))
+        case Arrow(dom, cod):
+            return Arrow(renamed(dom, fresh, vmap, tmap),
+                         renamed(cod, fresh, vmap, tmap))
+        case Pi(var, body):
+            new = next(fresh)
+            return Pi(new, renamed(body, fresh, vmap, {**tmap, var: new}))
+        case BaseSort():
+            return n
+        case Var(name, ty):
+            return Var(vmap.get(name, name), renamed(ty, fresh, vmap, tmap))
+        case Const(name, ty):
+            return Const(name, renamed(ty, fresh, vmap, tmap))
+        case App(fun, arg):
+            return App(renamed(fun, fresh, vmap, tmap),
+                       renamed(arg, fresh, vmap, tmap))
+        case Lam(var, ty, body):
+            new = next(fresh)
+            return Lam(new, renamed(ty, fresh, vmap, tmap),
+                       renamed(body, fresh, {**vmap, var: new}, tmap))
+        case TyApp(fun, ty):
+            return TyApp(renamed(fun, fresh, vmap, tmap),
+                         renamed(ty, fresh, vmap, tmap))
+        case TyLam(var, body):
+            new = next(fresh)
+            return TyLam(new, renamed(body, fresh, vmap, {**tmap, var: new}))
+    raise AssertionError(n)
+
+
+def annotations(term):
+    for n in nodes(term):
+        match n:
+            case Var(_, ty) | Const(_, ty) | Lam(_, ty, _) | TyApp(_, ty):
+                yield ty
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(seeds)
+def test_canon_is_idempotent_and_ignores_bound_names(seed):
+    term = TermGen(seed).random_term(7)
+    once = canon(term)
+    assert canon(once) == once
+    for prefix in ("r", "v"):  # "v" puts the generator's names elsewhere
+        fresh = (f"{prefix}{i}" for i in itertools.count())
+        other = renamed(term, fresh, {}, {})
+        assert canon(other) == once
+        assert alpha_eq(normalize(other), normalize(term))
+
+
+@given(seeds)
+def test_annotation_types_read_back(seed):
+    sorts = generator_context().sorts
+    for ty in annotations(TermGen(seed).random_term(7)):
+        text = print_term(ty)
+        assert parse_type(read_one(text), sorts, free_tyvars(ty)) == ty
