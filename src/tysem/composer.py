@@ -39,7 +39,7 @@ from .discourse import DiscourseState
 from .errors import (AmbiguousCoercion, CompositionError, NoAntecedent,
                      NoCoercionPath, RigidityViolation, ParseError, TypeClash)
 from .kernel import (App, Arrow, BaseSort, Const, Pi, Term, Type, TyApp,
-                     TypeVar, free_tyvars, subst_type, type_of)
+                     TypeVar, canon, free_tyvars, subst_type, type_of)
 from .lexicon import Coercion, LexEntry, Lexicon, lookup_entry
 from .sexpr import Atom, SExpr, read_one
 
@@ -47,15 +47,33 @@ from .sexpr import Atom, SExpr, read_one
 # syntactic trees
 
 
+# A tree keeps the hash it is built with: a session keys its stored
+# analyses by tree (see `cli.analyze_tree`), and a hash worked out on demand
+# would walk the whole tree at every sentence.
+
 @dataclass(frozen=True)
 class Leaf:
     word: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.word))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
 class Node:
     fun: "SynTree"
     arg: "SynTree"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.fun, self.arg)))
+
+    def __hash__(self):
+        return self._hash
 
 
 SynTree = Leaf | Node
@@ -264,7 +282,8 @@ def replay(log: list, state: DiscourseState,
             except NoAntecedent:
                 return None
         else:
-            ref = disc.resolve_definite(state, *args, lex)
+            sort, restriction, key = args
+            ref = disc.resolve_definite(state, sort, restriction, lex, key)
             got = None if ref is None else (ref.term, ref.sort)
         if not (got is answer or got == answer):
             return None
@@ -419,28 +438,31 @@ class _Composer:
         if not (isinstance(applied.fun, TyApp)
                 and isinstance(applied.fun.fun, Const)):
             return value
+        if mode == "universal":
+            return value  # no referent introduced
         sort = applied.fun.ty
         restriction = applied.arg
+        # the restriction's canonical form, worked out once and logged, so
+        # that a replay reuses it
+        key = canon(restriction)
         if mode == "indefinite":
-            self._register(applied, sort, restriction, det.head_occ)
+            self._register(applied, sort, restriction, det.head_occ, key)
             return value
-        if mode == "definite":
-            ref = disc.resolve_definite(self.state, sort, restriction,
-                                        self.lex)
-            self.log.append(("definite", (sort, restriction),
-                             None if ref is None else (ref.term, ref.sort)))
-            if ref is None:
-                self._register(applied, sort, restriction, det.head_occ)
-                return value
-            term = ref.term
-            want = sort.name if isinstance(sort, BaseSort) else str(sort)
-            if ref.sort != want:
-                option = disc.coercion_between(self.lex, ref.sort, want)
-                self.report.record(det.head_occ, det.head_word, option)
-                term = App(option.term, term)
-            return _Value(term, type_of(self.ctx, term), value.head_word,
-                          value.head_occ, value.head_entry)
-        return value  # universal: no referent introduced
+        ref = disc.resolve_definite(self.state, sort, restriction, self.lex,
+                                    key)
+        self.log.append(("definite", (sort, restriction, key),
+                         None if ref is None else (ref.term, ref.sort)))
+        if ref is None:
+            self._register(applied, sort, restriction, det.head_occ, key)
+            return value
+        term = ref.term
+        want = sort.name if isinstance(sort, BaseSort) else str(sort)
+        if ref.sort != want:
+            option = disc.coercion_between(self.lex, ref.sort, want)
+            self.report.record(det.head_occ, det.head_word, option)
+            term = App(option.term, term)
+        return _Value(term, type_of(self.ctx, term), value.head_word,
+                      value.head_occ, value.head_entry)
 
     def _register(self, *args):
         self.state = disc.register_referent(self.state, *args)

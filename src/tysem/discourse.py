@@ -41,11 +41,13 @@ class Referent:
     sort: str
     predicate: Term       # the restriction the term was built from
     introduced_by: str    # word occurrence, e.g. "un#1"
-    key: Term = field(init=False, repr=False, compare=False)
+    # canonical form of the restriction, compared by resolve_definite;
+    # worked out here unless the caller has it
+    key: Term = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        # canonical form of the restriction, compared by resolve_definite
-        object.__setattr__(self, "key", canon(self.predicate))
+        if self.key is None:
+            object.__setattr__(self, "key", canon(self.predicate))
 
 
 class DiscourseState:
@@ -103,10 +105,13 @@ def _index(newest: dict, by_key: dict, ref: Referent):
 
 
 def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
-                      predicate: Term, source: str) -> DiscourseState:
+                      predicate: Term, source: str, key: Term | None = None
+                      ) -> DiscourseState:
     """Append a referent; the newest one is the most salient.  Registration
-    is by token: composing the same sentence twice yields two referents."""
-    ref = Referent(state._size, eps_term, _sort_name(sort), predicate, source)
+    is by token: composing the same sentence twice yields two referents.
+    `key`, when given, is `kernel.canon(predicate)`."""
+    ref = Referent(state._size, eps_term, _sort_name(sort), predicate, source,
+                   key)
     newest, by_key = dict(state.newest), dict(state.newest_by_key)
     _index(newest, by_key, ref)
     out = object.__new__(DiscourseState)
@@ -115,19 +120,22 @@ def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
 
 
 def resolve_definite(state: DiscourseState, sort: Type | str, predicate: Term,
-                     lex=None) -> Referent | None:
+                     lex=None, key: Term | None = None) -> Referent | None:
     """Most salient referent matching a definite description, or None.
 
     Prefers, newest first: the requested sort with an alpha-equivalent
     restriction, then the sort alone, then any referent whose sort reaches
     the requested one through a single coercion declared in `lex`.  The
     caller treats None as "no antecedent" and falls back to a fresh choice
-    term plus presupposition.
+    term plus presupposition.  `key`, when given, is
+    `kernel.canon(predicate)`.
     """
     want = _sort_name(sort)
     newest = state.newest.get(want)
     if newest is not None:
-        return state.newest_by_key.get((want, canon(predicate)), newest)
+        if key is None:
+            key = canon(predicate)
+        return state.newest_by_key.get((want, key), newest)
     if lex is not None:
         # the newest referent of any sort is the newest of its own sort
         for ref in reversed(state.newest.values()):

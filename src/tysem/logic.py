@@ -239,25 +239,36 @@ def nodes(root: Formula | LTerm, into=None):
             stack.extend(reversed(_CHILDREN[type(n)](n)))
 
 
-def transform(n: Formula | LTerm, visit, env=None) -> Formula | LTerm:
+def transform(n: Formula | LTerm, visit, env=None,
+              rebuilt: dict | None = None) -> Formula | LTerm:
     """n with nodes replaced, from the top down: `visit(m, env)` returns the
     node that takes m's place, or None to rebuild m from its children
     transformed in turn.  A visit that binds a name transforms the body
-    itself, with a new env."""
+    itself, with a new env.  `rebuilt`, when given, receives each node
+    rebuilt, by the id() of the node it replaces."""
     spine = []
     while (out := visit(n, env)) is None:
         t = type(n)
         if t is not And:
             kids = _CHILDREN[t](n)
-            new = [transform(k, visit, env) for k in kids]
-            out = n if all(map(is_, new, kids)) else _REBUILD[t](n, new)
+            new = [transform(k, visit, env, rebuilt) for k in kids]
+            if all(map(is_, new, kids)):
+                out = n
+            else:
+                out = _REBUILD[t](n, new)
+                if rebuilt is not None:
+                    rebuilt[id(n)] = out
             break
         spine.append(n)
         n = n.left
     for node in reversed(spine):
-        right = transform(node.right, visit, env)
-        out = node if out is node.left and right is node.right \
-            else And(out, right)
+        right = transform(node.right, visit, env, rebuilt)
+        if out is node.left and right is node.right:
+            out = node
+        else:
+            out = And(out, right)
+            if rebuilt is not None:
+                rebuilt[id(node)] = out
     return out
 
 
@@ -471,21 +482,73 @@ def rewrite_hilbert(f: Formula) -> Formula:
     (`_fails_below`).  Rewriting a discourse therefore costs time linear in
     its number of sentences in every presupposition mode, `off` included,
     where no sentence carries its choice term's restriction.
+
+    A try makes one pass over the subformula (`_abstract`), or two when the
+    pivot's hole name occurs outside the pivot and a fresh name must be
+    bound instead.  The renamed restriction is compared only with the
+    conjuncts that share its head, and an unchanged conjunct's
+    `canon_formula` key is worked out once per call.  When a try fires, each
+    node the pass rebuilt enters the memo with the pivots of the node it
+    replaces, less this one, so collecting the pivots of the result reads
+    the memo at its top instead of walking it again.
     """
     memo: dict[int, tuple[Formula, tuple[Eps, ...]]] = {}
+    keys: dict[int, tuple[Formula, Formula]] = {}  # id -> (conjunct, key)
+
+    def key(c: Formula, rebuilt: dict) -> Formula:
+        """The canon_formula key of conjunct c after a try's pass."""
+        new = rebuilt.get(id(c))
+        if new is not None:
+            return canon_formula(new)
+        hit = keys.get(id(c))
+        if hit is None:
+            hit = keys[id(c)] = c, canon_formula(c)
+        return hit[1]
+
+    def rewrite_here(g: Formula, pivots: tuple[Eps, ...], ruled_out: set[Eps],
+                     by_head: dict) -> Formula | None:
+        for pivot in pivots:
+            if pivot in ruled_out:
+                continue
+            candidates = by_head[_head(pivot.body)]
+            if not candidates:  # nor has any conjunction below
+                ruled_out.add(pivot)
+                continue
+            var = pivot.hole
+            out, names, rebuilt = _abstract(g, pivot, LVar(var, pivot.sort))
+            if var in names:
+                var = _fresh_var(names)
+                out, _, rebuilt = _abstract(g, pivot, LVar(var, pivot.sort))
+            body_key = canon_formula(_rename_hole(pivot, var))
+            if any(key(c, rebuilt) == body_key for c in candidates):
+                # a rebuilt node held the pivot: it keeps its other ones
+                for old, new in rebuilt.items():
+                    hit = memo.get(old)
+                    if hit is not None:
+                        rest = () if len(hit[1]) == 1 else tuple(
+                            p for p in hit[1] if p is not pivot and p != pivot)
+                        memo[id(new)] = new, rest
+                cls = Forall if pivot.mode == UNIVERSAL else Exists
+                return cls(var, pivot.sort, out)
+            if _fails_below(pivot, var):
+                ruled_out.add(pivot)
+        return None
 
     def rewrite(g: Formula) -> Formula:
         rights = []
-        ruled_out = None
+        by_head = None  # the conjuncts of g, by _head, in order
         while True:
             pivots = _eps_pivots(g, memo)
             if not pivots:
                 out = g
                 break
-            if ruled_out is None:
-                heads = {_head(c) for c in flatten_and(g)}
-                ruled_out = {p for p in pivots if _head(p.body) not in heads}
-            rewritten = _rewrite_here(g, pivots, ruled_out)
+            if by_head is None:
+                by_head = {}
+                for c in flatten_and(g):
+                    by_head.setdefault(_head(c), []).append(c)
+                ruled_out = {p for p in pivots
+                             if _head(p.body) not in by_head}
+            rewritten = rewrite_here(g, pivots, ruled_out, by_head)
             if rewritten is not None:
                 out = rewrite(rewritten)
                 break
@@ -494,6 +557,9 @@ def rewrite_hilbert(f: Formula) -> Formula:
                     g, [rewrite(k) for k in children(g)])
                 break
             rights.append(g.right)
+            # the right operand's conjuncts are the last of their heads
+            for c in reversed(flatten_and(g.right)):
+                by_head[_head(c)].pop()
             g = g.left
         for r in reversed(rights):
             out = And(out, rewrite(r))
@@ -508,27 +574,6 @@ def _head(f: Formula):
     if isinstance(f, Pred):
         return f.name, len(f.args)
     return type(f)
-
-
-def _rewrite_here(g: Formula, pivots: tuple[Eps, ...],
-                  ruled_out: set[Eps]) -> Formula | None:
-    for pivot in pivots:
-        if pivot in ruled_out:
-            continue
-        sentinel = LVar("!pivot", pivot.sort)
-        abstracted = _abstract(g, pivot, sentinel)
-        names = _formula_names(abstracted) - {sentinel.name}
-        var = pivot.hole if pivot.hole not in names else _fresh_var(names)
-        abstracted = _abstract_var(abstracted, sentinel.name,
-                                   LVar(var, pivot.sort))
-        body_key = canon_formula(_rename_hole(pivot, var))
-        if any(canon_formula(c) == body_key
-               for c in flatten_and(abstracted)):
-            cls = Forall if pivot.mode == UNIVERSAL else Exists
-            return cls(var, pivot.sort, abstracted)
-        if _fails_below(pivot, var):
-            ruled_out.add(pivot)
-    return None
 
 
 def _fails_below(pivot: Eps, var: str) -> bool:
@@ -582,7 +627,11 @@ def _eps_pivots(g: Formula, memo: dict) -> tuple[Eps, ...]:
 
 def _merge_pivots(first: tuple[Eps, ...],
                   second: tuple[Eps, ...]) -> tuple[Eps, ...]:
-    return first + tuple(p for p in second if p not in first)
+    out = first
+    for p in second:
+        if p not in out:
+            out += (p,)
+    return out
 
 
 def _term_pivots(terms) -> tuple[Eps, ...]:
@@ -594,26 +643,42 @@ def _term_pivots(terms) -> tuple[Eps, ...]:
     return tuple(out)
 
 
-def _abstract(f: Formula, pivot: Eps, var: LVar) -> Formula:
-    def visit(n, _):
-        if type(n) is Eps:
-            return var if n == pivot else n
-        return None
+def _abstract(g: Formula, pivot: Eps, var: LVar
+              ) -> tuple[Formula, set[str], dict[int, Formula | LTerm]]:
+    """g with `var` in place of each occurrence of `pivot` in a term
+    position, in one pass.  Also returns the variable names met outside
+    those occurrences, other choice terms' bodies included, and the nodes
+    rebuilt, by the id() of the node each replaces."""
+    names: set[str] = set()
+    rebuilt: dict[int, Formula | LTerm] = {}
 
-    return transform(f, visit)
+    def visit(n, _):
+        t = type(n)
+        if t is Eps:
+            if n is pivot or n == pivot:
+                return var
+            names.update(_formula_names(n))
+            return n
+        if t is LVar:
+            names.add(n.name)
+            return n
+        if t is Exists or t is Forall:
+            names.add(n.var)
+        return rebuilt.get(id(n))  # a shared subtree met before
+
+    return transform(g, visit, rebuilt=rebuilt), names, rebuilt
 
 
 def _rename_hole(pivot: Eps, var: str) -> Formula:
-    return _abstract_var(pivot.body, pivot.hole, LVar(var, pivot.sort))
+    """The pivot's restriction with `var` in place of its hole."""
+    new = LVar(var, pivot.sort)
 
-
-def _abstract_var(f: Formula, name: str, var: LVar) -> Formula:
     def visit(n, _):
         if type(n) is LVar:
-            return var if n.name == name else n
-        return n if _bound(n) == name else None
+            return new if n.name == pivot.hole else n
+        return n if _bound(n) == pivot.hole else None
 
-    return transform(f, visit)
+    return transform(pivot.body, visit)
 
 
 def _formula_names(f: Formula) -> set[str]:

@@ -11,6 +11,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from generators import FORMULA_CONSTANTS, FormulaGen
 from tysem.cli import AnalysisOptions, analyze_tree, discourse_formula
@@ -18,10 +20,10 @@ from tysem.composer import parse_tree
 from tysem.discourse import (DiscourseState, coercion_between,
                              register_referent, resolve_definite)
 from tysem.kernel import alpha_eq, parse_term
-from tysem.logic import (UNIVERSAL, And, Eps, Eq, Exists, Forall, Formula,
-                         Implies, LApp, LTerm, LVar, Not, Or, Pred, _fresh_var,
-                         conjoin, formula_alpha_eq, parse_formula,
-                         print_formula, rewrite_hilbert)
+from tysem.logic import (INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
+                         Formula, Implies, LApp, LTerm, LVar, Not, Or, Pred,
+                         _fresh_var, conjoin, formula_alpha_eq, nodes,
+                         parse_formula, print_formula, rewrite_hilbert)
 
 # ---------------------------------------------------------------------------
 # the recursive rewrite, as it was before pivots were memoized
@@ -289,6 +291,56 @@ def test_rewrite_matches_oracle_on_conjunctions(seed):
         chain = conjoin(rng.choice(some) for _ in range(rng.randint(1, 50)))
         fired += _assert_same_rewrite(chain)
     assert fired >= 5
+
+
+# Discourses with many distinct pivots.  FormulaGen names every variable
+# afresh, so each draw maps those names onto three, which reuses a hole
+# across pivots and names binders and free variables like a pivot's hole;
+# a clash makes the rewrite bind a fresh name instead.
+CLASH_NAMES = ("x", "y", "z")
+
+
+@st.composite
+def many_pivot_discourses(draw):
+    gen = FormulaGen(draw(st.integers(0, 2 ** 32 - 1)))
+    names: dict[str, str] = {}
+
+    def rename(f: Formula) -> Formula:
+        text = re.sub(r"\bv\d+\b", lambda m: names.setdefault(
+            m.group(), gen.rng.choice(CLASH_NAMES)), print_formula(f, "sexpr"))
+        return parse_formula(text, FORMULA_CONSTANTS)
+
+    parts: list[Formula] = []
+    for kind in draw(st.lists(st.sampled_from(
+            ("instance", "instance", "instance", "free", "nested", "again",
+             "plain")), min_size=2, max_size=10)):
+        pivots = [n for p in parts for n in nodes(p) if type(n) is Eps]
+        if kind == "free" or (kind == "nested" and not pivots):
+            # a free variable, possibly named like some pivot's hole
+            name = gen.rng.choice(CLASH_NAMES)
+            parts.append(Pred(gen.rng.choice(("chat", "dort")),
+                              (LVar(name, "ani"),)))
+        elif kind == "nested":
+            # a pivot inside another choice term's body, as B(eps_h B)
+            # with B(h) = aime(h, pivot), or only there
+            pivot = gen.rng.choice(pivots)
+            hole = gen.rng.choice(CLASH_NAMES)
+            outer = Eps(INDEF, "ani", hole,
+                        Pred("aime", (LVar(hole, "ani"), pivot)))
+            parts.append(gen.rng.choice((Pred("aime", (outer, pivot)),
+                                         Pred("chat", (outer,)))))
+        elif kind == "again" and parts:
+            parts.append(gen.rng.choice(parts))  # the very object, shared
+        elif kind == "plain":
+            parts.append(rename(gen.random_formula(2)))
+        else:
+            parts.append(rename(_choice_instance(gen)))
+    return conjoin(parts)
+
+
+@given(many_pivot_discourses())
+def test_rewrite_matches_oracle_on_many_pivots(f):
+    _assert_same_rewrite(f)
 
 
 SESSION_SENTENCES = {
