@@ -88,7 +88,7 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
         steps = []
         normal = normalize(result.term)
     ctx = lex.typing_context()
-    formula = extract_formula(normal, ctx)
+    formula = extract_formula(normal, ctx, result.type)
     presupps = presuppositions(normal, ctx)
     final = formula
     if options.presuppositions == "conjoin" and presupps:
@@ -284,10 +284,14 @@ def run_check_lexicon(args) -> int:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
 
 
 # every class but LApp: a function symbol is rejected before its arguments

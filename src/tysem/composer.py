@@ -259,9 +259,9 @@ def compose(tree: SynTree, lex: Lexicon,
         raise CompositionError(
             f"type variables {', '.join(value.pending_vars())} of "
             f"'{value.head_word}' were never determined by any argument")
-    type_of(composer.ctx, value.term)  # soundness guard
-    return ComposeResult(value.term, value.type, composer.report,
-                         composer.state, composer.log)
+    ty = type_of(composer.ctx, value.term)  # soundness guard
+    return ComposeResult(value.term, ty, composer.report, composer.state,
+                         composer.log)
 
 
 def replay(log: list, state: DiscourseState,

@@ -18,11 +18,17 @@ referents as a chain, newest first, that it shares with the state it
 extends, so a registration costs the same however many referents came
 before; only the index maps, one entry per sort and per distinct
 restriction, are copied.
+
+A session replays most sentences (see `composer.replay`), and a replayed
+indefinite registers again with the restriction's key from the composer's
+log, so a registration sets the new referent's fields and the new state's
+slots directly: no `canon`, no dataclass `__init__`, no `__post_init__`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import NoAntecedent
 from .kernel import BaseSort, Term, Type, canon
@@ -53,26 +59,27 @@ class Referent:
 class DiscourseState:
     """The referents in order of introduction, and the index maps derived
     from them: the newest referent of each sort, oldest sort first, and of
-    each (sort, restriction key) pair.  Immutable; equal when the referents
-    are."""
+    each (sort, restriction key) pair.  Immutable: the public attributes are
+    read-only.  Equal when the referents are."""
 
-    __slots__ = ("_chain", "_size", "_referents", "newest", "newest_by_key")
+    __slots__ = ("_chain", "_size", "_referents", "_newest", "_by_key")
 
     def __init__(self, referents: tuple[Referent, ...] = ()):
         chain, newest, by_key = None, {}, {}
         for ref in referents:
             chain = (ref, chain)
             _index(newest, by_key, ref)
-        _fill(self, chain, len(referents), tuple(referents), newest, by_key)
+        self._chain, self._size, self._referents = (chain, len(referents),
+                                                    tuple(referents))
+        self._newest, self._by_key = newest, by_key
 
-    def __setattr__(self, name, value):
-        raise AttributeError("a DiscourseState is immutable")
+    newest = property(attrgetter("_newest"))
+    newest_by_key = property(attrgetter("_by_key"))
 
     @property
     def referents(self) -> tuple[Referent, ...]:
         if self._referents is None:  # worked out once per state
-            object.__setattr__(self, "_referents",
-                               tuple(reversed(list(self.newest_first()))))
+            self._referents = tuple(reversed(list(self.newest_first())))
         return self._referents
 
     def newest_first(self):
@@ -93,11 +100,6 @@ class DiscourseState:
         return f"DiscourseState(referents={self.referents!r})"
 
 
-def _fill(state: DiscourseState, *values):
-    for name, value in zip(DiscourseState.__slots__, values):
-        object.__setattr__(state, name, value)
-
-
 def _index(newest: dict, by_key: dict, ref: Referent):
     newest.pop(ref.sort, None)  # keeps `newest` in recency order
     newest[ref.sort] = ref
@@ -110,12 +112,17 @@ def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
     """Append a referent; the newest one is the most salient.  Registration
     is by token: composing the same sentence twice yields two referents.
     `key`, when given, is `kernel.canon(predicate)`."""
-    ref = Referent(state._size, eps_term, _sort_name(sort), predicate, source,
-                   key)
-    newest, by_key = dict(state.newest), dict(state.newest_by_key)
+    ref = object.__new__(Referent)  # no __init__: see the module docstring
+    ref.__dict__.update(index=state._size, term=eps_term,
+                        sort=_sort_name(sort), predicate=predicate,
+                        introduced_by=source,
+                        key=canon(predicate) if key is None else key)
+    newest, by_key = state._newest.copy(), state._by_key.copy()
     _index(newest, by_key, ref)
     out = object.__new__(DiscourseState)
-    _fill(out, (ref, state._chain), state._size + 1, None, newest, by_key)
+    out._chain, out._size, out._referents = ((ref, state._chain),
+                                             ref.index + 1, None)
+    out._newest, out._by_key = newest, by_key
     return out
 
 
@@ -131,14 +138,14 @@ def resolve_definite(state: DiscourseState, sort: Type | str, predicate: Term,
     `kernel.canon(predicate)`.
     """
     want = _sort_name(sort)
-    newest = state.newest.get(want)
+    newest = state._newest.get(want)
     if newest is not None:
         if key is None:
             key = canon(predicate)
-        return state.newest_by_key.get((want, key), newest)
+        return state._by_key.get((want, key), newest)
     if lex is not None:
         # the newest referent of any sort is the newest of its own sort
-        for ref in reversed(state.newest.values()):
+        for ref in reversed(state._newest.values()):
             if coercion_between(lex, ref.sort, want) is not None:
                 return ref
     return None
@@ -168,7 +175,7 @@ def resolve_pronoun(state: DiscourseState,
     if want is None:
         ref = next(state.newest_first(), None)
     else:
-        ref = state.newest.get(want)
+        ref = state._newest.get(want)
     if ref is not None:
         return ref.term
     raise NoAntecedent("no referent" if want is None

@@ -18,7 +18,7 @@ across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import (StepBudgetExceeded, ParseError, TyLamEscape, TypeClash,
@@ -231,14 +231,16 @@ class TypingContext:
     def default() -> TypingContext:
         return TypingContext(consts=dict(BUILTIN_CONSTANTS))
 
+    # `dataclasses.replace` is slow, and type_of extends a context per `lam`
     def with_sorts(self, names) -> TypingContext:
-        return replace(self, sorts=self.sorts | frozenset(names))
+        return TypingContext(self.sorts | frozenset(names), self.consts,
+                             self.vars)
 
     def with_const(self, name: str, ty: Type) -> TypingContext:
-        return replace(self, consts={**self.consts, name: ty})
+        return TypingContext(self.sorts, {**self.consts, name: ty}, self.vars)
 
     def with_var(self, name: str, ty: Type) -> TypingContext:
-        return replace(self, vars={**self.vars, name: ty})
+        return TypingContext(self.sorts, self.consts, {**self.vars, name: ty})
 
 
 # ---------------------------------------------------------------------------

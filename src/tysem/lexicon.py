@@ -82,8 +82,8 @@ class Lexicon:
 
     @cached_property
     def _typing_context(self) -> TypingContext:
-        base = TypingContext.default().with_sorts(self.sorts)
-        return replace(base, consts={**base.consts, **self.constants})
+        return TypingContext(kernel.BUILTIN_SORTS | frozenset(self.sorts),
+                             {**kernel.BUILTIN_CONSTANTS, **self.constants})
 
     def all_coercions(self) -> list[Coercion]:
         return [o for e in self.entries.values() for o in e.options]

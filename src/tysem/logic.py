@@ -25,14 +25,15 @@ threads precedence, keep their own recursion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter, is_
 
 from . import kernel
 from .errors import (ExtractionError, NotNormal, NotTruthType, ResidualLambda,
                      ParseError)
-from .kernel import (App, BaseSort, Const, Lam, Term, TyApp, TypingContext,
-                     Var, free_vars, is_normal, normalize, spine, type_of)
+from .kernel import (App, BaseSort, Const, Lam, Term, TyApp, Type,
+                     TypingContext, Var, free_vars, is_normal, normalize,
+                     spine, type_of)
 from .sexpr import Atom, SExpr, expect_atom, expect_list, read_one
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    # `==` and `hash` loop down the left spine, which grows with a
+    # `==`, `hash` and `repr` loop down the left spine, which grows with a
     # discourse; generated ones would recurse along it
     def __eq__(self, other):
         if type(other) is not And:
@@ -113,6 +114,11 @@ class And(Formula):
             h = hash((h, f.right))
             f = f.left
         return hash((h, f.left, f.right))
+
+    def __repr__(self):
+        first, rights = _and_spine(self)
+        return "".join(["And(left=" * len(rights), repr(first)]
+                       + [f", right={r!r})" for r in rights])
 
 
 @dataclass(frozen=True)
@@ -295,16 +301,19 @@ def fold(n: Formula | LTerm, combine, into=None):
 # extraction
 
 
-def extract_formula(term: Term, ctx: TypingContext | None = None) -> Formula:
+def extract_formula(term: Term, ctx: TypingContext | None = None,
+                    ty: Type | None = None) -> Formula:
     """Structural translation of a normal term of type t into a formula.
 
     The term must be normal and closed except for constants; a lambda or a
     predicate variable surviving in formula position is higher-order residue
-    and is rejected rather than reified.
+    and is rejected rather than reified.  `ty`, when given, is the term's
+    type, already checked (normalization keeps it); else it is worked out.
     """
     if not is_normal(term):
         raise NotNormal(f"term has a redex: {kernel.print_term(term)}")
-    ty = _term_type(term, ctx)
+    if ty is None:
+        ty = _term_type(term, ctx)
     if ty != kernel.T:
         raise NotTruthType(f"term has type {ty}, not t")
     return _to_formula(term)
@@ -422,7 +431,8 @@ def presuppositions(term: Term, ctx: TypingContext | None = None
                 body = normalize(App(pred, t))
                 local = ctx
                 if ctx is not None and (free := free_vars(body)):
-                    local = replace(ctx, vars={**ctx.vars, **free})
+                    local = TypingContext(ctx.sorts, ctx.consts,
+                                          {**ctx.vars, **free})
                 candidate = extract_formula(body, local)
                 key = canon_formula(candidate)
                 if key not in seen:
@@ -483,14 +493,15 @@ def rewrite_hilbert(f: Formula) -> Formula:
     its number of sentences in every presupposition mode, `off` included,
     where no sentence carries its choice term's restriction.
 
-    A try makes one pass over the subformula (`_abstract`), or two when the
-    pivot's hole name occurs outside the pivot and a fresh name must be
-    bound instead.  The renamed restriction is compared only with the
-    conjuncts that share its head, and an unchanged conjunct's
-    `canon_formula` key is worked out once per call.  When a try fires, each
-    node the pass rebuilt enters the memo with the pivots of the node it
-    replaces, less this one, so collecting the pivots of the result reads
-    the memo at its top instead of walking it again.
+    Pivots, and the conjuncts grouped by `_head`, come from one walk down a
+    conjunction's left spine (`_spine_pivots`).  A try makes one pass over
+    the subformula (`_abstract`), or two when the pivot's hole name occurs
+    outside the pivot and a fresh name must be bound instead.  The renamed
+    restriction is compared only with the conjuncts that share its head,
+    and an unchanged conjunct's `canon_formula` key is worked out once per
+    call.  When a try fires, the pivots of the new body are those of the
+    subformula less this one; they enter the memo, so the result is not
+    walked again when nothing is left to bind.
     """
     memo: dict[int, tuple[Formula, tuple[Eps, ...]]] = {}
     keys: dict[int, tuple[Formula, Formula]] = {}  # id -> (conjunct, key)
@@ -505,14 +516,14 @@ def rewrite_hilbert(f: Formula) -> Formula:
             hit = keys[id(c)] = c, canon_formula(c)
         return hit[1]
 
-    def rewrite_here(g: Formula, pivots: tuple[Eps, ...], ruled_out: set[Eps],
+    def rewrite_here(g: Formula, pivots: tuple[Eps, ...], ruled_out: set[int],
                      by_head: dict) -> Formula | None:
         for pivot in pivots:
-            if pivot in ruled_out:
+            if id(pivot) in ruled_out:
                 continue
             candidates = by_head[_head(pivot.body)]
             if not candidates:  # nor has any conjunction below
-                ruled_out.add(pivot)
+                ruled_out.add(id(pivot))
                 continue
             var = pivot.hole
             out, names, rebuilt = _abstract(g, pivot, LVar(var, pivot.sort))
@@ -521,38 +532,31 @@ def rewrite_hilbert(f: Formula) -> Formula:
                 out, _, rebuilt = _abstract(g, pivot, LVar(var, pivot.sort))
             body_key = canon_formula(_rename_hole(pivot, var))
             if any(key(c, rebuilt) == body_key for c in candidates):
-                # a rebuilt node held the pivot: it keeps its other ones
-                for old, new in rebuilt.items():
-                    hit = memo.get(old)
-                    if hit is not None:
-                        rest = () if len(hit[1]) == 1 else tuple(
-                            p for p in hit[1] if p is not pivot and p != pivot)
-                        memo[id(new)] = new, rest
+                # no two pivots are equal, so only this one is gone
+                memo[id(out)] = out, tuple(p for p in pivots if p is not pivot)
                 cls = Forall if pivot.mode == UNIVERSAL else Exists
                 return cls(var, pivot.sort, out)
             if _fails_below(pivot, var):
-                ruled_out.add(pivot)
+                ruled_out.add(id(pivot))
         return None
 
     def rewrite(g: Formula) -> Formula:
         rights = []
-        by_head = None  # the conjuncts of g, by _head, in order
-        while True:
+        by_head: dict = {}  # the conjuncts of g, by _head, in order
+        if type(g) is And:
+            pivots = _spine_pivots(g, memo, by_head)
+        else:
             pivots = _eps_pivots(g, memo)
-            if not pivots:
-                out = g
-                break
-            if by_head is None:
-                by_head = {}
-                for c in flatten_and(g):
-                    by_head.setdefault(_head(c), []).append(c)
-                ruled_out = {p for p in pivots
-                             if _head(p.body) not in by_head}
+            by_head[_head(g)] = [g]
+        # pivots below g are some of g's, the very objects: ids identify them
+        ruled_out = {id(p) for p in pivots if _head(p.body) not in by_head}
+        out = g
+        while pivots:
             rewritten = rewrite_here(g, pivots, ruled_out, by_head)
             if rewritten is not None:
                 out = rewrite(rewritten)
                 break
-            if not isinstance(g, And):
+            if type(g) is not And:
                 out = g if isinstance(g, (Pred, Eq)) else rebuild(
                     g, [rewrite(k) for k in children(g)])
                 break
@@ -560,7 +564,8 @@ def rewrite_hilbert(f: Formula) -> Formula:
             # the right operand's conjuncts are the last of their heads
             for c in reversed(flatten_and(g.right)):
                 by_head[_head(c)].pop()
-            g = g.left
+            g = out = g.left
+            pivots = _eps_pivots(g, memo)
         for r in reversed(rights):
             out = And(out, rewrite(r))
         return out
@@ -597,7 +602,8 @@ def _fails_below(pivot: Eps, var: str) -> bool:
 
 def _eps_pivots(g: Formula, memo: dict) -> tuple[Eps, ...]:
     """Choice terms occurring in term positions of g, in occurrence order,
-    without descending into other choice terms' bodies.
+    without descending into other choice terms' bodies.  No two of them are
+    equal.
 
     `memo` maps the id() of every subformula already seen to the subformula
     (which keeps the id from being reused) and its pivots."""
@@ -606,15 +612,7 @@ def _eps_pivots(g: Formula, memo: dict) -> tuple[Eps, ...]:
         return hit[1]
     match g:
         case And():
-            spine = []
-            while isinstance(g, And) and id(g) not in memo:
-                spine.append(g)
-                g = g.left
-            out = _eps_pivots(g, memo)
-            for node in reversed(spine):
-                out = _merge_pivots(out, _eps_pivots(node.right, memo))
-                memo[id(node)] = (node, out)
-            return out
+            return _spine_pivots(g, memo)
         case Pred() | Eq():
             out = _term_pivots(children(g))
         case _:
@@ -622,6 +620,35 @@ def _eps_pivots(g: Formula, memo: dict) -> tuple[Eps, ...]:
             for k in children(g):
                 out = _merge_pivots(out, _eps_pivots(k, memo))
     memo[id(g)] = (g, out)
+    return out
+
+
+def _spine_pivots(g: And, memo: dict, by_head: dict | None = None
+                  ) -> tuple[Eps, ...]:
+    """_eps_pivots of a conjunction, from one walk down its left spine that
+    enters each conjunction on it into `memo`.  A pivot tuple met again is
+    not merged again, as it adds nothing: the sentences one stored analysis
+    serves share its formula, and so its pivots, and merging compares
+    distinct equal choice terms field by field.  With `by_head`, the walk
+    also appends g's conjuncts to it, in order, grouped by `_head`."""
+    spine = []
+    while type(g) is And and (by_head is not None or id(g) not in memo):
+        spine.append(g)
+        g = g.left
+    out = _eps_pivots(g, memo)
+    if by_head is not None:
+        by_head.setdefault(_head(g), []).append(g)
+    merged = {id(out)}
+    for node in reversed(spine):
+        right = node.right
+        pivots = _eps_pivots(right, memo)
+        if id(pivots) not in merged:
+            merged.add(id(pivots))
+            out = _merge_pivots(out, pivots)
+        memo[id(node)] = node, out
+        if by_head is not None:
+            for c in (flatten_and(right) if type(right) is And else (right,)):
+                by_head.setdefault(_head(c), []).append(c)
     return out
 
 
@@ -712,7 +739,8 @@ _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4, 5
 def print_formula(f: Formula, style: str = "ascii") -> str:
     """Deterministic canonical rendering; parentheses are minimal under the
     precedence not < and < or < implies, with quantifier bodies
-    parenthesized when they are binary connectives."""
+    parenthesized when they are binary connectives.  Each distinct conjunct
+    object of a conjunction is printed once (`_each_once`)."""
     if style == "sexpr":
         return _sexpr(f)
     if style in ("ascii", "unicode"):
@@ -746,9 +774,8 @@ def _infix_f(f: Formula, context: int, style: str) -> str:
         case And():
             first, rights = _and_spine(f)
             sym = " ∧ " if uni else " & "
-            text = sym.join([_infix_f(first, _PREC_AND, style)]
-                            + [_infix_f(r, _PREC_AND + 1, style)
-                               for r in rights])
+            text = sym.join([_infix_f(first, _PREC_AND, style)] + _each_once(
+                lambda r: _infix_f(r, _PREC_AND + 1, style), rights))
             return f"({text})" if _PREC_AND < context else text
         case Or(l, r):
             return binop("|", "∨", _PREC_OR, l, r)
@@ -794,11 +821,20 @@ _SEXPR_HEAD = {
 }
 
 
+def _each_once(show, items) -> list[str]:
+    """show(x) for each of items, worked out once per distinct object: the
+    sentences one stored analysis serves share its formula, so a discourse
+    has a few distinct conjuncts however long it is."""
+    ids = list(map(id, items))
+    texts = {i: show(x) for i, x in dict(zip(ids, items)).items()}
+    return list(map(texts.__getitem__, ids))
+
+
 def _sexpr(n: Formula | LTerm) -> str:
     if type(n) is And:
         first, rights = _and_spine(n)
-        return "".join(["(and " * len(rights), _sexpr(first)]
-                       + [f" {_sexpr(r)})" for r in rights])
+        return "".join(["(and " * len(rights), _sexpr(first)] + _each_once(
+            lambda r: f" {_sexpr(r)})", rights))
     head = _SEXPR_HEAD[type(n)](n)
     kids = children(n)
     # `(f )` keeps its parentheses, or it would read back as a constant

@@ -6,12 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tysem.cli import (AnalysisOptions, _json_report, _sexpr_report,
                        _text_report, analyze_tree, discourse_formula, main)
-from tysem.composer import parse_tree
+from tysem.composer import compose, parse_tree
 from tysem.discourse import DiscourseState
 from tysem.errors import TysemError
 from tysem.kernel import reduction_steps
@@ -102,6 +102,20 @@ def test_analyze_io_error(capsys):
     code, _, err = run(capsys, "analyze", "--lexicon", "no-such-file.lex",
                        "--tree", "(a b)")
     assert code == 1
+
+
+def test_files_that_are_not_utf8_exit_1(capsys, tmp_path):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"(sort ani)\n\xff\n")
+    for argv in (("analyze", "--lexicon", bad, "--tree", "(a b)"),
+                 ("analyze", "--lexicon", f"{LEXICA}/chat.lex",
+                  "--session", bad),
+                 ("eval", "--model", bad, "--formula", "p"),
+                 ("check-lexicon", bad)):
+        code, _, err = run(capsys, *map(str, argv))
+        assert code == 1
+        assert err == f"error: {bad}: not UTF-8 text (invalid start byte " \
+            "at byte 11)\n"
 
 
 def test_analyze_syntax_error(capsys):
@@ -423,6 +437,47 @@ def test_replay_matches_fresh_composition(family, data, mode, rewrite,
     for tree in store:
         assert _outcome(lex, tree, DiscourseState(), options, store) == \
             _outcome(lex, tree, DiscourseState(), options, {})
+
+
+def _state_fields(state):
+    """All a state holds, keys included (referents compare without them):
+    the referents in order, and both index maps in their order."""
+    return ([(r, r.key) for r in state.referents],
+            [(sort, r, r.key) for sort, r in state.newest.items()],
+            [(k, r, r.key) for k, r in state.newest_by_key.items()])
+
+
+# restrictions that are abstractions, whose key is not the restriction
+LAMBDA_LEXICON = (Path(LEXICA) / "chat.lex").read_text() + """
+(entry "matou" (principal (lam x ani (chat x))))
+(entry "dormeur" (principal (lam y ani (dort y))))
+"""
+STATE_POOLS = {**REPLAY_POOLS, "lambda": (
+    "(dort (un matou))", "(aboie (le matou))", "(dort (le dormeur))",
+    "(aboie (un dormeur))", "(dort (le chat))", "(aboie (un chat))")}
+STATE_LEXICA = {**REPLAY_LEXICA, "lambda": load_lexicon(LAMBDA_LEXICON)}
+
+
+@pytest.mark.parametrize("family", sorted(STATE_POOLS))
+@settings(max_examples=40)
+@given(st.data())
+def test_replayed_state_matches_fresh_state(family, data):
+    lex = STATE_LEXICA[family]
+    texts = data.draw(st.lists(st.sampled_from(STATE_POOLS[family]),
+                               min_size=1, max_size=30))
+    state, store = DiscourseState(), {}
+    for text in texts:
+        tree = parse_tree(text)
+        try:
+            fresh = compose(tree, lex, state).state
+        except TysemError:
+            continue  # the stored sentence raises the same
+        _, after = analyze_tree(lex, tree, state, AnalysisOptions(), store)
+        assert _state_fields(after) == _state_fields(fresh)
+        # and a state built from the referents alone
+        assert _state_fields(DiscourseState(after.referents)) == \
+            _state_fields(after)
+        state = after
 
 
 def test_sentence_cache_lives_for_one_run(tmp_path):

@@ -508,6 +508,24 @@ def test_printers_agree_with_the_parser_and_the_fields(f):
     assert json.dumps(formula_to_json(f)) == json.dumps(field_json(f))
 
 
+def field_repr(v) -> str:
+    """The repr a dataclass generates, applied all the way down."""
+    if dataclasses.is_dataclass(v):
+        return f"{type(v).__qualname__}(" + ", ".join(
+            f"{f.name}={field_repr(getattr(v, f.name))}"
+            for f in dataclasses.fields(v) if f.repr) + ")"
+    if isinstance(v, tuple):
+        return "(" + "".join(f"{field_repr(a)}, " for a in v)[:-2] + \
+            ("," if len(v) == 1 else "") + ")"
+    return repr(v)
+
+
+@given(formulas)
+def test_and_repr_is_the_generated_one(f):
+    for g in (f, And(f, f), And(And(f, f), And(f, f)), conjoin([f] * 30)):
+        assert repr(g) == field_repr(g)
+
+
 def test_canon_formula_tells_apart_what_renaming_cannot_join():
     x, y = LVar("x", "ani"), LVar("y", "ani")
     f = Exists("x", "ani", Exists("y", "ani", Pred("aime", (x, y))))
@@ -544,6 +562,7 @@ def test_walkers_take_a_long_discourse():
     g, _ = long_discourse()
     assert f is not g and f == g and hash(f) == hash(g)
     assert f == And(f.left, f.right)  # a shared spine
+    assert repr(f).startswith("And(left=" * (LONG - 1) + "Pred(name='P'")
     assert formula_alpha_eq(f, g)
     first, *rest = flatten_and(g)
     h = conjoin([Pred("S", first.args)] + rest)

@@ -4,9 +4,12 @@
 chains with loops and rules pivots out down a chain; `resolve_definite`
 compares stored canonical keys.  The
 recursive rewrite and the `alpha_eq` scan they replaced are copied below as
-oracles, and the results must be equal.
+oracles, and the results must be equal.  The printer, which prints each
+distinct conjunct object once, is checked on the same conjunctions against
+each conjunct printed alone.
 """
 
+import copy
 import random
 import re
 
@@ -341,6 +344,87 @@ def many_pivot_discourses(draw):
 @given(many_pivot_discourses())
 def test_rewrite_matches_oracle_on_many_pivots(f):
     _assert_same_rewrite(f)
+
+
+# Conjunctions that repeat a few parts, as a discourse repeats the formulas
+# of the analyses its sentences share.  A repeat is the very object or an
+# equal copy, and so is a choice term in it: the rewrite merges pivots and
+# the printer shares text by identity first.
+
+
+@st.composite
+def repeating_conjunctions(draw):
+    gen = FormulaGen(draw(st.integers(0, 2 ** 32 - 1)))
+    parts: list[Formula] = []
+    for kind in draw(st.lists(st.sampled_from(
+            ("instance", "sentence", "sentence", "restriction", "plain")),
+            min_size=1, max_size=5)):
+        pivots = [n for p in parts for n in nodes(p) if type(n) is Eps]
+        if kind == "sentence" and pivots:
+            # another predicate of a choice term met before
+            pivot = gen.rng.choice(pivots)
+            name = gen.rng.choice(PREDICATES_OF[pivot.sort])
+            parts.append(Pred(name, (pivot,)))
+        elif kind == "restriction" and pivots:
+            # a choice term's presupposition: its restriction of itself
+            pivot = gen.rng.choice(pivots)
+            parts.append(_old_abstract_var(pivot.body, pivot.hole, pivot))
+        elif kind == "plain":
+            parts.append(gen.random_formula(2))
+        else:
+            parts.append(_choice_instance(gen))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(parts) - 1),
+                                    st.booleans()), min_size=1, max_size=25))
+    return conjoin(parts[i] if same else copy.deepcopy(parts[i])
+                   for i, same in picks)
+
+
+PREDICATES_OF = {"ani": ("chat", "dort"), "obj": ("rouge",)}
+
+
+@given(repeating_conjunctions())
+def test_rewrite_matches_oracle_on_repeated_parts(f):
+    _assert_same_rewrite(f)
+
+
+def per_conjunct_print(f: Formula, style: str) -> str:
+    """print_formula of a conjunction, or of quantifiers over one, with
+    every conjunct printed alone."""
+    if type(f) in (Exists, Forall) and type(f.body) in (Exists, Forall, And):
+        inner = per_conjunct_print(f.body, style)
+        word = "exists" if type(f) is Exists else "forall"
+        if style == "sexpr":
+            return f"({word} ({f.var} {f.sort}) {inner})"
+        if type(f.body) is And:
+            inner = f"({inner})"
+        head = {"exists": "∃", "forall": "∀"}[word] if style == "unicode" \
+            else f"{word} "
+        return f"{head}{f.var}:{f.sort}. {inner}"
+    if type(f) is not And:
+        return print_formula(f, style)
+    rights = []
+    while type(f) is And:
+        rights.append(f.right)
+        f = f.left
+    rights.reverse()
+    if style == "sexpr":
+        return "(and " * len(rights) + print_formula(f, style) + "".join(
+            f" {print_formula(r, style)})" for r in rights)
+
+    def operand(c: Formula, right: bool) -> str:
+        loose = (Or, Implies, Exists, Forall) + ((And,) if right else ())
+        text = print_formula(c, style)
+        return f"({text})" if isinstance(c, loose) else text
+
+    sep = " ∧ " if style == "unicode" else " & "
+    return sep.join([operand(f, False)] + [operand(r, True) for r in rights])
+
+
+@given(repeating_conjunctions())
+def test_print_matches_each_conjunct_printed_alone(f):
+    for g in (f, rewrite_hilbert(f)):
+        for style in ("ascii", "unicode", "sexpr"):
+            assert print_formula(g, style) == per_conjunct_print(g, style)
 
 
 SESSION_SENTENCES = {
