@@ -10,7 +10,8 @@ into quantifiers.  A session file applies one tree per line against a single
 evolving discourse state and ends with the conjoined discourse formula.
 
 Exit codes: 0 success; 1 I/O or syntax errors; 2 composition or type errors
-(with word-level diagnostics).
+(with word-level diagnostics); 3 an internal error, a bug in tysem, reported
+as `internal error: <type>: <message>` on standard error.
 """
 
 from __future__ import annotations
@@ -391,7 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except TysemError:
+        raise
+    except Exception as exc:  # no input reaches here but through a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

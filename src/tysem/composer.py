@@ -41,39 +41,26 @@ from .errors import (AmbiguousCoercion, CompositionError, NoAntecedent,
 from .kernel import (App, Arrow, BaseSort, Const, Pi, Term, Type, TyApp,
                      TypeVar, canon, free_tyvars, subst_type, type_of)
 from .lexicon import Coercion, LexEntry, Lexicon, lookup_entry
+from .node import KeepsHash, node
 from .sexpr import Atom, SExpr, read_one
 
 # ---------------------------------------------------------------------------
 # syntactic trees
 
 
-# A tree keeps the hash it is built with: a session keys its stored
-# analyses by tree (see `cli.analyze_tree`), and a hash worked out on demand
-# would walk the whole tree at every sentence.
+# A tree keeps its hash: a session keys its stored analyses by tree (see
+# `cli.analyze_tree`), and a hash worked out at every use would walk the
+# whole tree at every sentence.
 
-@dataclass(frozen=True)
-class Leaf:
+@node
+class Leaf(KeepsHash):
     word: str
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.word))
-
-    def __hash__(self):
-        return self._hash
 
 
-@dataclass(frozen=True)
-class Node:
+@node
+class Node(KeepsHash):
     fun: "SynTree"
     arg: "SynTree"
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.fun, self.arg)))
-
-    def __hash__(self):
-        return self._hash
 
 
 SynTree = Leaf | Node

@@ -11,8 +11,12 @@ Types occur inside terms, as annotations: `free_tyvars`, `print_term` and
 `free_vars` and the type checker stay hand-written: each treats binders in
 its own way, and they are the normalizer's and the checker's hot paths.
 
-Everything here is immutable and pure; the operations are safe to share
-across threads.
+Types and terms are slotted, immutable nodes (see `node`), each keeping its
+hash once worked out.  The substitutions return a subterm in which nothing
+changes as it is, so a beta step allocates only along the paths to the
+variable's occurrences and shares the rest with its input; a normal term
+normalizes to itself.  Everything here is immutable and pure; the
+operations are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -23,17 +27,18 @@ from operator import attrgetter
 
 from .errors import (StepBudgetExceeded, ParseError, TyLamEscape, TypeClash,
                      UnboundName, UnknownSort)
+from .node import KeepsHash, node
 from .sexpr import Atom, SExpr, expect_atom, read_one
 
 # ---------------------------------------------------------------------------
 # types
 
 
-class Type:
+class Type(KeepsHash):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class BaseSort(Type):
     name: str
 
@@ -41,7 +46,7 @@ class BaseSort(Type):
         return self.name
 
 
-@dataclass(frozen=True)
+@node
 class TypeVar(Type):
     name: str
 
@@ -49,7 +54,7 @@ class TypeVar(Type):
         return self.name
 
 
-@dataclass(frozen=True)
+@node
 class Arrow(Type):
     dom: Type
     cod: Type
@@ -59,7 +64,7 @@ class Arrow(Type):
         return f"{d} -> {self.cod}"
 
 
-@dataclass(frozen=True)
+@node
 class Pi(Type):
     var: str
     body: Type
@@ -104,20 +109,23 @@ def free_tyvars(n: Type | Term) -> frozenset[str]:
 
 
 def subst_type(ty: Type, var: str, repl: Type) -> Type:
-    """ty[repl/var], renaming Pi binders when capture threatens."""
+    """ty[repl/var], renaming Pi binders when capture threatens.  A subtype
+    in which nothing changes is returned as it is."""
     match ty:
         case TypeVar(name):
             return repl if name == var else ty
         case Arrow(dom, cod):
-            return Arrow(subst_type(dom, var, repl), subst_type(cod, var, repl))
+            d, c = subst_type(dom, var, repl), subst_type(cod, var, repl)
+            return ty if d is dom and c is cod else Arrow(d, c)
         case Pi(v, body):
             if v == var:
                 return ty
             if v in free_tyvars(repl) and var in free_tyvars(body):
                 fresh = _fresh_name(v, free_tyvars(repl) | free_tyvars(body))
                 body = subst_type(body, v, TypeVar(fresh))
-                v = fresh
-            return Pi(v, subst_type(body, var, repl))
+                return Pi(fresh, subst_type(body, var, repl))
+            new = subst_type(body, var, repl)
+            return ty if new is body else Pi(v, new)
         case _:
             return ty
 
@@ -137,11 +145,11 @@ def _fresh_name(base: str, avoid) -> str:
 # terms
 
 
-class Term:
+class Term(KeepsHash):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class Var(Term):
     name: str
     type: Type
@@ -150,7 +158,7 @@ class Var(Term):
         return self.name
 
 
-@dataclass(frozen=True)
+@node
 class Const(Term):
     name: str
     type: Type
@@ -159,7 +167,7 @@ class Const(Term):
         return self.name
 
 
-@dataclass(frozen=True)
+@node
 class App(Term):
     fun: Term
     arg: Term
@@ -168,7 +176,7 @@ class App(Term):
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@node
 class Lam(Term):
     var: str
     var_type: Type
@@ -178,7 +186,7 @@ class Lam(Term):
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@node
 class TyApp(Term):
     fun: Term
     ty: Type
@@ -187,7 +195,7 @@ class TyApp(Term):
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@node
 class TyLam(Term):
     tyvar: str
     body: Term
@@ -420,55 +428,68 @@ def free_vars(term: Term) -> dict[str, Type]:
 
 
 def subst_term(term: Term, var: str, repl: Term) -> Term:
-    """Capture-avoiding term substitution term[repl/var]."""
+    """Capture-avoiding term substitution term[repl/var].  A subterm in
+    which nothing changes is returned as it is."""
+    return _subst_term(term, var, repl, free_vars(repl))
+
+
+def _subst_term(term: Term, var: str, repl: Term, repl_fv: dict) -> Term:
     match term:
         case Var(name, _):
             return repl if name == var else term
         case Const():
             return term
         case App(fun, arg):
-            return App(subst_term(fun, var, repl), subst_term(arg, var, repl))
+            f = _subst_term(fun, var, repl, repl_fv)
+            a = _subst_term(arg, var, repl, repl_fv)
+            return term if f is fun and a is arg else App(f, a)
         case Lam(v, vty, body):
             if v == var:
                 return term
-            repl_fv = free_vars(repl)
             if v in repl_fv and var in free_vars(body):
                 fresh = _fresh_name(v, set(repl_fv) | set(free_vars(body)))
                 body = subst_term(body, v, Var(fresh, vty))
-                v = fresh
-            return Lam(v, vty, subst_term(body, var, repl))
+                return Lam(fresh, vty, _subst_term(body, var, repl, repl_fv))
+            new = _subst_term(body, var, repl, repl_fv)
+            return term if new is body else Lam(v, vty, new)
         case TyApp(fun, ty):
-            return TyApp(subst_term(fun, var, repl), ty)
+            new = _subst_term(fun, var, repl, repl_fv)
+            return term if new is fun else TyApp(new, ty)
         case TyLam(a, body):
-            return TyLam(a, subst_term(body, var, repl))
+            new = _subst_term(body, var, repl, repl_fv)
+            return term if new is body else TyLam(a, new)
     raise AssertionError(term)
 
 
 def subst_type_in_term(term: Term, var: str, repl: Type) -> Term:
     """Substitute a type for a type variable throughout a term's
-    annotations, respecting tylam shadowing."""
+    annotations, respecting tylam shadowing.  A subterm in which nothing
+    changes is returned as it is."""
     match term:
-        case Var(name, ty):
-            return Var(name, subst_type(ty, var, repl))
-        case Const(name, ty):
-            return Const(name, subst_type(ty, var, repl))
+        case Var(name, ty) | Const(name, ty):
+            new = subst_type(ty, var, repl)
+            return term if new is ty else type(term)(name, new)
         case App(fun, arg):
-            return App(subst_type_in_term(fun, var, repl),
-                       subst_type_in_term(arg, var, repl))
+            f = subst_type_in_term(fun, var, repl)
+            a = subst_type_in_term(arg, var, repl)
+            return term if f is fun and a is arg else App(f, a)
         case Lam(v, vty, body):
-            return Lam(v, subst_type(vty, var, repl),
-                       subst_type_in_term(body, var, repl))
+            t = subst_type(vty, var, repl)
+            new = subst_type_in_term(body, var, repl)
+            return term if t is vty and new is body else Lam(v, t, new)
         case TyApp(fun, ty):
-            return TyApp(subst_type_in_term(fun, var, repl),
-                         subst_type(ty, var, repl))
+            f = subst_type_in_term(fun, var, repl)
+            t = subst_type(ty, var, repl)
+            return term if f is fun and t is ty else TyApp(f, t)
         case TyLam(a, body):
             if a == var:
                 return term
             if a in free_tyvars(repl) and var in free_tyvars(body):
                 fresh = _fresh_name(a, free_tyvars(repl) | free_tyvars(body))
                 body = subst_type_in_term(body, a, TypeVar(fresh))
-                a = fresh
-            return TyLam(a, subst_type_in_term(body, var, repl))
+                return TyLam(fresh, subst_type_in_term(body, var, repl))
+            new = subst_type_in_term(body, var, repl)
+            return term if new is body else TyLam(a, new)
     raise AssertionError(term)
 
 

@@ -25,7 +25,6 @@ threads precedence, keep their own recursion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import attrgetter, is_
 
 from . import kernel
@@ -34,6 +33,7 @@ from .errors import (ExtractionError, NotNormal, NotTruthType, ResidualLambda,
 from .kernel import (App, BaseSort, Const, Lam, Term, TyApp, Type,
                      TypingContext, Var, free_vars, is_normal, normalize,
                      spine, type_of)
+from .node import node
 from .sexpr import Atom, SExpr, expect_atom, expect_list, read_one
 
 # ---------------------------------------------------------------------------
@@ -55,25 +55,25 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class LVar(LTerm):
     name: str
     sort: str
 
 
-@dataclass(frozen=True)
+@node
 class LConst(LTerm):
     name: str
     sort: str
 
 
-@dataclass(frozen=True)
+@node
 class LApp(LTerm):
     fn: str
     args: tuple[LTerm, ...]
 
 
-@dataclass(frozen=True)
+@node
 class Eps(LTerm):
     """A choice term: its body is a formula with one designated hole
     variable of the term's sort."""
@@ -83,13 +83,13 @@ class Eps(LTerm):
     body: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Pred(Formula):
     name: str
     args: tuple[LTerm, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@node(eq=False)
 class And(Formula):
     left: Formula
     right: Formula
@@ -121,44 +121,44 @@ class And(Formula):
                        + [f", right={r!r})" for r in rights])
 
 
-@dataclass(frozen=True)
+@node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Exists(Formula):
     var: str
     sort: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Forall(Formula):
     var: str
     sort: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Eq(Formula):
     left: LTerm
     right: LTerm
 
 
-@dataclass(frozen=True)
+@node
 class TruthConst(Formula):
     value: bool
 
@@ -502,9 +502,14 @@ def rewrite_hilbert(f: Formula) -> Formula:
     call.  When a try fires, the pivots of the new body are those of the
     subformula less this one; they enter the memo, so the result is not
     walked again when nothing is left to bind.
+
+    Each distinct subformula object is rewritten once per call, and a node
+    is rebuilt only when an operand changed, so a formula in which nothing
+    fires comes back as the very object.
     """
     memo: dict[int, tuple[Formula, tuple[Eps, ...]]] = {}
     keys: dict[int, tuple[Formula, Formula]] = {}  # id -> (conjunct, key)
+    done: dict[int, tuple[Formula, Formula]] = {}  # id -> (g, rewrite(g))
 
     def key(c: Formula, rebuilt: dict) -> Formula:
         """The canon_formula key of conjunct c after a try's pass."""
@@ -541,7 +546,10 @@ def rewrite_hilbert(f: Formula) -> Formula:
         return None
 
     def rewrite(g: Formula) -> Formula:
-        rights = []
+        hit = done.get(id(g))
+        if hit is not None:
+            return hit[1]
+        top, ands = g, []
         by_head: dict = {}  # the conjuncts of g, by _head, in order
         if type(g) is And:
             pivots = _spine_pivots(g, memo, by_head)
@@ -552,22 +560,28 @@ def rewrite_hilbert(f: Formula) -> Formula:
         ruled_out = {id(p) for p in pivots if _head(p.body) not in by_head}
         out = g
         while pivots:
-            rewritten = rewrite_here(g, pivots, ruled_out, by_head)
-            if rewritten is not None:
-                out = rewrite(rewritten)
+            live = not ruled_out.issuperset(map(id, pivots))
+            if live and (new := rewrite_here(g, pivots, ruled_out,
+                                             by_head)) is not None:
+                out = rewrite(new)
                 break
             if type(g) is not And:
-                out = g if isinstance(g, (Pred, Eq)) else rebuild(
-                    g, [rewrite(k) for k in children(g)])
+                if not isinstance(g, (Pred, Eq)):
+                    kids = [rewrite(k) for k in children(g)]
+                    if not all(map(is_, kids, children(g))):
+                        out = rebuild(g, kids)
                 break
-            rights.append(g.right)
-            # the right operand's conjuncts are the last of their heads
-            for c in reversed(flatten_and(g.right)):
-                by_head[_head(c)].pop()
+            ands.append(g)
+            if live:  # by_head is read for pivots not ruled out only
+                # the right operand's conjuncts are the last of their heads
+                for c in reversed(flatten_and(g.right)):
+                    by_head[_head(c)].pop()
             g = out = g.left
             pivots = _eps_pivots(g, memo)
-        for r in reversed(rights):
-            out = And(out, rewrite(r))
+        for a in reversed(ands):
+            right = rewrite(a.right)
+            out = a if out is a.left and right is a.right else And(out, right)
+        done[id(top)] = top, out
         return out
 
     return rewrite(f)

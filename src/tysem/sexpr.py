@@ -8,12 +8,11 @@ passes can report positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParseError
+from .node import node
 
 
-@dataclass(frozen=True)
+@node
 class Atom:
     text: str
     line: int
@@ -24,7 +23,7 @@ class Atom:
         return f'"{self.text}"' if self.string else self.text
 
 
-@dataclass(frozen=True)
+@node
 class SList:
     items: tuple
     line: int

@@ -694,3 +694,30 @@ def test_check_lexicon_bad(capsys, tmp_path):
     code, _, err = run(capsys, "check-lexicon", str(bad))
     assert code == 1
     assert "nonsense" in err or "w" in err
+
+
+# ---------------------------------------------------------------------------
+# internal errors
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("argv, name, exc", [
+    (["check-lexicon", f"{LEXICA}/fig2.lex"], "load_lexicon",
+     ValueError("boom")),
+    (["analyze", "--lexicon", f"{LEXICA}/chat.lex", "--tree",
+      "(dort (un chat))"], "normalize", RecursionError("too deep")),
+    (["eval", "--model", "models/chat.model", "--formula",
+      "(dort (eps ani x (chat x)))"], "eval_formula", KeyError("c1")),
+])
+def test_internal_error_exit_code(capsys, monkeypatch, argv, name, exc):
+    monkeypatch.setattr(f"tysem.cli.{name}", _raise(exc))
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+    assert "Traceback" not in err

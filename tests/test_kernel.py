@@ -1,5 +1,12 @@
-import pytest
+import random
+from pathlib import Path
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import kernel_oracle as oracle
+from generators import TermGen
 from tysem import kernel
 from tysem.errors import (StepBudgetExceeded, ParseError, TyLamEscape,
                           TypeClash, UnboundName, UnknownSort)
@@ -7,8 +14,9 @@ from tysem.kernel import (App, Arrow, BaseSort, Const, E, Lam, Pi, T, TyApp,
                           TyLam, TypeVar, TypingContext, Var, alpha_eq, arrow,
                           canon, free_tyvars, free_vars, is_normal, nodes,
                           normalize, parse_term, print_term, reduction_steps,
-                          subst_term, subst_type_in_term, type_of)
+                          subst_term, subst_type, subst_type_in_term, type_of)
 
+REPO = Path(__file__).resolve().parent.parent
 ANI = BaseSort("ani")
 FURN = BaseSort("furniture")
 
@@ -368,3 +376,138 @@ def test_type_substitution_renames_a_binder_only_when_needed():
     term = TyLam("a", TyApp(TyLam("a1", inner), a))
     ctx = TypingContext.default()
     assert type_of(ctx, normalize(term)) == type_of(ctx, term)
+
+
+# ---------------------------------------------------------------------------
+# substitutions share what they leave unchanged, and the normal forms are
+# those of the substitutions that rebuilt every node (`kernel_oracle`)
+
+
+def test_substitution_returns_a_term_without_the_variable_as_it_is(ctx):
+    term = parse_term("(lam x ani (and (chat x) (dort fido)))", ctx)
+    assert subst_term(term, "y", Var("z", ANI)) is term
+    assert subst_term(term, "x", Var("z", ANI)) is term  # x is bound
+    a, b = TypeVar("a"), TypeVar("b")
+    poly = TyLam("b", Lam("x", Arrow(b, T), Var("x", Arrow(b, T))))
+    assert subst_type_in_term(poly, "a", ANI) is poly
+    assert subst_type_in_term(poly, "b", ANI) is poly  # b is bound
+    pi = Pi("b", Arrow(b, Arrow(ANI, a)))
+    assert subst_type(pi, "c", ANI) is pi
+    assert subst_type(pi, "a", T).body.dom is pi.body.dom
+
+
+def test_substitution_shares_the_subterms_it_leaves(ctx):
+    left = parse_term("(chat fido)", ctx)
+    right = parse_term("(dort y)", ctx.with_var("y", ANI))
+    body = App(App(Const("and", arrow(T, T, T)), left), right)
+    out = subst_term(body, "y", Const("fido", ANI))
+    assert out == parse_term("(and (chat fido) (dort fido))", ctx)
+    assert out.fun.arg is left and out.arg.fun is right.fun
+
+
+def test_normalize_returns_a_normal_term_as_it_is(ctx):
+    for text in ("(lam x ani (chat x))", "(chat fido)",
+                 "(tyapp eps ani)", "(lam p (-> ani t) (p fido))"):
+        term = parse_term(text, ctx)
+        assert normalize(term) is term
+        assert normalize(term, "ri") is term
+
+
+def _assert_as_oracle(term):
+    steps = list(reduction_steps(term))
+    assert steps == list(oracle.reduction_steps(term))
+    assert normalize(term, "ri") == oracle.normalize(term, "ri")
+    return len(steps)
+
+
+def _golden_terms():
+    """The composed term of each sentence the golden commands analyze over
+    the shipped lexica, a session's against its evolving discourse."""
+    from test_golden import (MISS_SESSIONS, fig2_tree_commands,
+                             oneshot_commands, session_lines)
+    from tysem.composer import compose, parse_tree
+    from tysem.discourse import DiscourseState
+    from tysem.errors import TysemError
+    from tysem.lexicon import load_lexicon
+
+    singles = dict.fromkeys((argv[2], argv[4]) for argv in
+                            oneshot_commands() + fig2_tree_commands())
+    sessions = [(f, session_lines(f)) for f in ("homme", "chat")]
+    sessions += [(name[:-4], lines) for name, lines in MISS_SESSIONS.items()]
+    runs = [[sentence] for sentence in singles]
+    runs += [[(f"lexica/{family}.lex", line) for line in lines]
+             for family, lines in sessions]
+    lexica = {path: load_lexicon((REPO / path).read_text(encoding="utf-8"))
+              for path in {path for run in runs for path, _ in run}}
+    for run in runs:
+        state = DiscourseState()
+        for path, text in run:
+            try:
+                result = compose(parse_tree(text), lexica[path], state)
+            except TysemError:
+                continue
+            state = result.state
+            yield result.term
+
+
+def test_normalize_matches_oracle_on_every_golden_sentence():
+    terms = list(_golden_terms())
+    assert len(terms) > 100
+    assert sum(map(_assert_as_oracle, terms)) >= 50
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_normalize_matches_oracle_on_generated_terms(seed):
+    gen = TermGen(seed)
+    for _ in range(60):
+        _assert_as_oracle(gen.random_term(8))
+
+
+def test_type_substitution_matches_oracle_where_it_renames():
+    a, a1, b = TypeVar("a"), TypeVar("a1"), TypeVar("b")
+    inner = TyLam("a", TyLam("b", Lam("x", a, Var("x", a))))
+    identity = TyLam("a", Lam("x", a, Var("x", a)))
+    for term in (TyLam("b", TyApp(inner, b)),
+                 TyLam("a", TyApp(TyLam("a1", identity), a)),
+                 TyApp(TyLam("b", TyLam("a", Var("x", arrow(a1, a, b)))), a)):
+        _assert_as_oracle(term)
+    term = TyLam("a", Var("x", arrow(a1, a, b)))
+    assert subst_type_in_term(term, "b", a) == \
+        oracle.subst_type_in_term(term, "b", a)
+
+
+F = Arrow(ANI, ANI)
+
+
+def _open_term(rng: random.Random, ty, scope: dict, depth: int):
+    """A simply typed term over ani and ani -> ani whose binders are all
+    named x, y or x1, below free variables of those names: a redex's
+    argument often mentions a name that a binder in its body rebinds, so
+    substitution must rename to avoid capture, and x1, the first name it
+    tries for x, is sometimes taken."""
+    names = [v for v, t in scope.items() if t == ty]
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        if names and rng.random() < 0.7:
+            return Var(rng.choice(names), ty)
+        return Const("fido", ANI) if ty == ANI else Const("mere", F)
+    name = rng.choice(("x", "y", "x1"))
+    if roll < 0.5:
+        a = rng.choice((ANI, F))
+        body = _open_term(rng, ty, {**scope, name: a}, depth - 1)
+        return App(Lam(name, a, body), _open_term(rng, a, scope, depth - 1))
+    if roll < 0.6:  # the polymorphic identity, instantiated and applied
+        ident = TyLam("a", Lam(name, TypeVar("a"), Var(name, TypeVar("a"))))
+        return App(TyApp(ident, ty), _open_term(rng, ty, scope, depth - 1))
+    if ty == F:
+        return Lam(name, ANI, _open_term(rng, ANI, {**scope, name: ANI},
+                                         depth - 1))
+    return App(_open_term(rng, F, scope, depth - 1),
+               _open_term(rng, ANI, scope, depth - 1))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8))
+def test_normalize_matches_oracle_where_substitution_renames(seed, depth):
+    rng = random.Random(seed)
+    free = {"x": ANI, "y": rng.choice((ANI, F)), "x1": rng.choice((ANI, F))}
+    _assert_as_oracle(_open_term(rng, rng.choice((ANI, F)), free, depth))

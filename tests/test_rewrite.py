@@ -269,8 +269,12 @@ def _formula_pool(seed: int, n: int) -> list[Formula]:
 
 
 def _assert_same_rewrite(f: Formula):
+    """rewrite_hilbert(f) equals the oracle's, and is f itself when
+    nothing fires."""
     expected = old_rewrite_hilbert(f)
-    assert rewrite_hilbert(f) == expected, print_formula(f, "sexpr")
+    out = rewrite_hilbert(f)
+    assert out == expected, print_formula(f, "sexpr")
+    assert (out is f) == (expected == f)
     return expected != f
 
 
@@ -456,6 +460,14 @@ def test_rewrite_matches_oracle_on_sessions(family, homme_lex, chat_lex):
         for mode in ("separate", "conjoin", "off"):
             chain = discourse_formula(results, AnalysisOptions(mode))
             _assert_same_rewrite(chain)
+
+
+def test_rewrite_returns_an_off_mode_discourse_as_it_is(homme_lex):
+    # no sentence carries its choice term's restriction, so nothing fires,
+    # and every sentence is one of a few stored analyses' formulas
+    results, _ = _session(homme_lex, "homme", random.Random(7), 320)
+    chain = discourse_formula(results, AnalysisOptions("off"))
+    assert rewrite_hilbert(chain) is chain
 
 
 # ---------------------------------------------------------------------------
