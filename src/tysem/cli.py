@@ -39,7 +39,7 @@ from .model import check_equivalence, eval_formula, load_model, print_model
 # analysis pipeline
 
 
-@dataclass
+@dataclass(repr=False)
 class AnalysisResult:
     """Everything one sentence produces; fields are mutually consistent
     (the formula is extracted from the normal form)."""
@@ -56,8 +56,9 @@ class AnalysisResult:
     printed: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class AnalysisOptions:
+    """How `analyze` reports each sentence: its command-line flags."""
     presuppositions: str = "separate"  # separate | conjoin | off
     rewrite: bool = False
     trace: bool = False

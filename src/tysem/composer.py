@@ -96,7 +96,7 @@ def print_tree(tree: SynTree) -> str:
 TypeSubstitution = dict[str, Type]
 
 
-@dataclass
+@dataclass(repr=False)
 class CoercionReport:
     """Coercions used per word occurrence."""
 
@@ -188,7 +188,7 @@ def insert_coercions(arg: Term, found: Type, wanted: Type,
 # composition
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class _Value:
     """A composed subtree: its term, type, and referent-head bookkeeping."""
     term: Term
@@ -198,7 +198,7 @@ class _Value:
     head_entry: LexEntry | None
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class _Pending:
     """A function in the middle of application.
 
@@ -222,8 +222,10 @@ class _Pending:
                 if kind == "ty" and v not in self.bindings]
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class ComposeResult:
+    """A composed term and its type, the coercions used, the discourse state
+    after the sentence, and the discourse calls made (see `replay`)."""
     term: Term
     type: Type
     report: CoercionReport

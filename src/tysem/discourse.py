@@ -42,6 +42,8 @@ def _sort_name(ty: Type | str) -> str:
 
 @dataclass(frozen=True)
 class Referent:
+    """A choice term a word introduced into the discourse, with its sort and
+    the restriction it was built from."""
     index: int
     term: Term            # the choice term, e.g. eps{ani} chat
     sort: str

@@ -226,7 +226,7 @@ CHOICE_CONSTANTS = frozenset({"eps", "ieps", "tau"})
 # typing context
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, eq=False)
 class TypingContext:
     """Declared sorts plus typed names.  Constants and variables live in
     separate maps so the parser can tell them apart; both feed type_of."""

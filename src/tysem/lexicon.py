@@ -36,8 +36,9 @@ FLEXIBLE = "flexible"
 MODES = ("indefinite", "definite", "universal")
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, eq=False)
 class Coercion:
+    """A labelled term from `source` to `target` that an entry may apply."""
     label: str
     source: Type
     target: Type
@@ -49,8 +50,10 @@ class Coercion:
         return self.rigidity == RIGID
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, eq=False)
 class LexEntry:
+    """A word's principal term and type, its coercions and, for a
+    determiner, its mode."""
     word: str
     principal: Term
     principal_type: Type
@@ -69,8 +72,9 @@ class LexEntry:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, eq=False)
 class Lexicon:
+    """Declared sorts and constants, entries by word, and pronouns."""
     sorts: frozenset[str] = frozenset()
     constants: dict[str, Type] = field(default_factory=dict)
     entries: dict[str, LexEntry] = field(default_factory=dict)

@@ -34,7 +34,7 @@ from .kernel import (App, BaseSort, Const, Lam, Term, TyApp, Type,
                      TypingContext, Var, free_vars, is_normal, normalize,
                      spine, type_of)
 from .node import node
-from .sexpr import Atom, SExpr, expect_atom, expect_list, read_one
+from .sexpr import Atom, SExpr, SList, expect_atom, expect_list, read_one
 
 # ---------------------------------------------------------------------------
 # formula syntax
@@ -89,7 +89,7 @@ class Pred(Formula):
     args: tuple[LTerm, ...]
 
 
-@node(eq=False)
+@node
 class And(Formula):
     left: Formula
     right: Formula
@@ -550,9 +550,10 @@ def rewrite_hilbert(f: Formula) -> Formula:
         if hit is not None:
             return hit[1]
         top, ands = g, []
-        by_head: dict = {}  # the conjuncts of g, by _head, in order
+        by_head: dict = {}  # the distinct conjuncts of g, by _head
+        added: dict = {}  # see _spine_pivots
         if type(g) is And:
-            pivots = _spine_pivots(g, memo, by_head)
+            pivots = _spine_pivots(g, memo, by_head, added)
         else:
             pivots = _eps_pivots(g, memo)
             by_head[_head(g)] = [g]
@@ -573,9 +574,10 @@ def rewrite_hilbert(f: Formula) -> Formula:
                 break
             ands.append(g)
             if live:  # by_head is read for pivots not ruled out only
-                # the right operand's conjuncts are the last of their heads
-                for c in reversed(flatten_and(g.right)):
-                    by_head[_head(c)].pop()
+                # the conjuncts first met in the right operand are the last
+                # of their heads
+                for h in added.get(id(g), ()):
+                    by_head[h].pop()
             g = out = g.left
             pivots = _eps_pivots(g, memo)
         for a in reversed(ands):
@@ -637,32 +639,42 @@ def _eps_pivots(g: Formula, memo: dict) -> tuple[Eps, ...]:
     return out
 
 
-def _spine_pivots(g: And, memo: dict, by_head: dict | None = None
-                  ) -> tuple[Eps, ...]:
+def _spine_pivots(g: And, memo: dict, by_head: dict | None = None,
+                  added: dict | None = None) -> tuple[Eps, ...]:
     """_eps_pivots of a conjunction, from one walk down its left spine that
-    enters each conjunction on it into `memo`.  A pivot tuple met again is
-    not merged again, as it adds nothing: the sentences one stored analysis
+    enters each conjunction on it into `memo`.  An operand met again adds
+    nothing, nor does a pivot tuple: the sentences one stored analysis
     serves share its formula, and so its pivots, and merging compares
     distinct equal choice terms field by field.  With `by_head`, the walk
-    also appends g's conjuncts to it, in order, grouped by `_head`."""
+    also enters each distinct conjunct of g in it, grouped by `_head` in
+    the order first met from the bottom, and `added` maps the id() of a
+    conjunction on the spine to the heads of the conjuncts first met in its
+    right operand."""
     spine = []
     while type(g) is And and (by_head is not None or id(g) not in memo):
         spine.append(g)
         g = g.left
     out = _eps_pivots(g, memo)
     if by_head is not None:
-        by_head.setdefault(_head(g), []).append(g)
-    merged = {id(out)}
+        by_head[_head(g)] = [g]
+    seen, merged = {id(g)}, {id(out)}
     for node in reversed(spine):
         right = node.right
-        pivots = _eps_pivots(right, memo)
-        if id(pivots) not in merged:
-            merged.add(id(pivots))
-            out = _merge_pivots(out, pivots)
+        if id(right) not in seen:
+            pivots = _eps_pivots(right, memo)
+            if id(pivots) not in merged:
+                merged.add(id(pivots))
+                out = _merge_pivots(out, pivots)
+            if by_head is not None:
+                added[id(node)] = heads = []
+                for c in (flatten_and(right) if type(right) is And
+                          else (right,)):
+                    if id(c) not in seen:
+                        seen.add(id(c))
+                        by_head.setdefault(h := _head(c), []).append(c)
+                        heads.append(h)
+            seen.add(id(right))
         memo[id(node)] = node, out
-        if by_head is not None:
-            for c in (flatten_and(right) if type(right) is And else (right,)):
-                by_head.setdefault(_head(c), []).append(c)
     return out
 
 
@@ -896,7 +908,7 @@ def parse_formula(text: str,
     `constants` maps free constant names to their sorts; unknown free atoms
     default to sort e.  Binders carry their own sorts.
     """
-    return _formula_of(read_one(text), constants or {}, {})
+    return _formula_of(read_one(text, and_spine=True), constants or {}, {})
 
 
 def _formula_of(e: SExpr, consts: dict[str, str],
@@ -913,7 +925,9 @@ def _formula_of(e: SExpr, consts: dict[str, str],
     if head in ("and", "or", "implies"):
         if len(e) != 3:
             raise ParseError(f"({head} F F)", e.line, e.col)
-        cls = {"and": And, "or": Or, "implies": Implies}[head]
+        if head == "and":
+            return _conjunction_of(e, consts, scope)
+        cls = {"or": Or, "implies": Implies}[head]
         return cls(_formula_of(e[1], consts, scope),
                    _formula_of(e[2], consts, scope))
     if head == "not":
@@ -937,6 +951,22 @@ def _formula_of(e: SExpr, consts: dict[str, str],
                   _lterm_of(e[2], consts, scope))
     return Pred(head, tuple(_lterm_of(a, consts, scope)
                             for a in e.items[1:]))
+
+
+def _conjunction_of(e: SList, consts: dict[str, str],
+                    scope: dict[str, str]) -> Formula:
+    """An `(and F F)` list, looping down the spine of its left operands."""
+    rights = []
+    while (type(e) is SList and len(e) and type(e[0]) is Atom
+           and e[0].text == "and"):
+        if len(e) != 3:
+            raise ParseError("(and F F)", e.line, e.col)
+        rights.append(e[2])
+        e = e[1]
+    out = _formula_of(e, consts, scope)
+    for right in reversed(rights):
+        out = And(out, _formula_of(right, consts, scope))
+    return out
 
 
 def _lterm_of(e: SExpr, consts: dict[str, str],

@@ -29,13 +29,13 @@ from .errors import (EmptyCarrier, EvalError, FreeSymbol, ModelError,
                      ParseError, UninterpretedConstant)
 from .logic import (And, Eps, Eq, Exists, Forall, Formula, Implies, LApp,
                     LConst, LTerm, LVar, Not, Or, Pred, TruthConst, UNIVERSAL,
-                    free_formula_vars, nodes)
+                    flatten_and, free_formula_vars, nodes)
 from .sexpr import expect_atom, expect_list, read_one
 
 Interp = str | frozenset[tuple[str, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Model:
     """Carriers in choice order plus interpretations.
 
@@ -57,7 +57,7 @@ class Model:
         raise _no_carrier(sort)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, eq=False)
 class InterpPredicate:
     """A one-place predicate with its domain sort and extension."""
     name: str
@@ -144,6 +144,8 @@ def _eval(f: Formula, m: Model, env: dict[str, str]) -> bool:
             elems = tuple(_resolve(a, m, env) for a in args)
             return _pred_holds(m, name, elems)
         case And(l, r):
+            if type(l) is And:  # a discourse's spine: loop, do not recurse
+                return all(_eval(c, m, env) for c in flatten_and(f))
             return _eval(l, m, env) and _eval(r, m, env)
         case Or(l, r):
             return _eval(l, m, env) or _eval(r, m, env)
@@ -247,8 +249,9 @@ def _henkin(outer: set[str]) -> EvalError:
 # brute-force equivalence
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Verdict:
+    """What `check_equivalence` found; true when the formulas agree."""
     equivalent: bool
     counter_model: Model | None
     models_checked: int
@@ -479,11 +482,15 @@ class _Word:
             case Pred(name, args):
                 return self.pred(name, args, env)
             case And(l, r):
-                holds, raises = self.formula(l, env)
-                if not holds:
-                    return 0, raises
-                r_holds, r_raises = self.formula(r, env)
-                return holds & r_holds, raises | holds & r_raises
+                # a discourse's spine: loop, do not recurse
+                parts = flatten_and(f) if type(l) is And else (l, r)
+                holds, raises = self.formula(parts[0], env)
+                for r in parts[1:]:
+                    if not holds:
+                        break
+                    r_holds, r_raises = self.formula(r, env)
+                    holds, raises = holds & r_holds, raises | holds & r_raises
+                return holds, raises
             case Or(l, r):
                 holds, raises = self.formula(l, env)
                 if holds == self.all:

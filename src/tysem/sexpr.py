@@ -99,36 +99,62 @@ def _tokenize(text: str):
             i = j
 
 
-def read_all(text: str) -> list[SExpr]:
+def read_all(text: str, and_spine: bool = False) -> list[SExpr]:
     """Read every top-level s-expression in `text`.
 
-    Lists nested deeper than MAX_DEPTH are rejected with a ParseError."""
-    stack: list[tuple[list, int, int]] = []
+    Lists nested deeper than MAX_DEPTH are rejected with a ParseError.  With
+    `and_spine`, an `(and` list that is the left operand of another is not
+    counted: a discourse formula nests one per sentence, and its reader and
+    evaluators loop down that spine."""
+    spine = "and" if and_spine else None
+    stack: list[tuple[list, int, int, int]] = []
     top: list[SExpr] = []
+    depth = 0  # of the innermost open list, the `(and` spine left out
     for tok, line, col, is_str in _tokenize(text):
+        # a list opened past the cap is kept only as an `(and` spine link
+        if depth > MAX_DEPTH and (tok != spine or is_str):
+            raise _too_deep(*stack[-1][1:3])
         if tok == "(" and not is_str:
-            if len(stack) == MAX_DEPTH:
-                raise ParseError(f"lists nested {MAX_DEPTH + 1} deep; at "
-                                 f"most {MAX_DEPTH} are accepted", line, col)
-            stack.append(([], line, col))
+            stack.append(([], line, col, depth))
+            depth += 1
+            if depth > MAX_DEPTH and not _left_of(spine, stack):
+                raise _too_deep(line, col)
         elif tok == ")" and not is_str:
             if not stack:
                 raise ParseError("unexpected ')'", line, col)
-            items, l0, c0 = stack.pop()
+            items, l0, c0, depth = stack.pop()
             node = SList(tuple(items), l0, c0)
             (stack[-1][0] if stack else top).append(node)
         else:
-            node = Atom(tok, line, col, is_str)
-            (stack[-1][0] if stack else top).append(node)
+            items = stack[-1][0] if stack else top
+            if (tok == spine and not items and not is_str
+                    and _left_of(spine, stack)):
+                depth -= 1
+            items.append(Atom(tok, line, col, is_str))
     if stack:
-        _, l0, c0 = stack[-1]
+        _, l0, c0, _ = stack[-1]
         raise ParseError("unbalanced parenthesis", l0, c0)
     return top
 
 
-def read_one(text: str) -> SExpr:
+def _left_of(spine: str | None, stack) -> bool:
+    """Whether the innermost open list is the left operand of a list headed
+    by the symbol `spine`."""
+    if len(stack) < 2:
+        return False
+    parent = stack[-2][0]
+    return (len(parent) == 1 and type(parent[0]) is Atom
+            and parent[0].text == spine and not parent[0].string)
+
+
+def _too_deep(line: int, col: int) -> ParseError:
+    return ParseError(f"lists nested {MAX_DEPTH + 1} deep; at most "
+                      f"{MAX_DEPTH} are accepted", line, col)
+
+
+def read_one(text: str, and_spine: bool = False) -> SExpr:
     """Read exactly one s-expression; reject trailing material."""
-    exprs = read_all(text)
+    exprs = read_all(text, and_spine)
     if not exprs:
         raise ParseError("empty input", 1, 1)
     if len(exprs) > 1:

@@ -16,6 +16,7 @@ from tysem.discourse import DiscourseState
 from tysem.errors import TysemError
 from tysem.kernel import reduction_steps
 from tysem.lexicon import load_lexicon
+from tysem.logic import parse_formula, print_formula
 
 LEXICA = "lexica"
 
@@ -624,6 +625,33 @@ def test_eval_rejects_deep_nesting_without_a_traceback():
     assert proc.returncode == 1 and not proc.stdout
     assert proc.stderr == ("error: 1:1281: lists nested 257 deep; "
                            "at most 256 are accepted\n")
+
+
+# a discourse nests one `(and` per sentence, far past sexpr.MAX_DEPTH, and
+# what tysem prints it reads back
+@pytest.mark.parametrize("n", [300, 5000])
+def test_sexpr_discourse_reads_back_and_evaluates(capsys, tmp_path, n):
+    lex = load_lexicon(Path(f"{LEXICA}/homme.lex").read_text())
+    state, store, results = DiscourseState(), {}, []
+    options = AnalysisOptions()
+    for i in range(n):
+        tree = parse_tree(("(est_entre (un homme))", "(a_hurle il)")[i % 2])
+        r, state = analyze_tree(lex, tree, state, options, store)
+        results.append(r)
+    f = discourse_formula(results, options)
+    text = print_formula(f, "sexpr")
+    assert text.startswith("(and " * n)
+    assert parse_formula(text) == f
+    model = tmp_path / "m.model"
+    model.write_text("(model (carrier humain (h1 h2)) (interp homme ((h1)))"
+                     " (interp est_entre ((h1))) (interp a_hurle ((h1))))")
+    code, out, err = run(capsys, "eval", "--model", str(model),
+                         "--formula", text)
+    assert (code, out, err) == (0, "true\n", "")
+    code, out, err = run(capsys, "eval", "--model", str(model),
+                         "--formula", text, "--equiv", text,
+                         "--max-carrier", "2")
+    assert (code, out, err) == (0, "equivalent (72 models)\n", "")
 
 
 def test_eval_equivalence_free_constant(capsys):

@@ -6,6 +6,7 @@ fields, and keeps the fields, `match` order and `repr` it had as a plain
 frozen dataclass.  Kernel and tree nodes keep their hash once worked out.
 """
 
+import builtins
 import copy
 import dataclasses
 import inspect
@@ -19,7 +20,7 @@ from tysem.kernel import (CHOICE_TYPE, T, App, Arrow, BaseSort, Const, Lam,
                           Pi, TyApp, TyLam, TypeVar, Var)
 from tysem.logic import (And, Eps, Eq, Exists, Forall, Implies, LApp, LConst,
                          LVar, Not, Or, Pred, TruthConst)
-from tysem.node import KeepsHash
+from tysem.node import KeepsHash, node
 from tysem.sexpr import Atom, SList
 
 ANI = BaseSort("ani")
@@ -159,3 +160,62 @@ def test_match_binds_fields_in_order():
             assert (f, a) == ("dort", "chat")
         case _:
             pytest.fail("no match")
+
+
+def test_defining_a_node_class_compiles_at_most_once(monkeypatch):
+    sources = []
+    real_exec = builtins.exec
+
+    def counting_exec(*args):
+        sources.append(args[0])
+        return real_exec(*args)
+
+    monkeypatch.setattr(builtins, "exec", counting_exec)
+
+    @node
+    class Wide(KeepsHash):
+        a: int
+        b: int
+        c: int
+        d: int
+        e: int
+        f: int
+        g: int = 0
+
+    assert len(sources) <= 1
+
+    @node
+    class Plain:
+        value: str
+
+    @node
+    class AlsoWide:
+        g: int
+        f: int
+        e: int
+        d: int
+        c: int
+        b: int
+        a: int
+
+    assert len(sources) <= 1
+    assert Wide(1, 2, 3, 4, 5, 6) == Wide(1, 2, 3, 4, 5, 6, g=0)
+    assert Wide(1, 2, 3, 4, 5, 6) != Wide(1, 2, 3, 4, 5, 6, 7)
+    assert repr(Wide(1, 2, 3, 4, 5, 6)).endswith(
+        "Wide(a=1, b=2, c=3, d=4, e=5, f=6, g=0)")
+    assert hash(Plain("a")) == hash(Plain("a")) and Plain("a") != Plain("b")
+    backwards = AlsoWide(g=1, f=2, e=3, d=4, c=5, b=6, a=7)
+    assert (backwards.g, backwards.a) == (1, 7)
+    assert backwards == AlsoWide(1, 2, 3, 4, 5, 6, 7)
+    assert hash(backwards) == hash((1, 2, 3, 4, 5, 6, 7))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Wide(1, 2, 3, 4, 5, 6).a = 2
+
+
+def test_repr_setattr_and_delattr_are_shared():
+    classes = {type(n) for n in NODES}
+    for name in ("__setattr__", "__delattr__"):
+        assert len({vars(c)[name] for c in classes}) == 1
+    printed_by_own_repr = {Atom, SList, And}
+    assert len({vars(c)["__repr__"]
+                for c in classes - printed_by_own_repr}) == 1

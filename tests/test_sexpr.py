@@ -55,3 +55,23 @@ def test_nesting_limit():
         read_all(text)
     assert (err.value.line, err.value.col) == (2, 2 * MAX_DEPTH)
     assert f"nested {MAX_DEPTH + 1} deep" in str(err.value)
+
+
+def test_and_spine_is_left_out_of_the_nesting_limit():
+    n = 3 * MAX_DEPTH
+    inner = "(" * (MAX_DEPTH - 1) + ")" * (MAX_DEPTH - 1)
+    text = "(and " * n + inner + " b)" * n
+    with pytest.raises(ParseError):
+        read_all(text)
+    (e,) = read_all(text, and_spine=True)
+    for _ in range(n - 1):
+        e = e[1]
+    assert e[1].line == 1 and len(e[1]) == 1
+    # below the spine, and in any list but an `(and` left operand, every
+    # level counts
+    for deeper in ("(and " * n + "(" + inner + ") b)" + " b)" * (n - 1),
+                   "(and (or " * n + "a b)" + " b)" * n,
+                   '("and" ' * n + "a" + " b)" * n):
+        with pytest.raises(ParseError) as err:
+            read_all(deeper, and_spine=True)
+        assert f"nested {MAX_DEPTH + 1} deep" in str(err.value)
