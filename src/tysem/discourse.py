@@ -21,17 +21,17 @@ restriction, are copied.
 
 A session replays most sentences (see `composer.replay`), and a replayed
 indefinite registers again with the restriction's key from the composer's
-log, so a registration sets the new referent's fields and the new state's
-slots directly: no `canon`, no dataclass `__init__`, no `__post_init__`.
+log, so a registration runs no `canon`: it builds the new referent, a
+`tysem.node`, and sets the new state's slots directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import NoAntecedent
 from .kernel import BaseSort, Term, Type, canon
+from .node import node
 
 
 def _sort_name(ty: Type | str) -> str:
@@ -40,7 +40,7 @@ def _sort_name(ty: Type | str) -> str:
     return ty.name if isinstance(ty, BaseSort) else str(ty)
 
 
-@dataclass(frozen=True)
+@node
 class Referent:
     """A choice term a word introduced into the discourse, with its sort and
     the restriction it was built from."""
@@ -49,13 +49,7 @@ class Referent:
     sort: str
     predicate: Term       # the restriction the term was built from
     introduced_by: str    # word occurrence, e.g. "un#1"
-    # canonical form of the restriction, compared by resolve_definite;
-    # worked out here unless the caller has it
-    key: Term = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.key is None:
-            object.__setattr__(self, "key", canon(self.predicate))
+    key: Term             # canon(predicate), compared by resolve_definite
 
 
 class DiscourseState:
@@ -95,9 +89,6 @@ class DiscourseState:
             return NotImplemented
         return self.referents == other.referents
 
-    def __hash__(self):
-        return hash(self.referents)
-
     def __repr__(self):
         return f"DiscourseState(referents={self.referents!r})"
 
@@ -114,11 +105,8 @@ def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
     """Append a referent; the newest one is the most salient.  Registration
     is by token: composing the same sentence twice yields two referents.
     `key`, when given, is `kernel.canon(predicate)`."""
-    ref = object.__new__(Referent)  # no __init__: see the module docstring
-    ref.__dict__.update(index=state._size, term=eps_term,
-                        sort=_sort_name(sort), predicate=predicate,
-                        introduced_by=source,
-                        key=canon(predicate) if key is None else key)
+    ref = Referent(state._size, eps_term, _sort_name(sort), predicate, source,
+                   canon(predicate) if key is None else key)
     newest, by_key = state._newest.copy(), state._by_key.copy()
     _index(newest, by_key, ref)
     out = object.__new__(DiscourseState)

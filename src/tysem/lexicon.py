@@ -27,8 +27,8 @@ from functools import cached_property
 from . import kernel
 from .errors import LexiconError, NotFound, ParseError, UnknownSort
 from .kernel import (Arrow, BaseSort, CHOICE_CONSTANTS, Const, Term, Type,
-                     TypingContext, alpha_eq, free_vars, parse_type,
-                     print_term, term_of_sexpr, type_of)
+                     TypingContext, free_vars, parse_type, print_term,
+                     term_of_sexpr, type_of)
 from .sexpr import Atom, SList, expect_atom, expect_list, read_all
 
 RIGID = "rigid"
@@ -319,25 +319,3 @@ def type_to_predicate(lex: Lexicon, sort: str) -> tuple[Lexicon, Const]:
         return lex, Const(name, ty)
     new_lex = replace(lex, constants={**lex.constants, name: ty})
     return new_lex, Const(name, ty)
-
-
-def lexicons_equal(a: Lexicon, b: Lexicon) -> bool:
-    """Structural equality up to alpha-renaming inside terms; used by the
-    print/load round-trip checks."""
-    if a.sorts != b.sorts or a.constants != b.constants:
-        return False
-    if set(a.entries) != set(b.entries) or a.pronouns != b.pronouns:
-        return False
-    for word, ea in a.entries.items():
-        eb = b.entries[word]
-        if (ea.determiner_mode != eb.determiner_mode
-                or ea.principal_type != eb.principal_type
-                or not alpha_eq(ea.principal, eb.principal)
-                or len(ea.options) != len(eb.options)):
-            return False
-        for oa, ob in zip(ea.options, eb.options):
-            if (oa.label != ob.label or oa.source != ob.source
-                    or oa.target != ob.target or oa.rigidity != ob.rigidity
-                    or not alpha_eq(oa.term, ob.term)):
-                return False
-    return True

@@ -9,22 +9,26 @@ their restriction as a formula with one designated hole variable.
 The module also generates the presuppositions of choice terms (the
 restriction applied to the term itself), rewrites the classical patterns
 `B(choice_x B)` into sorted quantifiers, and prints formulas canonically in
-ascii, unicode or s-expression style.
+ascii, unicode or s-expression style.  The rewrite makes one pass over a
+conjunction: it tries each choice term once, in occurrence order, and puts
+the quantifiers of those that fire around it last.
 
 Formulas and their terms are walked through one core.  `children` gives a
 node's subformulas and subterms left to right and `rebuild` puts others in
 their place, both by a table on the node's class.  `nodes` iterates in
 pre-order on an explicit stack, `transform` rebuilds a formula with some
 nodes replaced and `fold` combines results bottom-up.  The last two recurse
-once per node but loop down a conjunction's left spine, the one dimension
-that grows with a discourse; every other path is bounded by the reader's
-`sexpr.MAX_DEPTH`.  The extraction, the parser and the infix printer, which
-threads precedence, keep their own recursion.
+once per node but loop down a conjunction's left spine, which grows with a
+discourse's sentences.  A rewritten discourse also nests one quantifier per
+referent it binds, and these walkers, `==`, `hash` and the printers recurse
+once per quantifier of that nest.  The extraction, the parser and the infix
+printer, which threads precedence, keep their own recursion.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from operator import attrgetter, is_
 
 from . import kernel
@@ -445,10 +449,6 @@ def presuppositions(term: Term, ctx: TypingContext | None = None
 # alpha equivalence of formulas
 
 
-def formula_alpha_eq(a: Formula, b: Formula) -> bool:
-    return canon_formula(a) == canon_formula(b)
-
-
 def canon_formula(f: Formula) -> Formula:
     """f with its bound variables renamed `!q0`, `!q1`, ... in pre-order, so
     that alpha-equivalent formulas have equal canonical forms."""
@@ -475,124 +475,212 @@ def canon_formula(f: Formula) -> Formula:
 
 def rewrite_hilbert(f: Formula) -> Formula:
     """Replace each subformula of shape Body[choice_x Body] by the
-    corresponding sorted quantifier, outside-in, to a fixed point.
+    corresponding sorted quantifier, outside-in.
 
     The match also fires when the choice term's restriction is one conjunct
     of the abstracted subformula, which is the shape a sentence takes once
     its presuppositions are conjoined in.  Choice terms that fit no pattern
     are left intact: they are strictly more expressive than quantifiers.
 
-    A subformula with no choice term in a term position cannot match and is
-    returned as it is.  Pivots are collected once per tree, bottom-up, into
-    a memo that lives for this call.  The left operand of a conjunction has
-    a subset of its conjuncts, so a pivot ruled out at a conjunction is not
-    tried again down its left spine.  A pivot is ruled out before any
-    abstraction when no conjunct has the head of its restriction (`_head`),
-    and after a failed try that would fail the same way below
-    (`_fails_below`).  Rewriting a discourse therefore costs time linear in
-    its number of sentences in every presupposition mode, `off` included,
-    where no sentence carries its choice term's restriction.
-
-    Pivots, and the conjuncts grouped by `_head`, come from one walk down a
-    conjunction's left spine (`_spine_pivots`).  A try makes one pass over
-    the subformula (`_abstract`), or two when the pivot's hole name occurs
-    outside the pivot and a fresh name must be bound instead.  The renamed
-    restriction is compared only with the conjuncts that share its head,
-    and an unchanged conjunct's `canon_formula` key is worked out once per
-    call.  When a try fires, the pivots of the new body are those of the
-    subformula less this one; they enter the memo, so the result is not
-    walked again when nothing is left to bind.
+    A formula is rewritten at its top in one pass (`_Pass`) that tries each
+    of its pivots once, and each of its distinct conjuncts is then
+    rewritten inside once.  A pivot that did not fire at a conjunction fails
+    at every conjunction below it too, which has a subset of its conjuncts
+    and names, unless its renamed hole can be captured there
+    (`_fails_below`).  Only such pivots are tried again, down the left
+    spine and in the right operands.  A restriction that binds no variable,
+    as a noun's does, leaves none, so a discourse's rewrite costs time
+    linear in its length, and no call recurses per sentence or per fire.
 
     Each distinct subformula object is rewritten once per call, and a node
     is rebuilt only when an operand changed, so a formula in which nothing
     fires comes back as the very object.
     """
-    memo: dict[int, tuple[Formula, tuple[Eps, ...]]] = {}
-    keys: dict[int, tuple[Formula, Formula]] = {}  # id -> (conjunct, key)
     done: dict[int, tuple[Formula, Formula]] = {}  # id -> (g, rewrite(g))
 
-    def key(c: Formula, rebuilt: dict) -> Formula:
-        """The canon_formula key of conjunct c after a try's pass."""
-        new = rebuilt.get(id(c))
-        if new is not None:
-            return canon_formula(new)
-        hit = keys.get(id(c))
-        if hit is None:
-            hit = keys[id(c)] = c, canon_formula(c)
-        return hit[1]
+    def inside(c: Formula) -> Formula:
+        """c with its subformulas rewritten."""
+        if type(c) is Pred or type(c) is Eq:
+            return c
+        kids = children(c)
+        new = [rewrite(k) for k in kids]
+        return c if all(map(is_, new, kids)) else rebuild(c, new)
 
-    def rewrite_here(g: Formula, pivots: tuple[Eps, ...], ruled_out: set[int],
-                     by_head: dict) -> Formula | None:
-        for pivot in pivots:
-            if id(pivot) in ruled_out:
-                continue
-            candidates = by_head[_head(pivot.body)]
-            if not candidates:  # nor has any conjunction below
-                ruled_out.add(id(pivot))
-                continue
-            var = pivot.hole
-            out, names, rebuilt = _abstract(g, pivot, LVar(var, pivot.sort))
-            if var in names:
-                var = _fresh_var(names)
-                out, _, rebuilt = _abstract(g, pivot, LVar(var, pivot.sort))
-            body_key = canon_formula(_rename_hole(pivot, var))
-            if any(key(c, rebuilt) == body_key for c in candidates):
-                # no two pivots are equal, so only this one is gone
-                memo[id(out)] = out, tuple(p for p in pivots if p is not pivot)
-                cls = Forall if pivot.mode == UNIVERSAL else Exists
-                return cls(var, pivot.sort, out)
-            if _fails_below(pivot, var):
-                ruled_out.add(id(pivot))
-        return None
-
-    def rewrite(g: Formula) -> Formula:
-        hit = done.get(id(g))
-        if hit is not None:
+    def rewrite(g: Formula, live: set[Eps] | None = None) -> Formula:
+        """g rewritten, where only the pivots in `live`, or any when it is
+        None, can fire at g's conjunction."""
+        if live is None and (hit := done.get(id(g))) is not None:
             return hit[1]
-        top, ands = g, []
-        by_head: dict = {}  # the distinct conjuncts of g, by _head
-        added: dict = {}  # see _spine_pivots
-        if type(g) is And:
-            pivots = _spine_pivots(g, memo, by_head, added)
-        else:
-            pivots = _eps_pivots(g, memo)
-            by_head[_head(g)] = [g]
-        # pivots below g are some of g's, the very objects: ids identify them
-        ruled_out = {id(p) for p in pivots if _head(p.body) not in by_head}
-        out = g
-        while pivots:
-            live = not ruled_out.issuperset(map(id, pivots))
-            if live and (new := rewrite_here(g, pivots, ruled_out,
-                                             by_head)) is not None:
-                out = rewrite(new)
+        top, memo, levels = g, live is None, []
+        while True:
+            now = _Pass(g, live)
+            if not now.live or type(g) is not And:
+                final = {i: inside(c) for i, c in now.conjuncts.items()}
+                out = now.wrap(_with_conjuncts(g, final))
                 break
-            if type(g) is not And:
-                if not isinstance(g, (Pred, Eq)):
-                    kids = [rewrite(k) for k in children(g)]
-                    if not all(map(is_, kids, children(g))):
-                        out = rebuild(g, kids)
-                break
-            ands.append(g)
-            if live:  # by_head is read for pivots not ruled out only
-                # the conjuncts first met in the right operand are the last
-                # of their heads
-                for h in added.get(id(g), ()):
-                    by_head[h].pop()
-            g = out = g.left
-            pivots = _eps_pivots(g, memo)
-        for a in reversed(ands):
-            right = rewrite(a.right)
-            out = a if out is a.left and right is a.right else And(out, right)
-        done[id(top)] = top, out
+            # a pivot that did not fire may fire at a conjunction below
+            body = _with_conjuncts(g, now.conjuncts)
+            levels.append((now, body))
+            g, live = body.left, now.live
+        for now, a in reversed(levels):
+            right = rewrite(a.right, now.live)
+            out = now.wrap(a if out is a.left and right is a.right
+                           else And(out, right))
+        if memo:
+            done[id(top)] = top, out
         return out
 
     return rewrite(f)
 
 
+_OUTSIDE_CHOICE = frozenset(_CHILDREN) - {Eps}
+
+
+class _Pass:
+    """One pass of `rewrite_hilbert` at the top of a formula g.
+
+    Each pivot, a choice term in a term position of g, is tried once, in
+    occurrence order, against the `canon_formula` keys of g's distinct
+    conjuncts (g alone when it is no conjunction).  Its hole is renamed to a
+    name used nowhere outside the pivot, read off `free`, the names met
+    outside every pivot, and `held`, the number of pivots each name occurs
+    in.  Only the conjuncts that hold the pivot are abstracted and keyed
+    (`_matches`).  A fire puts g under a new quantifier, a formula of its
+    own, and a pivot whose restriction is a quantifier of that kind is
+    tried there.
+
+    `conjuncts` maps the id() of each distinct conjunct to its version with
+    the fired pivots replaced, `fired` holds the fired pivots with their
+    variables, outermost first, and `live` the pivots that did not fire and
+    may fire at a conjunction below g.  Only the pivots in the `live` given,
+    or all when it is None, are tried at g's conjunction.
+    """
+
+    def __init__(self, g: Formula, live: set[Eps] | None):
+        self.g = g
+        self.conjuncts = {id(c): c for c in flatten_and(g)}
+        self.fired: list[tuple[Eps, str]] = []
+        self.live: set[Eps] = set()
+        self.holders: dict[Eps, list[int]] = {}  # pivot -> its conjuncts
+        self.free: set[str] = set()
+        for i, c in self.conjuncts.items():
+            for n in nodes(c, into=_OUTSIDE_CHOICE):
+                t = type(n)
+                if t is Eps:
+                    at = self.holders.setdefault(n, [])
+                    if not at or at[-1] != i:
+                        at.append(i)
+                elif t is LVar:
+                    self.free.add(n.name)
+                elif t is Exists or t is Forall:
+                    self.free.add(n.var)
+        # abstraction keeps a conjunct's top node, so a pivot whose
+        # restriction has another one fails here and below
+        heads = {_head(c) for c in self.conjuncts.values()}
+        tried = [p for p in self.holders if (live is None or p in live)
+                 and _head(p.body) in heads]
+        if not tried:
+            return
+        self.names = {p: _formula_names(p) for p in self.holders}
+        self.held = Counter(n for names in self.names.values() for n in names)
+        self.fresh, self.unbound = _fresh_names(), []  # fresh, not in free
+        quantified = [p for p in self.holders
+                      if type(p.body) is Exists or type(p.body) is Forall]
+        for p in tried:
+            if p not in self.holders:  # it fired at a quantifier
+                continue
+            var, new, want = self._try(p)
+            if self._matches(new, var, want):
+                at = len(self.fired)
+                self._fire(p, var, new, at)
+                while self._fires_at_quantifier(at, quantified):
+                    pass
+            elif not _fails_below(p, var):
+                self.live.add(p)
+
+    def _fires_at_quantifier(self, at: int, quantified: list[Eps]) -> bool:
+        """Whether a pivot fires at g under the quantifiers of the pivots
+        fired from `at` on, and fires there, bound outside them."""
+        cls = _quantifier(self.fired[at][0])
+        tried = [q for q in quantified
+                 if q in self.holders and type(q.body) is cls]
+        if tried:
+            top = self.wrap(_with_conjuncts(self.g, self.conjuncts), at)
+        for q in tried:
+            var, new, want = self._try(q)
+            if canon_formula(_abstract(top, q, LVar(var, q.sort))) == want:
+                self._fire(q, var, new, at)
+                self.live.discard(q)
+                return True
+        return False
+
+    def _try(self, p: Eps):
+        """p's variable, the conjuncts that hold p with it in p's place, and
+        the key of p's restriction of it."""
+        mine = self.names[p]
+
+        def in_use(name):
+            return name in self.free or self.held[name] > (name in mine)
+
+        var = p.hole if not in_use(p.hole) else self._fresh(in_use)
+        lvar = LVar(var, p.sort)
+        new = {i: _abstract(self.conjuncts[i], p, lvar)
+               for i in self.holders[p]}
+        return var, new, canon_formula(_rename_hole(p, var))
+
+    def _fresh(self, in_use) -> str:
+        """The first fresh name not in use.  A name in `free` stays in use,
+        so it is dropped from the names scanned."""
+        names, i = self.unbound, 0
+        while True:
+            if i == len(names):
+                names.append(next(self.fresh))
+            if names[i] in self.free:
+                del names[i]
+            elif in_use(names[i]):
+                i += 1
+            else:
+                return names[i]
+
+    def _matches(self, new: dict[int, Formula], var: str, want: Formula):
+        """Whether `want` is the key of a conjunct: of one that held the
+        pivot, in its `new` version, or of another.  `var` occurs in no
+        other conjunct, so those are keyed only when `var` is not free in
+        `want`.  A conjunct that holds the pivot is larger than its
+        restriction, so its old version never matches."""
+        if any(canon_formula(c) == want for c in new.values()):
+            return True
+        return var not in free_formula_vars(want) and any(
+            canon_formula(c) == want for c in self.conjuncts.values())
+
+    def _fire(self, p: Eps, var: str, new: dict[int, Formula], at: int):
+        self.conjuncts.update(new)
+        self.free.add(var)
+        self.held.subtract(self.names[p])
+        del self.holders[p]
+        self.fired.insert(at, (p, var))
+
+    def wrap(self, f: Formula, at: int = 0) -> Formula:
+        """f under the quantifiers of the pivots fired from `at` on."""
+        for p, var in reversed(self.fired[at:]):
+            f = _quantifier(p)(var, p.sort, f)
+        return f
+
+
+def _with_conjuncts(g: Formula, versions: dict[int, Formula]) -> Formula:
+    """g with each conjunct c replaced by versions[id(c)]."""
+    return transform(g, lambda n, _: None if type(n) is And
+                     else versions[id(n)])
+
+
+def _quantifier(pivot: Eps) -> type:
+    return Forall if pivot.mode == UNIVERSAL else Exists
+
+
 def _head(f: Formula):
     """What canon_formula keeps of a formula's top node: its class, and for
     a predicate its name and arity."""
-    if isinstance(f, Pred):
+    if type(f) is Pred:
         return f.name, len(f.args)
     return type(f)
 
@@ -616,110 +704,15 @@ def _fails_below(pivot: Eps, var: str) -> bool:
             return True
 
 
-def _eps_pivots(g: Formula, memo: dict) -> tuple[Eps, ...]:
-    """Choice terms occurring in term positions of g, in occurrence order,
-    without descending into other choice terms' bodies.  No two of them are
-    equal.
-
-    `memo` maps the id() of every subformula already seen to the subformula
-    (which keeps the id from being reused) and its pivots."""
-    hit = memo.get(id(g))
-    if hit is not None:
-        return hit[1]
-    match g:
-        case And():
-            return _spine_pivots(g, memo)
-        case Pred() | Eq():
-            out = _term_pivots(children(g))
-        case _:
-            out = ()
-            for k in children(g):
-                out = _merge_pivots(out, _eps_pivots(k, memo))
-    memo[id(g)] = (g, out)
-    return out
-
-
-def _spine_pivots(g: And, memo: dict, by_head: dict | None = None,
-                  added: dict | None = None) -> tuple[Eps, ...]:
-    """_eps_pivots of a conjunction, from one walk down its left spine that
-    enters each conjunction on it into `memo`.  An operand met again adds
-    nothing, nor does a pivot tuple: the sentences one stored analysis
-    serves share its formula, and so its pivots, and merging compares
-    distinct equal choice terms field by field.  With `by_head`, the walk
-    also enters each distinct conjunct of g in it, grouped by `_head` in
-    the order first met from the bottom, and `added` maps the id() of a
-    conjunction on the spine to the heads of the conjuncts first met in its
-    right operand."""
-    spine = []
-    while type(g) is And and (by_head is not None or id(g) not in memo):
-        spine.append(g)
-        g = g.left
-    out = _eps_pivots(g, memo)
-    if by_head is not None:
-        by_head[_head(g)] = [g]
-    seen, merged = {id(g)}, {id(out)}
-    for node in reversed(spine):
-        right = node.right
-        if id(right) not in seen:
-            pivots = _eps_pivots(right, memo)
-            if id(pivots) not in merged:
-                merged.add(id(pivots))
-                out = _merge_pivots(out, pivots)
-            if by_head is not None:
-                added[id(node)] = heads = []
-                for c in (flatten_and(right) if type(right) is And
-                          else (right,)):
-                    if id(c) not in seen:
-                        seen.add(id(c))
-                        by_head.setdefault(h := _head(c), []).append(c)
-                        heads.append(h)
-            seen.add(id(right))
-        memo[id(node)] = node, out
-    return out
-
-
-def _merge_pivots(first: tuple[Eps, ...],
-                  second: tuple[Eps, ...]) -> tuple[Eps, ...]:
-    out = first
-    for p in second:
-        if p not in out:
-            out += (p,)
-    return out
-
-
-def _term_pivots(terms) -> tuple[Eps, ...]:
-    out: list[Eps] = []
-    for t in terms:
-        for n in nodes(t, into=(LApp,)):
-            if type(n) is Eps and n not in out:
-                out.append(n)
-    return tuple(out)
-
-
-def _abstract(g: Formula, pivot: Eps, var: LVar
-              ) -> tuple[Formula, set[str], dict[int, Formula | LTerm]]:
+def _abstract(g: Formula, pivot: Eps, var: LVar) -> Formula:
     """g with `var` in place of each occurrence of `pivot` in a term
-    position, in one pass.  Also returns the variable names met outside
-    those occurrences, other choice terms' bodies included, and the nodes
-    rebuilt, by the id() of the node each replaces."""
-    names: set[str] = set()
-    rebuilt: dict[int, Formula | LTerm] = {}
-
+    position."""
     def visit(n, _):
-        t = type(n)
-        if t is Eps:
-            if n is pivot or n == pivot:
-                return var
-            names.update(_formula_names(n))
-            return n
-        if t is LVar:
-            names.add(n.name)
-            return n
-        if t is Exists or t is Forall:
-            names.add(n.var)
-        return rebuilt.get(id(n))  # a shared subtree met before
+        if type(n) is Eps:
+            return var if n is pivot or n == pivot else n
+        return None
 
-    return transform(g, visit, rebuilt=rebuilt), names, rebuilt
+    return transform(g, visit)
 
 
 def _rename_hole(pivot: Eps, var: str) -> Formula:

@@ -273,8 +273,10 @@ def test_registration_does_not_grow_with_the_session():
     # the index maps are copied, one entry per sort and per distinct
     # restriction.  Both sizes below index every (sort, restriction) pair.
     preds = [RESTRICTIONS[j] for j in (0, 3, 5)]  # constants: cheap keys
+    keys = [canon(p) for p in preds]
     refs = tuple(Referent(i, Const(f"r{i}", BaseSort(SORTS[i % 4])),
-                          SORTS[i % 4], preds[i % 3], f"un#{i}")
+                          SORTS[i % 4], preds[i % 3], f"un#{i}",
+                          key=keys[i % 3])
                  for i in range(50_000))
     state = DiscourseState(refs)
     small = _registration_bytes(DiscourseState(refs[:12]))

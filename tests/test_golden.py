@@ -17,6 +17,8 @@ file) to the sha256 of its exit code, stdout and stderr.  The commands are:
   mode and flag set;
 - sessions in which a repeated sentence meets another discourse (so a
   replayed composition must miss);
+- `--rewrite` sessions of 250 and 500 sentences with many referents
+  (`tests/referents.py`), in which a rewrite fires once per noun;
 - `eval --equiv` on the paper's pairs and on inputs that it rejects.
 
 Regenerate the file only on a commit whose outputs are known to be right:
@@ -35,6 +37,8 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+import referents
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
@@ -172,6 +176,18 @@ def miss_commands() -> list[list[str]]:
             for flags in ([], ["--rewrite"])]
 
 
+REFERENT_SIZES = (250, 500)
+
+
+def referent_commands() -> list[list[str]]:
+    return [["analyze", "--lexicon", f"@nouns{referents.nouns(n)}",
+             "--session", f"@referents{n}", "--format", fmt,
+             "--presuppositions", mode, "--rewrite"]
+            for n in REFERENT_SIZES
+            for fmt in ("text", "sexpr")
+            for mode in ("separate", "off")]
+
+
 PAPER_PAIRS = [
     ("(P (eps s x (P x)))", "(exists (x s) (P x))"),
     ("(P (tau s x (P x)))", "(forall (x s) (P x))"),
@@ -215,7 +231,7 @@ def equiv_commands() -> list[list[str]]:
 def commands() -> dict[str, list[str]]:
     every = README + oneshot_commands() + fig2_tree_commands() + \
         inline_lexicon_commands() + session_commands() + miss_commands() + \
-        equiv_commands()
+        referent_commands() + equiv_commands()
     named = {" ".join(argv): argv for argv in every}
     assert len(named) == len(every), "two commands share a name"
     return named
@@ -237,6 +253,15 @@ def digests() -> dict[str, str]:
             path = Path(tmp) / f"{name}.session"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             files[f"@{name}"] = str(path)
+        for n in REFERENT_SIZES:
+            k = referents.nouns(n)
+            texts = {f"referents{n}.session":
+                     "\n".join(referents.session_lines(n)) + "\n",
+                     f"nouns{k}.lex": referents.lexicon_text(k)}
+            for file, text in texts.items():
+                path = Path(tmp) / file
+                path.write_text(text, encoding="utf-8")
+                files["@" + file.split(".")[0]] = str(path)
         for name, text in INLINE_LEXICA.items():
             path = Path(tmp) / f"{name}.lex"
             path.write_text(text, encoding="utf-8")

@@ -1,9 +1,9 @@
 import pytest
 
 from tysem.errors import LexiconError, NotFound, UnknownSort
-from tysem.kernel import Arrow, BaseSort, Const, E, T
-from tysem.lexicon import (lexicons_equal, load_lexicon, lookup_entry,
-                           print_lexicon, type_to_predicate)
+from tysem.kernel import Arrow, BaseSort, Const, E, T, alpha_eq
+from tysem.lexicon import (Lexicon, load_lexicon, lookup_entry, print_lexicon,
+                           type_to_predicate)
 
 
 def test_empty_lexicon_has_builtins_only():
@@ -98,6 +98,27 @@ def test_option_with_explicit_term():
 
 def test_noun_referent_sort_is_domain(chat_lex):
     assert lookup_entry(chat_lex, "chat").referent_sort() == BaseSort("ani")
+
+
+def lexicons_equal(a: Lexicon, b: Lexicon) -> bool:
+    """Structural equality up to alpha-renaming inside terms."""
+    if a.sorts != b.sorts or a.constants != b.constants:
+        return False
+    if set(a.entries) != set(b.entries) or a.pronouns != b.pronouns:
+        return False
+    for word, ea in a.entries.items():
+        eb = b.entries[word]
+        if (ea.determiner_mode != eb.determiner_mode
+                or ea.principal_type != eb.principal_type
+                or not alpha_eq(ea.principal, eb.principal)
+                or len(ea.options) != len(eb.options)):
+            return False
+        for oa, ob in zip(ea.options, eb.options):
+            if (oa.label != ob.label or oa.source != ob.source
+                    or oa.target != ob.target or oa.rigidity != ob.rigidity
+                    or not alpha_eq(oa.term, ob.term)):
+                return False
+    return True
 
 
 def test_round_trip(fig2, chat_lex, homme_lex):

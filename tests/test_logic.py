@@ -18,12 +18,16 @@ from tysem.kernel import (App, Arrow, BaseSort, Const, Lam, T, TypingContext,
 from tysem.logic import (INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
                          Formula, Implies, LApp, LConst, LTerm, LVar, Not, Or,
                          Pred, TruthConst, canon_formula, children, conjoin,
-                         extract_formula, flatten_and, formula_alpha_eq,
-                         formula_to_json, free_formula_vars, nodes,
-                         parse_formula, presuppositions, print_formula,
-                         rebuild, rewrite_hilbert)
+                         extract_formula, flatten_and, formula_to_json,
+                         free_formula_vars, nodes, parse_formula,
+                         presuppositions, print_formula, rebuild,
+                         rewrite_hilbert)
 
 ANI = BaseSort("ani")
+
+
+def formula_alpha_eq(a: Formula, b: Formula) -> bool:
+    return canon_formula(a) == canon_formula(b)
 
 
 @pytest.fixture

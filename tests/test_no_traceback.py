@@ -1,7 +1,8 @@
 """`cli.main` ends every run in exit code 0, 1 or 2, never in a traceback.
 
 Random trees over the four shipped lexica go through `analyze`, as single
-trees and as sessions, in every format.  `FormulaGen` formulas go through
+trees and as sessions, in every format, and so do sessions with many
+referents (`tests/referents.py`).  `FormulaGen` formulas go through
 `eval` and `eval --equiv`.  Byte-mutated lexicon and model files go
 through `check-lexicon`, `analyze` and `eval`.  Each run is in-process;
 an exception escaping `main` fails the test with its traceback.
@@ -13,9 +14,11 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import referents
 from generators import FormulaGen
 from tysem.cli import main
 from tysem.lexicon import load_lexicon
@@ -111,6 +114,20 @@ def test_random_trees_and_sessions(name, data, flags):
         session = Path(tmp) / "s.session"
         session.write_text("\n".join(lines) + "\n")
         run(*argv, "--session", session)
+
+
+@pytest.mark.parametrize("n", [250, 2000])
+@pytest.mark.parametrize("fmt", ["text", "sexpr"])
+def test_many_referent_sessions(n, fmt):
+    # a rewrite fires once per noun: about 400 nested quantifiers at 2,000
+    with tempfile.TemporaryDirectory() as tmp:
+        lexicon, session = Path(tmp) / "n.lex", Path(tmp) / "n.session"
+        lexicon.write_text(referents.lexicon_text(referents.nouns(n)))
+        session.write_text("\n".join(referents.session_lines(n)) + "\n")
+        for presupp in ("separate", "off"):
+            code, _ = run(*_analyze_argv(lexicon, fmt, "ascii", presupp, True),
+                          "--session", session)
+            assert code == 0
 
 
 @settings(max_examples=60)

@@ -1,17 +1,19 @@
 """`rewrite_hilbert` and `resolve_definite` against their former versions.
 
-`rewrite_hilbert` collects pivots once per tree, follows conjunction
-chains with loops and rules pivots out down a chain; `resolve_definite`
-compares stored canonical keys.  The
-recursive rewrite and the `alpha_eq` scan they replaced are copied below as
-oracles, and the results must be equal.  The printer, which prints each
-distinct conjunct object once, is checked on the same conjunctions against
-each conjunct printed alone.
+`rewrite_hilbert` tries each pivot of a conjunction once and builds the
+quantifier prefix last; `resolve_definite` compares stored canonical keys.
+The recursive rewrite, which rewrites again every formula a fire makes, and
+the `alpha_eq` scan they replaced are copied below as oracles, and the
+results must be equal.  The printer, which prints each distinct conjunct
+object once, is checked on the same conjunctions against each conjunct
+printed alone.
 """
 
 import copy
+import inspect
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -25,11 +27,15 @@ from tysem.discourse import (DiscourseState, coercion_between,
 from tysem.kernel import alpha_eq, parse_term
 from tysem.logic import (INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
                          Formula, Implies, LApp, LTerm, LVar, Not, Or, Pred,
-                         _fresh_var, conjoin, formula_alpha_eq, nodes,
+                         _fresh_var, canon_formula, conjoin, nodes,
                          parse_formula, print_formula, rewrite_hilbert)
 
 # ---------------------------------------------------------------------------
 # the recursive rewrite, as it was before pivots were memoized
+
+
+def formula_alpha_eq(a: Formula, b: Formula) -> bool:
+    return canon_formula(a) == canon_formula(b)
 
 
 def old_rewrite_hilbert(f: Formula) -> Formula:
@@ -468,6 +474,33 @@ def test_rewrite_returns_an_off_mode_discourse_as_it_is(homme_lex):
     results, _ = _session(homme_lex, "homme", random.Random(7), 320)
     chain = discourse_formula(results, AnalysisOptions("off"))
     assert rewrite_hilbert(chain) is chain
+
+
+def test_many_fires_take_no_stack_frame_each():
+    # 400 referents, each with a sentence and its presupposition, so that
+    # every pivot fires; a rewrite that recursed per fire, as the oracle
+    # does, would take three frames each
+    pivots = [Eps(INDEF, "ani", "x", Pred(f"n{i}", (LVar("x", "ani"),)))
+              for i in range(400)]
+    f = conjoin(Pred(name, (p,))
+                for p in pivots for name in ("v", p.body.name))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        out = rewrite_hilbert(f)
+    finally:
+        sys.setrecursionlimit(limit)
+    names = []
+    while type(out) is Exists:
+        names.append(out.var)
+        out = out.body
+    # the first fire is outermost; x, held by every other pivot, is free
+    # again for the last
+    assert names[:5] == ["y", "z", "w", "x1", "x2"] and names[-1] == "x"
+    assert len(set(names)) == len(pivots)
+    assert out == conjoin(Pred(name, (LVar(v, "ani"),))
+                          for v, p in zip(names, pivots)
+                          for name in ("v", p.body.name))
 
 
 # ---------------------------------------------------------------------------
