@@ -751,6 +751,7 @@ def free_formula_vars(f: Formula | LTerm) -> set[str]:
 
 _EPS_ASCII = {INDEF: "eps", DEF: "the", UNIVERSAL: "tau"}
 _EPS_UNICODE = {INDEF: "ε", DEF: "ιε", UNIVERSAL: "τ"}
+_QUANTIFIER = {Exists: ("exists ", "∃"), Forall: ("forall ", "∀")}  # [uni]
 
 _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4, 5
 
@@ -803,15 +804,15 @@ def _infix_f(f: Formula, context: int, style: str) -> str:
             text = (f"{_infix_f(l, _PREC_IMPLIES + 1, style)} {sym} "
                     f"{_infix_f(r, _PREC_IMPLIES, style)}")
             return f"({text})" if _PREC_IMPLIES < context else text
-        case Exists(var, sort, body) | Forall(var, sort, body):
-            if isinstance(f, Exists):
-                head = "∃" if uni else "exists "
-            else:
-                head = "∀" if uni else "forall "
-            inner = _infix_f(body, 0, style)
-            if isinstance(body, (And, Or, Implies)):
+        case Exists() | Forall():
+            heads = []  # a quantifier prefix: loop, do not recurse
+            while isinstance(f, (Exists, Forall)):
+                heads.append(f"{_QUANTIFIER[type(f)][uni]}{f.var}:{f.sort}. ")
+                f = f.body
+            inner = _infix_f(f, 0, style)
+            if isinstance(f, (And, Or, Implies)):
                 inner = f"({inner})"
-            text = f"{head}{var}:{sort}. {inner}"
+            text = "".join(heads) + inner
             return f"({text})" if context > 0 else text
     raise AssertionError(f)
 
@@ -854,6 +855,12 @@ def _sexpr(n: Formula | LTerm) -> str:
         first, rights = _and_spine(n)
         return "".join(["(and " * len(rights), _sexpr(first)] + _each_once(
             lambda r: f" {_sexpr(r)})", rights))
+    prefix = []  # a quantifier prefix: loop, do not recurse
+    while type(n) is Exists or type(n) is Forall:
+        prefix.append(f"({_SEXPR_HEAD[type(n)](n)} ")
+        n = n.body
+    if prefix:
+        return "".join(prefix) + _sexpr(n) + ")" * len(prefix)
     head = _SEXPR_HEAD[type(n)](n)
     kids = children(n)
     # `(f )` keeps its parentheses, or it would read back as a constant

@@ -11,11 +11,12 @@ every finite model, which the brute-force equivalence checker verifies by
 enumerating all small models.
 
 `eval_formula` evaluates a formula on one model.  The equivalence checker
-evaluates a formula on up to 2^16 models at once: each subformula becomes
-an int with one bit per model, connectives become bitwise operations,
-quantifiers combine their body over the carrier, and a choice term becomes
-the set of models on which it denotes each element.  `enumerate_models`
-and `eval_formula` stay as the reference it is tested against.
+compiles each formula once per check into nested closures and runs them on
+up to 2^16 models at once: each subformula gives an int with one bit per
+model, connectives become bitwise operations, quantifiers combine their
+body over the carrier, and a choice term gives the set of models on which
+it denotes each element.  `enumerate_models` and `eval_formula` stay as the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import (EmptyCarrier, EvalError, FreeSymbol, ModelError,
                      ParseError, UninterpretedConstant)
 from .logic import (And, Eps, Eq, Exists, Forall, Formula, Implies, LApp,
                     LConst, LTerm, LVar, Not, Or, Pred, TruthConst, UNIVERSAL,
-                    flatten_and, free_formula_vars, nodes)
+                    flatten_and, free_formula_vars)
 from .sexpr import expect_atom, expect_list, read_one
 
 Interp = str | frozenset[tuple[str, ...]]
@@ -395,25 +396,23 @@ def check_equivalence(f1: Formula, f2: Formula, sorts: list[str],
     """Brute force: evaluate both formulas on every enumerated model and
     return the first counter-model, or `equivalent`.
 
-    Each formula is evaluated once per word of models, one bit per model
-    (`_Word`).  The first model in enumeration order on which the formulas
-    differ or either raises is decoded and evaluated again by
-    `eval_formula`, so that an error keeps the interpreter's class and
-    message.  A free constant or function symbol is rejected before
-    enumeration, since no enumerated model interprets it."""
+    Each formula is compiled once (`_compile`) and run once per word of
+    models, one bit per model (`_Word`).  The first model in enumeration
+    order on which the formulas differ or either raises is decoded and
+    evaluated again by `eval_formula`, so that an error keeps the
+    interpreter's class and message.  A free constant or function symbol is
+    rejected while compiling, since no enumerated model interprets it."""
     if max_carrier < 1:
         raise ValueError("max_carrier must be at least 1")
-    for f in (f1, f2):
-        _reject_free_symbols(f)
+    run1, run2 = _compile((f1, f2), sorts, predicates)
     checked = 0
     for step in _ModelSpace(sorts, max_carrier, predicates).steps():
         width = min(step.bits, WORD_BITS)
-        row_masks = _row_masks(width)
         candidates = []  # the first bad model of each word
         for chunk in range(1 << step.bits - width):
-            word = _Word(step, chunk, width, row_masks)
-            holds1, raises1 = word.formula(f1, {})
-            holds2, raises2 = word.formula(f2, {})
+            word = _Word(step, chunk, width)
+            holds1, raises1 = run1(word, {})
+            holds2, raises2 = run2(word, {})
             bad = raises1 | raises2 | holds1 ^ holds2
             if bad:
                 candidates.append(chunk << width | word.first(bad))
@@ -428,13 +427,7 @@ def check_equivalence(f1: Formula, f2: Formula, sorts: list[str],
     return Verdict(True, None, checked)
 
 
-def _reject_free_symbols(f: Formula):
-    for n in nodes(f):
-        match n:
-            case LConst(name, _) | LApp(name, _):
-                raise FreeSymbol(name)
-
-
+@cache
 def _row_masks(width: int) -> list[int]:
     """Mask q holds the models of a 2**width-model word whose bit q is set:
     2**q clear bits, 2**q set bits, repeated.  Built by doubling with
@@ -450,78 +443,61 @@ def _row_masks(width: int) -> list[int]:
     return masks
 
 
-Masks = tuple[int, int]  # the models on which it holds, on which it raises
-Choice = tuple[dict[int, int], int]  # element id -> models, raises
+def _compile(formulas, sorts: list[str],
+             predicates: list[PredicateSig]) -> list:
+    """Each formula as a function of a `_Word` and an environment (variable
+    -> element id) that gives two masks of the word's models: where
+    `eval_formula` holds and where it raises.  The short circuits are the
+    interpreter's, in the same order, so they decide which errors are
+    reached; where a formula raises, its holds-mask is unspecified.  What
+    does not depend on the word is decided here, once per check."""
+    choices: dict[Eps, object] = {}  # equal choice terms share one function
+    names, sorts = {name for name, _ in predicates}, {*sorts, "e"}
 
+    def formula(f: Formula):
+        t = type(f)
+        if t is TruthConst:
+            value = f.value
+            return lambda w, env: (w.all if value else 0, 0)
+        if t is Pred:
+            return pred(f.name, f.args)
+        if t is And:  # a discourse's spine: loop, do not recurse
+            first, *rest = map(formula, flatten_and(f))
 
-class _Word:
-    """The models `chunk << width | w`, w < 2**width, of one step, as the
-    bits of an int.  `formula` gives the models on which `eval_formula`
-    holds and those on which it raises, in one pass for all of them: the
-    same short circuits, in the same order, decide which errors are
-    reached.  Where a formula raises, its holds-mask is unspecified."""
-
-    def __init__(self, step: _Step, chunk: int, width: int,
-                 row_masks: list[int]):
-        self.step = step
-        self.all = (1 << (1 << width)) - 1
-        self.bit = row_masks + [self.all if chunk >> q - width & 1 else 0
-                                for q in range(width, step.bits)]
-        self.width = width
-        # later duplicates win, as in the decoded model's dict
-        self.atoms = {name: {row: self.bit[offset + j]
-                             for j, row in enumerate(rows)}
-                      for (name, _), rows, offset
-                      in zip(step.space.predicates, step.rows, step.offsets)}
-        self.choices: dict[Eps, Choice] = {}
-
-    def formula(self, f: Formula, env: dict[str, int]) -> Masks:
-        match f:
-            case TruthConst(v):
-                return (self.all if v else 0), 0
-            case Pred(name, args):
-                return self.pred(name, args, env)
-            case And(l, r):
-                # a discourse's spine: loop, do not recurse
-                parts = flatten_and(f) if type(l) is And else (l, r)
-                holds, raises = self.formula(parts[0], env)
-                for r in parts[1:]:
+            def conjunction(w, env):
+                holds, raises = first(w, env)
+                for part in rest:
                     if not holds:
                         break
-                    r_holds, r_raises = self.formula(r, env)
+                    r_holds, r_raises = part(w, env)
                     holds, raises = holds & r_holds, raises | holds & r_raises
                 return holds, raises
-            case Or(l, r):
-                holds, raises = self.formula(l, env)
-                if holds == self.all:
-                    return holds, raises
-                r_holds, r_raises = self.formula(r, env)
-                return holds | r_holds, raises | r_raises & ~holds
-            case Implies(l, r):
-                holds, raises = self.formula(l, env)
-                if not holds:
-                    return self.all, raises
-                r_holds, r_raises = self.formula(r, env)
-                return self.all ^ holds | r_holds, raises | holds & r_raises
-            case Not(op):
-                holds, raises = self.formula(op, env)
-                return self.all ^ holds, raises
-            case Eq(l, r):
-                (left, l_raises), (right, r_raises) = \
-                    self.term(l, env), self.term(r, env)
-                return (sum(models & right[el] for el, models in left.items()
-                            if el in right), l_raises | r_raises)
-            case Exists(var, sort, body) | Forall(var, sort, body):
-                carrier = self.step.carrier(sort)
+            return conjunction
+        if t is Not:
+            return negation(formula(f.operand))
+        if t is Eq:
+            left, right = term(f.left), term(f.right)
+
+            def equal(w, env):
+                (ls, l_raises), (rs, r_raises) = left(w, env), right(w, env)
+                return (sum(models & rs[el] for el, models in ls.items()
+                            if el in rs), l_raises | r_raises)
+            return equal
+        if t is Exists or t is Forall:
+            var, sort, body = f.var, f.sort, formula(f.body)
+
+            def quantifier(w, env):
+                carrier = w.step.carrier(sort)
                 if carrier is None:
-                    return 0, self.all
-                every = isinstance(f, Forall)
-                holds, raises = (self.all if every else 0), 0
-                undecided = self.all  # no verdict and no error yet
+                    return 0, w.all
+                env = {**env}  # one per call, rebound to each element
+                holds, raises = (w.all if t is Forall else 0), 0
+                undecided = w.all  # no verdict and no error yet
                 for el in carrier:
-                    b_holds, b_raises = self.formula(body, {**env, var: el})
+                    env[var] = el
+                    b_holds, b_raises = body(w, env)
                     raises |= undecided & b_raises
-                    if every:
+                    if t is Forall:
                         holds &= b_holds
                         undecided &= b_holds & ~b_raises
                     else:
@@ -530,71 +506,137 @@ class _Word:
                     if not undecided:
                         break
                 return holds, raises
+            return quantifier
+        if t is Or:
+            return disjunction(formula(f.left), formula(f.right))
+        if t is Implies:  # as `not l or r`: same masks, same short circuit
+            return disjunction(negation(formula(f.left)), formula(f.right))
         raise AssertionError(f)
 
-    def pred(self, name: str, args, env: dict[str, int]) -> Masks:
-        """`_pred_holds` after resolving the arguments."""
-        values, raises = [], 0
-        for a in args:
-            value, a_raises = self.term(a, env)
-            values.append(value.items())
-            raises |= a_raises
-        if name in self.atoms:
-            atoms, holds = self.atoms[name], 0
-            for combo in itertools.product(*values):
+    def negation(op):
+        def run(w, env):
+            holds, raises = op(w, env)
+            return w.all ^ holds, raises
+        return run
+
+    def disjunction(left, right):
+        def run(w, env):
+            holds, raises = left(w, env)
+            if holds == w.all:
+                return holds, raises
+            r_holds, r_raises = right(w, env)
+            return holds | r_holds, raises | r_raises & ~holds
+        return run
+
+    def pred(name: str, args):  # `_pred_holds` after resolving the args
+        if name in names and all(type(a) is LVar for a in args):
+            variables = [a.name for a in args]
+
+            def atom(w, env):
+                try:
+                    row = tuple([env[v] for v in variables])
+                except KeyError:
+                    return 0, w.all  # unbound
                 # no row matches arguments off the predicate's signature
-                models = atoms.get(tuple(el for el, _ in combo), 0)
-                for _, m in combo:
-                    models &= m
-                holds |= models
-            return holds, raises
+                return w.atoms[name].get(row, 0), 0
+            return atom
+        terms = list(map(term, args))
+
+        def rows(w, env):  # argument tuples and their (disjoint) models
+            out, raises = [((), w.all)], 0
+            for value in terms:
+                choice, v_raises = value(w, env)
+                raises |= v_raises
+                out = [(row + (el,), models & m) for row, models in out
+                       for el, m in choice.items() if models & m]
+            return out, raises
+        if name in names:
+            def product(w, env):
+                out, raises = rows(w, env)
+                atoms = w.atoms[name]
+                return sum(atoms.get(row, 0) & m for row, m in out), raises
+            return product
         sort = name[4:]
-        if name.startswith("hat_") and (sort in self.step.carriers
-                                        or sort == "e"):
+        if not name.startswith("hat_") or sort not in sorts:
+            return lambda w, env: (0, w.all)  # uninterpreted
+
+        def member(w, env):
+            (out, raises), carrier = rows(w, env), w.step.carrier(sort)
             if len(args) != 1:
                 return 0, raises
-            carrier = self.step.carrier(sort)
             if carrier is None:
-                return 0, self.all
-            return sum(m for el, m in values[0] if el in carrier), raises
-        return 0, self.all  # uninterpreted
+                return 0, w.all
+            return sum(m for (el,), m in out if el in carrier), raises
+        return member
 
-    def term(self, t: LTerm, env: dict[str, int]) -> Choice:
-        match t:
-            case LVar(name, _):
-                if name in env:
-                    return {env[name]: self.all}, 0
-                return {}, self.all  # unbound
-            case Eps():
-                if t not in self.choices:
-                    self.choices[t] = self.choose(t)
-                return self.choices[t]
-        raise AssertionError(t)  # free symbols are rejected up front
+    def term(t: LTerm):
+        if type(t) is LVar:
+            name = t.name
+            return lambda w, env: (({env[name]: w.all}, 0) if name in env
+                                   else ({}, w.all))  # unbound
+        if type(t) is not Eps:  # no enumerated model interprets it
+            raise FreeSymbol(t.fn if type(t) is LApp else t.name)
+        if t not in choices:
+            choices[t] = choose(t)
+        return choices[t]
 
-    def choose(self, eps: Eps) -> Choice:
+    def choose(eps: Eps):
         """The element a closed choice term denotes on each model: the
         first in carrier order whose body has the wanted value, else the
-        first element."""
-        if free_formula_vars(eps.body) - {eps.hole}:
-            return {}, self.all  # a Henkin dependency
-        carrier = self.step.carrier(eps.sort)
-        if carrier is None:
-            return {}, self.all
+        first element.  Worked out once per word."""
+        # compiled even under a Henkin dependency, to find free symbols
+        sort, hole, body = eps.sort, eps.hole, formula(eps.body)
+        if free_formula_vars(eps.body) - {hole}:
+            return lambda w, env: ({}, w.all)  # a Henkin dependency
         want = eps.mode != UNIVERSAL
-        chosen, raises, undecided = {}, 0, self.all
-        for el in carrier:
-            holds, b_raises = self.formula(eps.body, {eps.hole: el})
-            raises |= undecided & b_raises
-            undecided &= ~b_raises
-            hit = undecided & (holds if want else ~holds)
-            if hit:
-                chosen[el] = hit
-                undecided ^= hit
-            if not undecided:
-                break
-        if undecided:
-            chosen[carrier[0]] = chosen.get(carrier[0], 0) | undecided
-        return chosen, raises
+        last: list = [None, None]  # the last word and its result
+
+        def run(w, env):
+            if last[0] is w:
+                return last[1]
+            carrier = w.step.carrier(sort)
+            if carrier is None:
+                return {}, w.all
+            chosen, raises, undecided = {}, 0, w.all
+            env = {}
+            for el in carrier:
+                env[hole] = el
+                holds, b_raises = body(w, env)
+                raises |= undecided & b_raises
+                undecided &= ~b_raises
+                hit = undecided & (holds if want else ~holds)
+                if hit:
+                    chosen[el] = hit
+                    undecided ^= hit
+                if not undecided:
+                    break
+            if undecided:
+                chosen[carrier[0]] = chosen.get(carrier[0], 0) | undecided
+            last[:] = w, (chosen, raises)
+            return last[1]
+        return run
+
+    return [formula(f) for f in formulas]
+
+
+class _Word:
+    """The models `chunk << width | w`, w < 2**width, of one step, as the
+    bits of an int, on which the formulas compiled once per check run:
+    `bit[i]` holds the models that set row bit i, and `atoms[name][row]`
+    the models on which predicate `name` holds of `row`."""
+
+    def __init__(self, step: _Step, chunk: int, width: int):
+        self.step = step
+        self.all = (1 << (1 << width)) - 1
+        self.bit = _row_masks(width) + [
+            self.all if chunk >> q - width & 1 else 0
+            for q in range(width, step.bits)]
+        self.width = width
+        # later duplicates win, as in the decoded model's dict
+        self.atoms = {name: {row: self.bit[offset + j]
+                             for j, row in enumerate(rows)}
+                      for (name, _), rows, offset
+                      in zip(step.space.predicates, step.rows, step.offsets)}
 
     def first(self, models: int) -> int:
         """The number within the word of the first of `models` in

@@ -1,10 +1,12 @@
 """The bit-parallel equivalence checker against the interpretive evaluator.
 
-`check_equivalence` evaluates each formula once per word of up to 2^16
-models, one bit per model, and decodes only the first model on which the
-formulas differ or raise.  The reference below walks the decoded models of
-`enumerate_models` with `eval_formula`; the two must give the same verdict
-(equivalence, models checked and counter-model) or raise the same error.
+`check_equivalence` compiles each formula once and runs it once per word of
+up to 2^16 models, one bit per model, and decodes only the first model on
+which the formulas differ or raise.  The reference below walks the decoded
+models of `enumerate_models` with `eval_formula`; the two must give the same
+verdict (equivalence, models checked and counter-model) or raise the same
+error.  The compiled formulas are also checked model by model: on every
+word, their holds- and raises-masks against `eval_formula` on each model.
 """
 
 import itertools
@@ -23,7 +25,8 @@ from tysem.errors import EvalError, FreeSymbol, TysemError
 from tysem.logic import (DEF, INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
                          Implies, LVar, Not, Or, Pred, TruthConst,
                          parse_formula, print_formula, rewrite_hilbert)
-from tysem.model import (Model, Verdict, check_equivalence, enumerate_models,
+from tysem.model import (WORD_BITS, Model, Verdict, _compile, _ModelSpace,
+                         _Word, check_equivalence, enumerate_models,
                          eval_formula, print_model)
 
 
@@ -390,3 +393,113 @@ def test_first_counter_model_outside_the_first_word():
     assert print_model(verdict.counter_model) == (
         "(model\n  (carrier s (s1 s2 s3))\n  (interp R ((s3 s3)))\n"
         "  (interp S ()))")
+
+
+# ---------------------------------------------------------------------------
+# the compiled masks, model by model
+
+
+def assert_masks_match(f, sorts, max_carrier, predicates, width=WORD_BITS,
+                       sample=None):
+    """On each word, the compiled formula raises exactly on the models on
+    which `eval_formula` raises, and elsewhere holds exactly where it
+    returns True.  With `sample`, only that many models of each word are
+    decoded, drawn by a seeded generator."""
+    [run] = _compile([f], sorts, predicates)
+    rng, seen = random.Random(0), Counter()
+    for step in _ModelSpace(sorts, max_carrier, predicates).steps():
+        w = min(step.bits, width)
+        for chunk in range(1 << step.bits - w):
+            word = _Word(step, chunk, w)
+            holds, raises = run(word, {})
+            bits = range(1 << w)
+            if sample is not None and sample < len(bits):
+                bits = rng.sample(bits, sample)
+            for bit in bits:
+                m = step.decode(chunk << w | bit)
+                try:
+                    value = eval_formula(m, f)
+                except TysemError:
+                    assert raises >> bit & 1, (print_model(m), "raises")
+                    seen["raises"] += 1
+                    continue
+                assert not raises >> bit & 1, (print_model(m), "no error")
+                assert holds >> bit & 1 == value, (print_model(m), value)
+                seen[value] += 1
+    return seen
+
+
+def test_compiled_masks_match_eval_formula_on_random_formulas():
+    gen, rng = FormulaGen(seed=7), random.Random(7)
+    seen = Counter()
+    for _ in range(60):
+        f = _close(gen.random_formula(4), rng)
+        try:
+            sorts, predicates = _signature_of(f)
+        except FreeSymbol:  # a function symbol: mere or boite
+            continue
+        k = max(k for k in (1, 2, 3)
+                if k == 1 or model_count(sorts, k, predicates) <= 300)
+        seen += assert_masks_match(f, sorts, k, predicates)
+    # every kind of model occurs in the draw
+    assert min(seen[kind] for kind in (True, False, "raises")) >= 100
+
+
+P_s = Pred("P", (x_s,))
+EPS_P = Eps(INDEF, "s", "x", P_s)
+MASK_EDGE_CASES = [
+    # hat_ predicates: declared sorts, sort e, two arguments, no carrier
+    (Forall("x", "e", Implies(Pred("hat_s", (x_e,)), Pred("P", (x_e,)))),
+     ["s", "t"], [("P", ("s",))]),
+    (Forall("x", "e", Or(Pred("hat_s", (x_e,)), Pred("hat_t", (x_e,)))),
+     ["s", "t"], []),
+    (Exists("x", "s", And(Pred("hat_s", (x_s, x_s)), P_s)), ["s"],
+     [("P", ("s",))]),
+    (And(Pred("hat_s", (EPS_P,)), Pred("P", (EPS_P,))), ["s"],
+     [("P", ("s",))]),
+    (Implies(Exists("x", "s", P_s), Exists("x", "s", Pred("hat_u", (x_s,)))),
+     ["s"], [("P", ("s",))]),
+    (Exists("x", "e", TruthConst(True)), [], []),
+    # = between variables and choice terms, an unbound variable
+    (Exists("x", "s", And(Not(P_s), Eq(x_s, Eps(UNIVERSAL, "s", "x", P_s)))),
+     ["s"], [("P", ("s",))]),
+    (Or(Exists("x", "s", P_s), Eq(LVar("free", "s"), LVar("free", "s"))),
+     ["s"], [("P", ("s",))]),
+    (Or(Forall("x", "s", P_s), Pred("P", (LVar("free", "s"),))), ["s"],
+     [("P", ("s",))]),
+    # a Henkin choice term behind a short circuit, an uninterpreted one
+    (parse_formula(HENKIN), ["s"], [("P", ("s",)), ("Q", ("s",))]),
+    # bodies that raise only past the element that decides
+    (parse_formula(f"(forall (y s) (or (and (= y {FIRST}) (Q y)) (and (not"
+                   f" (= y {FIRST})) (or (not (P y)) (Q (eps s x (P y)))))))"),
+     ["s"], [("P", ("s",)), ("Q", ("s",))]),
+    (parse_formula(f"(exists (y s) (or (and (= y {FIRST}) (not (Q y))) (and"
+                   f" (not (= y {FIRST})) (and (P y) (Q (eps s x (P y)))))))"),
+     ["s"], [("P", ("s",)), ("Q", ("s",))]),
+    (parse_formula(f"(Q (eps s x (or (not (P x)) (and (not (= x {FIRST}))"
+                   f" (and (Q x) (Q (eps s w (P x))))))))"), ["s"],
+     [("P", ("s",)), ("Q", ("s",))]),
+    (Forall("x", "s", Implies(P_s, Pred("G", (x_s,)))), ["s"],
+     [("P", ("s",))]),
+    # choice terms as arguments, and a nested one
+    (parse_formula(PAPER_PAIRS[4][0]), ["s"], [("R", ("s", "s"))]),
+]
+
+
+@pytest.mark.parametrize("width", [WORD_BITS, 2])
+@pytest.mark.parametrize("f, sorts, predicates", MASK_EDGE_CASES)
+def test_compiled_masks_match_eval_formula_on_edge_cases(f, sorts,
+                                                         predicates, width):
+    """Also with words of 4 models, so that most steps span several."""
+    assert_masks_match(f, sorts, 3, predicates, width)
+
+
+def test_compiled_masks_match_eval_formula_past_one_word():
+    """Two binary predicates at carrier size 3: a step of 2**18 models, four
+    words, 200 models of each decoded."""
+    f = parse_formula(f"(exists (x s) (and (R x {SECOND}) (or (S x x)"
+                      f" (= (eps s y (R y y)) {FIRST}))))")
+    sorts, predicates = _signature_of(f)
+    assert 3 ** 2 * 2 > WORD_BITS
+    seen = assert_masks_match(f, sorts, 3, predicates, sample=200)
+    assert seen[True] and seen[False]

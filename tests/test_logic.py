@@ -592,3 +592,24 @@ def test_walkers_take_a_long_discourse():
                      in enumerate(parts)) + ")")
     assert _signature_of(f, rewritten) == (
         ["s"], [("P", ("s",)), ("Q", ("s",)), ("R", ("s",))])
+
+
+def test_printers_take_a_long_quantifier_prefix():
+    """LONG nested quantifiers, as a many-referent rewrite builds them,
+    print in a loop: no `RecursionError`, and the body is parenthesized
+    once, at the bottom."""
+    x = LVar("x0", "s")
+    body = f = And(Pred("P", (x,)), Pred("Q", (x,)))
+    for i in range(LONG):
+        f = (Exists if i % 2 else Forall)(f"x{i}", "s", f)
+    kinds = [("forall", "∀") if i % 2 == 0 else ("exists", "∃")
+             for i in reversed(range(LONG))]
+    names = [f"x{i}" for i in reversed(range(LONG))]
+    assert print_formula(f) == "".join(
+        f"{k} {v}:s. " for (k, _), v in zip(kinds, names)) + \
+        f"({print_formula(body)})"
+    assert print_formula(Not(f), "unicode") == "¬(" + "".join(
+        f"{u}{v}:s. " for (_, u), v in zip(kinds, names)) + "(P(x0) ∧ Q(x0)))"
+    assert print_formula(f, "sexpr") == "".join(
+        f"({k} ({v} s) " for (k, _), v in zip(kinds, names)) + \
+        "(and (P x0) (Q x0))" + ")" * LONG
