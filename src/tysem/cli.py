@@ -20,13 +20,15 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .composer import (CoercionReport, ComposeResult, SynTree, compose,
                        parse_tree, print_tree, replay)
 from .discourse import DiscourseState
 from .errors import (FreeSymbol, InputError, ModelError, SemanticError,
                      TysemError)
-from .kernel import Term, normalize, print_term, reduction_steps
+from .kernel import (Term, TypingContext, normalize, print_term,
+                     reduction_steps)
 from .lexicon import Lexicon, load_lexicon
 from .logic import (And, Eps, Eq, Exists, Forall, Formula, Implies, LApp,
                     LConst, Not, Or, Pred, canon_formula, conjoin,
@@ -49,11 +51,15 @@ class AnalysisResult:
     steps: list[Term]  # every reduction step, kept only with --trace
     report: CoercionReport
     formula: Formula
-    presupposition_list: list[Formula]
+    ctx: TypingContext  # the lexicon's, which types the presuppositions
     final: Formula  # after the presupposition and rewrite flags
     # each report, once printed; shared by every sentence this analysis
     # serves (see analyze_tree)
     printed: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property  # with `--presuppositions off`, only `json` reads them
+    def presupposition_list(self) -> list[Formula]:
+        return presuppositions(self.normal, self.ctx)
 
 
 @dataclass(repr=False, eq=False)
@@ -91,14 +97,12 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
         normal = normalize(result.term)
     ctx = lex.typing_context()
     formula = extract_formula(normal, ctx, result.type)
-    presupps = presuppositions(normal, ctx)
-    final = formula
-    if options.presuppositions == "conjoin" and presupps:
-        final = conjoin(presupps + [formula])
-    if options.rewrite:
-        final = rewrite_hilbert(final)
     analysis = AnalysisResult(tree, result.term, normal, steps,
-                              result.report, formula, presupps, final)
+                              result.report, formula, ctx, formula)
+    if options.presuppositions == "conjoin" and analysis.presupposition_list:
+        analysis.final = conjoin(analysis.presupposition_list + [formula])
+    if options.rewrite:
+        analysis.final = rewrite_hilbert(analysis.final)
     pairs.append((result.log, analysis))
     return analysis, result.state
 
@@ -109,17 +113,12 @@ def discourse_formula(results: list[AnalysisResult],
     assertions in sentence order.  Alpha-duplicates are found by their
     `canon_formula` key, worked out once per analysis: sentences served by
     one stored analysis share it (see analyze_tree)."""
-    parts: list[Formula] = []
+    parts: dict[Formula, Formula] = {}  # canon_formula key -> first part
     if options.presuppositions != "off":
-        seen: set[Formula] = set()  # canon_formula of each part
         for r in {id(r): r for r in results}.values():
             for p in r.presupposition_list:
-                key = canon_formula(p)
-                if key not in seen:
-                    seen.add(key)
-                    parts.append(p)
-    parts.extend(r.formula for r in results)
-    out = conjoin(parts)
+                parts.setdefault(canon_formula(p), p)
+    out = conjoin([*parts.values(), *(r.formula for r in results)])
     return rewrite_hilbert(out) if options.rewrite else out
 
 
@@ -190,63 +189,52 @@ def _json_report(r: AnalysisResult, options: AnalysisOptions) -> dict:
 
 
 def run_analyze(args) -> int:
-    try:
-        lex = load_lexicon(_read(args.lexicon))
-    except (OSError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
     options = AnalysisOptions(presuppositions=args.presuppositions,
                               rewrite=args.rewrite, trace=args.trace,
                               style=args.style)
+    session = args.session is not None
+    state = DiscourseState()
+    store: dict = {}  # each tree's compositions, for this run
+    results: list[AnalysisResult] = []
+    out: list[str] = []
     try:
+        lex = load_lexicon(_read(args.lexicon))
         if args.session:
             sentences = [line.strip() for line in
                          _read(args.session).splitlines()
                          if line.strip() and not line.lstrip().startswith(";")]
         else:
             sentences = [args.tree]
-        parsed = {s: parse_tree(s) for s in dict.fromkeys(sentences)}
-        trees = [parsed[s] for s in sentences]
-    except (OSError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    state = DiscourseState()
-    store: dict = {}  # each tree's compositions, for this run
-    results: list[AnalysisResult] = []
-    try:
-        for tree in trees:
-            analysis, state = analyze_tree(lex, tree, state, options, store)
+        # every line is read before any is composed
+        trees = {s: parse_tree(s) for s in dict.fromkeys(sentences)}
+        for s in sentences:
+            analysis, state = analyze_tree(lex, trees[s], state, options,
+                                           store)
             results.append(analysis)
-    except InputError as exc:
+        if args.format == "json":
+            doc = {"sentences": [_json_report(r, options) for r in results]}
+            if session:
+                doc["discourse"] = print_formula(
+                    discourse_formula(results, options), options.style)
+            out.append(json.dumps(doc, ensure_ascii=False, indent=2))
+        else:
+            for i, r in enumerate(results):
+                if session:
+                    out.append(f"sentence {i + 1}")
+                if args.format == "sexpr":
+                    _sexpr_report(r, options, out)
+                else:
+                    _text_report(r, options, out)
+            if session:
+                f = discourse_formula(results, options)
+                style = "sexpr" if args.format == "sexpr" else options.style
+                out.append(f"discourse: {print_formula(f, style)}")
+    except (OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SemanticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    session = args.session is not None
-    if args.format == "json":
-        doc = {"sentences": [_json_report(r, options) for r in results]}
-        if session:
-            doc["discourse"] = print_formula(
-                discourse_formula(results, options), options.style)
-        print(json.dumps(doc, ensure_ascii=False, indent=2))
-        return 0
-
-    out: list[str] = []
-    for i, r in enumerate(results):
-        if session:
-            out.append(f"sentence {i + 1}")
-        if args.format == "sexpr":
-            _sexpr_report(r, options, out)
-        else:
-            _text_report(r, options, out)
-    if session:
-        f = discourse_formula(results, options)
-        style = "sexpr" if args.format == "sexpr" else options.style
-        out.append(f"discourse: {print_formula(f, style)}")
     print("\n".join(out))
     return 0
 

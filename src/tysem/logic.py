@@ -16,19 +16,19 @@ the quantifiers of those that fire around it last.
 Formulas and their terms are walked through one core.  `children` gives a
 node's subformulas and subterms left to right and `rebuild` puts others in
 their place, both by a table on the node's class.  `nodes` iterates in
-pre-order on an explicit stack, `transform` rebuilds a formula with some
-nodes replaced and `fold` combines results bottom-up.  The last two recurse
-once per node but loop down a conjunction's left spine, which grows with a
-discourse's sentences.  A rewritten discourse also nests one quantifier per
-referent it binds, and these walkers, `==`, `hash` and the printers recurse
-once per quantifier of that nest.  The extraction, the parser and the infix
-printer, which threads precedence, keep their own recursion.
+pre-order, `transform` rebuilds a formula with some nodes replaced and
+binder scope carried down, and `fold` combines results bottom-up.  Each
+runs on an explicit stack, so no shape of formula costs a Python frame per
+level.  `==`, `hash`, `repr`, the printers, `rewrite_hilbert`, the
+extraction and the parser keep their own recursion; the first five loop
+down a conjunction's left spine, and the printers down a quantifier run.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import reduce
 from operator import attrgetter, is_
 
 from . import kernel
@@ -168,14 +168,9 @@ class TruthConst(Formula):
 
 
 def conjoin(formulas) -> Formula:
-    """Left-fold a non-empty sequence into nested conjunctions."""
+    """Left-fold a sequence into nested conjunctions; `true` if empty."""
     formulas = list(formulas)
-    if not formulas:
-        return TruthConst(True)
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = And(out, f)
-    return out
+    return reduce(And, formulas) if formulas else TruthConst(True)
 
 
 def flatten_and(f: Formula) -> list[Formula]:
@@ -185,9 +180,8 @@ def flatten_and(f: Formula) -> list[Formula]:
 
 def _and_spine(f: And) -> tuple[Formula, list[Formula]]:
     """The formula at the bottom of f's left And spine, and the right
-    operands met on the way down, innermost first.  A discourse is one long
-    left-nested conjunction, so walkers follow the spine with this loop
-    rather than with one recursive call per sentence."""
+    operands met on the way down, innermost first: a discourse is one long
+    left-nested conjunction, which the printers and `repr` loop down."""
     rights = []
     while isinstance(f, And):
         rights.append(f.right)
@@ -208,14 +202,13 @@ _CHILDREN = {
     And: _PAIR, Or: _PAIR, Implies: _PAIR, Eq: _PAIR,
 }
 _REBUILD = {
-    LApp: lambda n, k: LApp(n.fn, tuple(k)),
-    Pred: lambda n, k: Pred(n.name, tuple(k)),
-    Eps: lambda n, k: Eps(n.mode, n.sort, n.hole, k[0]),
-    Exists: lambda n, k: Exists(n.var, n.sort, k[0]),
-    Forall: lambda n, k: Forall(n.var, n.sort, k[0]),
-    Not: lambda n, k: Not(k[0]), And: lambda n, k: And(*k),
-    Or: lambda n, k: Or(*k), Implies: lambda n, k: Implies(*k),
-    Eq: lambda n, k: Eq(*k),
+    LApp: lambda n, *k: LApp(n.fn, k), Pred: lambda n, *k: Pred(n.name, k),
+    Eps: lambda n, b: Eps(n.mode, n.sort, n.hole, b),
+    Exists: lambda n, b: Exists(n.var, n.sort, b),
+    Forall: lambda n, b: Forall(n.var, n.sort, b),
+    Not: lambda n, b: Not(b), And: lambda n, l, r: And(l, r),
+    Or: lambda n, l, r: Or(l, r), Implies: lambda n, l, r: Implies(l, r),
+    Eq: lambda n, l, r: Eq(l, r),
 }
 
 
@@ -226,7 +219,7 @@ def children(n: Formula | LTerm) -> tuple:
 
 def rebuild(n: Formula | LTerm, kids) -> Formula | LTerm:
     """n with `kids` in place of its children, in the order of `children`."""
-    return _REBUILD[type(n)](n, kids) if kids else n
+    return _REBUILD[type(n)](n, *kids) if kids else n
 
 
 def _bound(n: Formula | LTerm) -> str | None:
@@ -237,68 +230,86 @@ def _bound(n: Formula | LTerm) -> str | None:
     return n.hole if t is Eps else None
 
 
+def _push(stack: list, kids: tuple):
+    """Push kids to be popped first to last; faster than `reversed`."""
+    if len(kids) == 2:
+        stack.append(kids[1])
+    elif len(kids) > 2:
+        stack += reversed(kids[1:])
+    stack.append(kids[0])
+
+
 def nodes(root: Formula | LTerm, into=None):
-    """root and every node below it, in pre-order, left to right, on an
-    explicit stack.  With `into`, only the children of nodes whose class is
-    in it are visited."""
+    """root and every node below it, in pre-order, left to right.  With
+    `into`, only the children of nodes whose class is in it are visited."""
     stack = [root]
     while stack:
         n = stack.pop()
         yield n
-        if into is None or type(n) in into:
-            stack.extend(reversed(_CHILDREN[type(n)](n)))
+        if (into is None or type(n) in into) and (
+                kids := _CHILDREN[type(n)](n)):
+            _push(stack, kids)
 
 
-def transform(n: Formula | LTerm, visit, env=None,
-              rebuilt: dict | None = None) -> Formula | LTerm:
-    """n with nodes replaced, from the top down: `visit(m, env)` returns the
-    node that takes m's place, or None to rebuild m from its children
-    transformed in turn.  A visit that binds a name transforms the body
-    itself, with a new env.  `rebuilt`, when given, receives each node
-    rebuilt, by the id() of the node it replaces."""
-    spine = []
-    while (out := visit(n, env)) is None:
-        t = type(n)
-        if t is not And:
-            kids = _CHILDREN[t](n)
-            new = [transform(k, visit, env, rebuilt) for k in kids]
-            if all(map(is_, new, kids)):
-                out = n
+def transform(root: Formula | LTerm, visit, env=None) -> Formula | LTerm:
+    """root with nodes replaced, top down.  `visit(n, env)`, called on each
+    node reached in pre-order, returns None to rebuild n from its children
+    transformed under env; a pair (m, body_env) to rebuild m (say, n with
+    its bound variable renamed) from its children transformed under
+    body_env; or the node that takes n's place.  A node whose children come
+    back as they were is kept: an unchanged formula is the very object."""
+    out, stack = [], [root]  # results; nodes to visit and frames to finish
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:  # a frame, whose children are done
+            n, kids, env = n
+            k = len(kids)
+            if k == 1:
+                if out[-1] is not kids[0]:
+                    n = _REBUILD[type(n)](n, out[-1])
+            elif k == 2:
+                right = out.pop()
+                if out[-1] is not kids[0] or right is not kids[1]:
+                    n = _REBUILD[type(n)](n, out[-1], right)
             else:
-                out = _REBUILD[t](n, new)
-                if rebuilt is not None:
-                    rebuilt[id(n)] = out
-            break
-        spine.append(n)
-        n = n.left
-    for node in reversed(spine):
-        right = transform(node.right, visit, env, rebuilt)
-        if out is node.left and right is node.right:
-            out = node
+                if not all(map(is_, out[-k:], kids)):
+                    n = _REBUILD[type(n)](n, *out[-k:])
+                del out[1 - k:]
+            out[-1] = n
+            continue
+        m = visit(n, env)
+        if m is not None and type(m) is not tuple:
+            out.append(m)
+            continue
+        n, body_env = m or (n, env)
+        if kids := _CHILDREN[type(n)](n):
+            stack.append((n, kids, env))
+            env = body_env
+            _push(stack, kids)
         else:
-            out = And(out, right)
-            if rebuilt is not None:
-                rebuilt[id(node)] = out
-    return out
+            out.append(n)
+    return out[0]
 
 
-def fold(n: Formula | LTerm, combine, into=None):
+def fold(root: Formula | LTerm, combine, into=None):
     """`combine(m, results)` at every node m, bottom-up, left to right, where
     `results` holds the folds of m's children.  With `into`, the children of
     nodes whose class is not in it are skipped and their results are
     empty."""
-    spine = []
-    while type(n) is And and (into is None or And in into):
-        spine.append(n)
-        n = n.left
-    if into is None or type(n) in into:
-        out = combine(n, [fold(k, combine, into)
-                          for k in _CHILDREN[type(n)](n)])
-    else:
-        out = combine(n, ())
-    for node in reversed(spine):
-        out = combine(node, [out, fold(node.right, combine, into)])
-    return out
+    out, stack = [], [root]  # results; nodes to visit and frames to finish
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:  # a frame, whose children are done
+            n, k = n
+            out[-k:] = [combine(n, out[-k:])]
+        elif into is not None and type(n) not in into:
+            out.append(combine(n, ()))
+        elif kids := _CHILDREN[type(n)](n):
+            stack.append((n, len(kids)))
+            _push(stack, kids)
+        else:
+            out.append(combine(n, []))
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +437,7 @@ def presuppositions(term: Term, ctx: TypingContext | None = None
     above the choice term, are added to it.  A session works this out once
     per distinct composed term (see `cli.analyze_tree`).
     """
-    found: list[Formula] = []
-    seen: set[Formula] = set()  # canon_formula of each formula in found
-
+    found: dict[Formula, Formula] = {}  # canon_formula key -> first formula
     for t in kernel.nodes(term):
         match t:
             case App(TyApp(Const("eps" | "ieps", _), _), pred):
@@ -438,11 +447,8 @@ def presuppositions(term: Term, ctx: TypingContext | None = None
                     local = TypingContext(ctx.sorts, ctx.consts,
                                           {**ctx.vars, **free})
                 candidate = extract_formula(body, local)
-                key = canon_formula(candidate)
-                if key not in seen:
-                    seen.add(key)
-                    found.append(candidate)
-    return found
+                found.setdefault(canon_formula(candidate), candidate)
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +464,12 @@ def canon_formula(f: Formula) -> Formula:
         t = type(n)
         if t is LVar:
             return LVar(env[n.name], n.sort) if n.name in env else n
-        if t is Exists or t is Forall or t is Eps:
+        if t is Exists or t is Forall:
             name = next(fresh)
-            body = transform(n.body, visit, {**env, _bound(n): name})
-            if t is Eps:
-                return Eps(n.mode, n.sort, name, body)
-            return t(name, n.sort, body)
+            return t(name, n.sort, n.body), {**env, n.var: name}
+        if t is Eps:
+            name = next(fresh)
+            return Eps(n.mode, n.sort, name, n.body), {**env, n.hole: name}
         return None
 
     return transform(f, visit, {})

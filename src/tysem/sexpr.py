@@ -79,8 +79,9 @@ def _tokenize(text: str):
                 if text[i] == "\n":
                     raise ParseError("newline inside string", line, col)
                 if text[i] == "\\" and i + 1 < n:
-                    i += 1
-                    col += 1
+                    i, col = i + 1, col + 1
+                    if text[i] == "\n":  # an escaped newline ends a line
+                        line, col = line + 1, 0
                 buf.append(text[i])
                 i += 1
                 col += 1

@@ -1,0 +1,85 @@
+"""The recursive formula walkers that `tysem.logic.transform`, `fold` and
+`canon_formula` replaced, kept as the oracle of their explicit-stack
+versions.
+
+They recurse once per node, except down a conjunction's left spine, and a
+visit that binds a name transforms the binder's body itself, with a new
+env.  The only change is that a node is rebuilt through `logic.rebuild`.
+"""
+
+import itertools
+from operator import is_
+
+from tysem.logic import (_CHILDREN, And, Eps, Exists, Forall, LVar, _bound,
+                         rebuild)
+
+
+def old_transform(n, visit, env=None, rebuilt=None):
+    """n with nodes replaced, from the top down: `visit(m, env)` returns the
+    node that takes m's place, or None to rebuild m from its children
+    transformed in turn.  A visit that binds a name transforms the body
+    itself, with a new env.  `rebuilt`, when given, receives each node
+    rebuilt, by the id() of the node it replaces."""
+    spine = []
+    while (out := visit(n, env)) is None:
+        t = type(n)
+        if t is not And:
+            kids = _CHILDREN[t](n)
+            new = [old_transform(k, visit, env, rebuilt) for k in kids]
+            if all(map(is_, new, kids)):
+                out = n
+            else:
+                out = rebuild(n, new)
+                if rebuilt is not None:
+                    rebuilt[id(n)] = out
+            break
+        spine.append(n)
+        n = n.left
+    for node in reversed(spine):
+        right = old_transform(node.right, visit, env, rebuilt)
+        if out is node.left and right is node.right:
+            out = node
+        else:
+            out = And(out, right)
+            if rebuilt is not None:
+                rebuilt[id(node)] = out
+    return out
+
+
+def old_fold(n, combine, into=None):
+    """`combine(m, results)` at every node m, bottom-up, left to right, where
+    `results` holds the folds of m's children.  With `into`, the children of
+    nodes whose class is not in it are skipped and their results are
+    empty."""
+    spine = []
+    while type(n) is And and (into is None or And in into):
+        spine.append(n)
+        n = n.left
+    if into is None or type(n) in into:
+        out = combine(n, [old_fold(k, combine, into)
+                          for k in _CHILDREN[type(n)](n)])
+    else:
+        out = combine(n, ())
+    for node in reversed(spine):
+        out = combine(node, [out, old_fold(node.right, combine, into)])
+    return out
+
+
+def old_canon_formula(f):
+    """f with its bound variables renamed `!q0`, `!q1`, ... in pre-order, so
+    that alpha-equivalent formulas have equal canonical forms."""
+    fresh = (f"!q{i}" for i in itertools.count())
+
+    def visit(n, env):
+        t = type(n)
+        if t is LVar:
+            return LVar(env[n.name], n.sort) if n.name in env else n
+        if t is Exists or t is Forall or t is Eps:
+            name = next(fresh)
+            body = old_transform(n.body, visit, {**env, _bound(n): name})
+            if t is Eps:
+                return Eps(n.mode, n.sort, name, body)
+            return t(name, n.sort, body)
+        return None
+
+    return old_transform(f, visit, {})

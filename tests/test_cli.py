@@ -557,6 +557,22 @@ def test_analyze_keeps_steps_only_with_trace(fig1):
     assert traced.steps[-1] == traced.normal == plain.normal
 
 
+@pytest.mark.parametrize("mode", ["separate", "conjoin", "off"])
+def test_presuppositions_are_worked_out_only_where_read(chat_lex, mode):
+    """With `--presuppositions off`, the text and sexpr reports and the
+    discourse read no presupposition, so none is worked out; a json
+    report lists them in every mode."""
+    options = AnalysisOptions(presuppositions=mode)
+    r, _ = analyze_tree(chat_lex, parse_tree("(dort (un chat))"),
+                        DiscourseState(), options)
+    _text_report(r, options, [])
+    _sexpr_report(r, options, [])
+    discourse_formula([r], options)
+    assert ("presupposition_list" in vars(r)) == (mode != "off")
+    assert _json_report(r, options)["presuppositions"] == \
+        ["chat(eps[ani](x. chat(x)))"]
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -45,6 +45,16 @@ def test_escaped_quote():
     assert e.text == 'a " b'
 
 
+def test_positions_after_an_escaped_newline():
+    """A backslash-escaped newline inside a string ends a source line."""
+    (e,) = read_all('(a "x\\\ny" z)')
+    assert e[1].text == "x\ny" and (e[1].line, e[1].col) == (1, 4)
+    assert (e[2].line, e[2].col) == (2, 4)
+    with pytest.raises(ParseError) as err:
+        read_all('(a "x\\\ny")\n(b c))')
+    assert str(err.value) == "3:6: unexpected ')'"
+
+
 def test_nesting_limit():
     (e,) = read_all("(" * MAX_DEPTH + ")" * MAX_DEPTH)
     for _ in range(MAX_DEPTH - 1):

@@ -1,0 +1,280 @@
+"""The formula walkers `transform`, `fold` and `canon_formula` run on an
+explicit stack.
+
+They agree with the recursive walkers they replaced (`logic_oracle`) on
+random formulas: the same results, the same subformulas kept as the very
+objects, the same visits and combines in the same order.  And every walker
+built on them takes 10,000-deep nests of each shape at the default
+recursion limit; their results are checked with loops, since `==`, `hash`
+and `repr` of such nests recurse.
+"""
+
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from generators import FormulaGen
+from logic_oracle import old_canon_formula, old_fold, old_transform
+from tysem.cli import _SIGNATURE_INTO, _signature_of
+from tysem.logic import (DEF, INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
+                         Formula, Implies, LApp, LConst, LVar, Not, Or, Pred,
+                         TruthConst, _JSON, _abstract, _bound, _rename_hole,
+                         _with_conjuncts, canon_formula, conjoin, flatten_and,
+                         fold, formula_to_json, free_formula_vars, nodes,
+                         transform)
+
+# ---------------------------------------------------------------------------
+# against the recursive oracle
+
+
+def kept(result, f) -> list[bool]:
+    """For each node of result, in pre-order, whether it is a node of f."""
+    ids = {id(n) for n in nodes(f)}
+    return [id(n) in ids for n in nodes(result)]
+
+
+def assert_same_transform(f, visit, old_visit=None, env=None):
+    """transform(f, visit) equals the oracle's, keeps the same nodes of f,
+    and visits the same nodes with the same envs in the same order.
+    `old_visit(n, env, again)`, when given, is the oracle's visit, which
+    transforms a binder's body itself, with `again`."""
+    new_calls, old_calls = [], []
+
+    def new_recorded(n, e):
+        new_calls.append((id(n), e))
+        return visit(n, e)
+
+    def old_recorded(n, e):
+        old_calls.append((id(n), e))
+        if old_visit is None:
+            return visit(n, e)
+        return old_visit(n, e, old_recorded)
+
+    new = transform(f, new_recorded, env)
+    old = old_transform(f, old_recorded, env)
+    assert new == old
+    assert kept(new, f) == kept(old, f)
+    assert (new is f) == (old is f)
+    assert new_calls == old_calls
+    return new
+
+
+def assert_same_fold(f, into=None):
+    calls = [], []
+
+    def recorder(i):
+        def combine(n, results):
+            calls[i].append((id(n), list(results)))
+            return len(calls[i])
+        return combine
+
+    assert fold(f, recorder(0), into) == old_fold(f, recorder(1), into)
+    assert calls[0] == calls[1]
+
+
+def depth_new(n, depth):
+    """A visit that renames nothing and counts the binders above a node."""
+    if type(n) in (Exists, Forall, Eps):
+        return n, depth + 1
+    return n if type(n) is LVar else None
+
+
+def depth_old(n, depth, again):
+    """depth_new for the oracle, which transforms a binder's body itself."""
+    if type(n) in (Exists, Forall, Eps):
+        body = old_transform(n.body, again, depth + 1)
+        if body is n.body:
+            return n
+        if type(n) is Eps:
+            return Eps(n.mode, n.sort, n.hole, body)
+        return type(n)(n.var, n.sort, body)
+    return n if type(n) is LVar else None
+
+
+def assert_same_walks(f):
+    """Every walk of f agrees with the oracle's."""
+    canon = canon_formula(f)
+    old = old_canon_formula(f)
+    assert canon == old and kept(canon, f) == kept(old, f)
+    assert_same_transform(f, lambda n, e: None)
+    assert transform(f, lambda n, e: None) is f
+    assert_same_transform(f, depth_new, depth_old, 0)
+    assert transform(f, depth_new, 0) is f
+    for pivot in dict.fromkeys(n for n in nodes(f) if type(n) is Eps):
+        var = LVar("v", pivot.sort)
+
+        def abstract(n, _):
+            if type(n) is Eps:
+                return var if n is pivot or n == pivot else n
+            return None
+
+        def rename(n, _):
+            if type(n) is LVar:
+                return var if n.name == pivot.hole else n
+            return n if _bound(n) == pivot.hole else None
+
+        assert assert_same_transform(f, abstract) == _abstract(f, pivot, var)
+        assert assert_same_transform(pivot.body, rename) == \
+            _rename_hole(pivot, "v")
+    assert free_formula_vars(f) == old_fold(f, free_combine)
+    assert formula_to_json(f) == old_fold(f, json_combine)
+    assert_same_fold(f)
+    assert_same_fold(f, _SIGNATURE_INTO)
+    assert_same_fold(f, (And,))
+
+
+def free_combine(n, kids):
+    if type(n) is LVar:
+        return {n.name}
+    out = set().union(*kids)
+    out.discard(_bound(n))
+    return out
+
+
+def json_combine(n, kids):
+    return _JSON[type(n)](n, kids)
+
+
+def random_pool(seed: int, n: int) -> list[Formula]:
+    gen = FormulaGen(seed)
+    return [gen.random_formula(5) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_walks_match_the_recursive_oracle_on_random_formulas(seed):
+    pool = random_pool(seed, 150)
+    for f in pool:
+        assert_same_walks(f)
+    # conjunctions with repeated conjuncts, and each conjunct replaced by
+    # itself or by a new formula, as `rewrite_hilbert` does
+    rng = random.Random(seed)
+    for _ in range(40):
+        parts = [rng.choice(pool[:20]) for _ in range(rng.randint(1, 40))]
+        g = conjoin(parts)
+        assert_same_walks(g)
+        changed = rng.random() < 0.7  # else every conjunct is kept
+        versions = {id(c): Not(c) if changed and rng.random() < 0.5 else c
+                    for c in flatten_and(g)}
+
+        def replace(n, _):
+            return None if type(n) is And else versions[id(n)]
+
+        new = assert_same_transform(g, replace)
+        assert new == _with_conjuncts(g, versions)
+
+
+@given(st.integers(0, 2 ** 32))
+def test_walks_match_the_recursive_oracle(seed):
+    gen = FormulaGen(seed)
+    f = gen.random_formula(5)
+    assert_same_walks(f)
+    assert_same_walks(conjoin([f, gen.random_formula(3), f]))
+
+
+# ---------------------------------------------------------------------------
+# deep nests, each 10,000 levels
+
+DEEP = 10_000
+Y = LVar("y", "s")  # free everywhere
+
+
+def leaf(i: int) -> Formula:
+    return Pred(f"P{i % 3}", (Y,))
+
+
+def binary(cls, side):
+    def build():
+        f = leaf(DEEP)
+        for i in range(DEEP):
+            f = cls(f, leaf(i)) if side == "left" else cls(leaf(i), f)
+        return f
+    return build
+
+
+def negations():
+    f = leaf(0)
+    for _ in range(DEEP):
+        f = Not(f)
+    return f
+
+
+def quantifiers():
+    """A run of quantifiers, as a many-referent rewrite builds it."""
+    f = Pred("R", (LVar("x0", "s"), Y))
+    for i in range(DEEP):
+        f = (Exists if i % 2 else Forall)(f"x{i}", "s", f)
+    return f
+
+
+def choices():
+    """Choice terms nested in predicate arguments, each restriction
+    holding the next choice term."""
+    term = Y
+    for i in range(DEEP):
+        mode = (INDEF, DEF, UNIVERSAL)[i % 3]
+        term = Eps(mode, "s", f"x{i}", Pred("Q", (LVar(f"x{i}", "s"), term)))
+    return Pred("P", (term,))
+
+
+SHAPES = {
+    "and-left": binary(And, "left"), "and-right": binary(And, "right"),
+    "or-left": binary(Or, "left"), "or-right": binary(Or, "right"),
+    "implies-left": binary(Implies, "left"),
+    "implies-right": binary(Implies, "right"),
+    "not": negations, "quantifiers": quantifiers, "choices": choices,
+}
+TAGS = {TruthConst: "truth", Pred: "pred", And: "and", Or: "or",
+        Implies: "implies", Not: "not", Exists: "exists", Forall: "forall",
+        Eq: "eq", LVar: "var", LConst: "const", LApp: "app", Eps: "choice"}
+
+
+def json_tags(doc):
+    """The tags of a formula_to_json tree in pre-order, on a stack."""
+    stack = [doc]
+    while stack:
+        d = stack.pop()
+        yield d.get("node", d.get("term"))
+        for value in reversed(list(d.values())):
+            if isinstance(value, dict):
+                stack.append(value)
+            elif isinstance(value, list):
+                stack.extend(reversed(value))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_walkers_take_deep_nests(shape):
+    f = SHAPES[shape]()
+    preorder = list(nodes(f))
+    binders = [n for n in preorder if type(n) in (Exists, Forall, Eps)]
+
+    assert transform(f, lambda n, e: None) is f
+    assert transform(f, depth_new, 0) is f
+    canon = canon_formula(f)
+    if not binders:
+        assert canon is f
+    assert sum(1 for _ in nodes(canon)) == len(preorder)
+    names = {}  # each bound name of f, renamed in pre-order
+    for a, b in zip(preorder, nodes(canon)):
+        assert type(a) is type(b)
+        if type(a) in (Exists, Forall, Eps):
+            names[_bound(a)] = f"!q{len(names)}"
+            assert _bound(b) == names[_bound(a)]
+        elif type(a) is LVar:
+            assert b.name == names.get(a.name, a.name)
+    assert len(names) == len(binders)
+
+    assert free_formula_vars(f) == {"y"}
+    assert list(json_tags(formula_to_json(f))) == \
+        [TAGS[type(n)] for n in preorder]
+    conjuncts = flatten_and(f)
+    if shape.startswith("and"):
+        assert len(conjuncts) == DEEP + 1
+        assert all(a is b for a, b in zip(
+            conjuncts, [n for n in preorder if type(n) is Pred]))
+    else:
+        assert len(conjuncts) == 1 and conjuncts[0] is f
+    preds = sorted({(n.name, tuple(a.sort for a in n.args))
+                    for n in preorder if type(n) is Pred})
+    assert _signature_of(f) == (["s"] if binders else [], preds)
