@@ -22,13 +22,12 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .composer import (CoercionReport, ComposeResult, SynTree, compose,
-                       parse_tree, print_tree, replay)
+from .composer import (CoercionReport, ComposeResult, Logs, SynTree,
+                       compose, parse_tree, print_tree, replay)
 from .discourse import DiscourseState
 from .errors import (FreeSymbol, InputError, ModelError, SemanticError,
                      TysemError)
-from .kernel import (Term, TypingContext, normalize, print_term,
-                     reduction_steps)
+from .kernel import Term, normalize, print_term, reduction_steps
 from .lexicon import Lexicon, load_lexicon
 from .logic import (And, Eps, Eq, Exists, Forall, Formula, Implies, LApp,
                     LConst, Not, Or, Pred, canon_formula, conjoin,
@@ -51,7 +50,6 @@ class AnalysisResult:
     steps: list[Term]  # every reduction step, kept only with --trace
     report: CoercionReport
     formula: Formula
-    ctx: TypingContext  # the lexicon's, which types the presuppositions
     final: Formula  # after the presupposition and rewrite flags
     # each report, once printed; shared by every sentence this analysis
     # serves (see analyze_tree)
@@ -59,7 +57,7 @@ class AnalysisResult:
 
     @cached_property  # with `--presuppositions off`, only `json` reads them
     def presupposition_list(self) -> list[Formula]:
-        return presuppositions(self.normal, self.ctx)
+        return presuppositions(self.formula)
 
 
 @dataclass(repr=False, eq=False)
@@ -76,18 +74,17 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
                  ) -> tuple[AnalysisResult, DiscourseState]:
     """Analyze one sentence against the discourse state.
 
-    `store` maps each tree to the (log, analysis) pairs composed from it,
-    for one lexicon and one set of options.  The sentence first replays its
-    tree's logs against `state` (see `composer.replay`): the first whose
-    reads all answer as recorded yields its analysis, the very object, and
-    the state the composition would leave.  Otherwise the sentence is
-    composed, analyzed and stored.  A replay never raises and a sentence
-    that fails stores nothing, so every error comes from composition."""
-    pairs = [] if store is None else store.setdefault(tree, [])
-    for log, seen in pairs:
-        after = replay(log, state, lex)
-        if after is not None:
-            return seen, after
+    `store` maps each tree to the (log, analysis) pairs composed from it
+    (`composer.Logs`), for one lexicon and one set of options.  The
+    sentence first replays its tree's logs against `state` (see
+    `composer.replay`): the one whose reads all answer as recorded yields
+    its analysis, the very object, and the state the composition would
+    leave.  Otherwise the sentence is composed, analyzed and stored.  A
+    replay never raises and a sentence that fails stores nothing, so every
+    error comes from composition."""
+    logs = None if store is None else store.get(tree)
+    if logs is not None and (hit := replay(logs, state, lex)) is not None:
+        return hit
     result: ComposeResult = compose(tree, lex, state)
     if options.trace:
         steps = list(reduction_steps(result.term))
@@ -95,15 +92,15 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
     else:
         steps = []
         normal = normalize(result.term)
-    ctx = lex.typing_context()
-    formula = extract_formula(normal, ctx, result.type)
+    formula = extract_formula(normal, lex.typing_context(), result.type)
     analysis = AnalysisResult(tree, result.term, normal, steps,
-                              result.report, formula, ctx, formula)
+                              result.report, formula, formula)
     if options.presuppositions == "conjoin" and analysis.presupposition_list:
         analysis.final = conjoin(analysis.presupposition_list + [formula])
     if options.rewrite:
         analysis.final = rewrite_hilbert(analysis.final)
-    pairs.append((result.log, analysis))
+    if store is not None:
+        store.setdefault(tree, Logs()).add(result.log, analysis)
     return analysis, result.state
 
 

@@ -253,15 +253,39 @@ def compose(tree: SynTree, lex: Lexicon,
                          composer.log)
 
 
-def replay(log: list, state: DiscourseState,
-           lex: Lexicon) -> DiscourseState | None:
-    """Make a composition's logged discourse calls again against `state`.
+class Logs(list):
+    """The (log, value) pairs stored for one tree's compositions, in order.
+    A composition is a function of its reads' answers, so logs whose first
+    k reads answered alike make the same calls up to their next read:
+    `first` maps each run of answers a log begins with to the first pair
+    stored with it."""
 
-    Each read must give the answer it gave when the log was recorded, and
-    each registration is made again; the result is the state the
-    composition would leave.  None when a read answers otherwise or fails:
-    the sentence must then be composed afresh, which raises any error."""
-    for kind, args, answer in log:
+    def __init__(self):
+        super().__init__()
+        self.first: dict[tuple, tuple] = {}
+
+    def add(self, log: list, value):
+        self.append((log, value))
+        answers = [a for kind, _, a in log if kind != "register"]
+        for k in range(len(answers) + 1):
+            self.first.setdefault(tuple(answers[:k]), self[-1])
+
+
+def replay(logs: Logs, state: DiscourseState, lex: Lexicon):
+    """Make a stored composition's discourse calls again against `state`:
+    the value stored with the log whose reads all answer as recorded, and
+    the state its composition would leave; None when no log answers, and
+    the sentence must be composed afresh, which raises any error.
+
+    Each registration is made again.  Where a read answers otherwise, the
+    calls go on in the first log with the answers so far (`Logs.first`),
+    so one replay makes one log's calls however many are stored.  At most
+    one log answers: two differ only past a read they recorded apart."""
+    log, value = logs.first[()]
+    i, answers = 0, []
+    while i < len(log):
+        kind, args, answer = log[i]
+        i += 1
         if kind == "register":
             state = disc.register_referent(state, *args)
             continue
@@ -274,9 +298,12 @@ def replay(log: list, state: DiscourseState,
             sort, restriction, key = args
             ref = disc.resolve_definite(state, sort, restriction, lex, key)
             got = None if ref is None else (ref.term, ref.sort)
+        answers.append(got)
         if not (got is answer or got == answer):
-            return None
-    return state
+            if (pair := logs.first.get(tuple(answers))) is None:
+                return None
+            log, value = pair
+    return value, state
 
 
 class _Composer:

@@ -6,7 +6,7 @@ constants become connectives, instantiated `exists`/`forall` become sorted
 quantifiers, and instantiated choice operators become choice terms carrying
 their restriction as a formula with one designated hole variable.
 
-The module also generates the presuppositions of choice terms (the
+The module also reads off the presuppositions of choice terms (the
 restriction applied to the term itself), rewrites the classical patterns
 `B(choice_x B)` into sorted quantifiers, and prints formulas canonically in
 ascii, unicode or s-expression style.  The rewrite makes one pass over a
@@ -35,8 +35,7 @@ from . import kernel
 from .errors import (ExtractionError, NotNormal, NotTruthType, ResidualLambda,
                      ParseError)
 from .kernel import (App, BaseSort, Const, Lam, Term, TyApp, Type,
-                     TypingContext, Var, free_vars, is_normal, normalize,
-                     spine, type_of)
+                     TypingContext, Var, free_vars, is_normal, spine, type_of)
 from .node import node
 from .sexpr import Atom, SExpr, SList, expect_atom, expect_list, read_one
 
@@ -174,8 +173,15 @@ def conjoin(formulas) -> Formula:
 
 
 def flatten_and(f: Formula) -> list[Formula]:
-    """The conjuncts of f, left to right."""
-    return [g for g in nodes(f, into=(And,)) if type(g) is not And]
+    """The conjuncts of f, left to right, looping down the left spine."""
+    first, rights = _and_spine(f)
+    out = [first]
+    for r in rights:
+        if type(r) is And:
+            out += [g for g in nodes(r, into=(And,)) if type(g) is not And]
+        else:
+            out.append(r)
+    return out
 
 
 def _and_spine(f: And) -> tuple[Formula, list[Formula]]:
@@ -427,28 +433,46 @@ def _to_lterm(term: Term) -> LTerm:
 # presuppositions
 
 
-def presuppositions(term: Term, ctx: TypingContext | None = None
+def presuppositions(f: Formula | Term, ctx: TypingContext | None = None
                     ) -> list[Formula]:
     """The restriction of every indefinite (and every definite left
-    unresolved, which behaves the same) applied to its own choice term.
-
-    Formulas are collected left-to-right and alpha-duplicates emitted once.
-    `ctx` types the term's constants; each candidate's free variables, bound
-    above the choice term, are added to it.  A session works this out once
-    per distinct composed term (see `cli.analyze_tree`).
-    """
+    unresolved, which behaves the same) applied to its own choice term: its
+    body with the term in place of its hole, in pre-order, alpha-duplicates
+    emitted once.  A binder keeps the name the formula gives it unless it
+    would capture a variable of the term.  A term is extracted first (`ctx`
+    types its constants), so it must be a normal term of type t."""
+    if isinstance(f, Term):
+        f = extract_formula(f, ctx)
     found: dict[Formula, Formula] = {}  # canon_formula key -> first formula
-    for t in kernel.nodes(term):
-        match t:
-            case App(TyApp(Const("eps" | "ieps", _), _), pred):
-                body = normalize(App(pred, t))
-                local = ctx
-                if ctx is not None and (free := free_vars(body)):
-                    local = TypingContext(ctx.sorts, ctx.consts,
-                                          {**ctx.vars, **free})
-                candidate = extract_formula(body, local)
-                found.setdefault(canon_formula(candidate), candidate)
+    for e in nodes(f):
+        if type(e) is Eps and e.mode != UNIVERSAL:
+            p = _substitute(e.body, e.hole, e)
+            found.setdefault(canon_formula(p), p)
     return list(found.values())
+
+
+def _substitute(f: Formula, var: str, repl: LTerm,
+                rename: bool = True) -> Formula:
+    """f with `repl` in place of the free variable `var`, renaming a binder
+    that would capture a variable of repl as the kernel renames one.  With
+    `rename` false it captures, as a rewrite's try allows (`_fails_below`)."""
+    fv = free_formula_vars(repl) if rename else ()
+
+    def visit(n, _):
+        t = type(n)
+        if t is LVar:
+            return repl if n.name == var else n
+        if t is Exists or t is Forall or t is Eps:
+            bound = _bound(n)
+            if bound == var:
+                return n
+            if bound in fv and var in (inner := free_formula_vars(n.body)):
+                name = kernel._fresh_name(bound, fv | inner)
+                body = _substitute(n.body, bound, LVar(name, n.sort))
+                return _binding(n, name, body), None
+        return None
+
+    return transform(f, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -457,22 +481,37 @@ def presuppositions(term: Term, ctx: TypingContext | None = None
 
 def canon_formula(f: Formula) -> Formula:
     """f with its bound variables renamed `!q0`, `!q1`, ... in pre-order, so
-    that alpha-equivalent formulas have equal canonical forms."""
+    that alpha-equivalent formulas have equal canonical forms.  A binder's
+    scope is a pair (enclosing scope, variable); each name keeps a stack of
+    its canonical names, popped as the walk leaves their scopes."""
     fresh = (f"!q{i}" for i in itertools.count())
+    names: dict[str, list[str]] = {}
+    inner = None  # the innermost scope entered
 
-    def visit(n, env):
+    def visit(n, scope):
+        nonlocal inner
+        while inner is not scope:
+            names[inner[1]].pop()
+            inner = inner[0]
         t = type(n)
         if t is LVar:
-            return LVar(env[n.name], n.sort) if n.name in env else n
-        if t is Exists or t is Forall:
-            name = next(fresh)
-            return t(name, n.sort, n.body), {**env, n.var: name}
-        if t is Eps:
-            name = next(fresh)
-            return Eps(n.mode, n.sort, name, n.body), {**env, n.hole: name}
-        return None
+            bound = names.get(n.name)
+            return LVar(bound[-1], n.sort) if bound else n
+        if t is not Exists and t is not Forall and t is not Eps:
+            return None
+        var, name = _bound(n), next(fresh)
+        names.setdefault(var, []).append(name)
+        inner = scope, var
+        return _binding(n, name, n.body), inner
 
-    return transform(f, visit, {})
+    return transform(f, visit)
+
+
+def _binding(n: Formula | LTerm, name: str, body: Formula) -> Formula | LTerm:
+    """The quantifier or choice term n, binding `name` in `body`."""
+    if type(n) is Eps:
+        return Eps(n.mode, n.sort, name, body)
+    return type(n)(name, n.sort, body)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +671,8 @@ class _Pass:
         lvar = LVar(var, p.sort)
         new = {i: _abstract(self.conjuncts[i], p, lvar)
                for i in self.holders[p]}
-        return var, new, canon_formula(_rename_hole(p, var))
+        want = _substitute(p.body, p.hole, lvar, rename=False)
+        return var, new, canon_formula(want)
 
     def _fresh(self, in_use) -> str:
         """The first fresh name not in use.  A name in `free` stays in use,
@@ -674,9 +714,21 @@ class _Pass:
 
 
 def _with_conjuncts(g: Formula, versions: dict[int, Formula]) -> Formula:
-    """g with each conjunct c replaced by versions[id(c)]."""
-    return transform(g, lambda n, _: None if type(n) is And
-                     else versions[id(n)])
+    """g with each conjunct c replaced by versions[id(c)], looping down the
+    left spine; an And whose operands come back as they were is kept."""
+    def visit(n, _):
+        return None if type(n) is And else versions[id(n)]
+
+    spine = []
+    while type(g) is And:
+        spine.append(g)
+        g = g.left
+    out = versions[id(g)]
+    for a in reversed(spine):
+        r = a.right
+        right = transform(r, visit) if type(r) is And else versions[id(r)]
+        out = a if out is a.left and right is r else And(out, right)
+    return out
 
 
 def _quantifier(pivot: Eps) -> type:
@@ -719,18 +771,6 @@ def _abstract(g: Formula, pivot: Eps, var: LVar) -> Formula:
         return None
 
     return transform(g, visit)
-
-
-def _rename_hole(pivot: Eps, var: str) -> Formula:
-    """The pivot's restriction with `var` in place of its hole."""
-    new = LVar(var, pivot.sort)
-
-    def visit(n, _):
-        if type(n) is LVar:
-            return new if n.name == pivot.hole else n
-        return n if _bound(n) == pivot.hole else None
-
-    return transform(pivot.body, visit)
 
 
 def _formula_names(f: Formula) -> set[str]:

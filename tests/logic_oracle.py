@@ -1,17 +1,22 @@
 """The recursive formula walkers that `tysem.logic.transform`, `fold` and
 `canon_formula` replaced, kept as the oracle of their explicit-stack
-versions.
+versions, and the kernel route to presuppositions that reading them off
+the formula replaced.
 
-They recurse once per node, except down a conjunction's left spine, and a
-visit that binds a name transforms the binder's body itself, with a new
-env.  The only change is that a node is rebuilt through `logic.rebuild`.
+The walkers recurse once per node, except down a conjunction's left spine,
+and a visit that binds a name transforms the binder's body itself, with a
+new env.  The only change is that a node is rebuilt through
+`logic.rebuild`.
 """
 
 import itertools
 from operator import is_
 
+from tysem import kernel
+from tysem.kernel import (App, Const, TyApp, TypingContext, free_vars,
+                          normalize)
 from tysem.logic import (_CHILDREN, And, Eps, Exists, Forall, LVar, _bound,
-                         rebuild)
+                         canon_formula, extract_formula, rebuild)
 
 
 def old_transform(n, visit, env=None, rebuilt=None):
@@ -83,3 +88,23 @@ def old_canon_formula(f):
         return None
 
     return old_transform(f, visit, {})
+
+
+def old_presuppositions(term, ctx=None):
+    """The restriction of every indefinite and unresolved definite applied
+    to its own choice term, on the kernel term: `App(pred, t)` is
+    normalized, typed (`ctx` types the constants; the variables bound above
+    the choice term are added to it) and extracted, and alpha-duplicates
+    are emitted once."""
+    found = {}  # canon_formula key -> first formula
+    for t in kernel.nodes(term):
+        match t:
+            case App(TyApp(Const("eps" | "ieps", _), _), pred):
+                body = normalize(App(pred, t))
+                local = ctx
+                if ctx is not None and (free := free_vars(body)):
+                    local = TypingContext(ctx.sorts, ctx.consts,
+                                          {**ctx.vars, **free})
+                candidate = extract_formula(body, local)
+                found.setdefault(canon_formula(candidate), candidate)
+    return list(found.values())

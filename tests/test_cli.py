@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import referents
+from tysem import cli, discourse
 from tysem.cli import (AnalysisOptions, _json_report, _sexpr_report,
                        _text_report, analyze_tree, discourse_formula, main)
 from tysem.composer import compose, parse_tree
@@ -571,6 +573,40 @@ def test_presuppositions_are_worked_out_only_where_read(chat_lex, mode):
     assert ("presupposition_list" in vars(r)) == (mode != "off")
     assert _json_report(r, options)["presuppositions"] == \
         ["chat(eps[ani](x. chat(x)))"]
+
+
+def test_a_sentence_replays_once(monkeypatch):
+    """A session of `tests/referents.py` stores many logs per `(vJ il)`
+    tree, one per antecedent; each sentence still replays once and makes
+    the reads of one log."""
+    counts = {"replay": 0, "reads": 0, "compose": 0}
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "replay", "replay")
+    counted(cli, "compose", "compose")
+    counted(discourse, "resolve_pronoun", "reads")
+    counted(discourse, "resolve_definite", "reads")
+    n = 1000
+    lex = load_lexicon(referents.lexicon_text(referents.nouns(n)))
+    lines = referents.session_lines(n)
+    state, store = DiscourseState(), {}
+    options = AnalysisOptions("off", rewrite=True)
+    for text in lines:
+        _, state = analyze_tree(lex, parse_tree(text), state, options, store)
+    stored = sum(map(len, store.values()))
+    assert stored == counts["compose"]
+    assert max(map(len, store.values())) > 20
+    assert counts["replay"] == n - len(store)  # all but each tree's first
+    # a tree makes one read (`il`, `le`) or none (`un`), in each replay and
+    # in each composition
+    assert counts["reads"] <= counts["replay"] + counts["compose"]
 
 
 # ---------------------------------------------------------------------------

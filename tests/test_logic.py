@@ -2,19 +2,25 @@ import dataclasses
 import itertools
 import json
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from generators import FORMULA_CONSTANTS, FormulaGen
+from generators import FORMULA_CONSTANTS, FormulaGen, TermGen, \
+    generator_context
+from logic_oracle import old_presuppositions
+from tysem import kernel
 from tysem.cli import (AnalysisOptions, _signature_of, analyze_tree,
                        discourse_formula)
 from tysem.composer import compose, parse_tree
 from tysem.discourse import DiscourseState
-from tysem.errors import NotNormal, NotTruthType, ResidualLambda
-from tysem.kernel import (App, Arrow, BaseSort, Const, Lam, T, TypingContext,
-                          Var, normalize, parse_term)
+from tysem.errors import (ExtractionError, NotNormal, NotTruthType,
+                          ResidualLambda, TysemError)
+from tysem.kernel import (App, Arrow, BaseSort, Const, Lam, T, TyApp,
+                          TypingContext, Var, normalize, parse_term, type_of)
+from tysem.lexicon import load_lexicon
 from tysem.logic import (INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
                          Formula, Implies, LApp, LConst, LTerm, LVar, Not, Or,
                          Pred, TruthConst, canon_formula, children, conjoin,
@@ -195,6 +201,169 @@ def test_presuppositions_of_nested_and_henkin_choice_terms(chat_lex):
         " & voit(y,eps[ani](x. chat(x) & voit(y,x)))"]
 
 
+def test_presupposition_renames_a_binder_that_would_capture(chat_lex):
+    """The choice term has y free, so the y bound in its restriction is
+    renamed where the term goes under it, as kernel substitution does."""
+    ctx = chat_lex.typing_context()
+    ctx = ctx.with_const("voit", Arrow(ANI, Arrow(ANI, T)))
+    term = parse_term(
+        "((tyapp forall ani) (lam y ani (dort ((tyapp eps ani) (lam x ani"
+        " (and ((voit y) x) ((tyapp exists ani) (lam y ani ((voit x) y)))))))))",
+        ctx)
+    eps = "eps[ani](x. voit(y,x) & (exists y:ani. voit(x,y)))"
+    ps = presuppositions(term, ctx)
+    assert ps == presuppositions(extract_formula(term, ctx))
+    assert ps == old_presuppositions(term, ctx)
+    assert [print_formula(p) for p in ps] == [
+        f"voit(y,{eps}) & (exists y1:ani. voit({eps},y1))"]
+
+
+def test_presupposition_keeps_the_name_of_a_binder_read_off_a_constant(
+        chat_lex):
+    """`exists (voit x)` reads off as `exists y. voit(x,y)`, its variable
+    picked against `voit x`.  The presupposition keeps y; the kernel route
+    picked it again against `voit` of the choice term, and got x.  The two
+    are alpha-equivalent."""
+    ctx = chat_lex.typing_context()
+    ctx = ctx.with_const("voit", Arrow(ANI, Arrow(ANI, T)))
+    term = parse_term(
+        "(dort ((tyapp eps ani) (lam x ani (and (chat x)"
+        " ((tyapp exists ani) (voit x))))))", ctx)
+    eps = "eps[ani](x. chat(x) & (exists y:ani. voit(x,y)))"
+    (p,), (old,) = presuppositions(term), old_presuppositions(term)
+    assert print_formula(p) == f"chat({eps}) & (exists y:ani. voit({eps},y))"
+    assert print_formula(old) == \
+        f"chat({eps}) & (exists x:ani. voit({eps},x))"
+    assert formula_alpha_eq(p, old)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_presuppositions_match_the_kernel_route_on_random_terms(seed):
+    """Normal type-t TermGen terms: reading the presuppositions off the
+    formula gives the kernel route's, formula for formula."""
+    ctx = generator_context()
+    gen = TermGen(seed)
+    for _ in range(20):
+        term = gen.random_term(7)
+        if type_of(ctx, term) != T:
+            continue
+        normal = normalize(term)
+        try:
+            f = extract_formula(normal, ctx)
+        except ExtractionError:
+            continue
+        want = old_presuppositions(normal, ctx)
+        assert presuppositions(f) == want
+        assert presuppositions(normal, ctx) == want
+
+
+# binders over three names, so that a choice term's restriction often
+# binds again a name free in the term; every predicate read off is an
+# abstraction or a closed constant, whose hole names both routes pick alike
+_NAMES = ("x", "y", "z")
+_CONSTS = generator_context().consts
+
+
+def _const(name):
+    return Const(name, _CONSTS[name])
+
+
+def _abstraction(rng, env, depth):
+    v = rng.choice(_NAMES)
+    return Lam(v, ANI, _capture_prop(rng, env | {v}, depth))
+
+
+def _capture_prop(rng, env, depth):
+    """One or two conjuncts: quantifiers while depth lasts, else atoms."""
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        if depth and rng.random() < 0.5:
+            quantifier = _const(rng.choice(("exists", "forall")))
+            parts.append(App(TyApp(quantifier, ANI),
+                             _abstraction(rng, env, depth - 1)))
+        elif rng.random() < 0.5:
+            parts.append(App(App(_const("aime"), _capture_ent(rng, env, depth)),
+                             _capture_ent(rng, env, depth)))
+        else:
+            parts.append(App(_const(rng.choice(("chat", "dort"))),
+                             _capture_ent(rng, env, depth)))
+    return reduce(lambda a, b: App(App(_const("and"), a), b), parts)
+
+
+def _capture_ent(rng, env, depth):
+    roll = rng.random()
+    if depth and roll < 0.4:
+        pred = (_const("chat") if roll < 0.05
+                else _abstraction(rng, env, depth - 1))
+        choice = _const(rng.choice(("eps", "ieps", "tau")))
+        return App(TyApp(choice, ANI), pred)
+    if env and roll < 0.95:
+        return Var(rng.choice(sorted(env)), ANI)
+    return _const(rng.choice(("fido", "rex")))
+
+
+@given(st.randoms(use_true_random=False))
+def test_presuppositions_match_the_kernel_route_where_binders_capture(rng):
+    """Normal terms whose choice terms often sit under a binder of a name
+    their restriction binds again: a binder that would capture is renamed
+    as the kernel renames the abstraction."""
+    ctx = generator_context()
+    for _ in range(5):
+        term = _capture_prop(rng, frozenset(), 4)
+        assert presuppositions(extract_formula(term, ctx)) == \
+            old_presuppositions(term, ctx)
+
+
+def test_the_capture_terms_capture(monkeypatch):
+    """The terms above do make presuppositions rename binders."""
+    renamed, fresh_name = [], kernel._fresh_name
+
+    def counted(*args):
+        renamed.append(args)
+        return fresh_name(*args)
+
+    monkeypatch.setattr(kernel, "_fresh_name", counted)
+    ctx = generator_context()
+    rng = random.Random(3)
+    for _ in range(300):
+        presuppositions(_capture_prop(rng, frozenset(), 4), ctx)
+    assert len(renamed) >= 5
+
+
+def _golden_sessions():
+    """The analyze commands of the golden outputs over files in lexica/,
+    as (lexicon, sentences): each tree alone, and each session."""
+    from test_golden import (MISS_SESSIONS, fig2_tree_commands,
+                             oneshot_commands, session_lines)
+    out = {(c[2], c[4]) for c in oneshot_commands() + fig2_tree_commands()}
+    out = [(lex, [tree]) for lex, tree in sorted(out)]
+    out += [(f"lexica/{family}.lex", session_lines(family))
+            for family in ("homme", "chat")]
+    out += [(f"lexica/{name[:-4]}.lex", lines)
+            for name, lines in MISS_SESSIONS.items()]
+    return out
+
+
+def test_presuppositions_match_the_kernel_route_on_shipped_lexica():
+    lexica, checked = {}, 0
+    for path, lines in _golden_sessions():
+        if path not in lexica:
+            with open(path, encoding="utf-8") as fh:
+                lexica[path] = load_lexicon(fh.read())
+        lex = lexica[path]
+        state, store = DiscourseState(), {}
+        for text in lines:
+            try:
+                r, state = analyze_tree(lex, parse_tree(text), state,
+                                        AnalysisOptions(), store)
+            except TysemError:
+                continue
+            assert r.presupposition_list == \
+                old_presuppositions(r.normal, lex.typing_context())
+            checked += bool(r.presupposition_list)
+    assert checked > 50
+
+
 # indefinites, pronouns, definites that resolve and one that never matches
 # its restriction, universals; `(est_entre (un homme))` and `(a_hurle il)`
 # compose to distinct terms that share a choice term
@@ -219,7 +388,7 @@ def test_session_presuppositions_match_fresh_calls(family, mode, homme_lex,
     state, cache, results = DiscourseState(), {}, []
     for text in [first] + [rng.choice((first, *rest)) for _ in range(60)]:
         r, state = analyze_tree(lex, parse_tree(text), state, options, cache)
-        assert r.presupposition_list == presuppositions(r.normal, ctx)
+        assert r.presupposition_list == old_presuppositions(r.normal, ctx)
         results.append(r)
     # the session keeps the first of each alpha-class of presuppositions,
     # found here by pairwise comparison instead of canon_formula keys

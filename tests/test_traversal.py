@@ -10,6 +10,7 @@ and `repr` of such nests recurse.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,7 @@ from logic_oracle import old_canon_formula, old_fold, old_transform
 from tysem.cli import _SIGNATURE_INTO, _signature_of
 from tysem.logic import (DEF, INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
                          Formula, Implies, LApp, LConst, LVar, Not, Or, Pred,
-                         TruthConst, _JSON, _abstract, _bound, _rename_hole,
+                         TruthConst, _JSON, _abstract, _bound, _substitute,
                          _with_conjuncts, canon_formula, conjoin, flatten_and,
                          fold, formula_to_json, free_formula_vars, nodes,
                          transform)
@@ -117,7 +118,7 @@ def assert_same_walks(f):
 
         assert assert_same_transform(f, abstract) == _abstract(f, pivot, var)
         assert assert_same_transform(pivot.body, rename) == \
-            _rename_hole(pivot, "v")
+            _substitute(pivot.body, pivot.hole, var, rename=False)
     assert free_formula_vars(f) == old_fold(f, free_combine)
     assert formula_to_json(f) == old_fold(f, json_combine)
     assert_same_fold(f)
@@ -278,3 +279,22 @@ def test_walkers_take_deep_nests(shape):
     preds = sorted({(n.name, tuple(a.sort for a in n.args))
                     for n in preorder if type(n) is Pred})
     assert _signature_of(f) == (["s"] if binders else [], preds)
+
+
+def test_canon_formula_is_linear_in_binder_nesting():
+    """Renaming 10,000 nested quantifiers, each binding a name of its own,
+    costs within 5x of an identity transform of the same nest: no binder
+    copies the names in scope (best of five runs each)."""
+    f = quantifiers()
+
+    def best(fn):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    canon = best(lambda: canon_formula(f))
+    identity = best(lambda: transform(f, lambda n, e: None))
+    assert canon < 5 * identity, (canon, identity)
