@@ -15,8 +15,18 @@ from .lexicon import Lexicon, load_lexicon, lookup_entry, print_lexicon, \
     type_to_predicate
 from .logic import (Formula, extract_formula, parse_formula, presuppositions,
                     print_formula, rewrite_hilbert)
-from .model import (Model, check_equivalence, eval_formula, extend_interp,
-                    load_model, restrict_interp)
+
+# the model checker is imported on first use: `analyze` never needs it
+_MODEL_NAMES = ("Model", "check_equivalence", "eval_formula", "extend_interp",
+                "load_model", "restrict_interp")
+
+
+def __getattr__(name):
+    if name in _MODEL_NAMES:
+        from . import model
+        return getattr(model, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CoercionReport", "DiscourseState", "Formula", "Lexicon", "Model",

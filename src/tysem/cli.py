@@ -17,10 +17,9 @@ as `internal error: <type>: <message>` on standard error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from .composer import (CoercionReport, ComposeResult, Logs, SynTree,
                        compose, parse_tree, print_tree, replay)
@@ -34,39 +33,62 @@ from .logic import (And, Eps, Eq, Exists, Forall, Formula, Implies, LApp,
                     extract_formula, fold, formula_to_json, nodes,
                     parse_formula, presuppositions, print_formula,
                     rewrite_hilbert)
-from .model import check_equivalence, eval_formula, load_model, print_model
+
+_MODEL_NAMES = ("check_equivalence", "eval_formula", "load_model",
+                "print_model")
+
+
+def __getattr__(name):
+    """The names of `tysem.model` that `eval` uses, imported on first use;
+    one set on this module before then (a patch, a wrapper) is kept."""
+    if name not in _MODEL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import model
+    for n in _MODEL_NAMES:
+        globals().setdefault(n, getattr(model, n))
+    return globals()[name]
+
 
 # ---------------------------------------------------------------------------
 # analysis pipeline
 
 
-@dataclass(repr=False)
 class AnalysisResult:
     """Everything one sentence produces; fields are mutually consistent
     (the formula is extracted from the normal form)."""
-    tree: SynTree
-    term: Term
-    normal: Term
-    steps: list[Term]  # every reduction step, kept only with --trace
-    report: CoercionReport
-    formula: Formula
-    final: Formula  # after the presupposition and rewrite flags
-    # each report, once printed; shared by every sentence this analysis
-    # serves (see analyze_tree)
-    printed: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __init__(self, tree: SynTree, term: Term, normal: Term,
+                 steps: list[Term], report: CoercionReport, formula: Formula,
+                 final: Formula):
+        self.tree, self.term, self.normal = tree, term, normal
+        self.steps = steps  # every reduction step, kept only with --trace
+        self.report, self.formula = report, formula
+        self.final = final  # after the presupposition and rewrite flags
+        # each report, once printed; shared by every sentence this analysis
+        # serves (see analyze_tree)
+        self.printed: dict = {}
+
+    def __eq__(self, other):  # every field but the printed reports
+        same = type(other) is AnalysisResult
+        return _compared(self) == _compared(other) if same else NotImplemented
 
     @cached_property  # with `--presuppositions off`, only `json` reads them
     def presupposition_list(self) -> list[Formula]:
         return presuppositions(self.formula)
 
 
-@dataclass(repr=False, eq=False)
+_compared = attrgetter("tree", "term", "normal", "steps", "report",
+                      "formula", "final")
+
+
 class AnalysisOptions:
     """How `analyze` reports each sentence: its command-line flags."""
-    presuppositions: str = "separate"  # separate | conjoin | off
-    rewrite: bool = False
-    trace: bool = False
-    style: str = "ascii"
+
+    def __init__(self, presuppositions: str = "separate",
+                 rewrite: bool = False, trace: bool = False,
+                 style: str = "ascii"):
+        self.presuppositions = presuppositions  # separate | conjoin | off
+        self.rewrite, self.trace, self.style = rewrite, trace, style
 
 
 def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
@@ -209,6 +231,7 @@ def run_analyze(args) -> int:
                                            store)
             results.append(analysis)
         if args.format == "json":
+            import json
             doc = {"sentences": [_json_report(r, options) for r in results]}
             if session:
                 doc["discourse"] = print_formula(
@@ -237,6 +260,7 @@ def run_analyze(args) -> int:
 
 
 def run_eval(args) -> int:
+    __getattr__("load_model")  # binds the model checker's names here
     try:
         m = load_model(_read(args.model))
         f1 = parse_formula(args.formula)

@@ -32,8 +32,6 @@ every read answers the same, the composition would too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import discourse as disc
 from .discourse import DiscourseState
 from .errors import (AmbiguousCoercion, CompositionError, NoAntecedent,
@@ -96,11 +94,15 @@ def print_tree(tree: SynTree) -> str:
 TypeSubstitution = dict[str, Type]
 
 
-@dataclass(repr=False)
 class CoercionReport:
     """Coercions used per word occurrence."""
 
-    uses: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
+    def __init__(self):
+        self.uses: dict[str, list[tuple[str, str]]] = {}
+
+    def __eq__(self, other):
+        same = type(other) is CoercionReport
+        return self.uses == other.uses if same else NotImplemented
 
     def record(self, occurrence: str, word: str, coercion: Coercion):
         used = self.uses.setdefault(occurrence, [])
@@ -188,17 +190,16 @@ def insert_coercions(arg: Term, found: Type, wanted: Type,
 # composition
 
 
-@dataclass(repr=False, eq=False)
 class _Value:
     """A composed subtree: its term, type, and referent-head bookkeeping."""
-    term: Term
-    type: Type
-    head_word: str
-    head_occ: str
-    head_entry: LexEntry | None
+
+    def __init__(self, term: Term, type: Type, head_word: str, head_occ: str,
+                 head_entry: LexEntry | None):
+        self.term, self.type = term, type
+        self.head_word, self.head_occ = head_word, head_occ
+        self.head_entry = head_entry
 
 
-@dataclass(repr=False, eq=False)
 class _Pending:
     """A function in the middle of application.
 
@@ -209,28 +210,29 @@ class _Pending:
     type prescribes, the type applications and term arguments to emit once
     every variable is bound.
     """
-    head: Term
-    slots: list[tuple[str, object]]
-    bindings: TypeSubstitution
-    body: Type
-    head_word: str
-    head_occ: str
-    head_entry: LexEntry | None
+
+    def __init__(self, head: Term, slots: list[tuple[str, object]],
+                 bindings: TypeSubstitution, body: Type, head_word: str,
+                 head_occ: str, head_entry: LexEntry | None):
+        self.head, self.slots, self.bindings = head, slots, bindings
+        self.body = body
+        self.head_word, self.head_occ = head_word, head_occ
+        self.head_entry = head_entry
 
     def pending_vars(self) -> list[str]:
         return [v for kind, v in self.slots
                 if kind == "ty" and v not in self.bindings]
 
 
-@dataclass(repr=False, eq=False)
 class ComposeResult:
     """A composed term and its type, the coercions used, the discourse state
     after the sentence, and the discourse calls made (see `replay`)."""
-    term: Term
-    type: Type
-    report: CoercionReport
-    state: DiscourseState
-    log: list  # the discourse calls made, in order (see replay)
+
+    def __init__(self, term: Term, type: Type, report: CoercionReport,
+                 state: DiscourseState, log: list):
+        self.term, self.type, self.report = term, type, report
+        self.state = state
+        self.log = log  # the discourse calls made, in order (see replay)
 
 
 def compose(tree: SynTree, lex: Lexicon,

@@ -22,7 +22,6 @@ operations are safe to share across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import (StepBudgetExceeded, ParseError, TyLamEscape, TypeClash,
@@ -226,20 +225,21 @@ CHOICE_CONSTANTS = frozenset({"eps", "ieps", "tau"})
 # typing context
 
 
-@dataclass(repr=False, eq=False)
 class TypingContext:
     """Declared sorts plus typed names.  Constants and variables live in
     separate maps so the parser can tell them apart; both feed type_of."""
 
-    sorts: frozenset[str] = BUILTIN_SORTS
-    consts: dict[str, Type] = field(default_factory=dict)
-    vars: dict[str, Type] = field(default_factory=dict)
+    def __init__(self, sorts: frozenset[str] = BUILTIN_SORTS,
+                 consts: dict[str, Type] | None = None,
+                 vars: dict[str, Type] | None = None):
+        self.sorts = sorts
+        self.consts = {} if consts is None else consts
+        self.vars = {} if vars is None else vars
 
     @staticmethod
     def default() -> TypingContext:
         return TypingContext(consts=dict(BUILTIN_CONSTANTS))
 
-    # `dataclasses.replace` is slow, and type_of extends a context per `lam`
     def with_sorts(self, names) -> TypingContext:
         return TypingContext(self.sorts | frozenset(names), self.consts,
                              self.vars)

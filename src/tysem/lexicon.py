@@ -21,7 +21,6 @@ state rather than by a term of its own; the optional symbol is a sort hint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import kernel
@@ -36,29 +35,30 @@ FLEXIBLE = "flexible"
 MODES = ("indefinite", "definite", "universal")
 
 
-@dataclass(repr=False, eq=False)
 class Coercion:
     """A labelled term from `source` to `target` that an entry may apply."""
-    label: str
-    source: Type
-    target: Type
-    term: Term
-    rigidity: str  # RIGID or FLEXIBLE
+
+    def __init__(self, label: str, source: Type, target: Type, term: Term,
+                 rigidity: str):
+        self.label, self.source, self.target = label, source, target
+        self.term = term
+        self.rigidity = rigidity  # RIGID or FLEXIBLE
 
     @property
     def rigid(self) -> bool:
         return self.rigidity == RIGID
 
 
-@dataclass(repr=False, eq=False)
 class LexEntry:
     """A word's principal term and type, its coercions and, for a
     determiner, its mode."""
-    word: str
-    principal: Term
-    principal_type: Type
-    options: tuple[Coercion, ...] = ()
-    determiner_mode: str = "none"
+
+    def __init__(self, word: str, principal: Term, principal_type: Type,
+                 options: tuple[Coercion, ...] = (),
+                 determiner_mode: str = "none"):
+        self.word, self.principal = word, principal
+        self.principal_type = principal_type
+        self.options, self.determiner_mode = options, determiner_mode
 
     def referent_sort(self) -> BaseSort | None:
         """The sort of the referent this word introduces: the type itself
@@ -72,13 +72,17 @@ class LexEntry:
         return None
 
 
-@dataclass(repr=False, eq=False)
 class Lexicon:
     """Declared sorts and constants, entries by word, and pronouns."""
-    sorts: frozenset[str] = frozenset()
-    constants: dict[str, Type] = field(default_factory=dict)
-    entries: dict[str, LexEntry] = field(default_factory=dict)
-    pronouns: dict[str, str | None] = field(default_factory=dict)
+
+    def __init__(self, sorts: frozenset[str] = frozenset(),
+                 constants: dict[str, Type] | None = None,
+                 entries: dict[str, LexEntry] | None = None,
+                 pronouns: dict[str, str | None] | None = None):
+        self.sorts = sorts
+        self.constants = {} if constants is None else constants
+        self.entries = {} if entries is None else entries
+        self.pronouns = {} if pronouns is None else pronouns
 
     def typing_context(self) -> TypingContext:
         """Built once per lexicon; a loaded lexicon is never changed."""
@@ -217,7 +221,8 @@ def _parse_entry(form: SList, ctx: TypingContext):
                 f"mode '{mode}' requires a choice-operator principal "
                 f"(eps, ieps or tau), found type {principal_type}", word)
 
-    return replace(entry, options=tuple(options), determiner_mode=mode), new_consts
+    return LexEntry(word, principal, principal_type, tuple(options),
+                    mode), new_consts
 
 
 def _parse_option(sub: SList, entry: LexEntry, ctx: TypingContext,
@@ -317,5 +322,6 @@ def type_to_predicate(lex: Lexicon, sort: str) -> tuple[Lexicon, Const]:
             raise LexiconError(f"constant '{name}' already declared with "
                                f"type {existing}")
         return lex, Const(name, ty)
-    new_lex = replace(lex, constants={**lex.constants, name: ty})
+    new_lex = Lexicon(lex.sorts, {**lex.constants, name: ty}, lex.entries,
+                      lex.pronouns)
     return new_lex, Const(name, ty)

@@ -260,18 +260,21 @@ def nodes(root: Formula | LTerm, into=None):
 def transform(root: Formula | LTerm, visit, env=None) -> Formula | LTerm:
     """root with nodes replaced, top down.  `visit(n, env)`, called on each
     node reached in pre-order, returns None to rebuild n from its children
-    transformed under env; a pair (m, body_env) to rebuild m (say, n with
-    its bound variable renamed) from its children transformed under
-    body_env; or the node that takes n's place.  A node whose children come
-    back as they were is kept: an unchanged formula is the very object."""
+    transformed under env; for a binder n, a triple (name, body, body_env)
+    to build n binding `name` over `body` transformed under body_env, once;
+    or the node that takes n's place.  A node whose children come back as
+    they were, and that binds the name it bound, is kept: an unchanged
+    formula is the very object."""
     out, stack = [], [root]  # results; nodes to visit and frames to finish
     while stack:
         n = stack.pop()
         if type(n) is tuple:  # a frame, whose children are done
-            n, kids, env = n
+            n, kids, env, name = n
             k = len(kids)
             if k == 1:
-                if out[-1] is not kids[0]:
+                if name is not None:
+                    n = _binding(n, name, out[-1])
+                elif out[-1] is not kids[0]:
                     n = _REBUILD[type(n)](n, out[-1])
             elif k == 2:
                 right = out.pop()
@@ -284,12 +287,18 @@ def transform(root: Formula | LTerm, visit, env=None) -> Formula | LTerm:
             out[-1] = n
             continue
         m = visit(n, env)
-        if m is not None and type(m) is not tuple:
+        if m is None:
+            name, kids, body_env = None, _CHILDREN[type(n)](n), env
+        elif type(m) is tuple:
+            name, body, body_env = m
+            kids = (body,)
+            if name == _bound(n) and body is n.body:
+                name = None
+        else:
             out.append(m)
             continue
-        n, body_env = m or (n, env)
-        if kids := _CHILDREN[type(n)](n):
-            stack.append((n, kids, env))
+        if kids:
+            stack.append((n, kids, env, name))
             env = body_env
             _push(stack, kids)
         else:
@@ -469,7 +478,7 @@ def _substitute(f: Formula, var: str, repl: LTerm,
             if bound in fv and var in (inner := free_formula_vars(n.body)):
                 name = kernel._fresh_name(bound, fv | inner)
                 body = _substitute(n.body, bound, LVar(name, n.sort))
-                return _binding(n, name, body), None
+                return name, body, None
         return None
 
     return transform(f, visit)
@@ -502,7 +511,7 @@ def canon_formula(f: Formula) -> Formula:
         var, name = _bound(n), next(fresh)
         names.setdefault(var, []).append(name)
         inner = scope, var
-        return _binding(n, name, n.body), inner
+        return name, n.body, inner
 
     return transform(f, visit)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from .errors import (EmptyCarrier, EvalError, FreeSymbol, ModelError,
@@ -36,15 +35,21 @@ from .sexpr import expect_atom, expect_list, read_one
 Interp = str | frozenset[tuple[str, ...]]
 
 
-@dataclass(repr=False)
 class Model:
     """Carriers in choice order plus interpretations.
 
     carrier(e) defaults to the ordered union of all declared carriers;
     `hat_<sort>` is always interpreted as membership in that sort's carrier.
     """
-    carriers: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    interps: dict[str, Interp] = field(default_factory=dict)
+
+    def __init__(self, carriers: dict[str, tuple[str, ...]] | None = None,
+                 interps: dict[str, Interp] | None = None):
+        self.carriers = {} if carriers is None else carriers
+        self.interps = {} if interps is None else interps
+
+    def __eq__(self, other):  # equal when their fields are
+        same = type(other) is Model
+        return vars(self) == vars(other) if same else NotImplemented
 
     def carrier(self, sort: str) -> tuple[str, ...]:
         if sort in self.carriers:
@@ -55,15 +60,14 @@ class Model:
             if not union:
                 raise EmptyCarrier("e")
             return union
-        raise _no_carrier(sort)
+        raise ModelError(f"no carrier declared for sort '{sort}'")
 
 
-@dataclass(repr=False, eq=False)
 class InterpPredicate:
     """A one-place predicate with its domain sort and extension."""
-    name: str
-    domain: str
-    extension: frozenset[str]
+
+    def __init__(self, name: str, domain: str, extension: frozenset[str]):
+        self.name, self.domain, self.extension = name, domain, extension
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +193,7 @@ def _resolve(t: LTerm, m: Model, env: dict[str, str]) -> str:
     match t:
         case LVar(name, _):
             if name not in env:
-                raise _unbound(name)
+                raise EvalError(f"unbound variable '{name}'")
             return env[name]
         case LConst(name, _):
             interp = m.interps.get(name)
@@ -222,7 +226,10 @@ def _resolve(t: LTerm, m: Model, env: dict[str, str]) -> str:
         case Eps(mode, sort, hole, body):
             outer = free_formula_vars(body) - {hole}
             if outer:
-                raise _henkin(outer)
+                raise EvalError(
+                    "choice term depends on enclosing binders "
+                    f"({', '.join(sorted(outer))}); such Henkin-style "
+                    "dependencies are not evaluated")
             carrier = _nonempty_carrier(m, sort)
             want = mode != UNIVERSAL
             for el in carrier:
@@ -232,30 +239,21 @@ def _resolve(t: LTerm, m: Model, env: dict[str, str]) -> str:
     raise AssertionError(t)
 
 
-def _no_carrier(sort: str) -> ModelError:
-    return ModelError(f"no carrier declared for sort '{sort}'")
-
-
-def _unbound(name: str) -> EvalError:
-    return EvalError(f"unbound variable '{name}'")
-
-
-def _henkin(outer: set[str]) -> EvalError:
-    return EvalError("choice term depends on enclosing binders "
-                     f"({', '.join(sorted(outer))}); such Henkin-style "
-                     "dependencies are not evaluated")
-
-
 # ---------------------------------------------------------------------------
 # brute-force equivalence
 
 
-@dataclass(repr=False)
 class Verdict:
     """What `check_equivalence` found; true when the formulas agree."""
-    equivalent: bool
-    counter_model: Model | None
-    models_checked: int
+
+    def __init__(self, equivalent: bool, counter_model: Model | None,
+                 models_checked: int):
+        self.equivalent, self.counter_model = equivalent, counter_model
+        self.models_checked = models_checked
+
+    def __eq__(self, other):  # equal when their fields are
+        same = type(other) is Verdict
+        return vars(self) == vars(other) if same else NotImplemented
 
     def __bool__(self):
         return self.equivalent

@@ -11,6 +11,7 @@ and `repr` of such nests recurse.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -78,7 +79,7 @@ def assert_same_fold(f, into=None):
 def depth_new(n, depth):
     """A visit that renames nothing and counts the binders above a node."""
     if type(n) in (Exists, Forall, Eps):
-        return n, depth + 1
+        return _bound(n), n.body, depth + 1
     return n if type(n) is LVar else None
 
 
@@ -298,3 +299,37 @@ def test_canon_formula_is_linear_in_binder_nesting():
     canon = best(lambda: canon_formula(f))
     identity = best(lambda: transform(f, lambda n, e: None))
     assert canon < 5 * identity, (canon, identity)
+
+
+def count_builds(monkeypatch, classes):
+    """A counter of the nodes of `classes` built from now on."""
+    built = Counter()
+    for cls in classes:
+        def counting(self, *args, init=cls.__init__, cls=cls):
+            built[cls] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_a_renamed_binder_is_built_once(monkeypatch):
+    """A visit that renames a binder has transform build it once, with its
+    new name over its transformed body, with no stack frame per binder."""
+    f = quantifiers()
+    # each `y` of g would capture the `y` put in place of `x`: renamed
+    g = Pred("S", (LVar("x", "s"), Y))
+    for i in range(1_000):
+        g = (Exists if i % 2 else Forall)("y", "s", g)
+    built = count_builds(monkeypatch, (Exists, Forall, Eps))
+    canon = canon_formula(f)
+    assert sum(built.values()) == DEEP
+    assert _bound(canon) == "!q0"
+    built.clear()
+    renamed = _substitute(g, "x", Y)
+    assert sum(built.values()) == 1_000
+    for a, b in zip(nodes(g), nodes(renamed)):
+        assert type(a) is type(b)
+        if type(a) in (Exists, Forall):
+            assert b.var == "y1"
+    assert [n for n in nodes(renamed) if type(n) is Pred] == [
+        Pred("S", (Y, LVar("y1", "s")))]
