@@ -6,10 +6,11 @@ constants make the calculus a glue language for a multisorted logic: `eps`,
 `ieps` and `tau` are the polymorphic choice operators used as determiners,
 `exists`/`forall` the classical quantifiers, plus the connectives.
 
-Types occur inside terms, as annotations: `free_tyvars`, `print_term` and
-`canon` each take a type or a term, in one `match`.  The substitutions,
-`free_vars` and the type checker stay hand-written: each treats binders in
-its own way, and they are the normalizer's and the checker's hot paths.
+Every walk runs on one traversal, `node.Tree`, over `_TERMS`, a term's
+subterms or a type's subtypes, or `_WITH_TYPES`, which adds the types
+annotating a term: `free_tyvars`, `subst_type`, `print_term` and `canon`
+take a type or a term alike.  No walk recurses, so a term thousands of
+binders deep is walked within the default recursion limit.
 
 Types and terms are slotted, immutable nodes (see `node`), each keeping its
 hash once worked out.  The substitutions return a subterm in which nothing
@@ -21,12 +22,9 @@ operations are safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
-from operator import attrgetter
-
 from .errors import (StepBudgetExceeded, ParseError, TyLamEscape, TypeClash,
                      UnboundName, UnknownSort)
-from .node import KeepsHash, node
+from .node import KeepsHash, Tree, node
 from .sexpr import Atom, SExpr, expect_atom, read_one
 
 # ---------------------------------------------------------------------------
@@ -36,21 +34,18 @@ from .sexpr import Atom, SExpr, expect_atom, read_one
 class Type(KeepsHash):
     __slots__ = ()
 
+    def __str__(self):
+        return self.name
+
 
 @node
 class BaseSort(Type):
     name: str
 
-    def __str__(self):
-        return self.name
-
 
 @node
 class TypeVar(Type):
     name: str
-
-    def __str__(self):
-        return self.name
 
 
 @node
@@ -86,60 +81,6 @@ def arrow(*types: Type) -> Type:
     return out
 
 
-def free_tyvars(n: Type | Term) -> frozenset[str]:
-    """The type variables free in a type, or in a term's annotations: those
-    no enclosing `pi` or `tylam` binds."""
-    match n:
-        case BaseSort():
-            return frozenset()
-        case TypeVar(name):
-            return frozenset({name})
-        case Arrow(dom, cod):
-            return free_tyvars(dom) | free_tyvars(cod)
-        case Pi(var, body) | TyLam(var, body):
-            return free_tyvars(body) - {var}
-        case Var(_, ty) | Const(_, ty):
-            return free_tyvars(ty)
-        case App(fun, arg):
-            return free_tyvars(fun) | free_tyvars(arg)
-        case Lam(_, ty, body) | TyApp(body, ty):
-            return free_tyvars(ty) | free_tyvars(body)
-    raise AssertionError(n)
-
-
-def subst_type(ty: Type, var: str, repl: Type) -> Type:
-    """ty[repl/var], renaming Pi binders when capture threatens.  A subtype
-    in which nothing changes is returned as it is."""
-    match ty:
-        case TypeVar(name):
-            return repl if name == var else ty
-        case Arrow(dom, cod):
-            d, c = subst_type(dom, var, repl), subst_type(cod, var, repl)
-            return ty if d is dom and c is cod else Arrow(d, c)
-        case Pi(v, body):
-            if v == var:
-                return ty
-            if v in free_tyvars(repl) and var in free_tyvars(body):
-                fresh = _fresh_name(v, free_tyvars(repl) | free_tyvars(body))
-                body = subst_type(body, v, TypeVar(fresh))
-                return Pi(fresh, subst_type(body, var, repl))
-            new = subst_type(body, var, repl)
-            return ty if new is body else Pi(v, new)
-        case _:
-            return ty
-
-
-def _fresh_name(base: str, avoid) -> str:
-    base = base.rstrip("0123456789'")
-    if not base:
-        base = "v"
-    for i in itertools.count(1):
-        cand = f"{base}{i}"
-        if cand not in avoid:
-            return cand
-    raise AssertionError("unreachable")
-
-
 # ---------------------------------------------------------------------------
 # terms
 
@@ -147,14 +88,14 @@ def _fresh_name(base: str, avoid) -> str:
 class Term(KeepsHash):
     __slots__ = ()
 
+    def __str__(self):
+        return print_term(self)
+
 
 @node
 class Var(Term):
     name: str
     type: Type
-
-    def __str__(self):
-        return self.name
 
 
 @node
@@ -162,17 +103,11 @@ class Const(Term):
     name: str
     type: Type
 
-    def __str__(self):
-        return self.name
-
 
 @node
 class App(Term):
     fun: Term
     arg: Term
-
-    def __str__(self):
-        return print_term(self)
 
 
 @node
@@ -181,26 +116,17 @@ class Lam(Term):
     var_type: Type
     body: Term
 
-    def __str__(self):
-        return print_term(self)
-
 
 @node
 class TyApp(Term):
     fun: Term
     ty: Type
 
-    def __str__(self):
-        return print_term(self)
-
 
 @node
 class TyLam(Term):
     tyvar: str
     body: Term
-
-    def __str__(self):
-        return print_term(self)
 
 
 CHOICE_TYPE = Pi("a", Arrow(Arrow(TypeVar("a"), T), TypeVar("a")))
@@ -253,8 +179,6 @@ class TypingContext:
 
 # ---------------------------------------------------------------------------
 # parsing
-
-_TERM_KEYWORDS = frozenset({"lam", "tylam", "tyapp"})
 
 
 def parse_type(e: SExpr, sorts: frozenset[str], tyvars: frozenset[str]) -> Type:
@@ -338,27 +262,34 @@ def _term_of(e: SExpr, ctx: TypingContext, bound: dict[str, Type],
 def print_term(n: Type | Term) -> str:
     """Render a type or a term back into the s-expression grammar that
     parse_type and parse_term read.  Application spines are flattened:
-    ((f a) b) prints as (f a b).  The term cases come first: a type is
-    reached only at a `lam` or `tyapp` annotation."""
-    match n:
-        case Var(name) | Const(name):
-            return name
-        case App():
-            head, args = spine(n)
-            return f"({' '.join(map(print_term, [head, *args]))})"
-        case Lam(var, var_type, body):
-            return f"(lam {var} {print_term(var_type)} {print_term(body)})"
-        case TyApp(fun, ty):
-            return f"(tyapp {print_term(fun)} {print_term(ty)})"
-        case TyLam(tyvar, body):
-            return f"(tylam {tyvar} {print_term(body)})"
-        case BaseSort(name) | TypeVar(name):
-            return name
-        case Arrow(dom, cod):
-            return f"(-> {print_term(dom)} {print_term(cod)})"
-        case Pi(var, body):
-            return f"(pi {var} {print_term(body)})"
-    raise AssertionError(n)
+    ((f a) b) prints as (f a b).  One pass, in pre-order, over a stack of
+    nodes and the text between and after their children."""
+    out, stack = [], [n]
+    while stack:
+        m = stack.pop()
+        t = type(m)
+        if t is str:
+            out.append(m)
+        elif t not in _HEADS:  # a name, printed without its type
+            out.append(m.name)
+        else:
+            out.append(_HEADS[t])
+            if t is App:
+                head, kids = spine(m)
+                kids.insert(0, head)
+            else:
+                kids = _WITH_TYPES.children[t](m)
+                if t in _NAMES:
+                    out += (getattr(m, _NAMES[t]), " ")
+            stack.append(")")
+            for k in kids[:0:-1]:
+                stack += (k, " ")
+            stack.append(kids[0])
+    return "".join(out)
+
+
+_HEADS = {App: "(", Lam: "(lam ", TyApp: "(tyapp ", TyLam: "(tylam ",
+          Arrow: "(-> ", Pi: "(pi "}
 
 
 def spine(term: Term) -> tuple[Term, list[Term]]:
@@ -372,144 +303,98 @@ def spine(term: Term) -> tuple[Term, list[Term]]:
     return term, args
 
 
+
+
 # ---------------------------------------------------------------------------
 # traversal
 
-_CHILDREN = {
-    BaseSort: lambda n: (), TypeVar: lambda n: (), Var: lambda n: (),
-    Const: lambda n: (), Arrow: attrgetter("dom", "cod"),
-    Pi: lambda n: (n.body,), App: attrgetter("fun", "arg"),
-    Lam: lambda n: (n.body,), TyLam: lambda n: (n.body,),
-    TyApp: lambda n: (n.fun,),
-}
 
-# a term node rebuilt with other subterms in place of _CHILDREN's
-_REBUILD = {
-    App: lambda n, kids: App(*kids),
-    Lam: lambda n, kids: Lam(n.var, n.var_type, *kids),
-    TyApp: lambda n, kids: TyApp(*kids, n.ty),
-    TyLam: lambda n, kids: TyLam(n.tyvar, *kids),
-}
+_TYPES = {BaseSort: "", TypeVar: "", Arrow: "dom cod", Pi: "body"}
+_NAMES = {Lam: "var", TyLam: "tyvar", Pi: "var"}
+_TYPE_BINDERS = (TyLam, Pi)
+_BOUND = {Lam: Var, TyLam: TypeVar, Pi: TypeVar}  # what a binder binds
 
+# a term's subterms, or a type's subtypes: not the types annotating a term
+_TERMS = Tree({**_TYPES, Var: "", Const: "", App: "fun arg", Lam: "body",
+               TyApp: "fun", TyLam: "body"}, _NAMES)
+# a term's subterms and the types annotating them, or a type's subtypes
+_WITH_TYPES = Tree({**_TYPES, Var: "type", Const: "type", App: "fun arg",
+                    Lam: "var_type body", TyApp: "fun ty", TyLam: "body"},
+                   {**_NAMES, Var: "name", TypeVar: "name"})
 
-def nodes(root: Term | Type):
-    """A term's subterms, or a type's subtypes, from root down in pre-order,
-    left to right, on an explicit stack.  The types annotating a term are
-    not among its subterms."""
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(reversed(_CHILDREN[type(n)](n)))
+nodes = _TERMS.nodes
 
 
 # ---------------------------------------------------------------------------
 # free variables and substitution
 
 
-def free_vars(term: Term) -> dict[str, Type]:
-    """Free term variables with their annotated types."""
-    match term:
-        case Var(name, ty):
-            return {name: ty}
-        case Const():
+def free_vars(term: Term, bodies: dict | None = None) -> dict[str, Type]:
+    """Free term variables with their annotated types.  `bodies`, when
+    given, receives by id() the free variables of each tylam's body."""
+    def combine(n, kids):
+        t = type(n)
+        if t is Var:
+            return {n.name: n.type}
+        if not kids:
             return {}
-        case App(fun, arg):
-            return {**free_vars(fun), **free_vars(arg)}
-        case Lam(var, _, body):
-            fv = free_vars(body)
-            fv.pop(var, None)
-            return fv
-        case TyApp(fun, _):
-            return free_vars(fun)
-        case TyLam(_, body):
-            return free_vars(body)
-    raise AssertionError(term)
+        out = kids[0]
+        if t is App:
+            out.update(kids[1])
+        elif t is Lam:
+            out.pop(n.var, None)
+        elif t is TyLam and bodies is not None:
+            bodies[id(n)] = dict(out)
+        return out
+
+    return _TERMS.fold(term, combine)
+
+
+def free_tyvars(n: Type | Term) -> frozenset[str]:
+    """The type variables free in a type, or in a term's annotations: those
+    no enclosing `pi` or `tylam` binds."""
+    return frozenset(_WITH_TYPES.free(n, TypeVar, _TYPE_BINDERS))
 
 
 def subst_term(term: Term, var: str, repl: Term) -> Term:
     """Capture-avoiding term substitution term[repl/var].  A subterm in
     which nothing changes is returned as it is."""
-    return _subst_term(term, var, repl, free_vars(repl))
+    return _TERMS.substitute(term, var, repl, Var, (Lam,),
+                             lambda lam, v: Var(v, lam.var_type))
 
 
-def _subst_term(term: Term, var: str, repl: Term, repl_fv: dict) -> Term:
-    match term:
-        case Var(name, _):
-            return repl if name == var else term
-        case Const():
-            return term
-        case App(fun, arg):
-            f = _subst_term(fun, var, repl, repl_fv)
-            a = _subst_term(arg, var, repl, repl_fv)
-            return term if f is fun and a is arg else App(f, a)
-        case Lam(v, vty, body):
-            if v == var:
-                return term
-            if v in repl_fv and var in free_vars(body):
-                fresh = _fresh_name(v, set(repl_fv) | set(free_vars(body)))
-                body = subst_term(body, v, Var(fresh, vty))
-                return Lam(fresh, vty, _subst_term(body, var, repl, repl_fv))
-            new = _subst_term(body, var, repl, repl_fv)
-            return term if new is body else Lam(v, vty, new)
-        case TyApp(fun, ty):
-            new = _subst_term(fun, var, repl, repl_fv)
-            return term if new is fun else TyApp(new, ty)
-        case TyLam(a, body):
-            new = _subst_term(body, var, repl, repl_fv)
-            return term if new is body else TyLam(a, new)
-    raise AssertionError(term)
-
-
-def subst_type_in_term(term: Term, var: str, repl: Type) -> Term:
-    """Substitute a type for a type variable throughout a term's
-    annotations, respecting tylam shadowing.  A subterm in which nothing
-    changes is returned as it is."""
-    match term:
-        case Var(name, ty) | Const(name, ty):
-            new = subst_type(ty, var, repl)
-            return term if new is ty else type(term)(name, new)
-        case App(fun, arg):
-            f = subst_type_in_term(fun, var, repl)
-            a = subst_type_in_term(arg, var, repl)
-            return term if f is fun and a is arg else App(f, a)
-        case Lam(v, vty, body):
-            t = subst_type(vty, var, repl)
-            new = subst_type_in_term(body, var, repl)
-            return term if t is vty and new is body else Lam(v, t, new)
-        case TyApp(fun, ty):
-            f = subst_type_in_term(fun, var, repl)
-            t = subst_type(ty, var, repl)
-            return term if f is fun and t is ty else TyApp(f, t)
-        case TyLam(a, body):
-            if a == var:
-                return term
-            if a in free_tyvars(repl) and var in free_tyvars(body):
-                fresh = _fresh_name(a, free_tyvars(repl) | free_tyvars(body))
-                body = subst_type_in_term(body, a, TypeVar(fresh))
-                return TyLam(fresh, subst_type_in_term(body, var, repl))
-            new = subst_type_in_term(body, var, repl)
-            return term if new is body else TyLam(a, new)
-    raise AssertionError(term)
+def subst_type(n: Type | Term, var: str, repl: Type) -> Type | Term:
+    """n[repl/var] for a type, or throughout a term's annotations, renaming
+    a `pi` or `tylam` binder when capture threatens.  A subtree in which
+    nothing changes is returned as it is."""
+    return _WITH_TYPES.substitute(n, var, repl, TypeVar, _TYPE_BINDERS,
+                                  lambda binder, v: TypeVar(v))
 
 
 # ---------------------------------------------------------------------------
 # type checking
 
 
-def check_type(ty: Type, ctx: TypingContext, tyvars: frozenset[str] = frozenset()):
-    match ty:
-        case BaseSort(name):
-            if name not in ctx.sorts:
-                raise UnknownSort(name)
-        case TypeVar(name):
-            if name not in tyvars:
-                raise UnboundName(name)
-        case Arrow(dom, cod):
-            check_type(dom, ctx, tyvars)
-            check_type(cod, ctx, tyvars)
-        case Pi(var, body):
-            check_type(body, ctx, tyvars | {var})
+def check_type(ty: Type, ctx: TypingContext, tyvars=frozenset()):
+    """Raise unless each sort in ty is declared in ctx and each type
+    variable is bound, by a `pi` in ty or in `tyvars`."""
+    if type(ty) is BaseSort and ty.name in ctx.sorts:
+        return
+    pis: dict[str, int] = {}  # the variables the pis above bind
+
+    def enter(n):
+        pis[n.var] = pis.get(n.var, 0) + 1
+
+    def combine(n, kids):
+        if type(n) is BaseSort and n.name not in ctx.sorts:
+            raise UnknownSort(n.name)
+        if type(n) is TypeVar and n.name not in tyvars \
+                and not pis.get(n.name):
+            raise UnboundName(n.name)
+        if type(n) is Pi:
+            pis[n.var] -= 1
+
+    _TERMS.fold(ty, combine, enter={Pi: enter})
 
 
 def type_of(ctx: TypingContext, term: Term) -> Type:
@@ -519,53 +404,57 @@ def type_of(ctx: TypingContext, term: Term) -> Type:
     argument type; a mismatch on base sorts is the selectional-restriction
     clash surfaced to users.  Type application instantiates a Pi type;
     type abstraction checks that the bound variable does not occur in the
-    type of any free term variable.
+    type of any free term variable.  A binder is checked as it is reached
+    and a node typed once its children are, as a recursive checker would.
     """
-    return _type_of(term, ctx, frozenset())
+    lams: dict[str, list[Type]] = {}  # the types the lams above give
+    tyvars: dict[str, int] = {}  # the tylams above binding each
+    escapes: dict[int, dict] = {}  # id(tylam) -> free vars of its body
 
+    def lam(n):
+        check_type(n.var_type, ctx, tyvars)
+        lams.setdefault(n.var, []).append(n.var_type)
 
-def _type_of(term: Term, ctx: TypingContext, tyvars: frozenset[str]) -> Type:
-    match term:
-        case Var(name, ty):
-            declared = ctx.vars.get(name)
+    def tylam(n):
+        if id(n) not in escapes:
+            free_vars(n, escapes)
+        for v, vty in escapes[id(n)].items():
+            if n.tyvar in free_tyvars(vty):
+                raise TyLamEscape(n.tyvar, v)
+        tyvars[n.tyvar] = tyvars.get(n.tyvar, 0) + 1
+
+    def combine(n, kids):
+        t = type(n)
+        if t is Var or t is Const:
+            bound = lams.get(n.name) if t is Var else None
+            declared = (bound[-1] if bound else
+                        (ctx.vars if t is Var else ctx.consts).get(n.name))
             if declared is None:
-                raise UnboundName(name)
-            if declared != ty:
-                raise TypeClash(declared, ty, where=name)
-            return ty
-        case Const(name, ty):
-            declared = ctx.consts.get(name)
-            if declared is None:
-                raise UnboundName(name)
-            if declared != ty:
-                raise TypeClash(declared, ty, where=name)
-            return ty
-        case App(fun, arg):
-            fun_ty = _type_of(fun, ctx, tyvars)
-            arg_ty = _type_of(arg, ctx, tyvars)
-            if not isinstance(fun_ty, Arrow):
-                raise TypeClash("a function type", fun_ty,
-                                where=print_term(fun))
-            if fun_ty.dom != arg_ty:
-                raise TypeClash(fun_ty.dom, arg_ty, where=print_term(term))
-            return fun_ty.cod
-        case Lam(var, var_type, body):
-            check_type(var_type, ctx, tyvars)
-            body_ty = _type_of(body, ctx.with_var(var, var_type), tyvars)
-            return Arrow(var_type, body_ty)
-        case TyApp(fun, ty):
-            fun_ty = _type_of(fun, ctx, tyvars)
-            if not isinstance(fun_ty, Pi):
-                raise TypeClash("a pi type", fun_ty, where=print_term(fun))
-            check_type(ty, ctx, tyvars)
-            return subst_type(fun_ty.body, fun_ty.var, ty)
-        case TyLam(a, body):
-            for v, vty in free_vars(body).items():
-                if a in free_tyvars(vty):
-                    raise TyLamEscape(a, v)
-            body_ty = _type_of(body, ctx, tyvars | {a})
-            return Pi(a, body_ty)
-    raise AssertionError(term)
+                raise UnboundName(n.name)
+            if declared != n.type:
+                raise TypeClash(declared, n.type, where=n.name)
+            return n.type
+        if t is Lam:
+            lams[n.var].pop()
+            return Arrow(n.var_type, kids[0])
+        if t is TyLam:
+            tyvars[n.tyvar] -= 1
+            if not tyvars[n.tyvar]:
+                del tyvars[n.tyvar]
+            return Pi(n.tyvar, kids[0])
+        fun_ty = kids[0]
+        if t is TyApp:
+            if type(fun_ty) is not Pi:
+                raise TypeClash("a pi type", fun_ty, where=print_term(n.fun))
+            check_type(n.ty, ctx, tyvars)
+            return subst_type(fun_ty.body, fun_ty.var, n.ty)
+        if type(fun_ty) is not Arrow:
+            raise TypeClash("a function type", fun_ty, where=print_term(n.fun))
+        if fun_ty.dom != kids[1]:
+            raise TypeClash(fun_ty.dom, kids[1], where=print_term(n))
+        return fun_ty.cod
+
+    return _TERMS.fold(term, combine, enter={Lam: lam, TyLam: tylam})
 
 
 # ---------------------------------------------------------------------------
@@ -583,35 +472,9 @@ def canon(n: Type | Term) -> Type | Term:
     variable is named after its binder depth (a de Bruijn level), a term
     variable `!v<depth>`, a type variable bound by `tylam` or by `pi` in an
     annotation `!a<depth>`.  Free names are kept."""
-    return _canon(n, {}, {}, 0)
-
-
-def _canon(n: Type | Term, vmap: dict[str, str], tmap: dict[str, str],
-           depth: int) -> Type | Term:
-    match n:
-        case BaseSort():
-            return n
-        case TypeVar(name):
-            return TypeVar(tmap.get(name, name))
-        case Arrow(fun, arg) | App(fun, arg):
-            return type(n)(_canon(fun, vmap, tmap, depth),
-                           _canon(arg, vmap, tmap, depth))
-        case Pi(var, body) | TyLam(var, body):
-            fresh = f"!a{depth}"
-            return type(n)(fresh, _canon(body, vmap, {**tmap, var: fresh},
-                                         depth + 1))
-        case Var(name, ty):
-            return Var(vmap.get(name, name), _canon(ty, vmap, tmap, depth))
-        case Const(name, ty):
-            return Const(name, _canon(ty, vmap, tmap, depth))
-        case Lam(var, var_type, body):
-            fresh = f"!v{depth}"
-            return Lam(fresh, _canon(var_type, vmap, tmap, depth),
-                       _canon(body, {**vmap, var: fresh}, tmap, depth + 1))
-        case TyApp(fun, ty):
-            return TyApp(_canon(fun, vmap, tmap, depth),
-                         _canon(ty, vmap, tmap, depth))
-    raise AssertionError(n)
+    return _WITH_TYPES.canonical(
+        n, lambda binder, d: f"!v{d}" if type(binder) is Lam else f"!a{d}",
+        _BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +489,8 @@ def _contract(term: Term) -> Term | None:
     if type(fun) is Lam and type(term) is App:
         return subst_term(fun.body, fun.var, term.arg)
     if type(fun) is TyLam and type(term) is TyApp:
-        return subst_type_in_term(fun.body, fun.tyvar, term.ty)
+        return subst_type(fun.body, fun.tyvar, term.ty)
     return None
-
-
-_LEFT_FIRST = ((), (0,), (0, 1))  # child indices by number of children
-_RIGHT_FIRST = ((), (0,), (1, 0))
 
 
 def _find_redex(term: Term, lo: bool) -> Term | None:
@@ -639,17 +498,29 @@ def _find_redex(term: Term, lo: bool) -> Term | None:
     the leftmost-outermost redex: the root before its children, children
     left to right.  Otherwise the rightmost-innermost one, the dual
     strategy used by the confluence checks: children right to left, then
-    the root."""
-    kids = _CHILDREN[type(term)](term)
-    if not kids:
-        return None
-    if lo and (red := _contract(term)) is not None:
-        return red
-    for i in (_LEFT_FIRST if lo else _RIGHT_FIRST)[len(kids)]:
-        red = _find_redex(kids[i], lo)
-        if red is not None:
-            return _REBUILD[type(term)](term, (*kids[:i], red, *kids[i + 1:]))
-    return None if lo else _contract(term)
+    the root.  One loop, down to the redex and back up the path to it."""
+    children, step = _TERMS.children, 1 if lo else -1
+    path, n, red = [], term, None  # [node, its children, the one searched]
+    while True:
+        kids = children[type(n)](n)
+        if kids and not (lo and (red := _contract(n)) is not None):
+            path.append([n, kids, 0 if lo else len(kids) - 1])
+            n = path[-1][1][path[-1][2]]
+            continue
+        while red is None and path:  # n holds no redex: its next sibling
+            frame = path[-1]
+            frame[2] += step
+            if 0 <= frame[2] < len(frame[1]):
+                n = frame[1][frame[2]]
+                break
+            path.pop()
+            if not lo:
+                red = _contract(frame[0])
+        else:
+            break
+    for m, kids, i in reversed(path if red is not None else ()):
+        red = _TERMS.rebuild[type(m)](m, *kids[:i], red, *kids[i + 1:])
+    return red
 
 
 def reduction_steps(term: Term, strategy: str = "lo"):

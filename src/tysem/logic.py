@@ -13,15 +13,14 @@ ascii, unicode or s-expression style.  The rewrite makes one pass over a
 conjunction: it tries each choice term once, in occurrence order, and puts
 the quantifiers of those that fire around it last.
 
-Formulas and their terms are walked through one core.  `children` gives a
-node's subformulas and subterms left to right and `rebuild` puts others in
-their place, both by a table on the node's class.  `nodes` iterates in
-pre-order, `transform` rebuilds a formula with some nodes replaced and
-binder scope carried down, and `fold` combines results bottom-up.  Each
-runs on an explicit stack, so no shape of formula costs a Python frame per
-level.  `==`, `hash`, `repr`, the printers, `rewrite_hilbert`, the
-extraction and the parser keep their own recursion; the first five loop
-down a conjunction's left spine, and the printers down a quantifier run.
+Formulas and their terms are walked through the traversal kernel terms
+are (`node.Tree`): `nodes` iterates in pre-order, `transform` rebuilds a
+formula with some nodes replaced and binder scope carried down, and `fold`
+combines results bottom-up, each on an explicit stack, so no shape of
+formula costs a Python frame per level.  `==`, `hash`, `repr`, the
+printers, `rewrite_hilbert`, the extraction and the parser keep their own
+recursion; the first five loop down a conjunction's left spine, and the
+printers down a quantifier run.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import (ExtractionError, NotNormal, NotTruthType, ResidualLambda,
                      ParseError)
 from .kernel import (App, BaseSort, Const, Lam, Term, TyApp, Type,
                      TypingContext, Var, free_vars, is_normal, spine, type_of)
-from .node import node
+from .node import Tree, node
 from .sexpr import Atom, SExpr, SList, expect_atom, expect_list, read_one
 
 # ---------------------------------------------------------------------------
@@ -199,132 +198,19 @@ def _and_spine(f: And) -> tuple[Formula, list[Formula]]:
 # ---------------------------------------------------------------------------
 # traversal core
 
-_PAIR = attrgetter("left", "right")
-_CHILDREN = {
-    LVar: lambda n: (), LConst: lambda n: (), TruthConst: lambda n: (),
-    LApp: attrgetter("args"), Pred: attrgetter("args"),
-    Eps: lambda n: (n.body,), Exists: lambda n: (n.body,),
-    Forall: lambda n: (n.body,), Not: lambda n: (n.operand,),
-    And: _PAIR, Or: _PAIR, Implies: _PAIR, Eq: _PAIR,
-}
-_REBUILD = {
-    LApp: lambda n, *k: LApp(n.fn, k), Pred: lambda n, *k: Pred(n.name, k),
-    Eps: lambda n, b: Eps(n.mode, n.sort, n.hole, b),
-    Exists: lambda n, b: Exists(n.var, n.sort, b),
-    Forall: lambda n, b: Forall(n.var, n.sort, b),
-    Not: lambda n, b: Not(b), And: lambda n, l, r: And(l, r),
-    Or: lambda n, l, r: Or(l, r), Implies: lambda n, l, r: Implies(l, r),
-    Eq: lambda n, l, r: Eq(l, r),
-}
-
-
-def children(n: Formula | LTerm) -> tuple:
-    """n's subformulas and subterms, left to right."""
-    return _CHILDREN[type(n)](n)
-
-
-def rebuild(n: Formula | LTerm, kids) -> Formula | LTerm:
-    """n with `kids` in place of its children, in the order of `children`."""
-    return _REBUILD[type(n)](n, *kids) if kids else n
+_TREE = Tree({LVar: "", LConst: "", TruthConst: "", LApp: "*args",
+              Pred: "*args", Eps: "body", Exists: "body", Forall: "body",
+              Not: "operand", And: "left right", Or: "left right",
+              Implies: "left right", Eq: "left right"},
+             {Exists: "var", Forall: "var", Eps: "hole", LVar: "name"})
+_BINDERS = (Exists, Forall, Eps)
+_BOUND = dict.fromkeys(_BINDERS, LVar)  # the variables a binder binds
+nodes, transform, fold = _TREE.nodes, _TREE.transform, _TREE.fold
 
 
 def _bound(n: Formula | LTerm) -> str | None:
     """The variable n binds, if it is a quantifier or a choice term."""
-    t = type(n)
-    if t is Exists or t is Forall:
-        return n.var
-    return n.hole if t is Eps else None
-
-
-def _push(stack: list, kids: tuple):
-    """Push kids to be popped first to last; faster than `reversed`."""
-    if len(kids) == 2:
-        stack.append(kids[1])
-    elif len(kids) > 2:
-        stack += reversed(kids[1:])
-    stack.append(kids[0])
-
-
-def nodes(root: Formula | LTerm, into=None):
-    """root and every node below it, in pre-order, left to right.  With
-    `into`, only the children of nodes whose class is in it are visited."""
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        yield n
-        if (into is None or type(n) in into) and (
-                kids := _CHILDREN[type(n)](n)):
-            _push(stack, kids)
-
-
-def transform(root: Formula | LTerm, visit, env=None) -> Formula | LTerm:
-    """root with nodes replaced, top down.  `visit(n, env)`, called on each
-    node reached in pre-order, returns None to rebuild n from its children
-    transformed under env; for a binder n, a triple (name, body, body_env)
-    to build n binding `name` over `body` transformed under body_env, once;
-    or the node that takes n's place.  A node whose children come back as
-    they were, and that binds the name it bound, is kept: an unchanged
-    formula is the very object."""
-    out, stack = [], [root]  # results; nodes to visit and frames to finish
-    while stack:
-        n = stack.pop()
-        if type(n) is tuple:  # a frame, whose children are done
-            n, kids, env, name = n
-            k = len(kids)
-            if k == 1:
-                if name is not None:
-                    n = _binding(n, name, out[-1])
-                elif out[-1] is not kids[0]:
-                    n = _REBUILD[type(n)](n, out[-1])
-            elif k == 2:
-                right = out.pop()
-                if out[-1] is not kids[0] or right is not kids[1]:
-                    n = _REBUILD[type(n)](n, out[-1], right)
-            else:
-                if not all(map(is_, out[-k:], kids)):
-                    n = _REBUILD[type(n)](n, *out[-k:])
-                del out[1 - k:]
-            out[-1] = n
-            continue
-        m = visit(n, env)
-        if m is None:
-            name, kids, body_env = None, _CHILDREN[type(n)](n), env
-        elif type(m) is tuple:
-            name, body, body_env = m
-            kids = (body,)
-            if name == _bound(n) and body is n.body:
-                name = None
-        else:
-            out.append(m)
-            continue
-        if kids:
-            stack.append((n, kids, env, name))
-            env = body_env
-            _push(stack, kids)
-        else:
-            out.append(n)
-    return out[0]
-
-
-def fold(root: Formula | LTerm, combine, into=None):
-    """`combine(m, results)` at every node m, bottom-up, left to right, where
-    `results` holds the folds of m's children.  With `into`, the children of
-    nodes whose class is not in it are skipped and their results are
-    empty."""
-    out, stack = [], [root]  # results; nodes to visit and frames to finish
-    while stack:
-        n = stack.pop()
-        if type(n) is tuple:  # a frame, whose children are done
-            n, k = n
-            out[-k:] = [combine(n, out[-k:])]
-        elif into is not None and type(n) not in into:
-            out.append(combine(n, ()))
-        elif kids := _CHILDREN[type(n)](n):
-            stack.append((n, len(kids)))
-            _push(stack, kids)
-        else:
-            out.append(combine(n, []))
-    return out[0]
+    return _TREE.names[type(n)][0](n) if type(n) in _BINDERS else None
 
 
 # ---------------------------------------------------------------------------
@@ -463,25 +349,11 @@ def presuppositions(f: Formula | Term, ctx: TypingContext | None = None
 def _substitute(f: Formula, var: str, repl: LTerm,
                 rename: bool = True) -> Formula:
     """f with `repl` in place of the free variable `var`, renaming a binder
-    that would capture a variable of repl as the kernel renames one.  With
-    `rename` false it captures, as a rewrite's try allows (`_fails_below`)."""
-    fv = free_formula_vars(repl) if rename else ()
-
-    def visit(n, _):
-        t = type(n)
-        if t is LVar:
-            return repl if n.name == var else n
-        if t is Exists or t is Forall or t is Eps:
-            bound = _bound(n)
-            if bound == var:
-                return n
-            if bound in fv and var in (inner := free_formula_vars(n.body)):
-                name = kernel._fresh_name(bound, fv | inner)
-                body = _substitute(n.body, bound, LVar(name, n.sort))
-                return name, body, None
-        return None
-
-    return transform(f, visit)
+    that would capture a variable of repl as the kernel renames one, in
+    the same pass.  With `rename` false it captures, as a rewrite's try
+    allows (`_fails_below`)."""
+    return _TREE.substitute(f, var, repl, LVar, _BINDERS, (
+        lambda binder, v: LVar(v, binder.sort)) if rename else None)
 
 
 # ---------------------------------------------------------------------------
@@ -490,37 +362,9 @@ def _substitute(f: Formula, var: str, repl: LTerm,
 
 def canon_formula(f: Formula) -> Formula:
     """f with its bound variables renamed `!q0`, `!q1`, ... in pre-order, so
-    that alpha-equivalent formulas have equal canonical forms.  A binder's
-    scope is a pair (enclosing scope, variable); each name keeps a stack of
-    its canonical names, popped as the walk leaves their scopes."""
+    that alpha-equivalent formulas have equal canonical forms."""
     fresh = (f"!q{i}" for i in itertools.count())
-    names: dict[str, list[str]] = {}
-    inner = None  # the innermost scope entered
-
-    def visit(n, scope):
-        nonlocal inner
-        while inner is not scope:
-            names[inner[1]].pop()
-            inner = inner[0]
-        t = type(n)
-        if t is LVar:
-            bound = names.get(n.name)
-            return LVar(bound[-1], n.sort) if bound else n
-        if t is not Exists and t is not Forall and t is not Eps:
-            return None
-        var, name = _bound(n), next(fresh)
-        names.setdefault(var, []).append(name)
-        inner = scope, var
-        return name, n.body, inner
-
-    return transform(f, visit)
-
-
-def _binding(n: Formula | LTerm, name: str, body: Formula) -> Formula | LTerm:
-    """The quantifier or choice term n, binding `name` in `body`."""
-    if type(n) is Eps:
-        return Eps(n.mode, n.sort, name, body)
-    return type(n)(name, n.sort, body)
+    return _TREE.canonical(f, lambda binder, depth: next(fresh), _BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +400,10 @@ def rewrite_hilbert(f: Formula) -> Formula:
         """c with its subformulas rewritten."""
         if type(c) is Pred or type(c) is Eq:
             return c
-        kids = children(c)
+        kids = _TREE.children[type(c)](c)
         new = [rewrite(k) for k in kids]
-        return c if all(map(is_, new, kids)) else rebuild(c, new)
+        return c if all(map(is_, new, kids)) else _TREE.rebuild[type(c)](
+            c, *new)
 
     def rewrite(g: Formula, live: set[Eps] | None = None) -> Formula:
         """g rewritten, where only the pivots in `live`, or any when it is
@@ -587,7 +432,7 @@ def rewrite_hilbert(f: Formula) -> Formula:
     return rewrite(f)
 
 
-_OUTSIDE_CHOICE = frozenset(_CHILDREN) - {Eps}
+_OUTSIDE_CHOICE = frozenset(_TREE.children) - {Eps}
 
 
 class _Pass:
@@ -791,14 +636,7 @@ def _formula_names(f: Formula) -> set[str]:
 
 def free_formula_vars(f: Formula | LTerm) -> set[str]:
     """The variables free in a formula or a term."""
-    def combine(n, kids):
-        if type(n) is LVar:
-            return {n.name}
-        out = set().union(*kids)
-        out.discard(_bound(n))
-        return out
-
-    return fold(f, combine)
+    return _TREE.free(f, LVar, _BINDERS)
 
 
 # ---------------------------------------------------------------------------
@@ -917,7 +755,7 @@ def _sexpr(n: Formula | LTerm) -> str:
     if prefix:
         return "".join(prefix) + _sexpr(n) + ")" * len(prefix)
     head = _SEXPR_HEAD[type(n)](n)
-    kids = children(n)
+    kids = _TREE.children[type(n)](n)
     # `(f )` keeps its parentheses, or it would read back as a constant
     if not kids and type(n) is not LApp:
         return head

@@ -1,4 +1,5 @@
-"""Immutable tree nodes that are cheap to build and cheap to define.
+"""Immutable tree nodes that are cheap to build and cheap to define, and
+one traversal over trees of them.
 
 `node` makes a class a slotted dataclass that behaves as a frozen one.
 `dataclass(slots=True, init=False, repr=False, eq=False)` gives it
@@ -21,13 +22,18 @@ The rest is written once here and shared by every node class: `__repr__`,
 pickling state, the fields in order.  A method the class defines itself
 stays.  A `KeepsHash` node works its hash out on first use and keeps it,
 unpickled: string hashes differ between processes.
+
+`Tree` walks one kind of tree, kernel terms and types or formulas, from
+a table of the fields holding each class's children.  Every walk runs on
+an explicit stack, so no shape of tree costs a Python frame per level, and
+no binder copies the names in scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import cache
-from operator import attrgetter
+from operator import attrgetter, is_
 from types import CodeType, FunctionType
 
 
@@ -118,3 +124,275 @@ def _kept_hash(values):
 
 _SHARED = {"__repr__": _repr, "__setattr__": _setattr, "__delattr__": _delattr,
            "__getstate__": _getstate, "__setstate__": _setstate}
+
+
+# ---------------------------------------------------------------------------
+# one traversal
+
+
+def fresh_name(base: str, avoid, also=()) -> str:
+    """The first of base1, base2, ... in neither `avoid` nor `also`, base's
+    trailing digits and primes dropped."""
+    base, i = base.rstrip("0123456789'") or "v", 1
+    while (name := f"{base}{i}") in avoid or name in also:
+        i += 1
+    return name
+
+
+def _getter(fields: list[str]):
+    """A function from a node to the tuple of its `fields`."""
+    if len(fields) != 1:
+        return attrgetter(*fields) if fields else lambda n: ()
+    return lambda n, get=attrgetter(*fields): (get(n),)
+
+
+def _builder(cls, kept: list[str], kids: list[str], star: bool, name=None):
+    """A function (n, [name,] *children) building a cls node with n's `kept`
+    fields, one of them another name, and the children in `kids`."""
+    if name is not None:
+        i = kept.index(name)
+        before, after = _getter(kept[:i]), _getter(kept[i + 1:])
+        return lambda n, v, *k: cls(*before(n), v, *after(n), *k)
+    if not kept:
+        return lambda n, *k: cls(*k)
+    get = attrgetter(*kept)
+    if len(kept) > 1:
+        return lambda n, *k: cls(*get(n), *k)
+    if star:
+        return lambda n, *k: cls(get(n), k)
+    if kids[0] == cls.__match_args__[0]:  # children first
+        return lambda n, *k: cls(*k, get(n))
+    return lambda n, *k: cls(get(n), *k)
+
+
+class Tree:
+    """The walks over one kind of tree.  `kids[cls]` names the fields of
+    cls holding its children, left to right (`*f`: a field holding a tuple
+    of them), and `names[cls]` the field holding the name a node carries,
+    a binder's or a variable's; a binder's body is its last child.  From
+    them, `children[cls](n)` is n's children, `rebuild[cls](n, *kids)` n
+    with others, and `names[cls]` (getter of n's name, `fn(n, name, *kids)`
+    building n with another name too)."""
+
+    def __init__(self, kids: dict[type, str], names: dict[type, str]):
+        self.children, self.rebuild, self.names = {}, {}, {}
+        for cls, spec in kids.items():
+            star, fields = spec.startswith("*"), spec.lstrip("*").split()
+            kept = [f for f in cls.__match_args__ if f not in fields]
+            self.children[cls] = attrgetter(*fields) if star else \
+                _getter(fields)
+            if fields:
+                self.rebuild[cls] = _builder(cls, kept, fields, star)
+            if cls in names:
+                self.names[cls] = (attrgetter(names[cls]), _builder(
+                    cls, kept, fields, star, names[cls]))
+
+    def nodes(self, root, into=None):
+        """root and every node below it, in pre-order, left to right.  With
+        `into`, only the children of nodes whose class is in it are
+        visited."""
+        children, stack = self.children, [root]
+        while stack:
+            n = stack.pop()
+            yield n
+            if into is None or type(n) in into:
+                stack += children[type(n)](n)[::-1]
+
+    def transform(self, root, visit, env=None, visited=None):
+        """root with nodes replaced, top down.  `visit(n, env)`, called on
+        each node reached in pre-order (with `visited`, on those whose class
+        is in it), returns None to rebuild n from its children transformed
+        under env; a pair (name, body_env) to build n carrying `name`, its
+        body transformed under body_env and any other child under env; or
+        the node that takes n's place.  A node whose children come back as
+        they were, and that carries the name it carried, is kept: an
+        unchanged tree is the very object."""
+        children, rebuild, names = self.children, self.rebuild, self.names
+        out, stack = [], [root]  # results; nodes to visit and frames to finish
+        while stack:
+            n = stack.pop()
+            if type(n) is tuple:
+                if len(n) == 1:  # the env of a binder's body, its last child
+                    env = n[0]
+                    continue
+                n, kids, env, name = n  # a frame, whose children are done
+                k = len(kids)
+                if k == 1:
+                    if name is not None:
+                        n = names[type(n)][1](n, name, out[-1])
+                    elif out[-1] is not kids[0]:
+                        n = rebuild[type(n)](n, out[-1])
+                elif name is None and k == 2:
+                    b = out.pop()
+                    if out[-1] is not kids[0] or b is not kids[1]:
+                        n = rebuild[type(n)](n, out[-1], b)
+                else:
+                    new = out[-k:]
+                    del out[len(out) - k + 1:]
+                    if name is not None:
+                        n = names[type(n)][1](n, name, *new)
+                    elif not all(map(is_, new, kids)):
+                        n = rebuild[type(n)](n, *new)
+                out[-1] = n
+                continue
+            m = visit(n, env) if visited is None or type(n) in visited \
+                else None
+            if m is None:
+                name, body_env = None, env
+            elif type(m) is tuple:
+                name, body_env = m
+                if name == names[type(n)][0](n):
+                    name = None
+            else:
+                out.append(m)
+                continue
+            kids = children[type(n)](n)
+            if not kids:
+                out.append(n if name is None else names[type(n)][1](n, name))
+            elif body_env is env or len(kids) == 1:
+                stack.append((n, kids, env, name))
+                env = body_env
+                stack += kids[::-1]
+            else:
+                stack += ((n, kids, env, name), kids[-1], (body_env,),
+                          *kids[-2::-1])
+        return out[0]
+
+    def fold(self, root, combine, into=None, enter=()):
+        """`combine(m, results)` at every node m, bottom-up, left to right,
+        where `results` holds the folds of m's children, and for a class in
+        `enter`, `enter[cls](m)` as m is reached, before its children.  With
+        `into`, the children of nodes whose class is not in it are skipped
+        and their results are empty."""
+        children = self.children
+        out, stack = [], [root]  # results; nodes to visit and frames to finish
+        while stack:
+            n = stack.pop()
+            if type(n) is tuple:  # a frame, whose children are done
+                n, k = n
+                out[-k:] = [combine(n, out[-k:])]
+            elif into is not None and type(n) not in into:
+                out.append(combine(n, ()))
+            elif kids := children[type(n)](n):
+                if type(n) in enter:
+                    enter[type(n)](n)
+                stack.append((n, len(kids)))
+                stack += kids[::-1]
+            else:
+                out.append(combine(n, []))
+        return out[0]
+
+    def free(self, root, leaf: type, binders, bodies=None) -> set[str]:
+        """The names of the `leaf` nodes free in root: those no node of a
+        class in `binders` above them binds.  `bodies`, when given,
+        receives by id() the free names of each binder's body."""
+        names = self.names
+        if not self.children[type(root)](root):
+            return {root.name} if type(root) is leaf else frozenset()
+
+        def combine(n, kids):  # a set is shared up the tree, never changed
+            t = type(n)
+            if t is leaf:
+                return {n.name}
+            out = kids[0] if len(kids) == 1 else frozenset().union(*kids)
+            if t in binders:
+                if bodies is not None:
+                    bodies[id(n)] = kids[-1]
+                if (name := names[t][0](n)) in out:
+                    out = out - {name}
+            return out
+
+        return self.fold(root, combine)
+
+    def substitute(self, root, var: str, repl, leaf: type, binders,
+                   renamed=None):
+        """root with `repl` in place of each free `leaf` named var, a subtree
+        in which nothing changes kept as it is.  A binder that would capture
+        a free name of repl is renamed by `fresh_name`, avoiding the free
+        names of repl and of its body, its variable `renamed(binder, name)`;
+        with `renamed` None, it captures.  The renames run in the same pass:
+        the env holds the substitutions pending below a node, (name,
+        replacement, its free names), in the order substituting again in a
+        renamed binder's body would apply them.  The free names of the
+        bodies below a binder are worked out once, where a capture
+        threatens."""
+        if not self.children[type(root)](root):
+            return repl if type(root) is leaf and root.name == var else root
+        names, bodies = self.names, {}  # id(binder) -> free names of its body
+
+        def visit(n, subs):
+            if type(n) is leaf:
+                for x, r, _ in subs:
+                    if n.name == x:
+                        n = r
+                return n
+            name = names[type(n)][0](n)
+            for x, _, fv in subs:
+                if x == name or name in fv:
+                    break
+            else:  # n neither shadows a name nor captures one
+                return None
+            body = None  # the free names of n's body, as substituted so far
+            if any(x != name and name in fv for x, _, fv in subs):
+                if id(n) not in bodies:
+                    self.free(n, leaf, binders, bodies)
+                body = bodies[id(n)]
+            below = []
+            for sub in subs:
+                x, r, fv = sub
+                if x == name or body is not None and x not in body:
+                    continue  # bound here, or not free below
+                if name in fv:
+                    fresh = fresh_name(name, fv, body)
+                    below.append((name, renamed(n, fresh), {fresh}))
+                    if name in body:
+                        body = body - {name} | {fresh}
+                    name = fresh
+                if body is not None:
+                    body = body - {x} | fv
+                below.append(sub)
+            return (name, tuple(below)) if below else n
+
+        fv = set() if renamed is None else self.free(repl, leaf, binders)
+        return self.transform(root, visit, ((var, repl, fv),),
+                              {leaf, *binders})
+
+    def canonical(self, root, fresh, binders: dict):
+        """root with the name each binder binds, and each variable bound
+        to it, renamed `fresh(binder, depth)`, depth the number of binders
+        whose bodies hold the binder; `binders[cls]` is the class of the
+        variables cls binds.  Each variable name keeps a stack of its new
+        names, and a binder's body is walked under the scope (enclosing
+        scope, stacks, name, new name, depth)."""
+        names, inner = self.names, [None]  # the innermost scope entered
+        stacks = {cls: {} for cls in binders.values()}  # name -> new names
+
+        def at(scope):  # leave the scopes walked out of; enter `scope`
+            # again if an earlier child of its binder (an annotation) left it
+            s = inner[0]
+            while s is not scope and s is not (scope and scope[0]):
+                s[1][s[2]].pop()
+                s = s[0]
+            if s is not scope:
+                scope[1][scope[2]].append(scope[3])
+            inner[0] = scope
+
+        def visit(n, scope):
+            t = type(n)
+            if t in stacks:
+                if inner[0] is not scope:
+                    at(scope)
+                bound = stacks[t].get(n.name)
+                if bound and t not in self.rebuild:  # a leaf
+                    return names[t][1](n, bound[-1])
+                return (bound[-1], scope) if bound else None
+            if inner[0] is not scope:
+                at(scope)
+            depth, name, var = scope[4] if scope else 0, names[t][0](n), \
+                stacks[binders[t]]
+            new = fresh(n, depth)
+            var.setdefault(name, []).append(new)
+            inner[0] = scope = (scope, var, name, new, depth + 1)
+            return new, scope
+
+        return self.transform(root, visit, None, {*stacks, *binders})

@@ -5,18 +5,20 @@ the formula replaced.
 
 The walkers recurse once per node, except down a conjunction's left spine,
 and a visit that binds a name transforms the binder's body itself, with a
-new env.  The only change is that a node is rebuilt through
-`logic.rebuild`.
+new env.  The only change is that a node is rebuilt through the table of
+`logic`'s traversal.  `old_substitute` renames a capturing binder as the
+kernel's substitution did, by substituting its new name in its body first.
 """
 
 import itertools
 from operator import is_
 
+from kernel_oracle import _fresh_name
 from tysem import kernel
 from tysem.kernel import (App, Const, TyApp, TypingContext, free_vars,
                           normalize)
-from tysem.logic import (_CHILDREN, And, Eps, Exists, Forall, LVar, _bound,
-                         canon_formula, extract_formula, rebuild)
+from tysem.logic import (_TREE, And, Eps, Exists, Forall, LVar, _bound,
+                         canon_formula, extract_formula)
 
 
 def old_transform(n, visit, env=None, rebuilt=None):
@@ -29,12 +31,12 @@ def old_transform(n, visit, env=None, rebuilt=None):
     while (out := visit(n, env)) is None:
         t = type(n)
         if t is not And:
-            kids = _CHILDREN[t](n)
+            kids = _TREE.children[t](n)
             new = [old_transform(k, visit, env, rebuilt) for k in kids]
             if all(map(is_, new, kids)):
                 out = n
             else:
-                out = rebuild(n, new)
+                out = _TREE.rebuild[t](n, *new)
                 if rebuilt is not None:
                     rebuilt[id(n)] = out
             break
@@ -62,7 +64,7 @@ def old_fold(n, combine, into=None):
         n = n.left
     if into is None or type(n) in into:
         out = combine(n, [old_fold(k, combine, into)
-                          for k in _CHILDREN[type(n)](n)])
+                          for k in _TREE.children[type(n)](n)])
     else:
         out = combine(n, ())
     for node in reversed(spine):
@@ -88,6 +90,44 @@ def old_canon_formula(f):
         return None
 
     return old_transform(f, visit, {})
+
+
+def old_free_vars(f):
+    """The variables free in a formula or a term."""
+    def combine(n, kids):
+        if type(n) is LVar:
+            return {n.name}
+        out = set().union(*kids)
+        out.discard(_bound(n))
+        return out
+
+    return old_fold(f, combine)
+
+
+def old_substitute(f, var, repl, rename=True):
+    """f with `repl` in place of the free variable `var`.  A binder that
+    would capture a variable of repl is renamed, its new name substituted
+    in its body before repl is; with `rename` false it captures."""
+    fv = old_free_vars(repl) if rename else set()
+
+    def visit(n, _):
+        t = type(n)
+        if t is LVar:
+            return repl if n.name == var else n
+        if t is Exists or t is Forall or t is Eps:
+            bound = _bound(n)
+            if bound == var:
+                return n
+            if bound in fv and var in (inner := old_free_vars(n.body)):
+                name = _fresh_name(bound, fv | inner)
+                body = old_substitute(n.body, bound, LVar(name, n.sort))
+                body = old_transform(body, visit)
+                if t is Eps:
+                    return Eps(n.mode, n.sort, name, body)
+                return t(name, n.sort, body)
+        return None
+
+    return old_transform(f, visit)
 
 
 def old_presuppositions(term, ctx=None):

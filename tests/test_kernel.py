@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -6,15 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
-from generators import TermGen
+from generators import TermGen, generator_context
 from tysem import kernel
 from tysem.errors import (StepBudgetExceeded, ParseError, TyLamEscape,
-                          TypeClash, UnboundName, UnknownSort)
+                          TypeClash, TysemError, UnboundName, UnknownSort)
 from tysem.kernel import (App, Arrow, BaseSort, Const, E, Lam, Pi, T, TyApp,
                           TyLam, TypeVar, TypingContext, Var, alpha_eq, arrow,
-                          canon, free_tyvars, free_vars, is_normal, nodes,
-                          normalize, parse_term, print_term, reduction_steps,
-                          subst_term, subst_type, subst_type_in_term, type_of)
+                          canon, check_type, free_tyvars, free_vars,
+                          is_normal, nodes, normalize, parse_term, print_term,
+                          reduction_steps, subst_term, subst_type, type_of)
 
 REPO = Path(__file__).resolve().parent.parent
 ANI = BaseSort("ani")
@@ -292,7 +294,7 @@ def test_type_substitution_renames_past_free_annotation_variables():
     # body's annotations, so the fresh name must skip it
     a, a1, b = TypeVar("a"), TypeVar("a1"), TypeVar("b")
     term = TyLam("a", Var("x", arrow(a1, a, b)))
-    assert subst_type_in_term(term, "b", a) == \
+    assert subst_type(term, "b", a) == \
         TyLam("a2", Var("x", arrow(a1, TypeVar("a2"), a)))
 
 
@@ -372,7 +374,7 @@ def test_type_substitution_renames_a_binder_only_when_needed():
     # inner binder needs no renaming, and renaming it to a1 would capture
     a = TypeVar("a")
     inner = TyLam("a", Lam("x", a, Var("x", a)))
-    assert subst_type_in_term(inner, "a1", a) == inner
+    assert subst_type(inner, "a1", a) == inner
     term = TyLam("a", TyApp(TyLam("a1", inner), a))
     ctx = TypingContext.default()
     assert type_of(ctx, normalize(term)) == type_of(ctx, term)
@@ -389,8 +391,8 @@ def test_substitution_returns_a_term_without_the_variable_as_it_is(ctx):
     assert subst_term(term, "x", Var("z", ANI)) is term  # x is bound
     a, b = TypeVar("a"), TypeVar("b")
     poly = TyLam("b", Lam("x", Arrow(b, T), Var("x", Arrow(b, T))))
-    assert subst_type_in_term(poly, "a", ANI) is poly
-    assert subst_type_in_term(poly, "b", ANI) is poly  # b is bound
+    assert subst_type(poly, "a", ANI) is poly
+    assert subst_type(poly, "b", ANI) is poly  # b is bound
     pi = Pi("b", Arrow(b, Arrow(ANI, a)))
     assert subst_type(pi, "c", ANI) is pi
     assert subst_type(pi, "a", T).body.dom is pi.body.dom
@@ -472,7 +474,7 @@ def test_type_substitution_matches_oracle_where_it_renames():
                  TyApp(TyLam("b", TyLam("a", Var("x", arrow(a1, a, b)))), a)):
         _assert_as_oracle(term)
     term = TyLam("a", Var("x", arrow(a1, a, b)))
-    assert subst_type_in_term(term, "b", a) == \
+    assert subst_type(term, "b", a) == \
         oracle.subst_type_in_term(term, "b", a)
 
 
@@ -511,3 +513,356 @@ def test_normalize_matches_oracle_where_substitution_renames(seed, depth):
     rng = random.Random(seed)
     free = {"x": ANI, "y": rng.choice((ANI, F)), "x1": rng.choice((ANI, F))}
     _assert_as_oracle(_open_term(rng, rng.choice((ANI, F)), free, depth))
+
+
+# ---------------------------------------------------------------------------
+# every walker gives the recursive oracle's results (`kernel_oracle`),
+# keeping the same subterms as the very objects
+
+
+def _outcome(fn, *args):
+    """fn's result, or the class and text of the error it raised."""
+    try:
+        return fn(*args)
+    except TysemError as err:
+        return type(err), str(err)
+
+
+def _kept(result, n) -> list[bool]:
+    """For each node of result, annotations included, in pre-order,
+    whether it is a node of n."""
+    ids = {id(m) for m in kernel._WITH_TYPES.nodes(n)}
+    return [id(m) in ids for m in kernel._WITH_TYPES.nodes(result)]
+
+
+def _assert_same_subst(new, old, n):
+    assert new == old
+    assert _kept(new, n) == _kept(old, n)
+
+
+def _bound_names(n, classes) -> list[str]:
+    return sorted({_bound(m) for m in kernel._WITH_TYPES.nodes(n)
+                   if type(m) in classes})
+
+
+def _context_of(term) -> TypingContext:
+    """A context that declares the term's constants, sorts and free
+    variables as the term annotates them."""
+    everything = list(kernel._WITH_TYPES.nodes(term))
+    return TypingContext(
+        sorts=kernel.BUILTIN_SORTS | {n.name for n in everything
+                                      if type(n) is BaseSort},
+        consts={**kernel.BUILTIN_CONSTANTS,
+                **{n.name: n.type for n in everything if type(n) is Const}},
+        vars=oracle.free_vars(term))
+
+
+def _assert_walkers_as_oracle(term, ctx=None):
+    assert list(free_vars(term).items()) == \
+        list(oracle.free_vars(term).items())
+    assert free_tyvars(term) == oracle.free_tyvars(term)
+    assert print_term(term) == oracle.print_term(term)
+    assert canon(term) == oracle.canon(term)
+    assert is_normal(term) == oracle.is_normal(term)
+    for lo in (True, False):
+        assert kernel._find_redex(term, lo) == oracle._find_redex(term, lo)
+    # well typed, and missing what the default context lacks
+    for c in (ctx or _context_of(term), TypingContext.default()):
+        assert _outcome(type_of, c, term) == _outcome(oracle.type_of, c, term)
+    # each binder's body with its variable replaced by a name bound below
+    # it, so that binders capture, or by a constant
+    for n in nodes(term):
+        if type(n) is Lam:
+            repls = [Var(v, n.var_type) for v in _bound_names(n, (Lam,))]
+            for repl in repls + [Const("k", n.var_type)]:
+                _assert_same_subst(subst_term(n.body, n.var, repl),
+                                   oracle.subst_term(n.body, n.var, repl),
+                                   n.body)
+        elif type(n) is TyLam:
+            for v in _bound_names(n, (TyLam, Pi)) + ["b"]:
+                _assert_same_subst(
+                    subst_type(n.body, n.tyvar, TypeVar(v)),
+                    oracle.subst_type_in_term(n.body, n.tyvar, TypeVar(v)),
+                    n.body)
+    for n in kernel._WITH_TYPES.nodes(term):
+        if type(n) is Pi:
+            for v in _bound_names(n, (Pi,)) + ["b"]:
+                _assert_same_subst(subst_type(n.body, n.var, TypeVar(v)),
+                                   oracle.subst_type(n.body, n.var,
+                                                     TypeVar(v)), n.body)
+        if type(n) is Lam or type(n) is TyApp:
+            ty = n.var_type if type(n) is Lam else n.ty
+            for c, tyvars in ((ctx or _context_of(term), {"a", "b"}),
+                              (TypingContext.default(), frozenset())):
+                assert _outcome(check_type, ty, c, tyvars) == \
+                    _outcome(oracle.check_type, ty, c, tyvars)
+
+
+def test_walkers_match_oracle_on_every_golden_term():
+    terms = list(_golden_terms())
+    assert len(terms) > 100
+    for term in terms:
+        _assert_walkers_as_oracle(term)
+        for step in reduction_steps(term):
+            _assert_walkers_as_oracle(step)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_walkers_match_oracle_on_generated_terms(seed):
+    gen, ctx = TermGen(seed), generator_context()
+    for _ in range(60):
+        _assert_walkers_as_oracle(gen.random_term(8), ctx)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8))
+def test_walkers_match_oracle_where_binders_capture(seed, depth):
+    rng = random.Random(seed)
+    free = {"x": ANI, "y": rng.choice((ANI, F)), "x1": rng.choice((ANI, F))}
+    term = _open_term(rng, rng.choice((ANI, F)), free, depth)
+    ctx = _context_of(term)
+    _assert_walkers_as_oracle(term, ctx)
+    for step in reduction_steps(term):
+        _assert_walkers_as_oracle(step, ctx)
+
+
+def test_type_of_raises_what_the_oracle_raises_first():
+    a, b = TypeVar("a"), TypeVar("b")
+    p, x = Var("p", Arrow(a, T)), Var("x", a)
+    ctx = (TypingContext.default().with_sorts({"ani"})
+           .with_var("p", Arrow(a, T)).with_var("x", a))
+    chat = Const("chat", Arrow(ANI, T))
+    terms = [
+        TyLam("a", App(p, x)),  # escape, p first
+        TyLam("a", App(x, p)),  # escape, x first
+        Lam("p", Arrow(b, T), TyLam("b", App(p, x))),  # escape under a lam
+        TyLam("a", TyLam("a", App(p, x))),  # the outer one escapes first
+        App(Lam("y", BaseSort("zebra"), Var("y", ANI)), x),  # unknown sort
+        Lam("y", Arrow(b, T), Var("y", Arrow(b, T))),  # unbound type var
+        App(App(chat, x), Var("ghost", ANI)),  # unbound before the clash
+        App(chat, Var("ghost", ANI)),
+        App(Var("x", ANI), x),  # annotation clash before anything else
+        TyApp(chat, ANI),  # not a pi type
+        TyApp(TyLam("a", x), BaseSort("zebra")),
+        App(chat, App(chat, x)),  # argument clash inside, then outside
+        TyLam("c", Lam("y", Pi("d", Arrow(TypeVar("c"), TypeVar("d"))),
+                       Var("y", Pi("d", Arrow(TypeVar("c"),
+                                               TypeVar("d")))))),
+    ]
+    for term in terms:
+        assert _outcome(type_of, ctx, term) == \
+            _outcome(oracle.type_of, ctx, term)
+    raised = {_outcome(type_of, ctx, term)[0] for term in terms[:-1]}
+    assert raised == {TyLamEscape, UnknownSort, UnboundName, TypeClash}
+
+
+def test_type_substitution_renames_as_the_oracle_in_one_pass():
+    """Renames within renames: each binder that captures is renamed as
+    substituting again in its body would rename it."""
+    a, a1, b = TypeVar("a"), TypeVar("a1"), TypeVar("b")
+    inner = Pi("a1", Arrow(a, Arrow(a1, b)))  # a1 binds, a is free
+    ty = Pi("a", Arrow(inner, Pi("a2", Arrow(a, Arrow(TypeVar("a2"), b)))))
+    for repl in (a, a1, Arrow(a, a1), TypeVar("a2")):
+        _assert_same_subst(subst_type(ty, "b", repl),
+                           oracle.subst_type(ty, "b", repl), ty)
+    x = Var("x", arrow(a1, a, b))
+    for term in (TyLam("a", TyLam("a1", x)), TyLam("a", Lam("y", inner, x))):
+        for repl in (a, Arrow(a, a1)):
+            _assert_same_subst(subst_type(term, "b", repl),
+                               oracle.subst_type_in_term(term, "b", repl),
+                               term)
+
+
+# ---------------------------------------------------------------------------
+# deep nests, each walker at the default recursion limit; results are
+# checked with loops, since `==`, `hash` and `repr` of such nests recurse
+
+DEEP = 10_000
+CHAT = Const("chat", Arrow(ANI, T))
+AIME = Const("aime", arrow(ANI, ANI, T))
+
+
+def _lams(n: int, names=None):
+    """lam x0 .. lam x{n-1}. aime x0 y, y free, x{i} of sort ani."""
+    term = App(App(AIME, Var("x0", ANI)), Var("y", ANI))
+    for name in reversed(names or [f"x{i}" for i in range(n)]):
+        term = Lam(name, ANI, term)
+    return term
+
+
+def _pis(n: int):
+    """pi a0 .. pi a{n-1}. a0 -> b, b free."""
+    ty = Arrow(TypeVar("a0"), TypeVar("b"))
+    for i in reversed(range(n)):
+        ty = Pi(f"a{i}", ty)
+    return ty
+
+
+def _tylams(n: int):
+    """tylam a0 .. tylam a{n-1}. lam x (a0 -> b). x, b free."""
+    ty = Arrow(TypeVar("a0"), TypeVar("b"))
+    term = Lam("x", ty, Var("x", ty))
+    for i in reversed(range(n)):
+        term = TyLam(f"a{i}", term)
+    return term
+
+
+def _balanced_and(atoms):
+    if len(atoms) == 1:
+        return atoms[0]
+    mid = len(atoms) // 2
+    return App(App(Const("and", arrow(T, T, T)), _balanced_and(atoms[:mid])),
+               _balanced_and(atoms[mid:]))
+
+
+def _redex_chain(n: int):
+    """((lam x1 .. (lam xn B)) a1 .. an), B a balanced conjunction of
+    chat(xi): n beta redexes on one spine, as the benchmark builds them."""
+    names = [f"x{i}" for i in range(1, n + 1)]
+    term = _balanced_and([App(CHAT, Var(x, ANI)) for x in names])
+    for x in reversed(names):
+        term = Lam(x, ANI, term)
+    for i in range(n):
+        term = App(term, Const("fido" if i % 2 else "rex", ANI))
+    return term
+
+
+def _down(n, count: int):
+    """The node `count` binders or arguments down a nest's spine."""
+    for _ in range(count):
+        n = n.fun if type(n) in (App, TyApp) else n.body
+    return n
+
+
+def _bound(binder) -> str:
+    return binder.tyvar if type(binder) is TyLam else binder.var
+
+
+def _binders(n) -> list:
+    out = []
+    while type(n) in (Lam, TyLam, Pi):
+        out.append(n)
+        n = n.body
+    return out
+
+
+def test_kernel_walkers_take_deep_nests():
+    assert sys.getrecursionlimit() <= 1000
+    ctx = TypingContext.default().with_sorts({"ani"}).with_const(
+        "chat", CHAT.type).with_const("aime", AIME.type).with_const(
+        "fido", ANI).with_const("rex", ANI).with_var("y", ANI)
+    lams, pis, tylams = _lams(DEEP), _pis(DEEP), _tylams(DEEP)
+    poly = Lam("f", pis, Var("f", pis))  # the pi type as an annotation
+    chain = _redex_chain(1_600)
+
+    # the free names, and the printed text
+    assert free_vars(lams) == {"y": ANI}
+    assert free_vars(chain) == free_vars(tylams) == free_vars(poly) == {}
+    assert free_tyvars(lams) == free_tyvars(chain) == frozenset()
+    assert free_tyvars(pis) == free_tyvars(tylams) == free_tyvars(poly) \
+        == {"b"}
+    text = print_term(lams)
+    assert text.startswith("(lam x0 ani (lam x1 ani (lam x2 ani ")
+    assert text.endswith(" (aime x0 y)" + ")" * DEEP)
+    assert print_term(pis).startswith("(pi a0 (pi a1 ")
+    assert print_term(tylams).count("(tylam ") == DEEP
+    text = print_term(chain)
+    assert text.startswith("((lam x1 ani (lam x2 ani ")
+    assert text.endswith(" rex fido)") and text.count(" fido") == 800
+
+    # canonical names: a binder at depth d binds !v<d> or !a<d>
+    for n, down in ((lams, 0), (pis, 0), (tylams, 0), (chain, 1_600)):
+        binders = _binders(_down(n, down))
+        assert [_bound(b) for b in _binders(_down(canon(n), down))] == [
+            f"!{'v' if type(b) is Lam else 'a'}{d}"
+            for d, b in enumerate(binders)]
+    assert [_bound(b) for b in _binders(canon(poly).var_type)] == \
+        [f"!a{d}" for d in range(DEEP)]
+    body = _down(canon(lams), DEEP)
+    assert body.fun.arg == Var("!v0", ANI) and body.arg == Var("y", ANI)
+    assert _down(canon(pis), DEEP) == Arrow(TypeVar("!a0"), TypeVar("b"))
+
+    # substitution, with a capture deep down each nest
+    for term in (lams, chain, tylams, poly):
+        assert subst_term(term, "z", Var("x1", ANI)) is term
+        assert subst_type(term, "c", TypeVar("a1")) is term
+    assert subst_type(pis, "c", TypeVar("a1")) is pis
+    out = subst_term(lams, "y", Var("x5000", ANI))
+    assert [b.var for b in _binders(out)] == \
+        [f"x{i}" for i in range(5000)] + ["x1"] + \
+        [f"x{i}" for i in range(5001, DEEP)]
+    assert _down(out, DEEP).arg == Var("x5000", ANI)
+    for n in (pis, tylams):
+        out = subst_type(n, "b", TypeVar("a5000"))
+        names = [_bound(b) for b in _binders(out)]
+        assert names[4999:5002] == ["a4999", "a1", "a5001"]
+        inner = _down(out, DEEP)
+        ty = inner.var_type if type(inner) is Lam else inner
+        assert ty == Arrow(TypeVar("a0"), TypeVar("a5000"))
+
+    # checking: types, then terms
+    check_type(pis, ctx, {"b"})
+    with pytest.raises(UnboundName):
+        check_type(pis, ctx)
+    ty = type_of(ctx, lams)
+    arrows = 0
+    while type(ty) is Arrow:
+        assert ty.dom == ANI
+        ty, arrows = ty.cod, arrows + 1
+    assert (arrows, ty) == (DEEP, T)
+    assert type_of(ctx, chain) == T
+    ty = type_of(ctx, TyLam("b", poly))
+    assert ty.body.dom is pis and ty.body.cod is pis
+    pi = type_of(ctx, TyLam("b", tylams))
+    assert [b.var for b in _binders(pi)] == \
+        ["b"] + [f"a{i}" for i in range(DEEP)]
+
+    # redexes: none in a nest, one fired down the chain
+    assert is_normal(lams) and is_normal(tylams) and is_normal(poly)
+    assert not is_normal(chain)
+    for lo in (True, False):
+        assert kernel._find_redex(lams, lo) is None
+        step = kernel._find_redex(chain, lo)
+        assert type(_down(step, 1599)) is Lam
+        assert _down(step, 1599).var == "x2"
+    bottom = App(Lam("z", ANI, App(CHAT, Var("z", ANI))), Var("x0", ANI))
+    for i in reversed(range(DEEP)):
+        bottom = Lam(f"x{i}", ANI, bottom)
+    for strategy in ("lo", "ri"):
+        normal = normalize(bottom, strategy)
+        assert [b.var for b in _binders(normal)] == \
+            [f"x{i}" for i in range(DEEP)]
+        assert _down(normal, DEEP) == App(CHAT, Var("x0", ANI))
+
+
+def _best(fn) -> float:
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_substitution_is_linear_in_nested_captures():
+    """Substituting y for x under 1,000 nested binders of y renames every
+    one of them in one pass: within 12x of an identity transform of the
+    same nest (best of five runs each).  Renaming each binder and working
+    out the free names of the bodies once cost about 7x; a second pass per
+    capture, as the recursive substitutions made, about 1,000x."""
+    term = App(CHAT, Var("x", ANI))
+    ty = Arrow(TypeVar("x"), T)
+    for _ in range(1_000):
+        term = Lam("y", ANI, term)
+        ty = Pi("y", ty)
+    out = subst_term(term, "x", Var("y", ANI))
+    assert {b.var for b in _binders(out)} == {"y1"}
+    assert _down(out, 1_000).arg == Var("y", ANI)
+    assert {b.var for b in _binders(subst_type(ty, "x", TypeVar("y")))} \
+        == {"y1"}
+    for walk, n, var, repl in (
+            (kernel._TERMS, term, "x", Var("y", ANI)),
+            (kernel._WITH_TYPES, ty, "x", TypeVar("y"))):
+        subst = subst_term if walk is kernel._TERMS else subst_type
+        renaming = _best(lambda: subst(n, var, repl))
+        identity = _best(lambda: walk.transform(n, lambda m, e: None))
+        assert renaming < 12 * identity, (renaming, identity)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from generators import FORMULA_CONSTANTS, FormulaGen, TermGen, \
     generator_context
 from logic_oracle import old_presuppositions
-from tysem import kernel
+from tysem import node
 from tysem.cli import (AnalysisOptions, _signature_of, analyze_tree,
                        discourse_formula)
 from tysem.composer import compose, parse_tree
@@ -23,11 +23,10 @@ from tysem.kernel import (App, Arrow, BaseSort, Const, Lam, T, TyApp,
 from tysem.lexicon import load_lexicon
 from tysem.logic import (INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
                          Formula, Implies, LApp, LConst, LTerm, LVar, Not, Or,
-                         Pred, TruthConst, canon_formula, children, conjoin,
+                         Pred, TruthConst, _TREE, canon_formula, conjoin,
                          extract_formula, flatten_and, formula_to_json,
                          free_formula_vars, nodes, parse_formula,
-                         presuppositions, print_formula, rebuild,
-                         rewrite_hilbert)
+                         presuppositions, print_formula, rewrite_hilbert)
 
 ANI = BaseSort("ani")
 
@@ -316,13 +315,13 @@ def test_presuppositions_match_the_kernel_route_where_binders_capture(rng):
 
 def test_the_capture_terms_capture(monkeypatch):
     """The terms above do make presuppositions rename binders."""
-    renamed, fresh_name = [], kernel._fresh_name
+    renamed, fresh_name = [], node.fresh_name
 
     def counted(*args):
         renamed.append(args)
         return fresh_name(*args)
 
-    monkeypatch.setattr(kernel, "_fresh_name", counted)
+    monkeypatch.setattr(node, "fresh_name", counted)
     ctx = generator_context()
     rng = random.Random(3)
     for _ in range(300):
@@ -630,13 +629,18 @@ def rename_bound(f):
 def test_children_rebuild_and_nodes_agree_with_the_fields(f):
     seen = list(nodes(f))
     assert [id(n) for n in seen] == [id(n) for n in field_preorder(f)]
+    children, rebuild = _TREE.children, _TREE.rebuild
     for n in seen:
-        kids = children(n)
+        kids = children[type(n)](n)
         assert kids == field_children(n)
-        assert rebuild(n, kids) == n
-        marks = tuple(Pred(f"m{i}", ()) if isinstance(k, Formula)
-                      else LConst(f"m{i}", "ani") for i, k in enumerate(kids))
-        assert children(rebuild(n, marks)) == marks
+        if kids:
+            assert rebuild[type(n)](n, *kids) == n
+            marks = tuple(Pred(f"m{i}", ()) if isinstance(k, Formula)
+                          else LConst(f"m{i}", "ani")
+                          for i, k in enumerate(kids))
+            new = rebuild[type(n)](n, *marks)
+            assert children[type(n)](new) == marks
+            assert type(new) is type(n)
 
 
 @given(formulas)

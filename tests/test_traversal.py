@@ -18,14 +18,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from generators import FormulaGen
-from logic_oracle import old_canon_formula, old_fold, old_transform
+from logic_oracle import (old_canon_formula, old_fold, old_substitute,
+                          old_transform)
 from tysem.cli import _SIGNATURE_INTO, _signature_of
 from tysem.logic import (DEF, INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
                          Formula, Implies, LApp, LConst, LVar, Not, Or, Pred,
-                         TruthConst, _JSON, _abstract, _bound, _substitute,
-                         _with_conjuncts, canon_formula, conjoin, flatten_and,
-                         fold, formula_to_json, free_formula_vars, nodes,
-                         transform)
+                         TruthConst, _JSON, _abstract, _bound, _formula_names,
+                         _substitute, _with_conjuncts, canon_formula, conjoin,
+                         flatten_and, fold, formula_to_json,
+                         free_formula_vars, nodes, transform)
 
 # ---------------------------------------------------------------------------
 # against the recursive oracle
@@ -79,7 +80,7 @@ def assert_same_fold(f, into=None):
 def depth_new(n, depth):
     """A visit that renames nothing and counts the binders above a node."""
     if type(n) in (Exists, Forall, Eps):
-        return _bound(n), n.body, depth + 1
+        return _bound(n), depth + 1
     return n if type(n) is LVar else None
 
 
@@ -120,11 +121,59 @@ def assert_same_walks(f):
         assert assert_same_transform(f, abstract) == _abstract(f, pivot, var)
         assert assert_same_transform(pivot.body, rename) == \
             _substitute(pivot.body, pivot.hole, var, rename=False)
+        # a name bound in the body makes its binder capture
+        names = sorted(_formula_names(pivot.body))
+        for repl in [pivot, var] + [LVar(v, pivot.sort) for v in names]:
+            assert_same_substitution(pivot.body, pivot.hole, repl)
     assert free_formula_vars(f) == old_fold(f, free_combine)
     assert formula_to_json(f) == old_fold(f, json_combine)
     assert_same_fold(f)
     assert_same_fold(f, _SIGNATURE_INTO)
     assert_same_fold(f, (And,))
+
+
+def assert_same_substitution(f, var, repl):
+    """_substitute agrees with the oracle's, which renames a capturing
+    binder by substituting again in its body, and keeps the same nodes."""
+    for rename in (True, False):
+        new = _substitute(f, var, repl, rename)
+        old = old_substitute(f, var, repl, rename)
+        assert new == old
+        assert kept(new, f) == kept(old, f)
+        assert (new is f) == (old is f)
+
+
+def capture_formula(rng: random.Random, depth: int) -> Formula:
+    """A formula whose binders are all named x, y or x1, over free
+    variables of those names: substituting one name for another makes
+    binders capture, and a rename to x1 is sometimes taken."""
+    names = ("x", "y", "x1")
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        return Pred("P", (LVar(rng.choice(names), "s"),
+                          LVar(rng.choice(names), "s")))
+    if roll < 0.4:
+        return And(capture_formula(rng, depth - 1),
+                   capture_formula(rng, depth - 1))
+    if roll < 0.5:
+        body = capture_formula(rng, depth - 1)
+        return Pred("Q", (Eps(rng.choice((INDEF, UNIVERSAL)), "s",
+                              rng.choice(names), body),))
+    cls = rng.choice((Exists, Forall))
+    return cls(rng.choice(names), "s", capture_formula(rng, depth - 1))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
+def test_substitution_matches_the_recursive_oracle_where_binders_capture(
+        seed, depth):
+    rng = random.Random(seed)
+    f = capture_formula(rng, depth)
+    for var in ("x", "y", "x1"):
+        for repl in (LVar("x", "s"), LVar("y", "s"), LVar("x1", "s"),
+                     LApp("mere", (LVar("y", "s"), LVar("x1", "s"))),
+                     Eps(INDEF, "s", "x", Pred("P", (LVar("x", "s"),
+                                                     LVar("y", "s"))))):
+            assert_same_substitution(f, var, repl)
 
 
 def free_combine(n, kids):
@@ -299,6 +348,29 @@ def test_canon_formula_is_linear_in_binder_nesting():
     canon = best(lambda: canon_formula(f))
     identity = best(lambda: transform(f, lambda n, e: None))
     assert canon < 5 * identity, (canon, identity)
+
+
+def test_substitution_is_linear_in_nested_captures():
+    """Substituting y for x under 1,000 nested quantifiers of y renames
+    every one of them in one pass: within 12x of an identity transform of
+    the same nest (best of five runs each).  Renaming each binder and
+    working out the free names of the bodies once cost about 7x; a second
+    pass per capture, as `_substitute` made before, about 1,000x."""
+    g = Pred("S", (LVar("x", "s"), Y))
+    for i in range(1_000):
+        g = (Exists if i % 2 else Forall)("y", "s", g)
+
+    def best(fn):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    renaming = best(lambda: _substitute(g, "x", Y))
+    identity = best(lambda: transform(g, lambda n, e: None))
+    assert renaming < 12 * identity, (renaming, identity)
 
 
 def count_builds(monkeypatch, classes):
