@@ -9,8 +9,10 @@ constants make the calculus a glue language for a multisorted logic: `eps`,
 Every walk runs on one traversal, `node.Tree`, over `_TERMS`, a term's
 subterms or a type's subtypes, or `_WITH_TYPES`, which adds the types
 annotating a term: `free_tyvars`, `subst_type`, `print_term` and `canon`
-take a type or a term alike.  No walk recurses, so a term thousands of
-binders deep is walked within the default recursion limit.
+take a type or a term alike.  `print_term`, which puts text between a
+node's children, and `_find_redex`, which stops at the first redex, loop
+over the same tables on stacks of their own.  No walk recurses, so a term
+thousands of binders deep is walked within the default recursion limit.
 
 Types and terms are slotted, immutable nodes (see `node`), each keeping its
 hash once worked out.  The substitutions return a subterm in which nothing

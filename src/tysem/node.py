@@ -148,7 +148,8 @@ def _getter(fields: list[str]):
 
 def _builder(cls, kept: list[str], kids: list[str], star: bool, name=None):
     """A function (n, [name,] *children) building a cls node with n's `kept`
-    fields, one of them another name, and the children in `kids`."""
+    fields, one of them another name, and the children in `kids`: after
+    the kept fields, or before one kept field."""
     if name is not None:
         i = kept.index(name)
         before, after = _getter(kept[:i]), _getter(kept[i + 1:])
@@ -388,11 +389,11 @@ class Tree:
                 return (bound[-1], scope) if bound else None
             if inner[0] is not scope:
                 at(scope)
-            depth, name, var = scope[4] if scope else 0, names[t][0](n), \
+            depth, name, renames = scope[4] if scope else 0, names[t][0](n), \
                 stacks[binders[t]]
             new = fresh(n, depth)
-            var.setdefault(name, []).append(new)
-            inner[0] = scope = (scope, var, name, new, depth + 1)
+            renames.setdefault(name, []).append(new)
+            inner[0] = scope = (scope, renames, name, new, depth + 1)
             return new, scope
 
         return self.transform(root, visit, None, {*stacks, *binders})
