@@ -210,48 +210,49 @@ class Tree:
         unchanged tree is the very object."""
         children, rebuild, names = self.children, self.rebuild, self.names
         out, stack = [], [root]  # results; nodes to visit and frames to finish
+        pop, push, emit = stack.pop, stack.append, out.append
         while stack:
-            n = stack.pop()
-            if type(n) is tuple:
+            n = pop()
+            t = type(n)
+            if t is tuple:
                 if len(n) == 1:  # the env of a binder's body, its last child
                     env = n[0]
                     continue
                 n, kids, env, name = n  # a frame, whose children are done
-                k = len(kids)
+                t, k = type(n), len(kids)
                 if k == 1:
                     if name is not None:
-                        n = names[type(n)][1](n, name, out[-1])
+                        n = names[t][1](n, name, out[-1])
                     elif out[-1] is not kids[0]:
-                        n = rebuild[type(n)](n, out[-1])
+                        n = rebuild[t](n, out[-1])
                 elif name is None and k == 2:
                     b = out.pop()
                     if out[-1] is not kids[0] or b is not kids[1]:
-                        n = rebuild[type(n)](n, out[-1], b)
+                        n = rebuild[t](n, out[-1], b)
                 else:
                     new = out[-k:]
                     del out[len(out) - k + 1:]
                     if name is not None:
-                        n = names[type(n)][1](n, name, *new)
+                        n = names[t][1](n, name, *new)
                     elif not all(map(is_, new, kids)):
-                        n = rebuild[type(n)](n, *new)
+                        n = rebuild[t](n, *new)
                 out[-1] = n
                 continue
-            m = visit(n, env) if visited is None or type(n) in visited \
-                else None
+            m = visit(n, env) if visited is None or t in visited else None
             if m is None:
                 name, body_env = None, env
             elif type(m) is tuple:
                 name, body_env = m
-                if name == names[type(n)][0](n):
+                if name == names[t][0](n):
                     name = None
             else:
-                out.append(m)
+                emit(m)
                 continue
-            kids = children[type(n)](n)
+            kids = children[t](n)
             if not kids:
-                out.append(n if name is None else names[type(n)][1](n, name))
+                emit(n if name is None else names[t][1](n, name))
             elif body_env is env or len(kids) == 1:
-                stack.append((n, kids, env, name))
+                push((n, kids, env, name))
                 env = body_env
                 stack += kids[::-1]
             else:
@@ -267,20 +268,22 @@ class Tree:
         and their results are empty."""
         children = self.children
         out, stack = [], [root]  # results; nodes to visit and frames to finish
+        pop, push, emit = stack.pop, stack.append, out.append
         while stack:
-            n = stack.pop()
-            if type(n) is tuple:  # a frame, whose children are done
+            n = pop()
+            t = type(n)
+            if t is tuple:  # a frame, whose children are done
                 n, k = n
                 out[-k:] = [combine(n, out[-k:])]
-            elif into is not None and type(n) not in into:
-                out.append(combine(n, ()))
-            elif kids := children[type(n)](n):
-                if type(n) in enter:
-                    enter[type(n)](n)
-                stack.append((n, len(kids)))
+            elif into is not None and t not in into:
+                emit(combine(n, ()))
+            elif kids := children[t](n):
+                if t in enter:
+                    enter[t](n)
+                push((n, len(kids)))
                 stack += kids[::-1]
             else:
-                out.append(combine(n, []))
+                emit(combine(n, []))
         return out[0]
 
     def free(self, root, leaf: type, binders, bodies=None) -> set[str]:
