@@ -130,11 +130,11 @@ _SHARED = {"__repr__": _repr, "__setattr__": _setattr, "__delattr__": _delattr,
 # one traversal
 
 
-def fresh_name(base: str, avoid, also=()) -> str:
-    """The first of base1, base2, ... in neither `avoid` nor `also`, base's
-    trailing digits and primes dropped."""
+def fresh_name(base: str, avoid) -> str:
+    """The first of base1, base2, ... not in `avoid`, base's trailing
+    digits and primes dropped."""
     base, i = base.rstrip("0123456789'") or "v", 1
-    while (name := f"{base}{i}") in avoid or name in also:
+    while (name := f"{base}{i}") in avoid:
         i += 1
     return name
 
@@ -153,6 +153,8 @@ def _builder(cls, kept: list[str], kids: list[str], star: bool, name=None):
     if name is not None:
         i = kept.index(name)
         before, after = _getter(kept[:i]), _getter(kept[i + 1:])
+        if not i:
+            return lambda n, v, *k: cls(v, *after(n), *k)
         return lambda n, v, *k: cls(*before(n), v, *after(n), *k)
     if not kept:
         return lambda n, *k: cls(*k)
@@ -330,30 +332,32 @@ class Tree:
                     if n.name == x:
                         n = r
                 return n
-            name = names[type(n)][0](n)
+            name, shadows, threat = names[type(n)][0](n), False, False
             for x, _, fv in subs:
-                if x == name or name in fv:
-                    break
-            else:  # n neither shadows a name nor captures one
+                if x == name:
+                    shadows = True
+                elif name in fv:
+                    threat = True
+            if not (shadows or threat):
                 return None
             body = None  # the free names of n's body, as substituted so far
-            if any(x != name and name in fv for x, _, fv in subs):
-                if id(n) not in bodies:
+            if threat:
+                if (body := bodies.get(id(n))) is None:
                     self.free(n, leaf, binders, bodies)
-                body = bodies[id(n)]
+                    body = bodies[id(n)]
             below = []
             for sub in subs:
                 x, r, fv = sub
                 if x == name or body is not None and x not in body:
                     continue  # bound here, or not free below
                 if name in fv:
-                    fresh = fresh_name(name, fv, body)
+                    fresh = fresh_name(name, fv | body)
                     below.append((name, renamed(n, fresh), {fresh}))
                     if name in body:
                         body = body - {name} | {fresh}
                     name = fresh
-                if body is not None:
-                    body = body - {x} | fv
+                if body is not None and sub is not subs[-1]:
+                    body = body - {x} | fv  # as the next ones see it
                 below.append(sub)
             return (name, tuple(below)) if below else n
 
