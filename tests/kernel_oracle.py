@@ -6,8 +6,8 @@ Each recurses once per node, copies the names in scope at a binder, and a
 substitution renames a capturing binder by substituting again in its body.
 `normalize` here fires the same redexes in the same order as
 `kernel.normalize`, so the two must agree with `==`, bound names included.
-The oracle takes only the node classes and the typing context from the
-kernel; `free_vars` and `free_tyvars` are its own.
+The oracle imports only the node classes and the step budget from the
+kernel; `free_vars`, `free_tyvars` and `_fresh_name` are its own.
 """
 
 import itertools
