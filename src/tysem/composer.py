@@ -39,7 +39,7 @@ from .errors import (AmbiguousCoercion, CompositionError, NoAntecedent,
 from .kernel import (App, Arrow, BaseSort, Const, Pi, Term, Type, TyApp,
                      TypeVar, canon, free_tyvars, subst_type, type_of)
 from .lexicon import Coercion, LexEntry, Lexicon, lookup_entry
-from .node import KeepsHash, node
+from .node import KeepsHash, emit, node
 from .sexpr import Atom, SExpr, read_one
 
 # ---------------------------------------------------------------------------
@@ -83,9 +83,12 @@ def _tree_of(e: SExpr) -> SynTree:
 
 
 def print_tree(tree: SynTree) -> str:
-    if isinstance(tree, Leaf):
-        return tree.word
-    return f"({print_tree(tree.fun)} {print_tree(tree.arg)})"
+    """The tree as `parse_tree` reads it, each node a pair `(fun arg)`."""
+    return emit(tree, _TREE_TEXT)
+
+
+_TREE_TEXT = {Leaf: lambda n: n.word,
+              Node: lambda n: (")", n.arg, " ", n.fun, "(")}
 
 
 # ---------------------------------------------------------------------------

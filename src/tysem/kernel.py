@@ -8,11 +8,12 @@ constants make the calculus a glue language for a multisorted logic: `eps`,
 
 Every walk runs on one traversal, `node.Tree`, over `_TERMS`, a term's
 subterms or a type's subtypes, or `_WITH_TYPES`, which adds the types
-annotating a term: `free_tyvars`, `subst_type`, `print_term` and `canon`
-take a type or a term alike.  `print_term`, which puts text between a
-node's children, and `_find_redex`, which stops at the first redex, loop
-over the same tables on stacks of their own.  No walk recurses, so a term
-thousands of binders deep is walked within the default recursion limit.
+annotating a term: `free_tyvars`, `subst_type` and `canon` take a type or
+a term alike.  `_find_redex`, which stops at the first redex, loops over
+the same tables on a stack of its own.  `print_term` and the infix `str` of
+a type are tables of layouts on one printer, `node.emit`.  No walk
+recurses, so a term thousands of binders deep is walked within the
+default recursion limit.
 
 Types and terms are slotted, immutable nodes (see `node`), each keeping its
 hash once worked out.  The substitutions return a subterm in which nothing
@@ -24,9 +25,11 @@ operations are safe to share across threads.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .errors import (StepBudgetExceeded, ParseError, TyLamEscape, TypeClash,
                      UnboundName, UnknownSort)
-from .node import KeepsHash, Tree, node
+from .node import KeepsHash, Tree, emit, node
 from .sexpr import Atom, SExpr, expect_atom, read_one
 
 # ---------------------------------------------------------------------------
@@ -37,7 +40,8 @@ class Type(KeepsHash):
     __slots__ = ()
 
     def __str__(self):
-        return self.name
+        """The infix text of a type: `pi a. (a -> t) -> a`."""
+        return emit(self, _TYPE_TEXT)
 
 
 @node
@@ -55,18 +59,11 @@ class Arrow(Type):
     dom: Type
     cod: Type
 
-    def __str__(self):
-        d = f"({self.dom})" if isinstance(self.dom, (Arrow, Pi)) else str(self.dom)
-        return f"{d} -> {self.cod}"
-
 
 @node
 class Pi(Type):
     var: str
     body: Type
-
-    def __str__(self):
-        return f"pi {self.var}. {self.body}"
 
 
 T = BaseSort("t")
@@ -264,34 +261,33 @@ def _term_of(e: SExpr, ctx: TypingContext, bound: dict[str, Type],
 def print_term(n: Type | Term) -> str:
     """Render a type or a term back into the s-expression grammar that
     parse_type and parse_term read.  Application spines are flattened:
-    ((f a) b) prints as (f a b).  One pass, in pre-order, over a stack of
-    nodes and the text between and after their children."""
-    out, stack = [], [n]
-    while stack:
-        m = stack.pop()
-        t = type(m)
-        if t is str:
-            out.append(m)
-        elif t not in _HEADS:  # a name, printed without its type
-            out.append(m.name)
-        else:
-            out.append(_HEADS[t])
-            if t is App:
-                head, kids = spine(m)
-                kids.insert(0, head)
-            else:
-                kids = _WITH_TYPES.children[t](m)
-                if t in _NAMES:
-                    out += (getattr(m, _NAMES[t]), " ")
-            stack.append(")")
-            for k in kids[:0:-1]:
-                stack += (k, " ")
-            stack.append(kids[0])
-    return "".join(out)
+    ((f a) b) prints as (f a b)."""
+    return emit(n, _TERM_TEXT)
 
 
-_HEADS = {App: "(", Lam: "(lam ", TyApp: "(tyapp ", TyLam: "(tylam ",
-          Arrow: "(-> ", Pi: "(pi "}
+def _app_text(n: App) -> list:
+    """`(f a b)`: the application spine, the arguments last first."""
+    out = [")"]
+    while type(n) is App:
+        out += (n.arg, " ")
+        n = n.fun
+    out += (n, "(")
+    return out
+
+
+_name = attrgetter("name")
+_TERM_TEXT = {  # what each node prints as, last first
+    BaseSort: _name, TypeVar: _name, Var: _name, Const: _name, App: _app_text,
+    Lam: lambda n: (")", n.body, " ", n.var_type, f"(lam {n.var} "),
+    TyApp: lambda n: (")", n.ty, " ", n.fun, "(tyapp "),
+    TyLam: lambda n: (")", n.body, f"(tylam {n.tyvar} "),
+    Arrow: lambda n: (")", n.cod, " ", n.dom, "(-> "),
+    Pi: lambda n: (")", n.body, f"(pi {n.var} ")}
+_TYPE_TEXT = {  # the infix text of a type, a domain that quantifies or is
+    # a function in parentheses
+    BaseSort: _name, TypeVar: _name, Pi: lambda n: (n.body, f"pi {n.var}. "),
+    Arrow: lambda n: (n.cod, ") -> ", n.dom, "(")
+    if type(n.dom) is Arrow or type(n.dom) is Pi else (n.cod, " -> ", n.dom)}
 
 
 def spine(term: Term) -> tuple[Term, list[Term]]:
@@ -303,8 +299,6 @@ def spine(term: Term) -> tuple[Term, list[Term]]:
         term = term.fun
     args.reverse()
     return term, args
-
-
 
 
 # ---------------------------------------------------------------------------

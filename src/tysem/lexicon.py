@@ -201,6 +201,9 @@ def _parse_entry(form: SList, ctx: TypingContext):
 
     for sub in form.items[3:]:
         sub = expect_list(sub, "(option ...) or (mode ...)")
+        if len(sub) == 0:
+            raise ParseError("empty clause: expected (option ...) or "
+                             "(mode ...)", sub.line, sub.col)
         head = expect_atom(sub[0], "option or mode").text
         if head == "mode":
             if len(sub) != 2:

@@ -17,10 +17,11 @@ Formulas and their terms are walked through the traversal kernel terms
 are (`node.Tree`): `nodes` iterates in pre-order, `transform` rebuilds a
 formula with some nodes replaced and binder scope carried down, and `fold`
 combines results bottom-up, each on an explicit stack, so no shape of
-formula costs a Python frame per level.  `==`, `hash`, `repr`, the
-printers, `rewrite_hilbert`, the extraction and the parser keep their own
-recursion; the first five loop down a conjunction's left spine, and the
-printers down a quantifier run.
+formula costs a Python frame per level.  The printers are tables of
+layouts on the printer kernel terms and `repr` run on (`node.emit`), so
+they take any shape too.  `==`, `hash`, `rewrite_hilbert`, the extraction
+and the parser keep their own recursion; the first two loop down a
+conjunction's left spine.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (ExtractionError, NotNormal, NotTruthType, ResidualLambda,
                      ParseError)
 from .kernel import (App, BaseSort, Const, Lam, Term, TyApp, Type,
                      TypingContext, Var, free_vars, is_normal, spine, type_of)
-from .node import Tree, node
+from .node import Tree, emit, enclose, node
 from .sexpr import Atom, SExpr, SList, expect_atom, expect_list, read_one
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    # `==`, `hash` and `repr` loop down the left spine, which grows with a
+    # `==` and `hash` loop down the left spine, which grows with a
     # discourse; generated ones would recurse along it
     def __eq__(self, other):
         if type(other) is not And:
@@ -116,11 +117,6 @@ class And(Formula):
             h = hash((h, f.right))
             f = f.left
         return hash((h, f.left, f.right))
-
-    def __repr__(self):
-        first, rights = _and_spine(self)
-        return "".join(["And(left=" * len(rights), repr(first)]
-                       + [f", right={r!r})" for r in rights])
 
 
 @node
@@ -172,27 +168,19 @@ def conjoin(formulas) -> Formula:
 
 
 def flatten_and(f: Formula) -> list[Formula]:
-    """The conjuncts of f, left to right, looping down the left spine."""
-    first, rights = _and_spine(f)
-    out = [first]
-    for r in rights:
+    """The conjuncts of f, left to right, looping down the left spine, which
+    grows with a discourse."""
+    rights = []
+    while type(f) is And:
+        rights.append(f.right)
+        f = f.left
+    out = [f]
+    for r in reversed(rights):
         if type(r) is And:
             out += [g for g in nodes(r, into=(And,)) if type(g) is not And]
         else:
             out.append(r)
     return out
-
-
-def _and_spine(f: And) -> tuple[Formula, list[Formula]]:
-    """The formula at the bottom of f's left And spine, and the right
-    operands met on the way down, innermost first: a discourse is one long
-    left-nested conjunction, which the printers and `repr` loop down."""
-    rights = []
-    while isinstance(f, And):
-        rights.append(f.right)
-        f = f.left
-    rights.reverse()
-    return f, rights
 
 
 # ---------------------------------------------------------------------------
@@ -642,124 +630,108 @@ def free_formula_vars(f: Formula | LTerm) -> set[str]:
 # ---------------------------------------------------------------------------
 # printing
 
-_EPS_ASCII = {INDEF: "eps", DEF: "the", UNIVERSAL: "tau"}
-_EPS_UNICODE = {INDEF: "ε", DEF: "ιε", UNIVERSAL: "τ"}
-_QUANTIFIER = {Exists: ("exists ", "∃"), Forall: ("forall ", "∀")}  # [uni]
-
-_PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4, 5
+# the infix precedences: an operand whose precedence is below the one its
+# place asks for is parenthesized; quantifiers bind loosest
+_PREC = {Exists: 0, Forall: 0, Implies: 1, Or: 2, And: 3, Not: 4, Eq: 4,
+         Pred: 5, TruthConst: 5}
 
 
 def print_formula(f: Formula, style: str = "ascii") -> str:
     """Deterministic canonical rendering; parentheses are minimal under the
     precedence not < and < or < implies, with quantifier bodies
-    parenthesized when they are binary connectives.  Each distinct conjunct
-    object of a conjunction is printed once (`_each_once`)."""
-    if style == "sexpr":
-        return _sexpr(f)
-    if style in ("ascii", "unicode"):
-        return _infix_f(f, 0, style)
-    raise ValueError(f"unknown style '{style}'")
+    parenthesized when they are binary connectives.  Each distinct right
+    operand of a connective, as a discourse's conjunct, is printed once."""
+    layouts = _STYLES.get(style)
+    if layouts is None:
+        raise ValueError(f"unknown style '{style}'")
+    return emit(f, layouts)
 
 
-def _infix_f(f: Formula, context: int, style: str) -> str:
-    uni = style == "unicode"
+def _infix(uni: bool) -> dict:
+    """What each node prints as in the ascii or the unicode style, last
+    first, with the parentheses an operand needs around it (`_PREC`)."""
+    eps = {INDEF: "ε", DEF: "ιε", UNIVERSAL: "τ"} if uni else \
+        {INDEF: "eps", DEF: "the", UNIVERSAL: "tau"}
+    quantifier = {Exists: "∃" if uni else "exists ",
+                  Forall: "∀" if uni else "forall "}
+    neg = "¬" if uni else "not "
+    and_sym, and_opened = (" ∧ ", " ∧ (") if uni else (" & ", " & (")
 
-    def binop(symbol_a, symbol_u, prec, left, right):
-        sym = symbol_u if uni else symbol_a
-        text = (f"{_infix_f(left, prec, style)} {sym} "
-                f"{_infix_f(right, prec + 1, style)}")
-        return f"({text})" if prec < context else text
+    def binary(sym: str, left: int, right: int):  # the precedences l, r need
+        sym, opened = f" {sym} ", f" {sym} ("
 
-    match f:
-        case TruthConst(v):
-            return "true" if v else "false"
-        case Pred(name, args):
-            if not args:
-                return name
-            return f"{name}({','.join(_infix_t(a, style) for a in args)})"
-        case Eq(l, r):
-            text = f"{_infix_t(l, style)} = {_infix_t(r, style)}"
-            return f"({text})" if _PREC_ATOM - 1 < context else text
-        case Not(op):
-            sym = "¬" if uni else "not "
-            text = sym + _infix_f(op, _PREC_NOT, style)
-            return f"({text})" if _PREC_NOT < context else text
-        case And():
-            first, rights = _and_spine(f)
-            sym = " ∧ " if uni else " & "
-            text = sym.join([_infix_f(first, _PREC_AND, style)] + _each_once(
-                lambda r: _infix_f(r, _PREC_AND + 1, style), rights))
-            return f"({text})" if _PREC_AND < context else text
-        case Or(l, r):
-            return binop("|", "∨", _PREC_OR, l, r)
-        case Implies(l, r):
-            sym = "→" if uni else "->"
-            text = (f"{_infix_f(l, _PREC_IMPLIES + 1, style)} {sym} "
-                    f"{_infix_f(r, _PREC_IMPLIES, style)}")
-            return f"({text})" if _PREC_IMPLIES < context else text
-        case Exists() | Forall():
-            heads = []  # a quantifier prefix: loop, do not recurse
-            while isinstance(f, (Exists, Forall)):
-                heads.append(f"{_QUANTIFIER[type(f)][uni]}{f.var}:{f.sort}. ")
-                f = f.body
-            inner = _infix_f(f, 0, style)
-            if isinstance(f, (And, Or, Implies)):
-                inner = f"({inner})"
-            text = "".join(heads) + inner
-            return f"({text})" if context > 0 else text
-    raise AssertionError(f)
+        def layout(n):
+            r, l = n.right, n.left
+            r = (opened, r, ")") if _PREC[type(r)] < right else (sym, r, "")
+            return (r, ")", l, "(") if _PREC[type(l)] < left else (r, l)
+        return layout
 
+    def conjunction(n):  # the left spine, flat: a & b & c
+        out = []
+        while type(n) is And:
+            r = n.right
+            out.append((and_opened, r, ")") if _PREC[type(r)] <= _PREC[And]
+                       else (and_sym, r, ""))
+            n = n.left
+        out += (")", n, "(") if _PREC[type(n)] < _PREC[And] else (n,)
+        return out
 
-def _infix_t(t: LTerm, style: str) -> str:
-    match t:
-        case LVar(name, _) | LConst(name, _):
-            return name
-        case LApp(fn, args):
-            return f"{fn}({','.join(_infix_t(a, style) for a in args)})"
-        case Eps(mode, sort, hole, body):
-            head = (_EPS_UNICODE if style == "unicode" else _EPS_ASCII)[mode]
-            return f"{head}[{sort}]({hole}. {_infix_f(body, 0, style)})"
-    raise AssertionError(t)
+    def quantified(n):
+        head = f"{quantifier[type(n)]}{n.var}:{n.sort}. "
+        if type(n.body) in (And, Or, Implies):
+            return ")", n.body, head + "("
+        return n.body, head
+
+    return {
+        TruthConst: _truth, LVar: _name, LConst: _name,
+        Pred: lambda n: enclose(f"{n.name}(", n.args, ",") if n.args
+        else n.name,
+        LApp: lambda n: enclose(f"{n.fn}(", n.args, ","),
+        Eps: lambda n: (")", n.body, f"{eps[n.mode]}[{n.sort}]({n.hole}. "),
+        Eq: lambda n: (n.right, " = ", n.left),
+        Not: lambda n: (")", n.operand, neg + "(")
+        if _PREC[type(n.operand)] < _PREC[Not] else (n.operand, neg),
+        Exists: quantified, Forall: quantified,
+        And: conjunction,
+        Or: binary("∨" if uni else "|", _PREC[Or], _PREC[Or] + 1),
+        Implies: binary("→" if uni else "->", _PREC[Implies] + 1,
+                        _PREC[Implies])}
 
 
-_SEXPR_HEAD = {
-    TruthConst: lambda n: "true" if n.value else "false",
-    LVar: attrgetter("name"), LConst: attrgetter("name"),
-    Pred: attrgetter("name"), LApp: attrgetter("fn"),
-    Eps: lambda n: f"{_CONST_OF_MODE[n.mode]} {n.sort} {n.hole}",
-    Exists: lambda n: f"exists ({n.var} {n.sort})",
-    Forall: lambda n: f"forall ({n.var} {n.sort})",
-    Not: lambda n: "not", Or: lambda n: "or", Implies: lambda n: "implies",
-    Eq: lambda n: "=",
-}
+_name = attrgetter("name")
 
 
-def _each_once(show, items) -> list[str]:
-    """show(x) for each of items, worked out once per distinct object: the
-    sentences one stored analysis serves share its formula, so a discourse
-    has a few distinct conjuncts however long it is."""
-    ids = list(map(id, items))
-    texts = {i: show(x) for i, x in dict(zip(ids, items)).items()}
-    return list(map(texts.__getitem__, ids))
+def _truth(n: TruthConst) -> str:
+    return "true" if n.value else "false"
 
 
-def _sexpr(n: Formula | LTerm) -> str:
-    if type(n) is And:
-        first, rights = _and_spine(n)
-        return "".join(["(and " * len(rights), _sexpr(first)] + _each_once(
-            lambda r: f" {_sexpr(r)})", rights))
-    prefix = []  # a quantifier prefix: loop, do not recurse
-    while type(n) is Exists or type(n) is Forall:
-        prefix.append(f"({_SEXPR_HEAD[type(n)](n)} ")
-        n = n.body
-    if prefix:
-        return "".join(prefix) + _sexpr(n) + ")" * len(prefix)
-    head = _SEXPR_HEAD[type(n)](n)
-    kids = _TREE.children[type(n)](n)
+def _spine_sexpr(cls: type, head: str):
+    """`(head (head a b) c)` down the left spine of cls nodes, each
+    distinct right operand printed once."""
+    def layout(n):
+        out = []
+        while type(n) is cls:
+            out.append((" ", n.right, ")"))
+            n = n.left
+        out += (n, f"({head} " * len(out))
+        return out
+    return layout
+
+
+_STYLES = {"ascii": _infix(False), "unicode": _infix(True), "sexpr": {
+    TruthConst: _truth, LVar: _name, LConst: _name,
+    Pred: lambda n: enclose(f"({n.name} ", n.args, " ") if n.args
+    else n.name,
     # `(f )` keeps its parentheses, or it would read back as a constant
-    if not kids and type(n) is not LApp:
-        return head
-    return f"({head} {' '.join(map(_sexpr, kids))})"
+    LApp: lambda n: enclose(f"({n.fn} ", n.args, " "),
+    Eps: lambda n: (")", n.body,
+                    f"({_CONST_OF_MODE[n.mode]} {n.sort} {n.hole} "),
+    Exists: lambda n: (")", n.body, f"(exists ({n.var} {n.sort}) "),
+    Forall: lambda n: (")", n.body, f"(forall ({n.var} {n.sort}) "),
+    Not: lambda n: (")", n.operand, "(not "),
+    Eq: lambda n: (")", n.right, " ", n.left, "(= "),
+    And: _spine_sexpr(And, "and"), Or: _spine_sexpr(Or, "or"),
+    Implies: _spine_sexpr(Implies, "implies")}}
 
 
 def _json_pair(tag):

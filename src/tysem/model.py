@@ -84,6 +84,9 @@ def load_model(text: str) -> Model:
     interps: dict[str, Interp] = {}
     for decl in form.items[1:]:
         decl = expect_list(decl, "(carrier ...) or (interp ...)")
+        if len(decl) == 0:
+            raise ParseError("empty clause: expected (carrier ...) or "
+                             "(interp ...)", decl.line, decl.col)
         head = expect_atom(decl[0], "carrier or interp").text
         if head == "carrier":
             if len(decl) != 3:

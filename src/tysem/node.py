@@ -1,40 +1,41 @@
-"""Immutable tree nodes that are cheap to build and cheap to define, and
-one traversal over trees of them.
+"""Immutable tree nodes that are cheap to build and cheap to define, one
+traversal over trees of them, and one printer.
 
-`node` makes a class a slotted dataclass that behaves as a frozen one.
-`dataclass(slots=True, init=False, repr=False, eq=False)` gives it
-`fields`, `is_dataclass` and its `match` order, and generates no code: it
-would compile each method it makes on its own, and every fresh tysem
-process pays for that at import.
-
+`node` builds a class again as a slotted node class, without `dataclasses`
+and the `inspect` it imports: its fields are its annotations, in order.
 Each node class gets its own `__init__`, `__eq__` and, unless it keeps its
 hash, `__hash__`: code compiled once per number of fields, copied with the
 class's field names put in (`CodeType.replace`).  `__init__` sets each
 field through its slot descriptor; a frozen dataclass's own calls
 `object.__setattr__` per field, and builds a two-field node in about 1.6
 times the time (CPython 3.11).  `__eq__` and `__hash__` read the fields as
-the dataclass's do.  They are hot, and a version shared by every class,
+a dataclass's do.  They are hot, and a version shared by every class,
 reading the fields with an `attrgetter`, made `App == App` 2.1 times
 slower and `hash` of a `Pred` about 1.6 times.
 
 The rest is written once here and shared by every node class: `__repr__`,
-`__setattr__`/`__delattr__` that raise `FrozenInstanceError`, and the
-pickling state, the fields in order.  A method the class defines itself
+a frozen dataclass's, `__setattr__`/`__delattr__` that raise
+`FrozenInstanceError`, and `__reduce__`, which copies and pickles a node
+as its class called on its fields.  A method the class defines itself
 stays.  A `KeepsHash` node works its hash out on first use and keeps it,
 unpickled: string hashes differ between processes.
 
 `Tree` walks one kind of tree, kernel terms and types or formulas, from
-a table of the fields holding each class's children.  Every walk runs on
-an explicit stack, so no shape of tree costs a Python frame per level, and
-no binder copies the names in scope.
+a table of the fields holding each class's children, and `emit` prints
+one from a table of layouts, one per class.  Each runs on an explicit
+stack, so no shape of tree costs a Python frame per level, and no binder
+copies the names in scope.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import cache
 from operator import attrgetter, is_
 from types import CodeType, FunctionType
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of a node was assigned or deleted."""
 
 
 class KeepsHash:
@@ -45,28 +46,32 @@ _set_kept_hash = KeepsHash._hash.__set__
 
 
 def node(cls):
-    """A frozen, slotted dataclass whose methods are built as above."""
-    names = tuple(cls.__annotations__)
-    # a docstring spares dataclass an `inspect.signature` of the class
-    cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(names)})"
-    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
+    """cls built again as a slotted node class, its fields its annotations;
+    those given a value in its body, which come last, take it as their
+    default.  Its methods are built as above."""
+    body = vars(cls)
+    names = tuple(body.get("__annotations__", ()))
     rename = {f"f{i}": n for i, n in enumerate(names)}
-    setters = {f"_s{i}": getattr(cls, n).__set__ for i, n in enumerate(names)}
-    defaults = tuple(f.default for f in fields(cls)
-                     if f.default is not MISSING) or None
-    methods = dict(_SHARED)
+    setters = {}  # _s0 .. _s{k-1}, once the class has its slots
+    methods = dict(_SHARED, __slots__=names, __match_args__=names,
+                   __qualname__=cls.__qualname__)
     for name, code in _compiled(len(names)).items():
         code = code.replace(
             co_varnames=tuple(rename.get(n, n) for n in code.co_varnames),
             co_names=tuple(rename.get(n, n) for n in code.co_names))
         methods[name] = FunctionType(code, setters, name)
         methods[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    methods["__init__"].__defaults__ = defaults
+    methods["__init__"].__defaults__ = tuple(
+        body[n] for n in names if n in body) or None
     if issubclass(cls, KeepsHash):
         methods["__hash__"] = _kept_hash(attrgetter(*names))
-    for name, method in methods.items():
-        if name not in vars(cls):
-            setattr(cls, name, method)
+    methods.update((k, v) for k, v in body.items() if k not in names
+                   and k not in ("__dict__", "__weakref__"))
+    cls = type(cls)(cls.__name__, cls.__bases__, methods)
+    setters.update((f"_s{i}", getattr(cls, n).__set__)
+                   for i, n in enumerate(names))
+    if cls.__repr__ is _repr:
+        _REPRS[cls] = _fields_text
     return cls
 
 
@@ -90,9 +95,7 @@ def _compiled(k: int) -> dict[str, CodeType]:
 
 
 def _repr(self):
-    return (f"{type(self).__qualname__}("
-            + ", ".join(f"{n}={getattr(self, n)!r}"
-                        for n in self.__match_args__) + ")")
+    return emit(self, _REPRS)
 
 
 def _setattr(self, name, value):
@@ -103,12 +106,8 @@ def _delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _getstate(self):
-    return [getattr(self, n) for n in self.__match_args__]
-
-
-def _setstate(self, state):
-    self.__init__(*state)
+def _reduce(self):
+    return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
 
 def _kept_hash(values):
@@ -123,7 +122,7 @@ def _kept_hash(values):
 
 
 _SHARED = {"__repr__": _repr, "__setattr__": _setattr, "__delattr__": _delattr,
-           "__getstate__": _getstate, "__setstate__": _setstate}
+           "__reduce__": _reduce}
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +403,83 @@ class Tree:
             return new, scope
 
         return self.transform(root, visit, None, {*stacks, *binders})
+
+
+# ---------------------------------------------------------------------------
+# one printer
+
+
+def emit(root, layouts) -> str:
+    """The text of root, written from one stack of text and nodes.  A
+    string popped is written out; a node n is replaced by its layout,
+    `layouts[type(n)](n)`: its text, or its text and children, last first.
+    A layout puts the parentheses a child needs around it, so a node's text
+    never depends on where it stands.
+
+    A triple (before, child, after) that a layout pushes prints the child
+    between two texts, worked out once per call for each distinct object:
+    the first time, the span of its text is marked on the stack, and then
+    that text is written again.  A discourse conjoins each stored
+    analysis's formula many times, so it prints a few distinct conjuncts
+    however long it is."""
+    out, stack, texts = [], [root], {}  # id(child) -> its text, or its span
+    pop, write = stack.pop, out.append
+    while stack:
+        n = pop()
+        t = type(n)
+        if t is str:
+            write(n)
+        elif t is tuple:  # (before, child, after)
+            before, kid, after = n
+            write(before)
+            text = texts.get(id(kid))
+            if text is None:
+                texts[id(kid)] = span = [len(out), None]
+                stack += (after, span, kid)
+                continue
+            if type(text) is list:
+                text = texts[id(kid)] = "".join(out[text[0]:text[1]])
+            write(text)
+            write(after)
+        elif t is list:  # the end of a span
+            n[1] = len(out)
+        else:
+            text = layouts[t](n)
+            if type(text) is str:
+                write(text)
+            else:
+                stack += text
+    return "".join(out)
+
+
+def enclose(opening: str, items, sep: str):
+    """What `opening`, items separated by sep, and `)` print as, last
+    first."""
+    if len(items) < 2:
+        return (")", *items, opening)
+    out = [")"] + [sep] * (2 * len(items) - 1) + [opening]
+    out[1::2] = items[::-1]
+    return out
+
+
+_REPRS = {}  # the layouts of the shared `__repr__`, a frozen dataclass's
+
+
+def _repr_item(v):
+    return v if type(v) in _REPRS else repr(v)
+
+
+def _fields_text(n):
+    """`Cls(name=value, ...)`, last first."""
+    out = [")"]
+    for name in reversed(n.__match_args__):
+        v = getattr(n, name)
+        if type(v) is not tuple:
+            out.append(_repr_item(v))
+        elif len(v) == 1:
+            out += (",)", _repr_item(v[0]), "(")
+        else:
+            out += enclose("(", [_repr_item(x) for x in v], ", ")
+        out.append(f", {name}=")
+    out[-1] = f"{type(n).__qualname__}({out[-1][2:]}"
+    return out

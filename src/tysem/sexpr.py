@@ -9,7 +9,7 @@ passes can report positions.
 from __future__ import annotations
 
 from .errors import ParseError
-from .node import node
+from .node import emit, enclose, node
 
 
 @node
@@ -39,10 +39,11 @@ class SList:
         return iter(self.items)
 
     def __repr__(self):
-        return "(" + " ".join(repr(i) for i in self.items) + ")"
+        return emit(self, _TEXT)
 
 
 SExpr = Atom | SList
+_TEXT = {Atom: repr, SList: lambda e: enclose("(", e.items, " ")}
 
 _DELIMS = set(" \t\r\n();\"")
 

@@ -1,17 +1,22 @@
 """The kernel's walkers as they were before they ran on one traversal
-(`tysem.node.Tree`), kept as the oracle of theirs, and a step-wise
-normalizer built on them.
+(`tysem.node.Tree`), kept as the oracle of theirs, a step-wise normalizer
+built on them, and the term, type and tree printers that `tysem.node.emit`
+replaced.
 
 Each recurses once per node, copies the names in scope at a binder, and a
 substitution renames a capturing binder by substituting again in its body.
 `normalize` here fires the same redexes in the same order as
 `kernel.normalize`, so the two must agree with `==`, bound names included.
 The oracle imports only the node classes and the step budget from the
-kernel; `free_vars`, `free_tyvars` and `_fresh_name` are its own.
+kernel; `free_vars`, `free_tyvars` and `_fresh_name` are its own.  Only
+`old_print_term`, kept as it was, reads the children off the kernel's
+traversal table.
 """
 
 import itertools
 
+from tysem import kernel
+from tysem.composer import Leaf
 from tysem.errors import (StepBudgetExceeded, TyLamEscape, TypeClash,
                           UnboundName, UnknownSort)
 from tysem.kernel import (App, Arrow, BaseSort, Const, DEFAULT_STEP_BUDGET,
@@ -348,3 +353,59 @@ def normalize(term, strategy="lo"):
     for term in reduction_steps(term, strategy):
         pass
     return term
+
+
+# ---------------------------------------------------------------------------
+# the printers as they were: print_term on a stack of its own, str of a
+# type and print_tree by recursion
+
+
+def old_print_term(n):
+    """Render a type or a term back into the s-expression grammar that
+    parse_type and parse_term read.  Application spines are flattened:
+    ((f a) b) prints as (f a b).  One pass, in pre-order, over a stack of
+    nodes and the text between and after their children."""
+    out, stack = [], [n]
+    while stack:
+        m = stack.pop()
+        t = type(m)
+        if t is str:
+            out.append(m)
+        elif t not in _HEADS:  # a name, printed without its type
+            out.append(m.name)
+        else:
+            out.append(_HEADS[t])
+            if t is App:
+                head, kids = spine(m)
+                kids.insert(0, head)
+            else:
+                kids = kernel._WITH_TYPES.children[t](m)
+                if t in kernel._NAMES:
+                    out += (getattr(m, kernel._NAMES[t]), " ")
+            stack.append(")")
+            for k in kids[:0:-1]:
+                stack += (k, " ")
+            stack.append(kids[0])
+    return "".join(out)
+
+
+_HEADS = {App: "(", Lam: "(lam ", TyApp: "(tyapp ", TyLam: "(tylam ",
+          Arrow: "(-> ", Pi: "(pi "}
+
+
+def old_type_str(ty):
+    """str(ty) as `Type.__str__`, `Arrow.__str__` and `Pi.__str__` printed
+    it."""
+    if type(ty) is Arrow:
+        d = f"({old_type_str(ty.dom)})" if isinstance(ty.dom, (Arrow, Pi)) \
+            else old_type_str(ty.dom)
+        return f"{d} -> {old_type_str(ty.cod)}"
+    if type(ty) is Pi:
+        return f"pi {ty.var}. {old_type_str(ty.body)}"
+    return ty.name
+
+
+def old_print_tree(tree):
+    if isinstance(tree, Leaf):
+        return tree.word
+    return f"({old_print_tree(tree.fun)} {old_print_tree(tree.arg)})"

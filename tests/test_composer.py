@@ -31,6 +31,24 @@ def test_print_tree_round_trip():
     assert print_tree(parse_tree(text)) == text
 
 
+def test_print_tree_and_repr_take_deep_trees():
+    """10,000-deep trees, nested on either side, at the default recursion
+    limit."""
+    deep, left, right = 10_000, Leaf("a"), Leaf("a")
+    for i in range(deep):
+        left, right = Node(left, Leaf(f"w{i}")), Node(Leaf(f"w{i}"), right)
+    assert print_tree(left) == "(" * deep + "a" + "".join(
+        f" w{i})" for i in range(deep))
+    assert print_tree(right) == "".join(
+        f"(w{i} " for i in reversed(range(deep))) + "a" + ")" * deep
+    leaf = "Leaf(word='{}')".format
+    assert repr(left) == "Node(fun=" * deep + leaf("a") + "".join(
+        f", arg={leaf(f'w{i}')})" for i in range(deep))
+    assert repr(right) == "".join(
+        f"Node(fun={leaf(f'w{i}')}, arg=" for i in reversed(range(deep))) + \
+        leaf("a") + ")" * deep
+
+
 # ---------------------------------------------------------------------------
 # type instantiation: an argument's type matched against a domain under the
 # function's leading Pi variables

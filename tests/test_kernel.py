@@ -769,6 +769,37 @@ def test_kernel_walkers_take_deep_nests():
     assert text.startswith("((lam x1 ani (lam x2 ani ")
     assert text.endswith(" rex fido)") and text.count(" fido") == 800
 
+    # str and repr of deep types, left and right arrow nests and a pi nest,
+    # and repr of deep terms
+    a, b = TypeVar("a"), TypeVar("b")
+    right, left = arrow(*[a] * DEEP, b), b
+    for _ in range(DEEP):
+        left = Arrow(left, a)
+    assert str(right) == " -> ".join(["a"] * DEEP + ["b"])
+    assert str(left) == "(" * (DEEP - 1) + "b" + " -> a)" * (DEEP - 1) + \
+        " -> a"
+    assert str(pis) == "".join(f"pi a{i}. " for i in range(DEEP)) + "a0 -> b"
+    tyvar = {v: f"TypeVar(name='{v}')" for v in ("a", "b", "a0")}
+    assert repr(right) == f"Arrow(dom={tyvar['a']}, cod=" * DEEP + \
+        tyvar["b"] + ")" * DEEP
+    assert repr(left) == "Arrow(dom=" * DEEP + tyvar["b"] + \
+        f", cod={tyvar['a']})" * DEEP
+    assert repr(pis) == "".join(
+        f"Pi(var='a{i}', body=" for i in range(DEEP)) + \
+        f"Arrow(dom={tyvar['a0']}, cod={tyvar['b']})" + ")" * DEEP
+    ani = "BaseSort(name='ani')"
+    text = repr(lams)
+    assert text.startswith(f"Lam(var='x0', var_type={ani}, body=Lam("
+                           f"var='x1', var_type={ani}, body=")
+    assert text.endswith(f"arg=Var(name='y', type={ani}))" + ")" * DEEP)
+    assert text.count("Lam(") == DEEP
+    text = repr(tylams)
+    assert text.startswith("TyLam(tyvar='a0', body=TyLam(tyvar='a1', ")
+    assert text.count("TyLam(") == DEEP and text.endswith(")" * (DEEP + 3))
+    text = repr(chain)
+    assert text.startswith("App(fun=" * 1_600 + "Lam(var='x1', ")
+    assert text.count("Const(name='fido'") == 800
+
     # canonical names: a binder at depth d binds !v<d> or !a<d>
     for n, down in ((lams, 0), (pis, 0), (tylams, 0), (chain, 1_600)):
         binders = _binders(_down(n, down))

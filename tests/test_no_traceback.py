@@ -181,3 +181,19 @@ def test_mutated_lexicon_and_model_files(name, data):
         run("analyze", "--lexicon", lex_path, "--tree", tree, "--rewrite")
         run("eval", "--model", model_path, "--formula", "(chat (eps ani x "
             "(chat x)))", "--equiv", "(exists (x ani) (chat x))")
+
+
+EMPTY_CLAUSE_LEXICON = ('(sort ani) (const chat (-> ani t))\n'
+                        '(entry "chat" (principal chat) ())\n')
+
+
+@pytest.mark.parametrize("command, text, where", [
+    (["eval", "--formula", "true", "--model"], "(model ())", "1:8"),
+    (["check-lexicon"], EMPTY_CLAUSE_LEXICON, "2:32"),
+    (["analyze", "--tree", "chat", "--lexicon"], EMPTY_CLAUSE_LEXICON,
+     "2:32")], ids=["model", "check-lexicon", "analyze"])
+def test_an_empty_clause_is_a_parse_error(tmp_path, command, text, where):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, err = run(*command, path)
+    assert code == 1 and err.startswith(f"error: {where}: empty clause")

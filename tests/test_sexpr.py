@@ -85,3 +85,13 @@ def test_and_spine_is_left_out_of_the_nesting_limit():
         with pytest.raises(ParseError) as err:
             read_all(deeper, and_spine=True)
         assert f"nested {MAX_DEPTH + 1} deep" in str(err.value)
+
+
+def test_repr_takes_deep_lists():
+    """The reader stops at MAX_DEPTH; a list built 10,000 deep prints at
+    the default recursion limit."""
+    deep, e = 10_000, Atom("a", 1, 1)
+    for i in range(deep):
+        e = SList((Atom(f"x{i}", 1, 1), e, Atom("s", 1, 1, True)), 1, 1)
+    assert repr(e) == "".join(f"(x{i} " for i in reversed(range(deep))) + \
+        "a" + ' "s")' * deep

@@ -4,9 +4,9 @@
 They agree with the recursive walkers they replaced (`logic_oracle`) on
 random formulas: the same results, the same subformulas kept as the very
 objects, the same visits and combines in the same order.  And every walker
-built on them takes 10,000-deep nests of each shape at the default
-recursion limit; their results are checked with loops, since `==`, `hash`
-and `repr` of such nests recurse.
+built on them, and every formula printer and `repr`, takes 10,000-deep
+nests of each shape at the default recursion limit; their results are
+checked with loops, since `==` and `hash` of such nests recurse.
 """
 
 import random
@@ -26,7 +26,7 @@ from tysem.logic import (DEF, INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
                          TruthConst, _JSON, _abstract, _bound, _formula_names,
                          _substitute, _with_conjuncts, canon_formula, conjoin,
                          flatten_and, fold, formula_to_json,
-                         free_formula_vars, nodes, transform)
+                         free_formula_vars, nodes, print_formula, transform)
 
 # ---------------------------------------------------------------------------
 # against the recursive oracle
@@ -294,6 +294,72 @@ def json_tags(doc):
                 stack.extend(reversed(value))
 
 
+LEAF_TEXT = {"ascii": "P{}(y)", "unicode": "P{}(y)", "sexpr": "(P{} y)",
+             "repr": "Pred(name='P{}', args=(LVar(name='y', sort='s'),))"}
+SYMBOLS = {"and": ("&", "∧"), "or": ("|", "∨"), "implies": ("->", "→")}
+
+
+def expected_text(shape: str, style: str) -> str:
+    """The text of SHAPES[shape] printed in style, or its repr, built level
+    by level."""
+    leaf = [LEAF_TEXT[style].format(i % 3) for i in range(DEEP + 1)]
+    inner = list(reversed(range(DEEP)))  # the levels, outermost first
+    kind, _, side = shape.partition("-")
+    closes = style in ("sexpr", "repr")  # a prefix has its ")" at the end
+    if side and style == "repr":
+        cls = kind.capitalize()
+        if side == "left":
+            return f"{cls}(left=" * DEEP + leaf[DEEP] + "".join(
+                f", right={leaf[i]})" for i in range(DEEP))
+        return "".join(f"{cls}(left={leaf[i]}, right=" for i in inner) + \
+            leaf[DEEP] + ")" * DEEP
+    if side and style == "sexpr":
+        if side == "left":
+            return f"({kind} " * DEEP + leaf[DEEP] + "".join(
+                f" {leaf[i]})" for i in range(DEEP))
+        return "".join(f"({kind} {leaf[i]} " for i in inner) + \
+            leaf[DEEP] + ")" * DEEP
+    if side:
+        sym = f" {SYMBOLS[kind][style == 'unicode']} "
+        if (side == "left") != (kind == "implies"):  # no parentheses
+            return sym.join([leaf[DEEP], *leaf[:DEEP]] if side == "left"
+                            else [*(leaf[i] for i in inner), leaf[DEEP]])
+        if side == "left":
+            return "(" * (DEEP - 1) + leaf[DEEP] + sym + leaf[0] + "".join(
+                f"){sym}{leaf[i]}" for i in range(1, DEEP))
+        return "".join(f"{leaf[i]}{sym}(" for i in inner[:-1]) + \
+            leaf[0] + sym + leaf[DEEP] + ")" * (DEEP - 1)
+    if shape == "not":
+        head = {"ascii": "not ", "unicode": "¬", "sexpr": "(not ",
+                "repr": "Not(operand="}[style]
+        return head * DEEP + leaf[0] + ")" * DEEP * closes
+    if shape == "quantifiers":
+        kinds = [("Exists", "exists", "∃") if i % 2 else
+                 ("Forall", "forall", "∀") for i in range(DEEP)]
+        heads = {
+            "ascii": "{1} x{i}:s. ", "unicode": "{2}x{i}:s. ",
+            "sexpr": "({1} (x{i} s) ",
+            "repr": "{0}(var='x{i}', sort='s', body="}[style]
+        body = {"ascii": "R(x0,y)", "unicode": "R(x0,y)",
+                "sexpr": "(R x0 y)",
+                "repr": "Pred(name='R', args=(LVar(name='x0', sort='s'), "
+                        "LVar(name='y', sort='s')))"}[style]
+        return "".join(heads.format(*kinds[i], i=i) for i in inner) + body \
+            + ")" * DEEP * closes
+    modes = ((INDEF, "eps", "eps", "ε"), (DEF, "ieps", "the", "ιε"),
+             (UNIVERSAL, "tau", "tau", "τ"))  # repr, sexpr, ascii, unicode
+    level, close, top = {
+        "ascii": ("{2}[s](x{i}. Q(x{i},", "))", ("P(", "y", ")")),
+        "unicode": ("{3}[s](x{i}. Q(x{i},", "))", ("P(", "y", ")")),
+        "sexpr": ("({1} s x{i} (Q x{i} ", "))", ("(P ", "y", ")")),
+        "repr": ("Eps(mode={0!r}, sort='s', hole='x{i}', body=Pred("
+                 "name='Q', args=(LVar(name='x{i}', sort='s'), ", ")))",
+                 ("Pred(name='P', args=(", "LVar(name='y', sort='s')",
+                  ",))"))}[style]
+    return top[0] + "".join(level.format(*modes[i % 3], i=i)
+                            for i in inner) + top[1] + close * DEEP + top[2]
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_walkers_take_deep_nests(shape):
     f = SHAPES[shape]()
@@ -329,6 +395,11 @@ def test_walkers_take_deep_nests(shape):
     preds = sorted({(n.name, tuple(a.sort for a in n.args))
                     for n in preorder if type(n) is Pred})
     assert _signature_of(f) == (["s"] if binders else [], preds)
+
+    for style in ("ascii", "unicode", "sexpr", "repr"):
+        text = repr(f) if style == "repr" else print_formula(f, style)
+        want = expected_text(shape, style)
+        assert len(text) == len(want) and text == want, style
 
 
 def test_canon_formula_is_linear_in_binder_nesting():
