@@ -21,31 +21,51 @@ import sys
 from functools import cached_property
 from operator import attrgetter
 
-from .composer import (CoercionReport, ComposeResult, Logs, SynTree,
-                       compose, parse_tree, print_tree, replay)
-from .discourse import DiscourseState
-from .errors import (FreeSymbol, InputError, ModelError, SemanticError,
-                     TysemError)
-from .kernel import Term, normalize, print_term, reduction_steps
-from .lexicon import Lexicon, load_lexicon
-from .logic import (And, Eps, Eq, Exists, Forall, Formula, Implies, LApp,
-                    LConst, Not, Or, Pred, canon_formula, conjoin,
-                    extract_formula, fold, formula_to_json, nodes,
-                    parse_formula, presuppositions, print_formula,
-                    rewrite_hilbert)
+from .errors import InputError, SemanticError, TysemError
 
-_MODEL_NAMES = ("check_equivalence", "eval_formula", "load_model",
-                "print_model")
+# module -> the names this module uses from it.  None is imported with this
+# module: each command, and each function it calls that a caller may run on
+# its own, binds the names of the modules it needs on first use (`_bind`);
+# any other access (`tysem.cli.compose`) goes through `__getattr__`.
+_NAMES = {
+    "composer": ("Logs", "compose", "parse_tree", "print_tree", "replay"),
+    "discourse": ("DiscourseState",),
+    "kernel": ("normalize", "print_term", "reduction_steps"),
+    "lexicon": ("load_lexicon",),
+    "logic": ("canon_formula", "conjoin", "extract_formula", "formula_to_json",
+              "parse_formula", "presuppositions", "print_formula",
+              "rewrite_hilbert"),
+    "model": ("_SIGNATURE_INTO", "_signature_of", "check_equivalence",
+              "eval_formula", "load_model", "print_model"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items()
+              for name in names}
+_ANALYZE = ("composer", "discourse", "kernel", "lexicon", "logic")
+_EVAL = ("logic", "model")
+_bound: set[tuple[str, ...]] = set()
+
+
+def _bind(modules: tuple[str, ...]):
+    """Import the modules and set the names this module uses from them in
+    its globals, keeping a name already set there (a patch, a wrapper).
+    Once a tuple is bound, binding it again is one set lookup."""
+    if modules in _bound:
+        return
+    names = globals()
+    for module in modules:
+        # `from .<module> import ...`, which `python -X importtime` reports
+        m = __import__(module, names, None, _NAMES[module], 1)
+        for name in _NAMES[module]:
+            names.setdefault(name, getattr(m, name))
+    _bound.add(modules)
 
 
 def __getattr__(name):
-    """The names of `tysem.model` that `eval` uses, imported on first use;
-    one set on this module before then (a patch, a wrapper) is kept."""
-    if name not in _MODEL_NAMES:
+    """A name of `_NAMES` read before a command bound it."""
+    module = _MODULE_OF.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import model
-    for n in _MODEL_NAMES:
-        globals().setdefault(n, getattr(model, n))
+    _bind((module,))
     return globals()[name]
 
 
@@ -74,6 +94,7 @@ class AnalysisResult:
 
     @cached_property  # with `--presuppositions off`, only `json` reads them
     def presupposition_list(self) -> list[Formula]:
+        _bind(_ANALYZE)
         return presuppositions(self.formula)
 
 
@@ -105,8 +126,11 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
     replay never raises and a sentence that fails stores nothing, so every
     error comes from composition."""
     logs = None if store is None else store.get(tree)
+    # a log is stored by a call that bound, so only composition binds: a
+    # replay, most sentences of a session, pays nothing for it
     if logs is not None and (hit := replay(logs, state, lex)) is not None:
         return hit
+    _bind(_ANALYZE)
     result: ComposeResult = compose(tree, lex, state)
     if options.trace:
         steps = list(reduction_steps(result.term))
@@ -132,6 +156,7 @@ def discourse_formula(results: list[AnalysisResult],
     assertions in sentence order.  Alpha-duplicates are found by their
     `canon_formula` key, worked out once per analysis: sentences served by
     one stored analysis share it (see analyze_tree)."""
+    _bind(_ANALYZE)
     parts: dict[Formula, Formula] = {}  # canon_formula key -> first part
     if options.presuppositions != "off":
         for r in {id(r): r for r in results}.values():
@@ -145,13 +170,15 @@ def discourse_formula(results: list[AnalysisResult],
 # reports
 
 
-# Each report is printed once per analysis and kept in `r.printed`.
+# Each report is printed once per analysis and kept in `r.printed`.  A
+# report is built only on first use, so only that path binds the printers.
 
 
 def _text_report(r: AnalysisResult, options: AnalysisOptions,
                  out: list[str]):
     lines = r.printed.get("text")
     if lines is None:
+        _bind(_ANALYZE)
         lines = [f"tree: {print_tree(r.tree)}", f"term: {print_term(r.term)}"]
         if options.trace:
             for i, step in enumerate(r.steps, 1):
@@ -173,6 +200,7 @@ def _sexpr_report(r: AnalysisResult, options: AnalysisOptions,
                   out: list[str]):
     lines = r.printed.get("sexpr")
     if lines is None:
+        _bind(_ANALYZE)
         lines = [f"(tree {print_tree(r.tree)})",
                  f"(term {print_term(r.term)})",
                  f"(normal {print_term(r.normal)})"]
@@ -187,6 +215,7 @@ def _sexpr_report(r: AnalysisResult, options: AnalysisOptions,
 def _json_report(r: AnalysisResult, options: AnalysisOptions) -> dict:
     doc = r.printed.get("json")
     if doc is None:
+        _bind(_ANALYZE)
         doc = r.printed["json"] = {
             "tree": print_tree(r.tree),
             "term": print_term(r.term),
@@ -208,6 +237,11 @@ def _json_report(r: AnalysisResult, options: AnalysisOptions) -> dict:
 
 
 def run_analyze(args) -> int:
+    if args.lexicon == "-" and args.session == "-":
+        print("error: --lexicon and --session cannot both read standard "
+              "input", file=sys.stderr)
+        return 1
+    _bind(_ANALYZE)
     options = AnalysisOptions(presuppositions=args.presuppositions,
                               rewrite=args.rewrite, trace=args.trace,
                               style=args.style)
@@ -260,7 +294,7 @@ def run_analyze(args) -> int:
 
 
 def run_eval(args) -> int:
-    __getattr__("load_model")  # binds the model checker's names here
+    _bind(_EVAL)
     try:
         m = load_model(_read(args.model))
         f1 = parse_formula(args.formula)
@@ -284,6 +318,7 @@ def run_eval(args) -> int:
 
 
 def run_check_lexicon(args) -> int:
+    _bind(("lexicon",))
     try:
         lex = load_lexicon(_read(args.lexicon))
     except (OSError, TysemError) as exc:
@@ -303,41 +338,6 @@ def _read(path: str) -> str:
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                          f"{exc.start})") from None
-
-
-# every class but LApp: a function symbol is rejected before its arguments
-_SIGNATURE_INTO = frozenset({Pred, Eq, And, Or, Implies, Not, Exists, Forall,
-                             Eps})
-
-
-def _signature_of(*formulas: Formula):
-    """Sorts and predicate signatures mentioned by the formulas, for the
-    model enumeration of an equivalence check.  Rejects a free constant or
-    function symbol, and a predicate used with two signatures, whichever a
-    left-to-right walk meets first: a symbol on sight, a predicate after its
-    arguments.  `hat_<sort>` is left out when its sort is enumerated or is
-    `e`: it then denotes carrier membership on every model."""
-    sorts = list(dict.fromkeys(n.sort for f in formulas for n in nodes(f)
-                               if type(n) in (Exists, Forall, Eps)))
-    predicates: dict[str, tuple[str, ...]] = {}
-
-    def check(n, _):
-        match n:
-            case LConst(name, _) | LApp(name, _):
-                raise FreeSymbol(name)
-            case Pred(name, args):
-                sig = tuple(a.sort for a in args)  # variables, choice terms
-                if predicates.setdefault(name, sig) != sig:
-                    raise ModelError(
-                        f"predicate '{name}' is used with argument sorts "
-                        f"({', '.join(predicates[name])}) and "
-                        f"({', '.join(sig)})")
-
-    for f in formulas:
-        fold(f, check, into=_SIGNATURE_INTO)
-    return sorts, sorted(
-        (name, sig) for name, sig in predicates.items()
-        if not (name.startswith("hat_") and name[4:] in (*sorts, "e")))
 
 
 # ---------------------------------------------------------------------------

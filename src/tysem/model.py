@@ -16,7 +16,8 @@ up to 2^16 models at once: each subformula gives an int with one bit per
 model, connectives become bitwise operations, quantifiers combine their
 body over the carrier, and a choice term gives the set of models on which
 it denotes each element.  `enumerate_models` and `eval_formula` stay as the
-reference it is tested against.
+reference it is tested against.  `_signature_of` reads the sorts and
+predicates that `eval --equiv` enumerates models over off its formulas.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (EmptyCarrier, EvalError, FreeSymbol, ModelError,
                      ParseError, UninterpretedConstant)
 from .logic import (And, Eps, Eq, Exists, Forall, Formula, Implies, LApp,
                     LConst, LTerm, LVar, Not, Or, Pred, TruthConst, UNIVERSAL,
-                    flatten_and, free_formula_vars)
+                    flatten_and, fold, free_formula_vars, nodes)
 from .sexpr import expect_atom, expect_list, read_one
 
 Interp = str | frozenset[tuple[str, ...]]
@@ -426,6 +427,41 @@ def check_equivalence(f1: Formula, f2: Formula, sorts: list[str],
             return Verdict(False, m, checked + step.rank(number) + 1)
         checked += 1 << step.bits
     return Verdict(True, None, checked)
+
+
+# every class but LApp: a function symbol is rejected before its arguments
+_SIGNATURE_INTO = frozenset({Pred, Eq, And, Or, Implies, Not, Exists, Forall,
+                             Eps})
+
+
+def _signature_of(*formulas: Formula):
+    """Sorts and predicate signatures mentioned by the formulas, for the
+    model enumeration of an equivalence check.  Rejects a free constant or
+    function symbol, and a predicate used with two signatures, whichever a
+    left-to-right walk meets first: a symbol on sight, a predicate after its
+    arguments.  `hat_<sort>` is left out when its sort is enumerated or is
+    `e`: it then denotes carrier membership on every model."""
+    sorts = list(dict.fromkeys(n.sort for f in formulas for n in nodes(f)
+                               if type(n) in (Exists, Forall, Eps)))
+    predicates: dict[str, tuple[str, ...]] = {}
+
+    def check(n, _):
+        match n:
+            case LConst(name, _) | LApp(name, _):
+                raise FreeSymbol(name)
+            case Pred(name, args):
+                sig = tuple(a.sort for a in args)  # variables, choice terms
+                if predicates.setdefault(name, sig) != sig:
+                    raise ModelError(
+                        f"predicate '{name}' is used with argument sorts "
+                        f"({', '.join(predicates[name])}) and "
+                        f"({', '.join(sig)})")
+
+    for f in formulas:
+        fold(f, check, into=_SIGNATURE_INTO)
+    return sorts, sorted(
+        (name, sig) for name, sig in predicates.items()
+        if not (name.startswith("hat_") and name[4:] in (*sorts, "e")))
 
 
 @cache

@@ -421,8 +421,12 @@ def emit(root, layouts) -> str:
     the first time, the span of its text is marked on the stack, and then
     that text is written again.  A discourse conjoins each stored
     analysis's formula many times, so it prints a few distinct conjuncts
-    however long it is."""
-    out, stack, texts = [], [root], {}  # id(child) -> its text, or its span
+    however long it is.  A root whose layout is its text (a leaf) is
+    returned before the stack is built."""
+    text = layouts[type(root)](root)
+    if type(text) is str:
+        return text
+    out, stack, texts = [], [*text], {}  # id(child) -> its text, or its span
     pop, write = stack.pop, out.append
     while stack:
         n = pop()

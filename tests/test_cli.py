@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -200,6 +201,22 @@ def test_session_mode(capsys):
     code, out, _ = run(capsys, "analyze", "--lexicon",
                        f"{LEXICA}/homme.lex", "--session",
                        "sessions/homme.session", "--rewrite")
+    assert code == 0
+    assert out.splitlines()[-1] == ("discourse: exists x:humain. "
+                                    "(homme(x) & est_entre(x) & a_hurle(x))")
+
+
+def test_lexicon_and_session_cannot_both_read_stdin(capsys, monkeypatch):
+    stdin = io.StringIO(Path(f"{LEXICA}/homme.lex").read_text())
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "analyze", "--lexicon", "-",
+                         "--session", "-")
+    assert (code, out) == (1, "")
+    assert err == ("error: --lexicon and --session cannot both read "
+                   "standard input\n")
+    assert stdin.tell() == 0  # rejected before anything was read
+    code, out, _ = run(capsys, "analyze", "--lexicon", "-",
+                       "--session", "sessions/homme.session", "--rewrite")
     assert code == 0
     assert out.splitlines()[-1] == ("discourse: exists x:humain. "
                                     "(homme(x) & est_entre(x) & a_hurle(x))")
