@@ -1,12 +1,17 @@
 """S-expression reader shared by the term, lexicon, tree, formula and model
 parsers.
 
-Atoms are symbols or double-quoted strings; `;` comments run to end of line.
-Every atom and list keeps the line/column where it started so that later
-passes can report positions.
+Atoms are symbols or double-quoted strings, in which a backslash takes the
+next character as it is; `;` comments run to the end of the line.  One pass
+over the text builds the lists.  Every atom and list keeps the line and
+column where it started, both from 1, so that later passes can report
+positions: each character is one column, a tab and a `\\r` too, and a
+newline ends a line, an escaped one inside a string included.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import ParseError
 from .node import emit, enclose, node
@@ -45,60 +50,15 @@ class SList:
 SExpr = Atom | SList
 _TEXT = {Atom: repr, SList: lambda e: enclose("(", e.items, " ")}
 
-_DELIMS = set(" \t\r\n();\"")
+# the text cut into tokens and the blanks between them: a parenthesis, a
+# symbol, blanks, a newline, a comment, a string, or, alone, the quote of a
+# string that no quote closes before a raw newline or the end of the text
+_BODY = r'(?:[^"\\\n]|\\[\s\S])*'
+_TOKEN = re.compile(rf'[()]|[^ \t\r\n();"]+|[ \t\r]+|\n|;.*|"{_BODY}"|"')
 
 # The parsers and evaluators downstream recurse once or more per level, so
 # inputs nested this deep still run within the default recursion limit.
 MAX_DEPTH = 256
-
-
-def _tokenize(text: str):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield (c, line, col, False)
-            i += 1
-            col += 1
-        elif c == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise ParseError("newline inside string", line, col)
-                if text[i] == "\\" and i + 1 < n:
-                    i, col = i + 1, col + 1
-                    if text[i] == "\n":  # an escaped newline ends a line
-                        line, col = line + 1, 0
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            yield ("".join(buf), start_line, start_col, True)
-        else:
-            start_line, start_col = line, col
-            j = i
-            while j < n and text[j] not in _DELIMS:
-                j += 1
-            yield (text[i:j], start_line, start_col, False)
-            col += j - i
-            i = j
 
 
 def read_all(text: str, and_spine: bool = False) -> list[SExpr]:
@@ -109,33 +69,53 @@ def read_all(text: str, and_spine: bool = False) -> list[SExpr]:
     counted: a discourse formula nests one per sentence, and its reader and
     evaluators loop down that spine."""
     spine = "and" if and_spine else None
-    stack: list[tuple[list, int, int, int]] = []
-    top: list[SExpr] = []
+    top = items = []  # the innermost open list's items
+    stack = []  # per open list: the items it goes into, line, col, depth
     depth = 0  # of the innermost open list, the `(and` spine left out
-    for tok, line, col, is_str in _tokenize(text):
+    line, start, end = 1, 0, 0  # `start`: the index of the line's column 1
+    for tok in _TOKEN.findall(text):
+        col = end - start + 1
+        end += len(tok)
+        c = tok[0]
+        if c in " \t\r\n;":
+            if c == "\n":
+                line, start = line + 1, end
+            continue
+        if tok == '"':  # an unclosed string
+            j = re.compile(_BODY).match(text, end).end()
+            if text.startswith("\n", j):  # escaped ones before it count
+                raise ParseError("newline inside string", line + text.count(
+                    "\n", end, j), j - text.rfind("\n", 0, j))
+            raise ParseError("unterminated string", line, col)
         # a list opened past the cap is kept only as an `(and` spine link
-        if depth > MAX_DEPTH and (tok != spine or is_str):
+        if depth > MAX_DEPTH and tok != spine:
             raise _too_deep(*stack[-1][1:3])
-        if tok == "(" and not is_str:
-            stack.append(([], line, col, depth))
+        if c == "(":
+            stack.append((items, line, col, depth))
+            items = []
             depth += 1
             if depth > MAX_DEPTH and not _left_of(spine, stack):
                 raise _too_deep(line, col)
-        elif tok == ")" and not is_str:
+        elif c == ")":
             if not stack:
                 raise ParseError("unexpected ')'", line, col)
-            items, l0, c0, depth = stack.pop()
-            node = SList(tuple(items), l0, c0)
-            (stack[-1][0] if stack else top).append(node)
+            outer, l0, c0, depth = stack.pop()
+            outer.append(SList(tuple(items), l0, c0))
+            items = outer
+        elif c == '"':
+            body = tok[1:-1]
+            if "\\" in body:
+                body = re.sub(r"\\([\s\S])", r"\1", body)
+            items.append(Atom(body, line, col, True))
+            if "\n" in tok:  # an escaped newline ends a line
+                line += tok.count("\n")
+                start = end - len(tok) + tok.rindex("\n") + 1
         else:
-            items = stack[-1][0] if stack else top
-            if (tok == spine and not items and not is_str
-                    and _left_of(spine, stack)):
+            if tok == spine and not items and _left_of(spine, stack):
                 depth -= 1
-            items.append(Atom(tok, line, col, is_str))
+            items.append(Atom(tok, line, col))
     if stack:
-        _, l0, c0, _ = stack[-1]
-        raise ParseError("unbalanced parenthesis", l0, c0)
+        raise ParseError("unbalanced parenthesis", *stack[-1][1:3])
     return top
 
 
@@ -144,9 +124,9 @@ def _left_of(spine: str | None, stack) -> bool:
     by the symbol `spine`."""
     if len(stack) < 2:
         return False
-    parent = stack[-2][0]
-    return (len(parent) == 1 and type(parent[0]) is Atom
-            and parent[0].text == spine and not parent[0].string)
+    outer = stack[-1][0]
+    return (len(outer) == 1 and type(outer[0]) is Atom
+            and outer[0].text == spine and not outer[0].string)
 
 
 def _too_deep(line: int, col: int) -> ParseError:

@@ -102,6 +102,34 @@ def test_pi_domain_meeting_an_alpha_variant_names_both_words(capsys,
         f"('{fun}' applied to 'g')\n"))
 
 
+@pytest.mark.parametrize("g, pending", [
+    ("(pi a (pi b (-> (-> b t) (pi a (-> a t)))))", "a"),
+    ("(pi a (pi a' (pi b (-> (-> b t) (pi a (-> a t))))))", "a, a'"),
+])
+def test_a_pi_variable_already_pending_is_renamed(capsys, tmp_path, g,
+                                                  pending):
+    # g's inner `pi a` meets the outer `a`, still undetermined: the composer
+    # renames the inner one, priming it until the name is free
+    lex = tmp_path / "clash.lex"
+    lex.write_text(f"(sort T) (const c T) (const P (-> T t)) (const g {g})\n"
+                   '(entry "c" (principal c)) (entry "P" (principal P))\n'
+                   '(entry "g" (principal g))\n')
+    code, out, err = run(capsys, "analyze", "--lexicon", str(lex),
+                         "--tree", "((g P) c)")
+    assert (code, out, err) == (2, "", (
+        f"error: type variables {pending} of 'g' were never determined by "
+        "any argument\n"))
+
+
+def test_a_coercion_used_twice_on_one_occurrence_is_reported_once(capsys):
+    code, out, _ = run(capsys, "analyze", "--lexicon", f"{LEXICA}/fig2.lex",
+                       "--tree", "((et est_vaste est_vaste) Liverpool)")
+    assert code == 0
+    assert [line for line in out.splitlines()
+            if line.startswith("coercions:")] == \
+        ["coercions: Liverpool#4: t3 (flexible)"]
+
+
 def test_analyze_io_error(capsys):
     code, _, err = run(capsys, "analyze", "--lexicon", "no-such-file.lex",
                        "--tree", "(a b)")

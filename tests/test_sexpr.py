@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from sexpr_oracle import old_read_all
 from tysem.errors import ParseError
 from tysem.sexpr import MAX_DEPTH, Atom, SList, read_all, read_one
 
@@ -95,3 +98,62 @@ def test_repr_takes_deep_lists():
         e = SList((Atom(f"x{i}", 1, 1), e, Atom("s", 1, 1, True)), 1, 1)
     assert repr(e) == "".join(f"(x{i} " for i in reversed(range(deep))) + \
         "a" + ' "s")' * deep
+
+
+# ---------------------------------------------------------------------------
+# against the two-layer reader it replaced
+
+
+def same_reading(text: str, and_spine: bool):
+    """read_all and the oracle build equal trees (text, line, column and
+    string flag) or raise a ParseError with the same text."""
+    outcomes = []
+    for read in (read_all, old_read_all):
+        try:
+            outcomes.append(fields(read(text, and_spine)))
+        except ParseError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1], (text, and_spine)
+
+
+def fields(exprs) -> list[tuple]:
+    """Every node's fields in pre-order: `==` on nodes recurses, and the
+    spines below nest past the recursion limit."""
+    out, stack = [], exprs[::-1]
+    while stack:
+        e = stack.pop()
+        if type(e) is SList:
+            out.append((SList, len(e), e.line, e.col))
+            stack.extend(e.items[::-1])
+        else:
+            out.append((type(e), e.text, e.line, e.col, e.string))
+    return out
+
+
+# every character the reader treats apart, and symbols
+PIECES = ("(", ")", " ", "\t", "\r", "\n", ";", '"', "\\", "and", "é", "1")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_read_all_matches_the_oracle_on_random_texts(seed):
+    rng = random.Random(seed)
+    for _ in range(25_000):
+        text = "".join(rng.choices(PIECES, k=rng.randrange(40)))
+        same_reading(text, False)
+        same_reading(text, True)
+
+
+@pytest.mark.parametrize("levels", [254, 256, 257, 512, 768])
+def test_read_all_matches_the_oracle_on_and_spines(levels):
+    """A spine under 0 to 256 other lists, so that its left operands sit
+    below, at and past the cap, ending in a list, a string or a symbol.
+    A top-level `and` heads no list, so the `(and` after it counts."""
+    for lead, outer in (("", 0), ("", 254), ("", 255), ("", 256),
+                        ("and (and ", 254)):
+        for left in ("a", "or", "and", '"s"', '"and"', '("s', "()", "(x)",
+                     "(or a b)", "(and)", "(and a b c)"):
+            for right in (" b)", " (b (c)))"):
+                text = (lead + "(not " * outer + "(and " * levels + left
+                        + right * levels + ")" * outer + " b)" * bool(lead))
+                same_reading(text, False)
+                same_reading(text, True)

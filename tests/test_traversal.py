@@ -176,6 +176,18 @@ def test_substitution_matches_the_recursive_oracle_where_binders_capture(
             assert_same_substitution(f, var, repl)
 
 
+def test_three_place_nodes_match_the_recursive_oracle():
+    """A node with three children is rebuilt when one of them changes.
+    FormulaGen draws predicates of at most two places and one-place
+    functions, so it builds none."""
+    x, y = LVar("x", "s"), LVar("y", "s")
+    f = Exists("y", "s", Pred("R", (x, y, LApp("f", (x, y, x)))))
+    assert_same_substitution(f, "x", y)
+    assert print_formula(_substitute(f, "x", y)) == \
+        "exists y1:s. R(y,y1,f(y,y1,y))"
+    assert_same_walks(f)
+
+
 def free_combine(n, kids):
     if type(n) is LVar:
         return {n.name}
