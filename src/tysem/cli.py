@@ -34,7 +34,7 @@ _NAMES = {
     "lexicon": ("load_lexicon",),
     "logic": ("canon_formula", "conjoin", "extract_formula", "formula_to_json",
               "parse_formula", "presuppositions", "print_formula",
-              "rewrite_hilbert"),
+              "rewrite_conjunction", "rewrite_hilbert"),
     "model": ("_SIGNATURE_INTO", "_signature_of", "check_equivalence",
               "eval_formula", "load_model", "print_model"),
 }
@@ -155,15 +155,17 @@ def discourse_formula(results: list[AnalysisResult],
     """Conjoin a session: deduplicated presuppositions first, then the
     assertions in sentence order.  Alpha-duplicates are found by their
     `canon_formula` key, worked out once per analysis: sentences served by
-    one stored analysis share it (see analyze_tree)."""
+    one stored analysis share it (see analyze_tree).  The parts go to the
+    rewrite as they are held (`rewrite_conjunction`), which builds the
+    left-nested conjunction once."""
     _bind(_ANALYZE)
     parts: dict[Formula, Formula] = {}  # canon_formula key -> first part
     if options.presuppositions != "off":
-        for r in {id(r): r for r in results}.values():
+        for r in dict(zip(map(id, results), results)).values():
             for p in r.presupposition_list:
                 parts.setdefault(canon_formula(p), p)
-    out = conjoin([*parts.values(), *(r.formula for r in results)])
-    return rewrite_hilbert(out) if options.rewrite else out
+    parts = [*parts.values(), *map(attrgetter("formula"), results)]
+    return rewrite_conjunction(parts) if options.rewrite else conjoin(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +274,11 @@ def run_analyze(args) -> int:
                     discourse_formula(results, options), options.style)
             out.append(json.dumps(doc, ensure_ascii=False, indent=2))
         else:
-            for i, r in enumerate(results):
+            report = _sexpr_report if args.format == "sexpr" else _text_report
+            for i, r in enumerate(results, 1):
                 if session:
-                    out.append(f"sentence {i + 1}")
-                if args.format == "sexpr":
-                    _sexpr_report(r, options, out)
-                else:
-                    _text_report(r, options, out)
+                    out.append(f"sentence {i}")
+                report(r, options, out)
             if session:
                 f = discourse_formula(results, options)
                 style = "sexpr" if args.format == "sexpr" else options.style

@@ -462,22 +462,22 @@ class _Composer:
         if mode == "universal":
             return value  # no referent introduced
         sort = applied.fun.ty
+        want = sort.name if isinstance(sort, BaseSort) else str(sort)
         restriction = applied.arg
-        # the restriction's canonical form, worked out once and logged, so
-        # that a replay reuses it
+        # the sort's name and the restriction's canonical form, worked out
+        # once and logged, so that a replay reuses them
         key = canon(restriction)
         if mode == "indefinite":
-            self._register(applied, sort, restriction, det.head_occ, key)
+            self._register(applied, want, restriction, det.head_occ, key)
             return value
-        ref = disc.resolve_definite(self.state, sort, restriction, self.lex,
+        ref = disc.resolve_definite(self.state, want, restriction, self.lex,
                                     key)
-        self.log.append(("definite", (sort, restriction, key),
+        self.log.append(("definite", (want, restriction, key),
                          None if ref is None else (ref.term, ref.sort)))
         if ref is None:
-            self._register(applied, sort, restriction, det.head_occ, key)
+            self._register(applied, want, restriction, det.head_occ, key)
             return value
         term = ref.term
-        want = sort.name if isinstance(sort, BaseSort) else str(sort)
         if ref.sort != want:
             option = disc.coercion_between(self.lex, ref.sort, want)
             self.report.record(det.head_occ, det.head_word, option)

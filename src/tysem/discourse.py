@@ -20,9 +20,10 @@ before; only the index maps, one entry per sort and per distinct
 restriction, are copied.
 
 A session replays most sentences (see `composer.replay`), and a replayed
-indefinite registers again with the restriction's key from the composer's
-log, so a registration runs no `canon`: it builds the new referent, a
-`tysem.node`, and sets the new state's slots directly.
+indefinite registers again with the sort's name and the restriction's key
+from the composer's log, so a registration runs no `canon`: it builds the
+new referent, a `tysem.node`, copies the two index maps and sets the new
+state's slots directly.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class DiscourseState:
         chain, newest, by_key = None, {}, {}
         for ref in referents:
             chain = (ref, chain)
-            _index(newest, by_key, ref)
+            newest.pop(ref.sort, None)  # keeps `newest` in recency order
+            newest[ref.sort] = by_key[ref.sort, ref.key] = ref
         self._chain, self._size, self._referents = (chain, len(referents),
                                                     tuple(referents))
         self._newest, self._by_key = newest, by_key
@@ -93,25 +95,21 @@ class DiscourseState:
         return f"DiscourseState(referents={self.referents!r})"
 
 
-def _index(newest: dict, by_key: dict, ref: Referent):
-    newest.pop(ref.sort, None)  # keeps `newest` in recency order
-    newest[ref.sort] = ref
-    by_key[ref.sort, ref.key] = ref
-
-
 def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
                       predicate: Term, source: str, key: Term | None = None
                       ) -> DiscourseState:
     """Append a referent; the newest one is the most salient.  Registration
     is by token: composing the same sentence twice yields two referents.
     `key`, when given, is `kernel.canon(predicate)`."""
-    ref = Referent(state._size, eps_term, _sort_name(sort), predicate, source,
-                   canon(predicate) if key is None else key)
+    sort = sort if type(sort) is str else _sort_name(sort)
+    key = canon(predicate) if key is None else key
+    ref = Referent(state._size, eps_term, sort, predicate, source, key)
     newest, by_key = state._newest.copy(), state._by_key.copy()
-    _index(newest, by_key, ref)
+    newest.pop(sort, None)
+    newest[sort] = by_key[sort, key] = ref
     out = object.__new__(DiscourseState)
     out._chain, out._size, out._referents = ((ref, state._chain),
-                                             ref.index + 1, None)
+                                             state._size + 1, None)
     out._newest, out._by_key = newest, by_key
     return out
 
@@ -127,7 +125,7 @@ def resolve_definite(state: DiscourseState, sort: Type | str, predicate: Term,
     term plus presupposition.  `key`, when given, is
     `kernel.canon(predicate)`.
     """
-    want = _sort_name(sort)
+    want = sort if type(sort) is str else _sort_name(sort)
     newest = state._newest.get(want)
     if newest is not None:
         if key is None:

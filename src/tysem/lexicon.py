@@ -26,8 +26,8 @@ from functools import cached_property
 from . import kernel
 from .errors import LexiconError, NotFound, ParseError, UnknownSort
 from .kernel import (Arrow, BaseSort, CHOICE_CONSTANTS, Const, Term, Type,
-                     TypingContext, free_vars, parse_type, print_term,
-                     term_of_sexpr, type_of)
+                     TypingContext, parse_type, print_term, term_of_sexpr,
+                     type_of)
 from .sexpr import Atom, SList, expect_atom, expect_list, read_all
 
 RIGID = "rigid"
@@ -191,8 +191,6 @@ def _parse_entry(form: SList, ctx: TypingContext):
         principal_type = type_of(ctx, principal)
     except Exception as exc:
         raise LexiconError(f"ill-typed principal term: {exc}", word) from exc
-    if free_vars(principal):
-        raise LexiconError("principal term is not closed", word)
 
     options: list[Coercion] = []
     mode = "none"

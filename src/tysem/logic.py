@@ -11,7 +11,9 @@ restriction applied to the term itself), rewrites the classical patterns
 `B(choice_x B)` into sorted quantifiers, and prints formulas canonically in
 ascii, unicode or s-expression style.  The rewrite makes one pass over a
 conjunction: it tries each choice term once, in occurrence order, and puts
-the quantifiers of those that fire around it last.
+the quantifiers of those that fire around it last.  It takes a conjunction
+as its list of parts, so a discourse hands it the parts it holds and the
+conjunction is built once, rewritten (`rewrite_conjunction`).
 
 Formulas and their terms are walked through the traversal kernel terms
 are (`node.Tree`): `nodes` iterates in pre-order, `transform` rebuilds a
@@ -368,19 +370,46 @@ def rewrite_hilbert(f: Formula) -> Formula:
     its presuppositions are conjoined in.  Choice terms that fit no pattern
     are left intact: they are strictly more expressive than quantifiers.
 
-    A formula is rewritten at its top in one pass (`_Pass`) that tries each
-    of its pivots once, and each of its distinct conjuncts is then
-    rewritten inside once.  A pivot that did not fire at a conjunction fails
-    at every conjunction below it too, which has a subset of its conjuncts
-    and names, unless its renamed hole can be captured there
+    f goes to the core `rewrite_conjunction` runs as the operands of its
+    left spine.  A node is rebuilt only when an operand changed, so a
+    formula in which nothing fires comes back as the very object.
+    """
+    return _rewrite(*_operands(f))
+
+
+def rewrite_conjunction(parts) -> Formula:
+    """`rewrite_hilbert(conjoin(parts))`, without the conjunction: a
+    discourse hands its presuppositions and sentence formulas as it holds
+    them, each distinct part is keyed once, and the left-nested conjunction
+    of their rewritten versions is built once.  `true` if empty."""
+    parts = list(parts)
+    return _rewrite(parts, None) if parts else TruthConst(True)
+
+
+def _operands(g: Formula) -> tuple[list[Formula], list[And]]:
+    """The operands of g's left spine, leftmost first (g alone when it is
+    no conjunction), and the `And` above each operand after the first."""
+    spine = []
+    while type(g) is And:
+        spine.append(g)
+        g = g.left
+    spine.reverse()
+    return [g, *(a.right for a in spine)], spine
+
+
+def _rewrite(parts: list[Formula], spine: list[And] | None) -> Formula:
+    """The conjunction of `parts`, left-nested, rewritten, keeping each
+    `And` of `spine`, when given, whose operands come back as they were.
+
+    The conjunction is rewritten at its top in one pass (`_Pass`) that
+    tries each of its pivots once, and each distinct subformula object is
+    then rewritten inside once.  A pivot that did not fire at a conjunction
+    fails at every conjunction below it too, which has a subset of its
+    conjuncts and names, unless its renamed hole can be captured there
     (`_fails_below`).  Only such pivots are tried again, down the left
     spine and in the right operands.  A restriction that binds no variable,
     as a noun's does, leaves none, so a discourse's rewrite costs time
     linear in its length, and no call recurses per sentence or per fire.
-
-    Each distinct subformula object is rewritten once per call, and a node
-    is rebuilt only when an operand changed, so a formula in which nothing
-    fires comes back as the very object.
     """
     done: dict[int, tuple[Formula, Formula]] = {}  # id -> (g, rewrite(g))
 
@@ -398,54 +427,64 @@ def rewrite_hilbert(f: Formula) -> Formula:
         None, can fire at g's conjunction."""
         if live is None and (hit := done.get(id(g))) is not None:
             return hit[1]
-        top, memo, levels = g, live is None, []
+        out = rewrite_parts(*_operands(g), live)
+        if live is None:
+            done[id(g)] = g, out
+        return out
+
+    def rewrite_parts(parts, spine, live) -> Formula:
+        levels = []
         while True:
-            now = _Pass(g, live)
-            if not now.live or type(g) is not And:
+            now = _Pass(parts, live)
+            if not now.live or len(parts) == 1 and type(parts[0]) is not And:
                 final = {i: inside(c) for i, c in now.conjuncts.items()}
-                out = now.wrap(_with_conjuncts(g, final))
+                out = now.wrap(now.conjoined(spine, final))
                 break
             # a pivot that did not fire may fire at a conjunction below
-            body = _with_conjuncts(g, now.conjuncts)
+            body = now.conjoined(spine, now.conjuncts)
             levels.append((now, body))
-            g, live = body.left, now.live
+            (parts, spine), live = _operands(body.left), now.live
         for now, a in reversed(levels):
             right = rewrite(a.right, now.live)
             out = now.wrap(a if out is a.left and right is a.right
                            else And(out, right))
-        if memo:
-            done[id(top)] = top, out
         return out
 
-    return rewrite(f)
+    return rewrite_parts(parts, spine, None)
 
 
 _OUTSIDE_CHOICE = frozenset(_TREE.children) - {Eps}
 
 
 class _Pass:
-    """One pass of `rewrite_hilbert` at the top of a formula g.
+    """One pass of the rewrite at the top of the conjunction of `parts`.
 
-    Each pivot, a choice term in a term position of g, is tried once, in
-    occurrence order, against the `canon_formula` keys of g's distinct
-    conjuncts (g alone when it is no conjunction).  Its hole is renamed to a
-    name used nowhere outside the pivot, read off `free`, the names met
-    outside every pivot, and `held`, the number of pivots each name occurs
-    in.  Only the conjuncts that hold the pivot are abstracted and keyed
-    (`_matches`).  A fire puts g under a new quantifier, a formula of its
-    own, and a pivot whose restriction is a quantifier of that kind is
-    tried there.
+    Each pivot, a choice term in a term position of the conjunction, is
+    tried once, in occurrence order, against the `canon_formula` keys of
+    its distinct conjuncts: the distinct parts, each `And` among them
+    flattened (`flatten_and`).  Its hole is renamed to a name used nowhere
+    outside the pivot, read off `free`, the names met outside every pivot,
+    and `held`, the number of pivots each name occurs in.  Only the
+    conjuncts that hold the pivot are abstracted and keyed (`_matches`).  A
+    fire puts the conjunction under a new quantifier, a formula of its own,
+    and a pivot whose restriction is a quantifier of that kind is tried
+    there.
 
-    `conjuncts` maps the id() of each distinct conjunct to its version with
-    the fired pivots replaced, `fired` holds the fired pivots with their
-    variables, outermost first, and `live` the pivots that did not fire and
-    may fire at a conjunction below g.  Only the pivots in the `live` given,
-    or all when it is None, are tried at g's conjunction.
+    `distinct` maps the id() of each distinct part to it, `conjuncts` the
+    id() of each distinct conjunct to its version with the fired pivots
+    replaced, `fired` holds the fired pivots with their variables,
+    outermost first, and `live` the pivots that did not fire and may fire
+    at a conjunction below this one.  Only the pivots in the `live` given,
+    or all when it is None, are tried.
     """
 
-    def __init__(self, g: Formula, live: set[Eps] | None):
-        self.g = g
-        self.conjuncts = {id(c): c for c in flatten_and(g)}
+    def __init__(self, parts: list[Formula], live: set[Eps] | None):
+        self.parts = parts
+        self.distinct = dict(zip(map(id, parts), parts))
+        self.nested = And in map(type, self.distinct.values())
+        self.conjuncts: dict[int, Formula] = {  # each part's in its place
+            id(c): c for p in self.distinct.values() for c in flatten_and(p)
+        } if self.nested else dict(self.distinct)
         self.fired: list[tuple[Eps, str]] = []
         self.live: set[Eps] = set()
         self.holders: dict[Eps, list[int]] = {}  # pivot -> its conjuncts
@@ -485,14 +524,34 @@ class _Pass:
             elif not _fails_below(p, var):
                 self.live.add(p)
 
+    def conjoined(self, spine: list[And] | None,
+                  versions: dict[int, Formula]) -> Formula:
+        """The left-nested conjunction of the parts with each conjunct c
+        replaced by versions[id(c)], built once; an `And` of `spine` whose
+        operands come back as they were is kept."""
+        def visit(n, _):
+            return None if type(n) is And else versions[id(n)]
+
+        new = versions if not self.nested else {
+            i: transform(p, visit) if type(p) is And else versions[i]
+            for i, p in self.distinct.items()}
+        if spine is None:
+            return reduce(And, map(new.__getitem__, map(id, self.parts)))
+        out = new[id(self.parts[0])]
+        for a in spine:
+            right = new[id(a.right)]
+            out = a if out is a.left and right is a.right else And(out, right)
+        return out
+
     def _fires_at_quantifier(self, at: int, quantified: list[Eps]) -> bool:
-        """Whether a pivot fires at g under the quantifiers of the pivots
-        fired from `at` on, and fires there, bound outside them."""
+        """Whether a pivot fires at the conjunction under the quantifiers of
+        the pivots fired from `at` on, and fires there, bound outside
+        them."""
         cls = _quantifier(self.fired[at][0])
         tried = [q for q in quantified
                  if q in self.holders and type(q.body) is cls]
         if tried:
-            top = self.wrap(_with_conjuncts(self.g, self.conjuncts), at)
+            top = self.wrap(self.conjoined(None, self.conjuncts), at)
         for q in tried:
             var, new, want = self._try(q)
             if canon_formula(_abstract(top, q, LVar(var, q.sort))) == want:
@@ -553,24 +612,6 @@ class _Pass:
         for p, var in reversed(self.fired[at:]):
             f = _quantifier(p)(var, p.sort, f)
         return f
-
-
-def _with_conjuncts(g: Formula, versions: dict[int, Formula]) -> Formula:
-    """g with each conjunct c replaced by versions[id(c)], looping down the
-    left spine; an And whose operands come back as they were is kept."""
-    def visit(n, _):
-        return None if type(n) is And else versions[id(n)]
-
-    spine = []
-    while type(g) is And:
-        spine.append(g)
-        g = g.left
-    out = versions[id(g)]
-    for a in reversed(spine):
-        r = a.right
-        right = transform(r, visit) if type(r) is And else versions[id(r)]
-        out = a if out is a.left and right is r else And(out, right)
-    return out
 
 
 def _quantifier(pivot: Eps) -> type:

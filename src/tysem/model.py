@@ -109,6 +109,8 @@ def load_model(text: str) -> Model:
                 tuple(expect_atom(el, "element id").text
                       for el in expect_list(row, "tuple"))
                 for row in rows)
+            if name in interps:
+                raise ModelError(f"duplicate interp for '{name}'")
             interps[name] = tuples
         else:
             raise ParseError(f"unknown model clause '{head}'",

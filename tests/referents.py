@@ -2,10 +2,10 @@
 
 The lexicon has one sort `ani`, K nouns `n0`..`n{K-1}`, four verbs
 `v0`..`v3`, the determiners `un` and `le` of `lexica/chat.lex` and the
-pronoun `il`.  A session of N lines, with K = N // 4, draws each line from a
-generator seeded with N: 40% `(vJ (un nI))`, 40% `(vJ (le nI))` and 20%
-`(vJ il)`.  The first line is an indefinite, so that `il` always has a
-referent.  Such a discourse has about K choice terms, and with
+pronoun `il`.  A session of N lines, with K = max(1, N // 4), draws each
+line from a generator seeded with N: 40% `(vJ (un nI))`, 40% `(vJ (le nI))`
+and 20% `(vJ il)`.  The first line is an indefinite, so that `il` always
+has a referent.  Such a discourse has about K choice terms, and with
 `--rewrite` about one existential per noun.
 """
 
@@ -15,7 +15,7 @@ VERBS = ("v0", "v1", "v2", "v3")
 
 
 def nouns(n: int) -> int:
-    return n // 4
+    return max(1, n // 4)
 
 
 def lexicon_text(k: int) -> str:

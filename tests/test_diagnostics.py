@@ -96,8 +96,8 @@ ROWS = [
      "least one argument"),
     ("lexicon", '(entry "x" (principal y))', 1,
      "entry 'x': ill-typed principal term: 1:23: unbound name 'y'"),
-    # a principal term with a free name stops here, so the loader's later
-    # "principal term is not closed" check is never reached
+    # a lexicon's context binds no variable, so a free name stops the
+    # reader, and every principal term that reads is closed
     ("lexicon", '(entry "p" (principal (lam x t y)))', 1,
      "entry 'p': ill-typed principal term: 1:32: unbound name 'y'"),
     ("lexicon", '(entry "x" (principal (lam x foo x)))', 1,
@@ -244,6 +244,8 @@ ROWS = [
     ("model", "(model (carrier ani ()))", 1, "carrier for 'ani' is empty"),
     ("model", "(model (carrier ani (c1)) (carrier ani (c2)))", 1,
      "duplicate carrier for 'ani'"),
+    ("model", "(model (carrier ani (c1)) (interp chat ((c1))) "
+     "(interp chat ()))", 1, "duplicate interp for 'chat'"),
     ("model", "(model (carrier ani (c1)) (interp chat))", 1,
      "1:27: (interp SYM ((ID*)+))"),
     ("model", "(model (carrier ani (c1)) (interp (chat) ((c1))))", 1,

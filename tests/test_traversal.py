@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 from generators import FormulaGen
 from logic_oracle import (old_canon_formula, old_fold, old_substitute,
                           old_transform)
+from rewrite_oracle import _with_conjuncts
 from tysem.cli import _SIGNATURE_INTO, _signature_of
 from tysem.logic import (DEF, INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
                          Formula, Implies, LApp, LConst, LVar, Not, Or, Pred,
                          TruthConst, _JSON, _abstract, _bound, _formula_names,
-                         _substitute, _with_conjuncts, canon_formula, conjoin,
-                         flatten_and, fold, formula_to_json,
-                         free_formula_vars, nodes, print_formula, transform)
+                         _substitute, canon_formula, conjoin, flatten_and,
+                         fold, formula_to_json, free_formula_vars, nodes,
+                         print_formula, transform)
 
 # ---------------------------------------------------------------------------
 # against the recursive oracle
