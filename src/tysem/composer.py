@@ -6,19 +6,23 @@ functions by first-order matching and repairing sort clashes with the
 argument head word's declared coercions.  Rigid coercions exclude any other
 coercion of the same word occurrence within the composed sentence.
 
-Every application takes one path: the function starts as a `_Pending`
-whose type slots are its leading Pi variables, and an arrow-typed function
-is the case with no type slots.  Two departures from naive application make
+Every application takes one path, over one kind of value: a function's
+leading Pi variables become its type slots, and an arrow-typed function is
+the case with no type slots.  Two departures from naive application make
 the polymorphic lexicon work:
 
 * a function whose leading Pi variables are not all determined by the first
-  argument stays pending until later arguments fix them, at which point
-  the type applications and the queued arguments are emitted in the order
-  the function's type prescribes;
+  argument stays pending (a value with unbound type variables) until later
+  arguments fix them, at which point the type applications and the queued
+  arguments are emitted in the order the function's type prescribes;
 * when an argument fills a bare type-variable slot and the function then
   expects functions out of that argument's own sort, the composer supplies
   those from the argument's coercions (this is how one conjunction constant
   copredicates over two aspects of a single referent).
+
+Every type a value holds has its bindings substituted already, so each
+application substitutes once: the bindings its argument made, into what
+remains of the function's type.
 
 Determiner leaves feed the discourse registry: an indefinite registers the
 choice term it built, a definite tries to resolve against the registry and
@@ -29,18 +33,17 @@ calls in order, with the answer of each read, and the result carries the
 log: `replay` makes the calls again against another state, and where
 every read answers the same, the composition would too.
 """
-
 from __future__ import annotations
 
 from . import discourse as disc
 from .discourse import DiscourseState
 from .errors import (AmbiguousCoercion, CompositionError, NoAntecedent,
-                     NoCoercionPath, RigidityViolation, ParseError, TypeClash)
+                     NoCoercionPath, RigidityViolation, TypeClash)
 from .kernel import (App, Arrow, BaseSort, Const, Pi, Term, Type, TyApp,
                      TypeVar, canon, free_tyvars, subst_type, type_of)
 from .lexicon import Coercion, LexEntry, Lexicon, lookup_entry
 from .node import KeepsHash, emit, node
-from .sexpr import Atom, SExpr, read_one
+from .sexpr import Atom, SExpr, expect_len, read_one
 
 # ---------------------------------------------------------------------------
 # syntactic trees
@@ -73,9 +76,7 @@ def parse_tree(text: str) -> SynTree:
 def _tree_of(e: SExpr) -> SynTree:
     if isinstance(e, Atom):
         return Leaf(e.text)
-    if len(e) < 2:
-        raise ParseError("a tree node needs a function and an argument",
-                           e.line, e.col)
+    expect_len(e, 2, None, "a tree node needs a function and an argument")
     out = _tree_of(e[0])
     for sub in e.items[1:]:
         out = Node(out, _tree_of(sub))
@@ -133,8 +134,10 @@ def _apply_subst(ty: Type, subst: TypeSubstitution) -> Type:
 def _match_type(pattern: Type, concrete: Type, bindable: frozenset[str],
                 subst: TypeSubstitution) -> bool:
     """Whether an instance of `pattern` is `concrete`, binding the
-    `bindable` type variables in `subst` on the way."""
-    pattern = _apply_subst(pattern, subst)
+    `bindable` type variables in `subst` on the way.  `pattern` comes with
+    the bindings already in `subst` substituted, so a variable bound on the
+    way is compared with its binding where it occurs again, never
+    substituted, and a `pi` that rebinds its name hides it."""
     match pattern:
         case TypeVar(name) if name in bindable:
             return subst.setdefault(name, concrete) == concrete
@@ -194,37 +197,26 @@ def insert_coercions(arg: Term, found: Type, wanted: Type,
 
 
 class _Value:
-    """A composed subtree: its term, type, and referent-head bookkeeping."""
+    """A composed subtree: its term, type, and referent-head bookkeeping.
+
+    A polymorphic function in the middle of application is a value too,
+    while some leading Pi variable is `unbound`: its `term` is then the
+    function's head, its `type` what the arguments taken so far leave of
+    the head's type, `slots` the type applications and term arguments to
+    emit, in the order the type prescribes, once every variable is bound,
+    and `bindings` the variables bound so far.  A complete value has none
+    of them.  Every type a value holds has its bindings substituted.
+    """
 
     def __init__(self, term: Term, type: Type, head_word: str, head_occ: str,
-                 head_entry: LexEntry | None):
+                 head_entry: LexEntry | None, slots: tuple = (),
+                 bindings: TypeSubstitution | None = None,
+                 unbound: tuple[str, ...] = ()):
         self.term, self.type = term, type
         self.head_word, self.head_occ = head_word, head_occ
         self.head_entry = head_entry
-
-
-class _Pending:
-    """A function in the middle of application.
-
-    Every application starts as one: a composed function is wrapped with
-    no slots.  An arrow-typed function is the case with no type slots and
-    completes on its first argument; a polymorphic one stays pending while
-    some leading Pi variable is unbound.  `slots` records, in the order the
-    type prescribes, the type applications and term arguments to emit once
-    every variable is bound.
-    """
-
-    def __init__(self, head: Term, slots: list[tuple[str, object]],
-                 bindings: TypeSubstitution, body: Type, head_word: str,
-                 head_occ: str, head_entry: LexEntry | None):
-        self.head, self.slots, self.bindings = head, slots, bindings
-        self.body = body
-        self.head_word, self.head_occ = head_word, head_occ
-        self.head_entry = head_entry
-
-    def pending_vars(self) -> list[str]:
-        return [v for kind, v in self.slots
-                if kind == "ty" and v not in self.bindings]
+        self.slots, self.bindings = slots, bindings or {}
+        self.unbound = unbound
 
 
 class ComposeResult:
@@ -249,9 +241,9 @@ def compose(tree: SynTree, lex: Lexicon,
     """
     composer = _Composer(lex, state or DiscourseState())
     value = composer.compose(tree)
-    if isinstance(value, _Pending):
+    if value.unbound:
         raise CompositionError(
-            f"type variables {', '.join(value.pending_vars())} of "
+            f"type variables {', '.join(value.unbound)} of "
             f"'{value.head_word}' were never determined by any argument")
     ty = type_of(composer.ctx, value.term)  # soundness guard
     return ComposeResult(value.term, ty, composer.report, composer.state,
@@ -322,7 +314,7 @@ class _Composer:
 
     # -- leaves
 
-    def compose(self, tree: SynTree) -> _Value | _Pending:
+    def compose(self, tree: SynTree) -> _Value:
         if isinstance(tree, Leaf):
             return self._leaf(tree.word)
         fun = self.compose(tree.fun)
@@ -342,16 +334,12 @@ class _Composer:
 
     # -- application
 
-    def _apply(self, fun: _Value | _Pending, arg) -> _Value | _Pending:
-        if isinstance(arg, _Pending):
+    def _apply(self, fun: _Value, arg: _Value) -> _Value:
+        if arg.unbound:
             raise CompositionError(
                 f"argument '{arg.head_word}' has undetermined type "
-                f"variables {', '.join(arg.pending_vars())}")
-        if isinstance(fun, _Value):
-            fun = _Pending(fun.term, [], {}, fun.type, fun.head_word,
-                           fun.head_occ, fun.head_entry)
-        body = _apply_subst(fun.body, fun.bindings)
-        slots = list(fun.slots)
+                f"variables {', '.join(arg.unbound)}")
+        body, slots, unbound = fun.type, list(fun.slots), list(fun.unbound)
         while isinstance(body, Pi):
             var = body.var
             if any(kind == "ty" and v == var for kind, v in slots):
@@ -361,37 +349,34 @@ class _Composer:
                 body = Pi(fresh, subst_type(body.body, var, TypeVar(fresh)))
                 var = fresh
             slots.append(("ty", var))
+            unbound.append(var)
             body = body.body
 
         if not isinstance(body, Arrow):
             raise TypeClash("a function type", body, fun_word=fun.head_word,
                             arg_word=arg.head_word)
 
-        bindable = frozenset(v for kind, v in slots
-                             if kind == "ty" and v not in fun.bindings)
-        domain = _apply_subst(body.dom, fun.bindings)
-        bare_slot = isinstance(domain, TypeVar) and domain.name in bindable
-
-        bindings = _matches(domain, arg.type, bindable, fun.bindings)
+        bindable = frozenset(unbound)
+        bare_slot = isinstance(body.dom, TypeVar) and body.dom.name in bindable
+        bindings = _matches(body.dom, arg.type, bindable, fun.bindings)
         arg_term = arg.term
         if bindings is None:
-            bindings, arg_term = self._coerce_open(domain, arg, bindable,
-                                                   fun.bindings, fun)
+            bindings, arg_term = self._coerce_open(body.dom, arg, bindable,
+                                                   fun)
         slots.append(("term", arg_term))
-        rest = _apply_subst(body.cod, bindings)
+        new = {v: bindings[v] for v in unbound if v in bindings}
+        rest = _apply_subst(body.cod, new)
+        unbound = tuple(v for v in unbound if v not in new)
+        if unbound:
+            return _Value(fun.term, rest, fun.head_word, fun.head_occ,
+                          fun.head_entry, tuple(slots), bindings, unbound)
 
-        pending = _Pending(fun.head, slots, bindings, rest, fun.head_word,
-                           fun.head_occ, fun.head_entry)
-        if pending.pending_vars():
-            return pending
-
-        term = fun.head
+        term = fun.term
         for kind, payload in slots:
             if kind == "ty":
                 term = TyApp(term, bindings[payload])
             else:
                 term = App(term, payload)
-        rest = _apply_subst(rest, bindings)
 
         if bare_slot and arg.head_entry is not None:
             term, rest = self._fill_function_slots(term, rest, arg)
@@ -401,28 +386,26 @@ class _Composer:
         return self._notify_determiner(fun, value)
 
     def _coerce_open(self, domain: Type, arg: _Value,
-                     bindable: frozenset[str], bindings: TypeSubstitution,
-                     fun: _Pending):
-        """Sort clash against a possibly open domain: pick the option whose
-        target completes the match."""
+                     bindable: frozenset[str], fun: _Value):
+        """Sort clash against a possibly open domain: apply the one option
+        whose target completes the match."""
         entry = arg.head_entry
         hits = []
         for option in (entry.options if entry else ()):
             if option.source != arg.type:
                 continue
-            trial = _matches(domain, option.target, bindable, bindings)
+            trial = _matches(domain, option.target, bindable, fun.bindings)
             if trial is not None:
                 hits.append((option, trial))
         if not hits:
-            raise TypeClash(_apply_subst(domain, bindings), arg.type,
-                            fun_word=fun.head_word, arg_word=arg.head_word)
+            raise TypeClash(domain, arg.type, fun_word=fun.head_word,
+                            arg_word=arg.head_word)
         if len(hits) > 1:
             raise AmbiguousCoercion(arg.head_word,
                                     [o.label for o, _ in hits])
         option, trial = hits[0]
-        coerced = insert_coercions(arg.term, arg.type, option.target,
-                                   entry, self.report, arg.head_occ)
-        return trial, coerced
+        self.report.record(arg.head_occ, entry.word, option)
+        return trial, App(option.term, arg.term)
 
     def _fill_function_slots(self, term: Term, rest: Type, arg: _Value):
         """After an argument filled a bare type-variable slot, satisfy any
@@ -440,7 +423,7 @@ class _Composer:
 
     # -- heads and determiners
 
-    def _node_head(self, fun: _Pending, arg: _Value):
+    def _node_head(self, fun: _Value, arg: _Value):
         """Referent head of a composed node: the noun under a determiner,
         otherwise the function's head."""
         if (fun.head_entry is not None
@@ -448,7 +431,7 @@ class _Composer:
             return arg.head_word, arg.head_occ, arg.head_entry
         return fun.head_word, fun.head_occ, fun.head_entry
 
-    def _notify_determiner(self, det: _Pending, value: _Value) -> _Value:
+    def _notify_determiner(self, det: _Value, value: _Value) -> _Value:
         """If `det` is a determiner, it just combined with its restriction
         (a choice constant completes on its first argument): tell the
         discourse registry."""
@@ -462,7 +445,7 @@ class _Composer:
         if mode == "universal":
             return value  # no referent introduced
         sort = applied.fun.ty
-        want = sort.name if isinstance(sort, BaseSort) else str(sort)
+        want = disc._sort_name(sort)
         restriction = applied.arg
         # the sort's name and the restriction's canonical form, worked out
         # once and logged, so that a replay reuses them

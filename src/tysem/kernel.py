@@ -30,7 +30,7 @@ from operator import attrgetter
 from .errors import (StepBudgetExceeded, ParseError, TyLamEscape, TypeClash,
                      UnboundName, UnknownSort)
 from .node import KeepsHash, Tree, emit, node
-from .sexpr import Atom, SExpr, expect_atom, read_one
+from .sexpr import Atom, SExpr, expect_atom, expect_len, read_one
 
 # ---------------------------------------------------------------------------
 # types
@@ -223,31 +223,23 @@ def _term_of(e: SExpr, ctx: TypingContext, bound: dict[str, Type],
         if name in ctx.vars:
             return Var(name, ctx.vars[name])
         raise UnboundName(name, e.line, e.col)
-    if len(e) == 0:
-        raise ParseError("empty application", e.line, e.col)
+    expect_len(e, 1, None, "empty application")
     head = e[0]
     if isinstance(head, Atom) and head.text == "lam":
-        if len(e) != 4:
-            raise ParseError("lam needs a variable, a type and a body",
-                               e.line, e.col)
+        expect_len(e, 4, 4, "lam needs a variable, a type and a body")
         v = expect_atom(e[1], "variable name").text
         ty = parse_type(e[2], ctx.sorts, tyvars)
         body = _term_of(e[3], ctx, {**bound, v: ty}, tyvars)
         return Lam(v, ty, body)
     if isinstance(head, Atom) and head.text == "tylam":
-        if len(e) != 3:
-            raise ParseError("tylam needs a type variable and a body",
-                               e.line, e.col)
+        expect_len(e, 3, 3, "tylam needs a type variable and a body")
         v = expect_atom(e[1], "type variable").text
         return TyLam(v, _term_of(e[2], ctx, bound, tyvars | {v}))
     if isinstance(head, Atom) and head.text == "tyapp":
-        if len(e) != 3:
-            raise ParseError("tyapp needs a term and a type", e.line, e.col)
+        expect_len(e, 3, 3, "tyapp needs a term and a type")
         return TyApp(_term_of(e[1], ctx, bound, tyvars),
                      parse_type(e[2], ctx.sorts, tyvars))
-    if len(e) < 2:
-        raise ParseError("application needs at least one argument",
-                           e.line, e.col)
+    expect_len(e, 2, None, "application needs at least one argument")
     out = _term_of(e[0], ctx, bound, tyvars)
     for sub in e.items[1:]:
         out = App(out, _term_of(sub, ctx, bound, tyvars))

@@ -28,7 +28,8 @@ from .errors import LexiconError, NotFound, ParseError, UnknownSort
 from .kernel import (Arrow, BaseSort, CHOICE_CONSTANTS, Const, Term, Type,
                      TypingContext, parse_type, print_term, term_of_sexpr,
                      type_of)
-from .sexpr import Atom, SList, expect_atom, expect_list, read_all
+from .sexpr import (Atom, SList, expect_atom, expect_len, expect_list,
+                    read_all)
 
 RIGID = "rigid"
 FLEXIBLE = "flexible"
@@ -119,12 +120,10 @@ def load_lexicon(text: str) -> Lexicon:
 
     for decl in decls:
         form = expect_list(decl, "a declaration")
-        if len(form) == 0:
-            raise ParseError("empty declaration", form.line, form.col)
+        expect_len(form, 1, None, "empty declaration")
         head = expect_atom(form[0], "declaration keyword").text
         if head == "sort":
-            if len(form) != 2:
-                raise ParseError("(sort SYM)", form.line, form.col)
+            expect_len(form, 2, 2, "(sort SYM)")
             name = expect_atom(form[1], "sort name").text
             if name in kernel.BUILTIN_SORTS:
                 continue  # built-ins may be restated harmlessly
@@ -132,8 +131,7 @@ def load_lexicon(text: str) -> Lexicon:
                 raise LexiconError(f"duplicate sort '{name}'")
             sorts.append(name)
         elif head == "const":
-            if len(form) != 3:
-                raise ParseError("(const SYM TYPE)", form.line, form.col)
+            expect_len(form, 3, 3, "(const SYM TYPE)")
             name = expect_atom(form[1], "constant name").text
             if name in constants or name in kernel.BUILTIN_CONSTANTS:
                 raise LexiconError(f"duplicate constant '{name}'")
@@ -143,8 +141,7 @@ def load_lexicon(text: str) -> Lexicon:
         elif head == "entry":
             entry_forms.append(form)
         elif head == "pronoun":
-            if len(form) not in (2, 3):
-                raise ParseError("(pronoun STRING SYM?)", form.line, form.col)
+            expect_len(form, 2, 3, "(pronoun STRING SYM?)")
             word = expect_atom(form[1], "pronoun word").text
             hint = None
             if len(form) == 3:
@@ -176,9 +173,7 @@ def load_lexicon(text: str) -> Lexicon:
 
 
 def _parse_entry(form: SList, ctx: TypingContext):
-    if len(form) < 3:
-        raise ParseError("(entry STRING (principal TERM) ...)",
-                           form.line, form.col)
+    expect_len(form, 3, None, "(entry STRING (principal TERM) ...)")
     word = expect_atom(form[1], "entry word").text
     principal_form = expect_list(form[2], "(principal TERM)")
     if (len(principal_form) != 2
@@ -199,13 +194,11 @@ def _parse_entry(form: SList, ctx: TypingContext):
 
     for sub in form.items[3:]:
         sub = expect_list(sub, "(option ...) or (mode ...)")
-        if len(sub) == 0:
-            raise ParseError("empty clause: expected (option ...) or "
-                             "(mode ...)", sub.line, sub.col)
+        expect_len(sub, 1, None,
+                   "empty clause: expected (option ...) or (mode ...)")
         head = expect_atom(sub[0], "option or mode").text
         if head == "mode":
-            if len(sub) != 2:
-                raise ParseError("(mode MODE)", sub.line, sub.col)
+            expect_len(sub, 2, 2, "(mode MODE)")
             mode = expect_atom(sub[1], "mode").text
             if mode not in MODES:
                 raise ParseError(f"unknown mode '{mode}'", sub.line, sub.col)
@@ -228,8 +221,7 @@ def _parse_entry(form: SList, ctx: TypingContext):
 
 def _parse_option(sub: SList, entry: LexEntry, ctx: TypingContext,
                   new_consts: dict[str, Type], word: str) -> Coercion:
-    if len(sub) not in (4, 5):
-        raise ParseError("(option SYM TYPE RIGIDITY TERM?)", sub.line, sub.col)
+    expect_len(sub, 4, 5, "(option SYM TYPE RIGIDITY TERM?)")
     label = expect_atom(sub[1], "option label").text
     ty = parse_type(sub[2], ctx.sorts, frozenset())
     rigidity = expect_atom(sub[3], "rigidity").text

@@ -34,12 +34,12 @@ from functools import reduce
 from operator import attrgetter, is_
 
 from . import kernel
-from .errors import (ExtractionError, NotNormal, NotTruthType, ResidualLambda,
-                     ParseError)
+from .errors import ExtractionError, NotNormal, NotTruthType, ResidualLambda
 from .kernel import (App, BaseSort, Const, Lam, Term, TyApp, Type,
                      TypingContext, Var, free_vars, is_normal, spine, type_of)
 from .node import Tree, emit, enclose, node
-from .sexpr import Atom, SExpr, SList, expect_atom, expect_list, read_one
+from .sexpr import (Atom, SExpr, SList, expect_atom, expect_len, expect_list,
+                    read_one)
 
 # ---------------------------------------------------------------------------
 # formula syntax
@@ -825,34 +825,28 @@ def _formula_of(e: SExpr, consts: dict[str, str],
         if e.text == "false":
             return TruthConst(False)
         return Pred(e.text, ())
-    if len(e) == 0:
-        raise ParseError("empty formula", e.line, e.col)
+    expect_len(e, 1, None, "empty formula")
     head = expect_atom(e[0], "formula head").text
     if head in ("and", "or", "implies"):
-        if len(e) != 3:
-            raise ParseError(f"({head} F F)", e.line, e.col)
+        expect_len(e, 3, 3, f"({head} F F)")
         if head == "and":
             return _conjunction_of(e, consts, scope)
         cls = {"or": Or, "implies": Implies}[head]
         return cls(_formula_of(e[1], consts, scope),
                    _formula_of(e[2], consts, scope))
     if head == "not":
-        if len(e) != 2:
-            raise ParseError("(not F)", e.line, e.col)
+        expect_len(e, 2, 2, "(not F)")
         return Not(_formula_of(e[1], consts, scope))
     if head in ("exists", "forall"):
-        if len(e) != 3:
-            raise ParseError(f"({head} (VAR SORT) F)", e.line, e.col)
+        expect_len(e, 3, 3, f"({head} (VAR SORT) F)")
         binder = expect_list(e[1], "(VAR SORT)")
-        if len(binder) != 2:
-            raise ParseError("(VAR SORT)", binder.line, binder.col)
+        expect_len(binder, 2, 2, "(VAR SORT)")
         var = expect_atom(binder[0], "variable").text
         sort = expect_atom(binder[1], "sort").text
         body = _formula_of(e[2], consts, {**scope, var: sort})
         return (Exists if head == "exists" else Forall)(var, sort, body)
     if head == "=":
-        if len(e) != 3:
-            raise ParseError("(= T T)", e.line, e.col)
+        expect_len(e, 3, 3, "(= T T)")
         return Eq(_lterm_of(e[1], consts, scope),
                   _lterm_of(e[2], consts, scope))
     return Pred(head, tuple(_lterm_of(a, consts, scope)
@@ -865,8 +859,7 @@ def _conjunction_of(e: SList, consts: dict[str, str],
     rights = []
     while (type(e) is SList and len(e) and type(e[0]) is Atom
            and e[0].text == "and"):
-        if len(e) != 3:
-            raise ParseError("(and F F)", e.line, e.col)
+        expect_len(e, 3, 3, "(and F F)")
         rights.append(e[2])
         e = e[1]
     out = _formula_of(e, consts, scope)
@@ -881,12 +874,10 @@ def _lterm_of(e: SExpr, consts: dict[str, str],
         if e.text in scope:
             return LVar(e.text, scope[e.text])
         return LConst(e.text, consts.get(e.text, "e"))
-    if len(e) == 0:
-        raise ParseError("empty term", e.line, e.col)
+    expect_len(e, 1, None, "empty term")
     head = expect_atom(e[0], "term head").text
     if head in _CONST_OF_MODE.values():
-        if len(e) != 4:
-            raise ParseError(f"({head} SORT HOLE F)", e.line, e.col)
+        expect_len(e, 4, 4, f"({head} SORT HOLE F)")
         sort = expect_atom(e[1], "sort").text
         hole = expect_atom(e[2], "hole variable").text
         body = _formula_of(e[3], consts, {**scope, hole: sort})

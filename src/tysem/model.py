@@ -31,7 +31,7 @@ from .errors import (EmptyCarrier, EvalError, FreeSymbol, ModelError,
 from .logic import (And, Eps, Eq, Exists, Forall, Formula, Implies, LApp,
                     LConst, LTerm, LVar, Not, Or, Pred, TruthConst, UNIVERSAL,
                     flatten_and, fold, free_formula_vars, nodes)
-from .sexpr import expect_atom, expect_list, read_one
+from .sexpr import expect_atom, expect_len, expect_list, read_one
 
 Interp = str | frozenset[tuple[str, ...]]
 
@@ -85,13 +85,11 @@ def load_model(text: str) -> Model:
     interps: dict[str, Interp] = {}
     for decl in form.items[1:]:
         decl = expect_list(decl, "(carrier ...) or (interp ...)")
-        if len(decl) == 0:
-            raise ParseError("empty clause: expected (carrier ...) or "
-                             "(interp ...)", decl.line, decl.col)
+        expect_len(decl, 1, None,
+                   "empty clause: expected (carrier ...) or (interp ...)")
         head = expect_atom(decl[0], "carrier or interp").text
         if head == "carrier":
-            if len(decl) != 3:
-                raise ParseError("(carrier SYM (ID+))", decl.line, decl.col)
+            expect_len(decl, 3, 3, "(carrier SYM (ID+))")
             sort = expect_atom(decl[1], "sort").text
             elems = tuple(expect_atom(el, "element id").text
                           for el in expect_list(decl[2], "(ID+)"))
@@ -101,8 +99,7 @@ def load_model(text: str) -> Model:
                 raise ModelError(f"duplicate carrier for '{sort}'")
             carriers[sort] = elems
         elif head == "interp":
-            if len(decl) != 3:
-                raise ParseError("(interp SYM ((ID*)+))", decl.line, decl.col)
+            expect_len(decl, 3, 3, "(interp SYM ((ID*)+))")
             name = expect_atom(decl[1], "constant").text
             rows = expect_list(decl[2], "tuple list")
             tuples = frozenset(

@@ -155,3 +155,11 @@ def expect_list(e: SExpr, what: str) -> SList:
     if not isinstance(e, SList):
         raise ParseError(f"expected {what}, found '{e.text}'", e.line, e.col)
     return e
+
+
+def expect_len(e: SList, least: int, most: int | None, usage: str) -> SList:
+    """`e` if it has `least` to `most` items (any number from `least` on
+    when `most` is None); else a ParseError `usage` at `e`."""
+    if len(e) < least or most is not None and len(e) > most:
+        raise ParseError(usage, e.line, e.col)
+    return e

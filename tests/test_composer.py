@@ -1,15 +1,20 @@
+from pathlib import Path
+
 import pytest
 
 from tysem.composer import (CoercionReport, Leaf, Node, _apply_subst,
-                            _matches, compose, insert_coercions, parse_tree,
-                            print_tree)
+                            _Composer, _matches, compose, insert_coercions,
+                            parse_tree, print_tree)
+from tysem.discourse import DiscourseState
 from tysem.errors import (AmbiguousCoercion, NoCoercionPath, NotFound,
-                          RigidityViolation, TypeClash)
+                          RigidityViolation, TypeClash, TysemError)
 from tysem.kernel import (App, Arrow, BaseSort, Const, Pi, T, TyApp,
-                          TypeVar, alpha_eq, normalize, parse_term, type_of)
+                          TypeVar, alpha_eq, normalize, parse_term,
+                          print_term, type_of)
 from tysem.lexicon import load_lexicon, lookup_entry
 
 ANI = BaseSort("ani")
+REPO = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +320,61 @@ def test_soundness_full_sentences(fig1, fig2, chat_lex):
     for lex, text in cases:
         result = compose(parse_tree(text), lex)
         assert type_of(lex.typing_context(), result.term) == T
+
+
+# A function whose first argument binds `a` and whose next domain is a Pi
+# type that binds `a` again, which matches `eps`'s type as it stands.
+SHADOWING = """
+(sort T) (const Liverpool T) (const q t)
+(entry "Liverpool" (principal Liverpool))
+(entry "un" (principal eps) (mode indefinite))
+(entry "f" (principal (tylam a (tylam b
+  (lam x a (lam d (pi {v} (-> (-> {v} t) {v})) (lam y b q)))))))
+"""
+
+
+def test_a_pi_domain_hides_the_binding_of_its_own_variable():
+    tree = parse_tree("(((f Liverpool) un) Liverpool)")
+    result = compose(tree, load_lexicon(SHADOWING.format(v="a")))
+    assert print_term(normalize(result.term)) == "q"
+    # a Pi type matches only a Pi type with the same binder name, as the
+    # kernel's `==` on types compares them
+    with pytest.raises(TypeClash) as err:
+        compose(tree, load_lexicon(SHADOWING.format(v="c")))
+    assert str(err.value) == (
+        "type clash: expected pi c. (c -> t) -> c, found pi a. (a -> t) -> a "
+        "('f' applied to 'un')")
+
+
+def _golden_trees():
+    """Each lexicon and tree the golden commands analyze alone: the
+    benchmark's one-shot trees, fig2's trees of two and three leaves, and
+    the trees over the inline lexicon whose functions take Pi types."""
+    from test_golden import (INLINE_LEXICA, fig2_tree_commands,
+                             inline_lexicon_commands, oneshot_commands)
+
+    pairs = dict.fromkeys((argv[2], argv[4]) for argv in
+                          oneshot_commands() + fig2_tree_commands()
+                          + inline_lexicon_commands())
+    lexica = {path: load_lexicon(
+        INLINE_LEXICA[path[1:]] if path.startswith("@") else
+        (REPO / path).read_text(encoding="utf-8"))
+        for path in {path for path, _ in pairs}}
+    return [(lexica[path], text) for path, text in pairs]
+
+
+def test_composer_types_match_the_kernel_on_every_golden_tree():
+    """The type the composer works out for a composed tree is the kernel's
+    type of its term, which the soundness guard in `compose` works out."""
+    composed = 0
+    for lex, text in _golden_trees():
+        try:
+            tree = parse_tree(text)
+            result = compose(tree, lex)
+        except TysemError:
+            continue
+        value = _Composer(lex, DiscourseState()).compose(tree)
+        assert value.term == result.term
+        assert value.type == type_of(lex.typing_context(), value.term), text
+        composed += 1
+    assert composed == 31  # (f g2) over the inline lexicon among them
