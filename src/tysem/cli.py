@@ -172,14 +172,16 @@ def discourse_formula(results: list[AnalysisResult],
 # reports
 
 
-# Each report is printed once per analysis and kept in `r.printed`.  A
-# report is built only on first use, so only that path binds the printers.
+# Each report is printed once per analysis and kept in `r.printed`, the
+# text and s-expression ones as one string of lines, which a report adds
+# to `out` whole.  A report is built only on first use, so only that path
+# binds the printers.
 
 
 def _text_report(r: AnalysisResult, options: AnalysisOptions,
                  out: list[str]):
-    lines = r.printed.get("text")
-    if lines is None:
+    text = r.printed.get("text")
+    if text is None:
         _bind(_ANALYZE)
         lines = [f"tree: {print_tree(r.tree)}", f"term: {print_term(r.term)}"]
         if options.trace:
@@ -194,14 +196,14 @@ def _text_report(r: AnalysisResult, options: AnalysisOptions,
                 lines.append(
                     f"presupposition: {print_formula(p, options.style)}")
         lines.append(f"formula: {print_formula(r.final, options.style)}")
-        r.printed["text"] = lines
-    out.extend(lines)
+        text = r.printed["text"] = "\n".join(lines)
+    out.append(text)
 
 
 def _sexpr_report(r: AnalysisResult, options: AnalysisOptions,
                   out: list[str]):
-    lines = r.printed.get("sexpr")
-    if lines is None:
+    text = r.printed.get("sexpr")
+    if text is None:
         _bind(_ANALYZE)
         lines = [f"(tree {print_tree(r.tree)})",
                  f"(term {print_term(r.term)})",
@@ -210,8 +212,8 @@ def _sexpr_report(r: AnalysisResult, options: AnalysisOptions,
             for p in r.presupposition_list:
                 lines.append(f"(presupposition {print_formula(p, 'sexpr')})")
         lines.append(f"(formula {print_formula(r.final, 'sexpr')})")
-        r.printed["sexpr"] = lines
-    out.extend(lines)
+        text = r.printed["sexpr"] = "\n".join(lines)
+    out.append(text)
 
 
 def _json_report(r: AnalysisResult, options: AnalysisOptions) -> dict:
@@ -255,16 +257,14 @@ def run_analyze(args) -> int:
     try:
         lex = load_lexicon(_read(args.lexicon))
         if args.session:
-            sentences = [line.strip() for line in
-                         _read(args.session).splitlines()
-                         if line.strip() and not line.lstrip().startswith(";")]
+            lines = map(str.strip, _read(args.session).splitlines())
+            sentences = [s for s in filter(None, lines) if s[0] != ";"]
         else:
             sentences = [args.tree]
         # every line is read before any is composed
         trees = {s: parse_tree(s) for s in dict.fromkeys(sentences)}
-        for s in sentences:
-            analysis, state = analyze_tree(lex, trees[s], state, options,
-                                           store)
+        for tree in map(trees.__getitem__, sentences):
+            analysis, state = analyze_tree(lex, tree, state, options, store)
             results.append(analysis)
         if args.format == "json":
             import json
@@ -330,11 +330,13 @@ def run_check_lexicon(args) -> int:
 
 
 def _read(path: str) -> str:
+    """The text of a file, or of standard input for '-', without a leading
+    byte order mark."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            return sys.stdin.read().removeprefix("\ufeff")
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                          f"{exc.start})") from None

@@ -255,7 +255,7 @@ class Logs(list):
     A composition is a function of its reads' answers, so logs whose first
     k reads answered alike make the same calls up to their next read:
     `first` maps each run of answers a log begins with to the first pair
-    stored with it."""
+    stored with it, the empty run aside: its pair is `self[0]`."""
 
     def __init__(self):
         super().__init__()
@@ -264,7 +264,7 @@ class Logs(list):
     def add(self, log: list, value):
         self.append((log, value))
         answers = [a for kind, _, a in log if kind != "register"]
-        for k in range(len(answers) + 1):
+        for k in range(1, len(answers) + 1):
             self.first.setdefault(tuple(answers[:k]), self[-1])
 
 
@@ -277,9 +277,11 @@ def replay(logs: Logs, state: DiscourseState, lex: Lexicon):
     Each registration is made again.  Where a read answers otherwise, the
     calls go on in the first log with the answers so far (`Logs.first`),
     so one replay makes one log's calls however many are stored.  At most
-    one log answers: two differ only past a read they recorded apart."""
-    log, value = logs.first[()]
-    i, answers = 0, []
+    one log answers: two differ only past a read they recorded apart.
+    The answers are gathered only then: until a read answers otherwise,
+    every read answered as the log recorded."""
+    log, value = logs[0]
+    i = 0
     while i < len(log):
         kind, args, answer = log[i]
         i += 1
@@ -295,9 +297,9 @@ def replay(logs: Logs, state: DiscourseState, lex: Lexicon):
             sort, restriction, key = args
             ref = disc.resolve_definite(state, sort, restriction, lex, key)
             got = None if ref is None else (ref.term, ref.sort)
-        answers.append(got)
         if not (got is answer or got == answer):
-            if (pair := logs.first.get(tuple(answers))) is None:
+            answers = [a for k, _, a in log[:i - 1] if k != "register"]
+            if (pair := logs.first.get((*answers, got))) is None:
                 return None
             log, value = pair
     return value, state

@@ -21,18 +21,21 @@ restriction, are copied.
 
 A session replays most sentences (see `composer.replay`), and a replayed
 indefinite registers again with the sort's name and the restriction's key
-from the composer's log, so a registration runs no `canon`: it builds the
-new referent, a `tysem.node`, copies the two index maps and sets the new
-state's slots directly.
+from the composer's log, so a registration runs no `canon`.  It leaves one
+object for the garbage collector to track: the new referent, a tuple of its
+fields that also holds the referent before it, and so is the new link of
+the chain.  Built as one tuple, it takes about a third of the time a node
+class's field-by-field `__init__` takes.  The new state and its two index
+maps are set directly.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import NoAntecedent
 from .kernel import BaseSort, Term, Type, canon
-from .node import node
+from .node import _delattr, _reduce, _setattr
 
 
 def _sort_name(ty: Type | str) -> str:
@@ -41,34 +44,65 @@ def _sort_name(ty: Type | str) -> str:
     return ty.name if isinstance(ty, BaseSort) else str(ty)
 
 
-@node
-class Referent:
+class Referent(tuple):
     """A choice term a word introduced into the discourse, with its sort and
-    the restriction it was built from."""
-    index: int
-    term: Term            # the choice term, e.g. eps{ani} chat
-    sort: str
-    predicate: Term       # the restriction the term was built from
-    introduced_by: str    # word occurrence, e.g. "un#1"
-    key: Term             # canon(predicate), compared by resolve_definite
+    the restriction it was built from.
+
+    A tuple of its six fields followed by the referent registered before it
+    in its state, or None: the link of the state's chain.  It reads,
+    compares, hashes, prints, copies and pickles as its six fields, as a
+    frozen node class would; a copy is linked to nothing."""
+
+    __slots__ = ()
+    __match_args__ = ("index", "term", "sort", "predicate", "introduced_by",
+                      "key")
+    index = property(itemgetter(0))
+    term = property(itemgetter(1))       # the choice term, e.g. eps{ani} chat
+    sort = property(itemgetter(2))       # the sort's name
+    predicate = property(itemgetter(3))  # the restriction it was built from
+    introduced_by = property(itemgetter(4))  # word occurrence, e.g. "un#1"
+    key = property(itemgetter(5))  # canon(predicate), read by resolve_definite
+    __setattr__, __delattr__, __reduce__ = _setattr, _delattr, _reduce
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
+
+    def __new__(cls, index: int, term: Term, sort: str, predicate: Term,
+                introduced_by: str, key: Term):
+        return _record(cls, (index, term, sort, predicate, introduced_by, key,
+                             None))
+
+    def __eq__(self, other):
+        if other.__class__ is not Referent:
+            return NotImplemented
+        return self[:6] == other[:6]
+
+    def __hash__(self):
+        return hash(self[:6])
+
+    def __repr__(self):
+        fields = zip(self.__match_args__, self)  # the link left out
+        return f"Referent({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
+_record = tuple.__new__
 
 
 class DiscourseState:
     """The referents in order of introduction, and the index maps derived
     from them: the newest referent of each sort, oldest sort first, and of
     each (sort, restriction key) pair.  Immutable: the public attributes are
-    read-only.  Equal when the referents are."""
+    read-only.  Equal when the referents are; copied and pickled as them."""
 
-    __slots__ = ("_chain", "_size", "_referents", "_newest", "_by_key")
+    __slots__ = ("_last", "_size", "_referents", "_newest", "_by_key")
 
     def __init__(self, referents: tuple[Referent, ...] = ()):
-        chain, newest, by_key = None, {}, {}
+        last, chain, newest, by_key = None, [], {}, {}
         for ref in referents:
-            chain = (ref, chain)
+            if ref[6] is not last:  # linked elsewhere: a copy linked here
+                ref = _record(Referent, (*ref[:6], last))
+            chain.append(ref)
             newest.pop(ref.sort, None)  # keeps `newest` in recency order
-            newest[ref.sort] = by_key[ref.sort, ref.key] = ref
-        self._chain, self._size, self._referents = (chain, len(referents),
-                                                    tuple(referents))
+            last = newest[ref.sort] = by_key[ref.sort, ref.key] = ref
+        self._last, self._size, self._referents = last, len(chain), tuple(chain)
         self._newest, self._by_key = newest, by_key
 
     newest = property(attrgetter("_newest"))
@@ -81,10 +115,10 @@ class DiscourseState:
         return self._referents
 
     def newest_first(self):
-        chain = self._chain
-        while chain is not None:
-            ref, chain = chain
+        ref = self._last
+        while ref is not None:
             yield ref
+            ref = ref[6]
 
     def __eq__(self, other):
         if not isinstance(other, DiscourseState):
@@ -93,6 +127,9 @@ class DiscourseState:
 
     def __repr__(self):
         return f"DiscourseState(referents={self.referents!r})"
+
+    def __reduce__(self):
+        return DiscourseState, (self.referents,)
 
 
 def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
@@ -103,13 +140,13 @@ def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
     `key`, when given, is `kernel.canon(predicate)`."""
     sort = sort if type(sort) is str else _sort_name(sort)
     key = canon(predicate) if key is None else key
-    ref = Referent(state._size, eps_term, sort, predicate, source, key)
+    ref = _record(Referent, (state._size, eps_term, sort, predicate, source,
+                             key, state._last))
     newest, by_key = state._newest.copy(), state._by_key.copy()
     newest.pop(sort, None)
     newest[sort] = by_key[sort, key] = ref
     out = object.__new__(DiscourseState)
-    out._chain, out._size, out._referents = ((ref, state._chain),
-                                             state._size + 1, None)
+    out._last, out._size, out._referents = ref, state._size + 1, None
     out._newest, out._by_key = newest, by_key
     return out
 
@@ -160,10 +197,7 @@ def resolve_pronoun(state: DiscourseState,
     sentence.  Raises NoAntecedent when nothing compatible is registered.
     """
     want = None if requested_sort is None else _sort_name(requested_sort)
-    if want is None:
-        ref = next(state.newest_first(), None)
-    else:
-        ref = state._newest.get(want)
+    ref = state._last if want is None else state._newest.get(want)
     if ref is not None:
         return ref.term
     raise NoAntecedent("no referent" if want is None

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_sentence
 import referents
 from tysem import cli, discourse
 from tysem.cli import (AnalysisOptions, _json_report, _sexpr_report,
@@ -148,6 +149,34 @@ def test_files_that_are_not_utf8_exit_1(capsys, tmp_path):
         assert code == 1
         assert err == f"error: {bad}: not UTF-8 text (invalid start byte " \
             "at byte 11)\n"
+
+
+BOM = "\ufeff"  # a byte order mark
+BOM_CASES = {  # a file, and a command reading it in place of `path`
+    "lexicon": (f"{LEXICA}/chat.lex", lambda path: ("check-lexicon", path)),
+    "model": ("models/chat.model", lambda path: (
+        "eval", "--model", path, "--formula", "(dort (eps ani x (chat x)))")),
+    "session": ("sessions/homme.session", lambda path: (
+        "analyze", "--lexicon", f"{LEXICA}/homme.lex", "--session", path,
+        "--rewrite")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOM_CASES))
+def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path, monkeypatch,
+                                              kind):
+    source, argv = BOM_CASES[kind]
+    text = Path(source).read_text(encoding="utf-8")
+    plain = run(capsys, *argv(source))
+    assert plain[0] == 0
+    marked = tmp_path / "marked"
+    marked.write_text(BOM + text, encoding="utf-8")
+    assert run(capsys, *argv(str(marked))) == plain
+    monkeypatch.setattr("sys.stdin", io.StringIO(BOM + text))
+    assert run(capsys, *argv("-")) == plain
+    # one mark is dropped: a second one is read as text, and fails
+    marked.write_text(BOM + BOM + text, encoding="utf-8")
+    assert run(capsys, *argv(str(marked)))[0] in (1, 2)
 
 
 def test_analyze_syntax_error(capsys):
@@ -526,6 +555,20 @@ def test_replayed_state_matches_fresh_state(family, data):
         assert _state_fields(DiscourseState(after.referents)) == \
             _state_fields(after)
         state = after
+
+
+def test_per_sentence_times_the_benchmark_sessions(monkeypatch):
+    # tests/per_sentence.py draws its sessions as the benchmark does
+    monkeypatch.syspath_prepend(str(per_sentence.REPO / "perfbench"))
+    import workloads
+    for family, (lexicon, noun, verbs, others) in \
+            per_sentence.FAMILIES.items():
+        assert workloads.FAMILIES[family] == (
+            lexicon, workloads.FAMILIES[family][1], noun, verbs, others)
+        for n in (0, 1, 2, 40, 320):
+            assert per_sentence.session_lines(random.Random(n), family, n) \
+                == workloads.session_lines(random.Random(n), family, n)
+    assert sorted(per_sentence.measure(1, 1)) == ["chat", "homme"]
 
 
 def test_sentence_cache_lives_for_one_run(tmp_path):

@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -5,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import per_sentence
+from tysem.cli import AnalysisOptions, analyze_tree
 from tysem.composer import compose, parse_tree
 from tysem.discourse import (DiscourseState, Referent, coercion_between,
                              register_referent, resolve_definite,
@@ -12,6 +18,7 @@ from tysem.discourse import (DiscourseState, Referent, coercion_between,
 from tysem.errors import NoAntecedent
 from tysem.kernel import BaseSort, Const, alpha_eq, canon, parse_term
 from tysem.lexicon import load_lexicon
+from tysem.node import FrozenInstanceError
 
 LEXICA = Path(__file__).resolve().parent.parent / "lexica"
 
@@ -286,3 +293,129 @@ def test_registration_does_not_grow_with_the_session():
     assert large < empty + 4096
     with pytest.raises(AttributeError):
         state.newest = {}
+
+
+# ---------------------------------------------------------------------------
+# the representation: a referent is a tuple that also links its state's chain
+
+
+def _three_referents():
+    state = DiscourseState()
+    for i, sort in enumerate(("T", "P", "T")):
+        state = register_referent(state, Const(f"r{i}", BaseSort(sort)), sort,
+                                  RESTRICTIONS[i], f"un#{i + 1}")
+    return state
+
+
+FIELDS = ("index", "term", "sort", "predicate", "introduced_by", "key")
+
+
+def test_referent_fields_equality_hash_and_repr():
+    ref = _three_referents().referents[1]
+    assert Referent.__match_args__ == FIELDS
+    values = (1, Const("r1", BaseSort("P")), "P", RESTRICTIONS[1], "un#2",
+              canon(RESTRICTIONS[1]))
+    assert tuple(getattr(ref, f) for f in FIELDS) == values
+    match ref:
+        case Referent(index, term, sort=sort):
+            assert (index, term, sort) == values[:3]
+    # by its fields, not by the referents before it
+    alone = Referent(*values)
+    assert alone == ref and not alone != ref and hash(alone) == hash(ref)
+    assert hash(ref) == hash(values)
+    assert ref != Referent(2, *values[1:]) and ref != values
+    assert repr(ref) == repr(alone) == (
+        "Referent(" + ", ".join(f"{f}={v!r}" for f, v in zip(FIELDS, values))
+        + ")")
+
+
+def test_referent_and_state_are_frozen():
+    state = _three_referents()
+    ref = state.referents[0]
+    for name in (*FIELDS, "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ref, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(ref, name)
+    for name in ("referents", "newest", "newest_by_key", "other"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, ())
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_referent_and_state_copy_and_pickle(clone):
+    state = _three_referents()
+    again = clone(state)
+    assert again == state and repr(again) == repr(state)
+    assert [r.index for r in again.referents] == [0, 1, 2]
+    assert list(again.newest) == ["P", "T"]
+    assert again.newest_by_key == state.newest_by_key
+    # the copy resolves to its own referents, which it registers onto
+    assert resolve_definite(again, "T", RESTRICTIONS[0]) is \
+        again.referents[0]
+    more = register_referent(again, Const("r3", BaseSort("P")), "P",
+                             RESTRICTIONS[1], "un#4")
+    assert more.referents[:3] == state.referents
+    for ref in state.referents:
+        assert clone(ref) == ref and repr(clone(ref)) == repr(ref)
+
+
+def test_referents_are_indexed_in_order_and_resolve_to_themselves():
+    state = _three_referents()
+    refs = state.referents
+    assert [r.index for r in refs] == [0, 1, 2]
+    assert list(state.newest_first()) == list(reversed(refs))
+    assert resolve_definite(state, "T", RESTRICTIONS[0]) is refs[0]
+    assert resolve_definite(state, "T", RESTRICTIONS[2]) is refs[2]
+    assert resolve_definite(state, "P", RESTRICTIONS[0]) is refs[1]
+    assert resolve_pronoun(state) is refs[2].term
+    # a state built from referents of another state keeps them, in order
+    rebuilt = DiscourseState(refs)
+    assert all(a is b for a, b in zip(rebuilt.referents, refs))
+    # and from referents linked elsewhere, equal ones linked in its order
+    shuffled = DiscourseState((refs[2], refs[0]))
+    assert shuffled.referents == (refs[2], refs[0])
+    assert list(shuffled.newest_first()) == [refs[0], refs[2]]
+
+
+# ---------------------------------------------------------------------------
+# what a replayed sentence leaves for the cyclic garbage collector
+
+
+@pytest.mark.parametrize("family", sorted(per_sentence.FAMILIES))
+def test_a_replayed_sentence_leaves_one_object_per_registration(family):
+    lex = load_lexicon(
+        (per_sentence.REPO / per_sentence.FAMILIES[family][0]).read_text())
+    lines = per_sentence.session_lines(random.Random(1), family, 2_000)
+    trees = [parse_tree(line) for line in lines]
+    options, store = AnalysisOptions(rewrite=True), {}
+
+    def session():
+        state, results = DiscourseState(), []
+        for tree in trees:
+            analysis, state = analyze_tree(lex, tree, state, options, store)
+            results.append(analysis)
+        return state, results
+
+    session()  # composes each distinct tree once
+    stored = sum(map(len, store.values()))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        state, results = session()
+        grown = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert sum(map(len, store.values())) == stored  # every sentence replayed
+    registrations = sum(" (un " in line for line in lines)
+    assert len(state.referents) == registrations == 1_000
+    # one object per referent, where a referent and its link of the chain
+    # made two, and a few whatever the length: the results list, the last
+    # state, its two index maps and the newest (sort, key) pair
+    assert registrations <= grown <= registrations + 8
+    assert round(grown / len(lines), 2) == 0.5  # tracked objects a sentence

@@ -95,9 +95,13 @@ ENTRY_POINTS = [
      ["chat(eps[ani](x. chat(x)))"]),
     ("print_formula(cli.discourse_formula([r], options))",
      "chat(eps[ani](x. chat(x))) & dort(eps[ani](x. chat(x)))"),
-    ("cli._text_report(r, options, out) or out", TEXT_REPORT),
-    ("cli._sexpr_report(r, options, out) or out[-1]",
-     "(formula (dort (eps ani x (chat x))))"),
+    # each report goes into `out` as one string of lines
+    ("cli._text_report(r, options, out) or out", ["\n".join(TEXT_REPORT)]),
+    ("cli._sexpr_report(r, options, out) or out",
+     ["(tree (dort (un chat)))\n(term (dort ((tyapp eps ani) chat)))\n"
+      "(normal (dort ((tyapp eps ani) chat)))\n"
+      "(presupposition (chat (eps ani x (chat x))))\n"
+      "(formula (dort (eps ani x (chat x))))"]),
     ("cli._json_report(r, options)['presuppositions']",
      ["chat(eps[ani](x. chat(x)))"]),
     ("cli._signature_of(parse_formula("
