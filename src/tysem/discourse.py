@@ -13,20 +13,26 @@ new state.
 Besides the referents in order, a state indexes the newest referent of each
 sort and of each (sort, restriction) pair, so resolving a pronoun or a
 definite is a dictionary lookup whatever the number of referents; only the
-coercion tier scans, over one referent per sort.  A state keeps its
-referents as a chain, newest first, that it shares with the state it
-extends, so a registration costs the same however many referents came
-before; only the index maps, one entry per sort and per distinct
-restriction, are copied.
+coercion tier scans, over one referent per sort.  A (sort, restriction)
+pair is indexed by a string, `index_key`: the sort's name and the
+restriction's canonical form written out in full, each node tagged with its
+class and each name quoted, so restrictions equal up to bound names share a
+key, and a variable and a constant of one name, or two annotations, do
+not.  A string's hash is worked out in C once per string, where a term's
+is read back through a Python call.  A state keeps its referents as a
+chain, newest first, that it shares with the state it extends, so a
+registration costs the same however many referents came before; only the
+index maps, one entry per sort and per distinct restriction, are copied.
 
-A session replays most sentences (see `composer.replay`), and a replayed
-indefinite registers again with the sort's name and the restriction's key
-from the composer's log, so a registration runs no `canon`.  It leaves one
-object for the garbage collector to track: the new referent, a tuple of its
-fields that also holds the referent before it, and so is the new link of
-the chain.  Built as one tuple, it takes about a third of the time a node
-class's field-by-field `__init__` takes.  The new state and its two index
-maps are set directly.
+A session replays most sentences (see `composer.replay_session`), and a
+replayed indefinite registers again with the sort's name, the
+restriction's canonical form and its index key from the composer's log,
+so a registration runs no `canon` and hashes no term.  It leaves one
+object for the garbage collector to track: the new referent, a tuple of
+its fields that also holds the referent before it, and so is the new link
+of the chain.  Built as one tuple, it takes about a third of the time a
+node class's field-by-field `__init__` takes.  The new state and its two
+index maps are set directly.
 """
 
 from __future__ import annotations
@@ -34,14 +40,33 @@ from __future__ import annotations
 from operator import attrgetter, itemgetter
 
 from .errors import NoAntecedent
-from .kernel import BaseSort, Term, Type, canon
-from .node import _delattr, _reduce, _setattr
+from .kernel import (App, Arrow, BaseSort, Const, Lam, Pi, Term, TyApp, TyLam,
+                     Type, TypeVar, Var, canon)
+from .node import _delattr, _reduce, _setattr, emit
 
 
 def _sort_name(ty: Type | str) -> str:
-    if isinstance(ty, str):
+    if type(ty) is str:
         return ty
     return ty.name if isinstance(ty, BaseSort) else str(ty)
+
+
+def index_key(sort: str, key: Term) -> str:
+    """The key a state indexes referents of `sort` whose restriction's
+    canonical form is `key` by: equal for equal pairs, apart otherwise."""
+    return f"{sort!r} {emit(key, _KEY_TEXT)}"
+
+
+_KEY_TEXT = {  # each node tagged by its class, its names quoted; last first
+    BaseSort: lambda n: f"B{n.name!r}", TypeVar: lambda n: f"V{n.name!r}",
+    Arrow: lambda n: (")", n.cod, " ", n.dom, "A("),
+    Pi: lambda n: (")", n.body, f"P({n.var!r} "),
+    Var: lambda n: (")", n.type, f"v({n.name!r} "),
+    Const: lambda n: (")", n.type, f"c({n.name!r} "),
+    App: lambda n: (")", n.arg, " ", n.fun, "a("),
+    Lam: lambda n: (")", n.body, " ", n.var_type, f"l({n.var!r} "),
+    TyApp: lambda n: (")", n.ty, " ", n.fun, "t("),
+    TyLam: lambda n: (")", n.body, f"T({n.tyvar!r} ")}
 
 
 class Referent(tuple):
@@ -83,14 +108,15 @@ class Referent(tuple):
         return f"Referent({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
 
-_record = tuple.__new__
+_record, _new = tuple.__new__, object.__new__
 
 
 class DiscourseState:
     """The referents in order of introduction, and the index maps derived
     from them: the newest referent of each sort, oldest sort first, and of
     each (sort, restriction key) pair.  Immutable: the public attributes are
-    read-only.  Equal when the referents are; copied and pickled as them."""
+    read-only.  Equal when the referents are; copied and pickled as them.
+    The second map's keys are `index_key`s."""
 
     __slots__ = ("_last", "_size", "_referents", "_newest", "_by_key")
 
@@ -101,7 +127,8 @@ class DiscourseState:
                 ref = _record(Referent, (*ref[:6], last))
             chain.append(ref)
             newest.pop(ref.sort, None)  # keeps `newest` in recency order
-            last = newest[ref.sort] = by_key[ref.sort, ref.key] = ref
+            last = newest[ref.sort] = ref
+            by_key[index_key(ref.sort, ref.key)] = ref
         self._last, self._size, self._referents = last, len(chain), tuple(chain)
         self._newest, self._by_key = newest, by_key
 
@@ -133,41 +160,43 @@ class DiscourseState:
 
 
 def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
-                      predicate: Term, source: str, key: Term | None = None
-                      ) -> DiscourseState:
+                      predicate: Term, source: str, key: Term | None = None,
+                      index: str | None = None) -> DiscourseState:
     """Append a referent; the newest one is the most salient.  Registration
     is by token: composing the same sentence twice yields two referents.
-    `key`, when given, is `kernel.canon(predicate)`."""
+    `key`, when given, is `kernel.canon(predicate)`, and `index`
+    `index_key(sort, key)`."""
     sort = sort if type(sort) is str else _sort_name(sort)
     key = canon(predicate) if key is None else key
+    index = index_key(sort, key) if index is None else index
     ref = _record(Referent, (state._size, eps_term, sort, predicate, source,
                              key, state._last))
     newest, by_key = state._newest.copy(), state._by_key.copy()
     newest.pop(sort, None)
-    newest[sort] = by_key[sort, key] = ref
-    out = object.__new__(DiscourseState)
+    newest[sort] = by_key[index] = ref
+    out = _new(DiscourseState)
     out._last, out._size, out._referents = ref, state._size + 1, None
     out._newest, out._by_key = newest, by_key
     return out
 
 
 def resolve_definite(state: DiscourseState, sort: Type | str, predicate: Term,
-                     lex=None, key: Term | None = None) -> Referent | None:
+                     lex=None, index: str | None = None) -> Referent | None:
     """Most salient referent matching a definite description, or None.
 
     Prefers, newest first: the requested sort with an alpha-equivalent
     restriction, then the sort alone, then any referent whose sort reaches
     the requested one through a single coercion declared in `lex`.  The
     caller treats None as "no antecedent" and falls back to a fresh choice
-    term plus presupposition.  `key`, when given, is
-    `kernel.canon(predicate)`.
+    term plus presupposition.  `index`, when given, is
+    `index_key(sort, kernel.canon(predicate))`.
     """
     want = sort if type(sort) is str else _sort_name(sort)
     newest = state._newest.get(want)
     if newest is not None:
-        if key is None:
-            key = canon(predicate)
-        return state._by_key.get((want, key), newest)
+        if index is None:
+            index = index_key(want, canon(predicate))
+        return state._by_key.get(index, newest)
     if lex is not None:
         # the newest referent of any sort is the newest of its own sort
         for ref in reversed(state._newest.values()):
@@ -196,9 +225,11 @@ def resolve_pronoun(state: DiscourseState,
     antecedent introduced, extending that term's reach beyond its own
     sentence.  Raises NoAntecedent when nothing compatible is registered.
     """
-    want = None if requested_sort is None else _sort_name(requested_sort)
+    want = requested_sort
+    if want is not None and type(want) is not str:
+        want = _sort_name(want)
     ref = state._last if want is None else state._newest.get(want)
     if ref is not None:
-        return ref.term
+        return ref[1]  # its term
     raise NoAntecedent("no referent" if want is None
                        else f"no referent of sort {want}")

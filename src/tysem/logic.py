@@ -479,8 +479,8 @@ class _Pass:
     """
 
     def __init__(self, parts: list[Formula], live: set[Eps] | None):
-        self.parts = parts
-        self.distinct = dict(zip(map(id, parts), parts))
+        self.parts, self.ids = parts, list(map(id, parts))
+        self.distinct = dict(zip(self.ids, parts))
         self.nested = And in map(type, self.distinct.values())
         self.conjuncts: dict[int, Formula] = {  # each part's in its place
             id(c): c for p in self.distinct.values() for c in flatten_and(p)
@@ -536,7 +536,7 @@ class _Pass:
             i: transform(p, visit) if type(p) is And else versions[i]
             for i, p in self.distinct.items()}
         if spine is None:
-            return reduce(And, map(new.__getitem__, map(id, self.parts)))
+            return reduce(And, map(new.__getitem__, self.ids))
         out = new[id(self.parts[0])]
         for a in spine:
             right = new[id(a.right)]
@@ -701,19 +701,36 @@ def _infix(uni: bool) -> dict:
     def binary(sym: str, left: int, right: int):  # the precedences l, r need
         sym, opened = f" {sym} ", f" {sym} ("
 
-        def layout(n):
+        def layout(n):  # the right operand printed once (`node.emit`)
             r, l = n.right, n.left
-            r = (opened, r, ")") if _PREC[type(r)] < right else (sym, r, "")
-            return (r, ")", l, "(") if _PREC[type(l)] < left else (r, l)
+            out = [")", (opened, (r,))] if _PREC[type(r)] < right else \
+                [(sym, (r,))]
+            out += (")", l, "(") if _PREC[type(l)] < left else (l,)
+            return out
         return layout
 
-    def conjunction(n):  # the left spine, flat: a & b & c
-        out = []
+    # the classes a right conjunct is parenthesized for
+    opens = {cls for cls, prec in _PREC.items() if prec <= _PREC[And]}
+
+    def conjunction(n):  # the left spine, flat: a & b & c, each distinct
+        rights = []      # conjunct printed once (`node.emit`)
         while type(n) is And:
-            r = n.right
-            out.append((and_opened, r, ")") if _PREC[type(r)] <= _PREC[And]
-                       else (and_sym, r, ""))
+            rights.append(n.right)
             n = n.left
+        if opens.isdisjoint(map(type, rights)):
+            out = [(and_sym, reversed(rights))]
+        else:  # runs of conjuncts, and each one parenthesized alone
+            out, run = [], []
+            for r in rights:
+                if type(r) in opens:
+                    if run:
+                        out.append((and_sym, reversed(run)))
+                        run = []
+                    out += (")", (and_opened, (r,)))
+                else:
+                    run.append(r)
+            if run:
+                out.append((and_sym, reversed(run)))
         out += (")", n, "(") if _PREC[type(n)] < _PREC[And] else (n,)
         return out
 
@@ -749,13 +766,14 @@ def _truth(n: TruthConst) -> str:
 def _spine_sexpr(cls: type, head: str):
     """`(head (head a b) c)` down the left spine of cls nodes, each
     distinct right operand printed once."""
-    def layout(n):
-        out = []
+    def layout(n):  # `(head (head a b` then `) c)`
+        rights = []
         while type(n) is cls:
-            out.append((" ", n.right, ")"))
+            rights.append(n.right)
             n = n.left
-        out += (n, f"({head} " * len(out))
-        return out
+        first = rights.pop()
+        return [")", (") ", reversed(rights)), (" ", (first,)), n,
+                f"({head} " * (len(rights) + 1)]
     return layout
 
 

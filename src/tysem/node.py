@@ -416,13 +416,13 @@ def emit(root, layouts) -> str:
     A layout puts the parentheses a child needs around it, so a node's text
     never depends on where it stands.
 
-    A triple (before, child, after) that a layout pushes prints the child
-    between two texts, worked out once per call for each distinct object:
-    the first time, the span of its text is marked on the stack, and then
-    that text is written again.  A discourse conjoins each stored
-    analysis's formula many times, so it prints a few distinct conjuncts
-    however long it is.  A root whose layout is its text (a leaf) is
-    returned before the stack is built."""
+    A pair (text, children) that a layout pushes prints each child after
+    the text, and each once per call for each distinct object: the first
+    time, the span of its text is marked on the stack, and then that text
+    is written again.  A discourse conjoins each stored analysis's formula
+    many times, so it prints a few distinct conjuncts however long it is,
+    and pushes one pair for them all.  A root whose layout is its text (a
+    leaf) is returned before the stack is built."""
     text = layouts[type(root)](root)
     if type(text) is str:
         return text
@@ -433,18 +433,19 @@ def emit(root, layouts) -> str:
         t = type(n)
         if t is str:
             write(n)
-        elif t is tuple:  # (before, child, after)
-            before, kid, after = n
-            write(before)
-            text = texts.get(id(kid))
-            if text is None:
-                texts[id(kid)] = span = [len(out), None]
-                stack += (after, span, kid)
-                continue
-            if type(text) is list:
-                text = texts[id(kid)] = "".join(out[text[0]:text[1]])
-            write(text)
-            write(after)
+        elif t is tuple:  # (text, children)
+            before, kids = n
+            kids = iter(kids)
+            for kid in kids:
+                write(before)
+                text = texts.get(id(kid))
+                if text is None:  # printed here, then the children after
+                    texts[id(kid)] = span = [len(out), None]
+                    stack += ((before, kids), span, kid)
+                    break
+                if type(text) is list:
+                    text = texts[id(kid)] = "".join(out[text[0]:text[1]])
+                write(text)
         elif t is list:  # the end of a span
             n[1] = len(out)
         else:

@@ -1,23 +1,33 @@
+import contextlib
 import copy
 import gc
+import io
+import json
 import pickle
 import random
+import sys
+import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_sentence
-from tysem.cli import AnalysisOptions, analyze_tree
+from generators import TermGen
+from tysem.cli import (AnalysisOptions, _json_report, _sexpr_report,
+                       _text_report, analyze_tree, discourse_formula, main)
 from tysem.composer import compose, parse_tree
 from tysem.discourse import (DiscourseState, Referent, coercion_between,
-                             register_referent, resolve_definite,
+                             index_key, register_referent, resolve_definite,
                              resolve_pronoun)
-from tysem.errors import NoAntecedent
-from tysem.kernel import BaseSort, Const, alpha_eq, canon, parse_term
+from tysem.errors import NoAntecedent, TysemError
+from tysem.kernel import (App, Arrow, BaseSort, Const, Lam, TyApp, TyLam,
+                          TypeVar, Var, alpha_eq, canon, parse_term)
 from tysem.lexicon import load_lexicon
+from tysem.logic import print_formula
 from tysem.node import FrozenInstanceError
 
 LEXICA = Path(__file__).resolve().parent.parent / "lexica"
@@ -416,6 +426,176 @@ def test_a_replayed_sentence_leaves_one_object_per_registration(family):
     assert len(state.referents) == registrations == 1_000
     # one object per referent, where a referent and its link of the chain
     # made two, and a few whatever the length: the results list, the last
-    # state, its two index maps and the newest (sort, key) pair
+    # state and its two index maps
     assert registrations <= grown <= registrations + 8
     assert round(grown / len(lines), 2) == 0.5  # tracked objects a sentence
+
+
+def _python_hash_and_eq_calls(argv) -> Counter:
+    """The calls to a Python-level `__hash__` or `__eq__` that `cli.main`
+    makes on argv."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("__hash__", "__eq__"):
+            calls[frame.f_code.co_name] += 1
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            assert main(argv) == 0
+        finally:
+            sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("family", sorted(per_sentence.FAMILIES))
+def test_a_replayed_sentence_hashes_and_compares_no_node(family, tmp_path):
+    """A replayed sentence reads its tree's logs by its line, indexes and
+    looks restrictions up by a string key, and gets the very choice term
+    its log recorded: each sentence past the 40th of a 320-sentence
+    session makes no call to a Python-level `__hash__` or `__eq__`."""
+    lines = per_sentence.session_lines(random.Random(1), family, 320)
+    runs = {}
+    for n in (40, 320):
+        path = tmp_path / f"{n}.session"
+        path.write_text("".join(line + "\n" for line in lines[:n]))
+        runs[n] = per_sentence.argv(family, path)
+    # module-level types keep the hash a first run works out
+    _python_hash_and_eq_calls(runs[40])
+    calls = {n: _python_hash_and_eq_calls(argv) for n, argv in runs.items()}
+    assert calls[40]["__hash__"] > 0 and calls[40]["__eq__"] > 0
+    assert calls[320] == calls[40]
+
+
+# ---------------------------------------------------------------------------
+# the index key of a restriction
+
+
+def _renamed(t):
+    """t with each variable a `lam` binds renamed: a prime added."""
+    def walk(t, bound):
+        match t:
+            case Var(name, ty) if name in bound:
+                return Var(name + "'", ty)
+            case Lam(var, ty, body):
+                return Lam(var + "'", ty, walk(body, bound | {var}))
+            case App(fun, arg):
+                return App(walk(fun, bound), walk(arg, bound))
+            case TyApp(fun, ty):
+                return TyApp(walk(fun, bound), ty)
+            case TyLam(var, body):
+                return TyLam(var, walk(body, bound))
+        return t
+    return walk(t, frozenset())
+
+
+def _key(sort, t):
+    return index_key(sort, canon(t))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32), st.integers(0, 2**32))
+def test_index_keys_are_equal_exactly_for_alpha_equivalent_restrictions(
+        a, b):
+    t, u = TermGen(a).random_term(6), TermGen(b).random_term(6)
+    assert _key("ani", _renamed(t)) == _key("ani", t)
+    assert (_key("ani", t) == _key("ani", u)) == alpha_eq(t, u)
+    assert _key("ani", t) != _key("phys", t)
+
+
+def test_index_keys_tell_variables_constants_and_annotations_apart():
+    ani, phys, t = BaseSort("ani"), BaseSort("phys"), BaseSort("t")
+    chat = Arrow(ani, t)
+    body = App(Const("chat", chat), Var("x", ani))
+    keys = [_key("ani", r) for r in (
+        Lam("x", ani, body), Lam("y", ani, App(Const("chat", chat),
+                                                Var("y", ani))),
+        Lam("x", ani, App(Var("chat", chat), Var("x", ani))),
+        Lam("x", phys, App(Const("chat", Arrow(phys, t)), Var("x", phys))),
+        Lam("x", ani, App(Const("chat", Arrow(ani, TypeVar("t"))),
+                          Var("x", ani))),
+        Const("chat", chat), Var("chat", chat))]
+    assert keys[0] == keys[1]  # bound names alone
+    assert len(set(keys)) == len(keys) - 1
+    # a sort's name and a key's text cannot run into each other
+    assert index_key("a", Const("b", ani)) != index_key("a b", Const("b", ani))
+
+
+# Sessions that mix definites resolved by restriction (`le chat` after `un
+# chat`, `le minet` after `un matou`, alpha-equivalent restrictions), by
+# sort (`le chien` after `un chat`) and through a coercion (`le animal`
+# after `un panthere` alone), and pronouns of both sorts.
+TIERS_LEXICON_TEXT = """
+(sort panth) (sort ani)
+(const panthere (-> panth t)) (const animal (-> ani t))
+(const chat (-> ani t)) (const chien (-> ani t))
+(const saute (-> panth t)) (const dort (-> ani t))
+(entry "un" (principal eps) (mode indefinite))
+(entry "le" (principal ieps) (mode definite))
+(entry "panthere" (principal panthere)
+  (option panth_ani (-> panth ani) flexible))
+(entry "animal" (principal animal))
+(entry "chat" (principal chat))
+(entry "chien" (principal chien))
+(entry "matou" (principal (lam x ani (chat x))))
+(entry "minet" (principal (lam y ani (chat y))))
+(entry "saute" (principal saute))
+(entry "dort" (principal dort))
+(pronoun "il" ani)
+(pronoun "elle" panth)
+"""
+TIERS_LEXICON = load_lexicon(TIERS_LEXICON_TEXT)
+TIERS_POOL = ("(dort (un chat))", "(dort (le chat))", "(dort (le chien))",
+              "(saute (un panthere))", "(dort (le animal))",
+              "(saute (le panthere))", "(dort (un matou))",
+              "(dort (le minet))", "(dort (le matou))", "(dort il)",
+              "(saute elle)")
+
+
+def _fresh_run(texts, options, fmt) -> tuple[int, str, str]:
+    """What `tysem analyze --session` writes for texts, each sentence
+    composed afresh, with no store of compositions."""
+    state, results = DiscourseState(), []
+    try:
+        for text in texts:
+            r, state = analyze_tree(TIERS_LEXICON, parse_tree(text), state,
+                                    options)
+            results.append(r)
+    except TysemError as exc:
+        return 2, "", f"error: {exc}\n"
+    if fmt == "json":
+        doc = {"sentences": [_json_report(r, options) for r in results],
+               "discourse": print_formula(discourse_formula(results, options),
+                                          options.style)}
+        return 0, json.dumps(doc, ensure_ascii=False, indent=2) + "\n", ""
+    out = []
+    for i, r in enumerate(results, 1):
+        out.append(f"sentence {i}")
+        (_sexpr_report if fmt == "sexpr" else _text_report)(r, options, out)
+    style = "sexpr" if fmt == "sexpr" else options.style
+    f = discourse_formula(results, options)
+    out.append(f"discourse: {print_formula(f, style)}")
+    return 0, "\n".join(out) + "\n", ""
+
+
+@settings(max_examples=60)
+@given(st.lists(st.sampled_from(TIERS_POOL), min_size=1, max_size=40),
+       st.sampled_from(["separate", "conjoin", "off"]), st.booleans(),
+       st.sampled_from(["ascii", "unicode"]),
+       st.sampled_from(["text", "sexpr", "json"]))
+def test_a_session_replayed_from_its_store_prints_as_composed_afresh(
+        texts, mode, rewrite, style, fmt):
+    options = AnalysisOptions(mode, rewrite, False, style)
+    with tempfile.TemporaryDirectory() as work:
+        lexicon, session = Path(work) / "tiers.lex", Path(work) / "s.session"
+        lexicon.write_text(TIERS_LEXICON_TEXT)
+        session.write_text("".join(text + "\n" for text in texts))
+        argv = ["analyze", "--lexicon", str(lexicon), "--session",
+                str(session), "--format", fmt, "--style", style,
+                "--presuppositions", mode, *(["--rewrite"] if rewrite else [])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert (rc, out.getvalue(), err.getvalue()) == \
+        _fresh_run(texts, options, fmt)

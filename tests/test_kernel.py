@@ -865,21 +865,26 @@ def test_kernel_walkers_take_deep_nests():
         assert _down(normal, DEEP) == App(CHAT, Var("x0", ANI))
 
 
-def _best(fn) -> float:
-    times = []
-    for _ in range(5):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+def _best_in_turn(*fns, rounds: int = 11) -> list[float]:
+    """The best time of each function over `rounds` rounds that run each
+    once, in turn, so that a slow stretch of the machine falls on all of
+    them alike."""
+    best = [float("inf")] * len(fns)
+    for _ in range(rounds):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
 
 
 def test_substitution_is_linear_in_nested_captures():
     """Substituting y for x under 1,000 nested binders of y renames every
     one of them in one pass: within 12x of an identity transform of the
-    same nest (best of five runs each).  Renaming each binder and working
-    out the free names of the bodies once cost about 8x; a second pass per
-    capture, as the recursive substitutions made, about 1,000x."""
+    same nest (best of eleven runs each, the two timed in turn).  Renaming
+    each binder and working out the free names of the bodies once cost
+    about 8x; a second pass per capture, as the recursive substitutions
+    made, about 1,000x."""
     term = App(CHAT, Var("x", ANI))
     ty = Arrow(TypeVar("x"), T)
     for _ in range(1_000):
@@ -894,6 +899,7 @@ def test_substitution_is_linear_in_nested_captures():
             (kernel._TERMS, term, "x", Var("y", ANI)),
             (kernel._WITH_TYPES, ty, "x", TypeVar("y"))):
         subst = subst_term if walk is kernel._TERMS else subst_type
-        renaming = _best(lambda: subst(n, var, repl))
-        identity = _best(lambda: walk.transform(n, lambda m, e: None))
+        renaming, identity = _best_in_turn(
+            lambda: subst(n, var, repl),
+            lambda: walk.transform(n, lambda m, e: None))
         assert renaming < 12 * identity, (renaming, identity)
