@@ -28,8 +28,7 @@ from .errors import InputError, SemanticError, TysemError
 # its own, binds the names of the modules it needs on first use (`_bind`);
 # any other access (`tysem.cli.compose`) goes through `__getattr__`.
 _NAMES = {
-    "composer": ("Logs", "compose", "parse_tree", "print_tree", "replay",
-                 "replay_session"),
+    "composer": ("Logs", "compose", "parse_tree", "print_tree", "replay"),
     "discourse": ("DiscourseState",),
     "kernel": ("normalize", "print_term", "reduction_steps"),
     "lexicon": ("load_lexicon",),
@@ -129,15 +128,8 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
     logs = None if store is None else store.get(tree)
     # a log is stored by a call that bound, so only composition binds: a
     # replay, most sentences of a session, pays nothing for it
-    if logs is not None and (hit := replay(logs, state, lex)) is not None:
+    if logs and (hit := replay(logs, state, lex)) is not None:
         return hit
-    return _analyze_fresh(lex, tree, state, options, store)
-
-
-def _analyze_fresh(lex: Lexicon, tree: SynTree, state: DiscourseState,
-                   options: AnalysisOptions, store: dict | None
-                   ) -> tuple[AnalysisResult, DiscourseState]:
-    """`analyze_tree` where no stored composition replays."""
     _bind(_ANALYZE)
     result: ComposeResult = compose(tree, lex, state)
     if options.trace:
@@ -159,22 +151,17 @@ def _analyze_fresh(lex: Lexicon, tree: SynTree, state: DiscourseState,
 
 
 def discourse_formula(results: list[AnalysisResult],
-                      options: AnalysisOptions,
-                      analyses: list[AnalysisResult] | None = None) -> Formula:
+                      options: AnalysisOptions) -> Formula:
     """Conjoin a session: deduplicated presuppositions first, then the
     assertions in sentence order.  Alpha-duplicates are found by their
     `canon_formula` key, worked out once per analysis: sentences served by
-    one stored analysis share it (see analyze_tree).  `analyses`, when
-    given, holds each analysis of `results` once, in the order of first
-    use.  The parts go to the rewrite as they are held
-    (`rewrite_conjunction`), which builds the left-nested conjunction
-    once."""
+    one stored analysis share it (see analyze_tree).  The parts go to the
+    rewrite as they are held (`rewrite_conjunction`), which builds the
+    left-nested conjunction once."""
     _bind(_ANALYZE)
     parts: dict[Formula, Formula] = {}  # canon_formula key -> first part
     if options.presuppositions != "off":
-        if analyses is None:
-            analyses = dict(zip(map(id, results), results)).values()
-        for r in analyses:
+        for r in dict(zip(map(id, results), results)).values():
             for p in r.presupposition_list:
                 parts.setdefault(canon_formula(p), p)
     parts = [*parts.values(), *map(attrgetter("formula"), results)]
@@ -185,10 +172,10 @@ def discourse_formula(results: list[AnalysisResult],
 # reports
 
 
-# Each report is printed once per analysis and kept in `r.printed` under
-# its format's name, the text and s-expression ones as one string of
-# lines, which a report adds to `out` whole.  A report is built only on
-# first use, so only that path binds the printers.
+# Each report is printed once per analysis and kept in `r.printed`, the
+# text and s-expression ones as one string of lines, which a report adds
+# to `out` whole.  A report is built only on first use, so only that path
+# binds the printers.
 
 
 def _text_report(r: AnalysisResult, options: AnalysisOptions,
@@ -263,53 +250,44 @@ def run_analyze(args) -> int:
                               rewrite=args.rewrite, trace=args.trace,
                               style=args.style)
     session = args.session is not None
+    state = DiscourseState()
     store: dict = {}  # each tree's compositions, for this run
+    results: list[AnalysisResult] = []
     out: list[str] = []
     try:
         lex = load_lexicon(_read(args.lexicon))
         if args.session:
-            text = _read(args.session)
-            lines = filter(None, map(str.strip, text.splitlines()))
-            # a comment is a line that starts with ";"
-            sentences = [s for s in lines if s[0] != ";"] if ";" in text \
-                else list(lines)
+            lines = map(str.strip, _read(args.session).splitlines())
+            sentences = [s for s in filter(None, lines) if s[0] != ";"]
         else:
             sentences = [args.tree]
         # every line is read, and its tree's logs looked up, before any is
-        # composed; a sentence replays them as `analyze_tree` would
+        # composed
         entries = {s: (tree := parse_tree(s), store.setdefault(tree, Logs()))
                    for s in dict.fromkeys(sentences)}
-        analyses = []  # each analysis once, as a sentence first got it
-
-        def fresh(tree, state):
-            hit = _analyze_fresh(lex, tree, state, options, store)
-            analyses.append(hit[0])
-            return hit
-
-        results, _ = replay_session(map(entries.__getitem__, sentences),
-                                    DiscourseState(), lex, fresh)
+        for tree, logs in map(entries.__getitem__, sentences):
+            # most sentences replay a stored composition; the others go to
+            # `analyze_tree`, whose own replay fails as this one did
+            hit = replay(logs, state, lex) if logs else None
+            if hit is None:
+                hit = analyze_tree(lex, tree, state, options, store)
+            analysis, state = hit
+            results.append(analysis)
         if args.format == "json":
             import json
             doc = {"sentences": [_json_report(r, options) for r in results]}
             if session:
                 doc["discourse"] = print_formula(
-                    discourse_formula(results, options, analyses),
-                    options.style)
+                    discourse_formula(results, options), options.style)
             out.append(json.dumps(doc, ensure_ascii=False, indent=2))
         else:
             report = _sexpr_report if args.format == "sexpr" else _text_report
-            if not session:
-                report(results[0], options, out)
-            else:
-                # each analysis's report is printed once and written after
-                # the number of each sentence it serves
-                for r in analyses:
-                    report(r, options, [])
-                write = out.append
-                for i, r in enumerate(results, 1):
-                    write(f"sentence {i}")
-                    write(r.printed[args.format])
-                f = discourse_formula(results, options, analyses)
+            for i, r in enumerate(results, 1):
+                if session:
+                    out.append(f"sentence {i}")
+                report(r, options, out)
+            if session:
+                f = discourse_formula(results, options)
                 style = "sexpr" if args.format == "sexpr" else options.style
                 out.append(f"discourse: {print_formula(f, style)}")
     except (OSError, InputError) as exc:

@@ -296,60 +296,19 @@ def replay(logs: Logs, state: DiscourseState, lex: Lexicon):
         else:
             sort, restriction, index = args
             ref = disc.resolve_definite(state, sort, restriction, lex, index)
-            got = None if ref is None else (ref.term, ref.sort)
+            if ref is None:
+                got = None
+            elif (answer is not None and ref.term is answer[0]
+                  and ref.sort == answer[1]):
+                continue
+            else:
+                got = ref.term, ref.sort
         if not (got is answer or got == answer):
             answers = [a for k, _, a in log[:i - 1] if k != "register"]
             if (pair := logs.first.get((*answers, got))) is None:
                 return None
             log, value = pair
     return value, state
-
-
-def replay_session(items, state: DiscourseState, lex: Lexicon, fresh):
-    """`replay` over a session: the value of each (tree, logs) item in
-    turn, and the state after the last.  Where no log answers, the tree is
-    composed: `fresh(tree, state)` returns its value and the state after
-    it.  Most sentences take their tree's first log, each read answering
-    the very term it recorded: a composition registers the choice term
-    already registered for its restriction when it builds an equal one
-    (`_Composer._register`).  That is checked here, with no call per
-    sentence; any other sentence is left to `replay`."""
-    values = []
-    keep = values.append
-    for tree, logs in items:
-        if logs:
-            log, value = logs[0]
-            after = state
-            for kind, args, answer in log:
-                if kind == "register":
-                    after = disc.register_referent(after, *args)
-                elif kind == "pronoun":
-                    try:
-                        if disc.resolve_pronoun(after, *args) is not answer:
-                            break
-                    except NoAntecedent:
-                        break
-                else:
-                    sort, restriction, index = args
-                    ref = disc.resolve_definite(after, sort, restriction, lex,
-                                                index)
-                    if ref is None:
-                        if answer is not None:
-                            break
-                    elif (answer is None or ref.term is not answer[0]
-                          or ref.sort != answer[1]):
-                        break
-            else:
-                state = after
-                keep(value)
-                continue
-            if (hit := replay(logs, state, lex)) is not None:
-                value, state = hit
-                keep(value)
-                continue
-        value, state = fresh(tree, state)
-        keep(value)
-    return values, state
 
 
 class _Composer:
@@ -525,7 +484,7 @@ class _Composer:
         """Register the choice term `term`, or the equal one the state
         indexes under the same key, which then stands for it: sentences
         that build one choice term share the object, so a replay's answers
-        are the very terms its log recorded (see `replay_session`).  The
+        are the very terms its log recorded (see `replay`).  The
         term registered."""
         same = self.state.newest_by_key.get(index)
         if same is not None and same.term == term:

@@ -24,7 +24,7 @@ chain, newest first, that it shares with the state it extends, so a
 registration costs the same however many referents came before; only the
 index maps, one entry per sort and per distinct restriction, are copied.
 
-A session replays most sentences (see `composer.replay_session`), and a
+A session replays most sentences (see `composer.replay`), and a
 replayed indefinite registers again with the sort's name, the
 restriction's canonical form and its index key from the composer's log,
 so a registration runs no `canon` and hashes no term.  It leaves one
@@ -108,7 +108,7 @@ class Referent(tuple):
         return f"Referent({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
 
-_record, _new = tuple.__new__, object.__new__
+_record = tuple.__new__
 
 
 class DiscourseState:
@@ -174,7 +174,7 @@ def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
     newest, by_key = state._newest.copy(), state._by_key.copy()
     newest.pop(sort, None)
     newest[sort] = by_key[index] = ref
-    out = _new(DiscourseState)
+    out = object.__new__(DiscourseState)
     out._last, out._size, out._referents = ref, state._size + 1, None
     out._newest, out._by_key = newest, by_key
     return out
@@ -230,6 +230,6 @@ def resolve_pronoun(state: DiscourseState,
         want = _sort_name(want)
     ref = state._last if want is None else state._newest.get(want)
     if ref is not None:
-        return ref[1]  # its term
+        return ref.term
     raise NoAntecedent("no referent" if want is None
                        else f"no referent of sort {want}")

@@ -17,10 +17,9 @@ from tysem.logic import (And, Eps, Eq, Exists, Forall, Formula, LVar, Pred,
                          free_formula_vars, nodes, transform)
 
 
-def spine_discourse_formula(results, options, analyses=None) -> Formula:
+def spine_discourse_formula(results, options) -> Formula:
     """`cli.discourse_formula` as it was: the session conjoined into one
-    left-nested spine, then rewritten from the top of it.  The distinct
-    analyses are worked out here, whatever `analyses` holds."""
+    left-nested spine, then rewritten from the top of it."""
     parts: dict[Formula, Formula] = {}  # canon_formula key -> first part
     if options.presuppositions != "off":
         for r in {id(r): r for r in results}.values():

@@ -21,6 +21,7 @@ from generators import FormulaGen
 from logic_oracle import (old_canon_formula, old_fold, old_substitute,
                           old_transform)
 from rewrite_oracle import _with_conjuncts
+from test_kernel import _best_in_turn
 from tysem.cli import _SIGNATURE_INTO, _signature_of
 from tysem.logic import (DEF, INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
                          Formula, Implies, LApp, LConst, LVar, Not, Or, Pred,
@@ -418,19 +419,11 @@ def test_walkers_take_deep_nests(shape):
 def test_canon_formula_is_linear_in_binder_nesting():
     """Renaming 10,000 nested quantifiers, each binding a name of its own,
     costs within 5x of an identity transform of the same nest: no binder
-    copies the names in scope (best of five runs each)."""
+    copies the names in scope (best of eleven runs each, the two timed in
+    turn)."""
     f = quantifiers()
-
-    def best(fn):
-        times = []
-        for _ in range(5):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    canon = best(lambda: canon_formula(f))
-    identity = best(lambda: transform(f, lambda n, e: None))
+    canon, identity = _best_in_turn(
+        lambda: canon_formula(f), lambda: transform(f, lambda n, e: None))
     assert canon < 5 * identity, (canon, identity)
 
 
