@@ -128,8 +128,11 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
     logs = None if store is None else store.get(tree)
     # a log is stored by a call that bound, so only composition binds: a
     # replay, most sentences of a session, pays nothing for it
-    if logs and (hit := replay(logs, state, lex)) is not None:
-        return hit
+    if logs:
+        replayed: list[AnalysisResult] = []
+        after, missed = replay(((tree, logs),), state, lex, replayed)
+        if missed is None:
+            return replayed[0], after
     _bind(_ANALYZE)
     result: ComposeResult = compose(tree, lex, state)
     if options.trace:
@@ -265,13 +268,16 @@ def run_analyze(args) -> int:
         # composed
         entries = {s: (tree := parse_tree(s), store.setdefault(tree, Logs()))
                    for s in dict.fromkeys(sentences)}
-        for tree, logs in map(entries.__getitem__, sentences):
-            # most sentences replay a stored composition; the others go to
-            # `analyze_tree`, whose own replay fails as this one did
-            hit = replay(logs, state, lex) if logs else None
-            if hit is None:
-                hit = analyze_tree(lex, tree, state, options, store)
-            analysis, state = hit
+        items = map(entries.__getitem__, sentences)
+        # most sentences replay a stored composition; `analyze_tree`
+        # composes each of the others, its own replay failing as this one
+        # did, and the replay goes on after it
+        while True:
+            state, missed = replay(items, state, lex, results)
+            if missed is None:
+                break
+            analysis, state = analyze_tree(lex, missed[0], state, options,
+                                           store)
             results.append(analysis)
         if args.format == "json":
             import json

@@ -35,6 +35,9 @@ every read answers the same, the composition would too.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+from operator import length_hint
+
 from . import discourse as disc
 from .discourse import DiscourseState
 from .errors import (AmbiguousCoercion, CompositionError, NoAntecedent,
@@ -268,47 +271,71 @@ class Logs(list):
             self.first.setdefault(tuple(answers[:k]), self[-1])
 
 
-def replay(logs: Logs, state: DiscourseState, lex: Lexicon):
-    """Make a stored composition's discourse calls again against `state`:
-    the value stored with the log whose reads all answer as recorded, and
-    the state its composition would leave; None when no log answers, and
-    the sentence must be composed afresh, which raises any error.
+def replay(items: Iterable[tuple], state: DiscourseState, lex: Lexicon,
+           values: list) -> tuple[DiscourseState, tuple | None]:
+    """Make stored compositions' discourse calls again against `state`,
+    one sentence after another.  For each (tree, logs) item of `items`,
+    the value stored with the log whose reads all answer as recorded goes
+    to `values`, and the state moves on to the one its composition would
+    leave.  Returns the state and the first item none of whose logs
+    answers, whose sentence must be composed afresh, which raises any
+    error; an iterator keeps the items after it.  The item is None once
+    the items are spent.  A session replays its sentences in one call, so
+    a sentence makes no call of its own.
 
-    Each registration is made again.  Where a read answers otherwise, the
-    calls go on in the first log with the answers so far (`Logs.first`),
-    so one replay makes one log's calls however many are stored.  At most
-    one log answers: two differ only past a read they recorded apart.
-    The answers are gathered only then: until a read answers otherwise,
-    every read answered as the log recorded."""
-    log, value = logs[0]
-    i = 0
-    while i < len(log):
-        kind, args, answer = log[i]
-        i += 1
-        if kind == "register":
-            state = disc.register_referent(state, *args)
-            continue
-        if kind == "pronoun":
-            try:
-                got = disc.resolve_pronoun(state, *args)
-            except NoAntecedent:
-                return None
-        else:
-            sort, restriction, index = args
-            ref = disc.resolve_definite(state, sort, restriction, lex, index)
-            if ref is None:
-                got = None
-            elif (answer is not None and ref.term is answer[0]
-                  and ref.sort == answer[1]):
-                continue
+    Each registration is made again.  A read answers as recorded when it
+    returns the very object its log holds, as it does where a composition
+    registered the term already registered (`_Composer._register`).  Where
+    it answers otherwise, the calls go on in the first log with the
+    answers so far (`Logs.first`, keyed by equality, so an equal answer
+    leads to a log that recorded it), and one replay makes one log's calls
+    however many are stored.  At most one log answers: two differ only
+    past a read they recorded apart.  The answers are gathered only then:
+    until a read answers otherwise, every read answered as the log
+    recorded."""
+    for item in items:
+        logs = item[1]
+        if not logs:
+            return state, item
+        log, value = logs[0]
+        after, entries = state, iter(log)
+        while True:
+            for kind, args, answer in entries:
+                if kind == "register":
+                    after = disc.register_referent(after, *args)
+                    continue
+                if kind == "pronoun":
+                    try:
+                        got = disc.resolve_pronoun(after, *args)
+                    except NoAntecedent:
+                        return state, item
+                    if got is answer:
+                        continue
+                else:
+                    sort, restriction, index = args
+                    ref = disc.resolve_definite(after, sort, restriction, lex,
+                                                index)
+                    if ref is None:
+                        if answer is None:
+                            continue
+                        got = None
+                    elif (answer is not None and ref.term is answer[0]
+                          and ref.sort == answer[1]):
+                        continue
+                    else:
+                        got = ref.term, ref.sort
+                break  # the read answered otherwise
             else:
-                got = ref.term, ref.sort
-        if not (got is answer or got == answer):
+                break  # every read answered as recorded
+            i = len(log) - length_hint(entries)  # the entries made
             answers = [a for k, _, a in log[:i - 1] if k != "register"]
             if (pair := logs.first.get((*answers, got))) is None:
-                return None
+                return state, item
             log, value = pair
-    return value, state
+            entries = iter(log[i:])
+        state = after
+        values.append(value)
+    return state, None
 
 
 class _Composer:
