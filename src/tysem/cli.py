@@ -7,7 +7,9 @@
 `analyze` composes a bracketed tree against a lexicon, normalizes, extracts
 the formula and its presuppositions, and optionally rewrites choice patterns
 into quantifiers.  A session file applies one tree per line against a single
-evolving discourse state and ends with the conjoined discourse formula.
+evolving discourse state and ends with the conjoined discourse formula; a
+line is composed once per set of answers its discourse reads get, and
+replayed otherwise (`analyze_session`).
 
 Exit codes: 0 success; 1 I/O or syntax errors; 2 composition or type errors
 (with word-level diagnostics); 3 an internal error, a bug in tysem, reported
@@ -79,16 +81,17 @@ class AnalysisResult:
 
     def __init__(self, tree: SynTree, term: Term, normal: Term,
                  steps: list[Term], report: CoercionReport, formula: Formula,
-                 final: Formula):
+                 final: Formula, log: list):
         self.tree, self.term, self.normal = tree, term, normal
         self.steps = steps  # every reduction step, kept only with --trace
         self.report, self.formula = report, formula
         self.final = final  # after the presupposition and rewrite flags
+        self.log = log  # the composition's discourse calls (composer.replay)
         # each report, once printed; shared by every sentence this analysis
-        # serves (see analyze_tree)
+        # serves (see analyze_session)
         self.printed: dict = {}
 
-    def __eq__(self, other):  # every field but the printed reports
+    def __eq__(self, other):  # every field but the log and printed reports
         same = type(other) is AnalysisResult
         return _compared(self) == _compared(other) if same else NotImplemented
 
@@ -113,26 +116,10 @@ class AnalysisOptions:
 
 
 def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
-                 options: AnalysisOptions, store: dict | None = None
+                 options: AnalysisOptions
                  ) -> tuple[AnalysisResult, DiscourseState]:
-    """Analyze one sentence against the discourse state.
-
-    `store` maps each tree to the (log, analysis) pairs composed from it
-    (`composer.Logs`), for one lexicon and one set of options.  The
-    sentence first replays its tree's logs against `state` (see
-    `composer.replay`): the one whose reads all answer as recorded yields
-    its analysis, the very object, and the state the composition would
-    leave.  Otherwise the sentence is composed, analyzed and stored.  A
-    replay never raises and a sentence that fails stores nothing, so every
-    error comes from composition."""
-    logs = None if store is None else store.get(tree)
-    # a log is stored by a call that bound, so only composition binds: a
-    # replay, most sentences of a session, pays nothing for it
-    if logs:
-        replayed: list[AnalysisResult] = []
-        after, missed = replay(((tree, logs),), state, lex, replayed)
-        if missed is None:
-            return replayed[0], after
+    """Compose and analyze one sentence against the discourse state: the
+    analysis, which keeps the composition's log, and the state after it."""
     _bind(_ANALYZE)
     result: ComposeResult = compose(tree, lex, state)
     if options.trace:
@@ -143,14 +130,37 @@ def analyze_tree(lex: Lexicon, tree: SynTree, state: DiscourseState,
         normal = normalize(result.term)
     formula = extract_formula(normal, lex.typing_context(), result.type)
     analysis = AnalysisResult(tree, result.term, normal, steps,
-                              result.report, formula, formula)
+                              result.report, formula, formula, result.log)
     if options.presuppositions == "conjoin" and analysis.presupposition_list:
         analysis.final = conjoin(analysis.presupposition_list + [formula])
     if options.rewrite:
         analysis.final = rewrite_hilbert(analysis.final)
-    if store is not None:
-        store.setdefault(tree, Logs()).add(result.log, analysis)
     return analysis, result.state
+
+
+def analyze_session(lex: Lexicon, lines: list[str], options: AnalysisOptions
+                    ) -> tuple[list[AnalysisResult], DiscourseState]:
+    """Analyze one tree per line, in order, against one evolving discourse
+    state: the analyses and the final state.
+
+    Every line is parsed, once per distinct line, before any is composed,
+    and the logs of its compositions (`composer.Logs`) are kept by the
+    line.  Most sentences replay a stored composition (`composer.replay`),
+    and the analysis it yields, the very object, serves them; each other
+    sentence goes to `analyze_tree`, which composes it afresh and raises
+    any error, and its analysis is stored.  So a session composes once per
+    distinct line and set of answers its reads get."""
+    _bind(_ANALYZE)
+    entries = {s: (parse_tree(s), Logs()) for s in dict.fromkeys(lines)}
+    items = map(entries.__getitem__, lines)
+    state, results = DiscourseState(), []
+    while True:
+        state, missed = replay(items, state, lex, results)
+        if missed is None:
+            return results, state
+        analysis, state = analyze_tree(lex, missed[0], state, options)
+        missed[1].add(analysis.log, analysis)
+        results.append(analysis)
 
 
 def discourse_formula(results: list[AnalysisResult],
@@ -158,8 +168,8 @@ def discourse_formula(results: list[AnalysisResult],
     """Conjoin a session: deduplicated presuppositions first, then the
     assertions in sentence order.  Alpha-duplicates are found by their
     `canon_formula` key, worked out once per analysis: sentences served by
-    one stored analysis share it (see analyze_tree).  The parts go to the
-    rewrite as they are held (`rewrite_conjunction`), which builds the
+    one stored analysis share it (see analyze_session).  The parts go to
+    the rewrite as they are held (`rewrite_conjunction`), which builds the
     left-nested conjunction once."""
     _bind(_ANALYZE)
     parts: dict[Formula, Formula] = {}  # canon_formula key -> first part
@@ -253,9 +263,6 @@ def run_analyze(args) -> int:
                               rewrite=args.rewrite, trace=args.trace,
                               style=args.style)
     session = args.session is not None
-    state = DiscourseState()
-    store: dict = {}  # each tree's compositions, for this run
-    results: list[AnalysisResult] = []
     out: list[str] = []
     try:
         lex = load_lexicon(_read(args.lexicon))
@@ -264,21 +271,7 @@ def run_analyze(args) -> int:
             sentences = [s for s in filter(None, lines) if s[0] != ";"]
         else:
             sentences = [args.tree]
-        # every line is read, and its tree's logs looked up, before any is
-        # composed
-        entries = {s: (tree := parse_tree(s), store.setdefault(tree, Logs()))
-                   for s in dict.fromkeys(sentences)}
-        items = map(entries.__getitem__, sentences)
-        # most sentences replay a stored composition; `analyze_tree`
-        # composes each of the others, its own replay failing as this one
-        # did, and the replay goes on after it
-        while True:
-            state, missed = replay(items, state, lex, results)
-            if missed is None:
-                break
-            analysis, state = analyze_tree(lex, missed[0], state, options,
-                                           store)
-            results.append(analysis)
+        results, _ = analyze_session(lex, sentences, options)
         if args.format == "json":
             import json
             doc = {"sentences": [_json_report(r, options) for r in results]}

@@ -45,24 +45,20 @@ from .errors import (AmbiguousCoercion, CompositionError, NoAntecedent,
 from .kernel import (App, Arrow, BaseSort, Const, Pi, Term, Type, TyApp,
                      TypeVar, canon, free_tyvars, subst_type, type_of)
 from .lexicon import Coercion, LexEntry, Lexicon, lookup_entry
-from .node import KeepsHash, emit, node
+from .node import emit, node
 from .sexpr import Atom, SExpr, expect_len, read_one
 
 # ---------------------------------------------------------------------------
 # syntactic trees
 
 
-# A tree keeps its hash: a session keys its stored analyses by tree (see
-# `cli.analyze_tree`), and a hash worked out at every use would walk the
-# whole tree at every sentence.
-
 @node
-class Leaf(KeepsHash):
+class Leaf:
     word: str
 
 
 @node
-class Node(KeepsHash):
+class Node:
     fun: "SynTree"
     arg: "SynTree"
 
@@ -254,7 +250,8 @@ def compose(tree: SynTree, lex: Lexicon,
 
 
 class Logs(list):
-    """The (log, value) pairs stored for one tree's compositions, in order.
+    """The (log, value) pairs stored for the compositions of one tree, in
+    order; a session keys them by the tree's line (`cli.analyze_session`).
     A composition is a function of its reads' answers, so logs whose first
     k reads answered alike make the same calls up to their next read:
     `first` maps each run of answers a log begins with to the first pair

@@ -14,15 +14,16 @@ Besides the referents in order, a state indexes the newest referent of each
 sort and of each (sort, restriction) pair, so resolving a pronoun or a
 definite is a dictionary lookup whatever the number of referents; only the
 coercion tier scans, over one referent per sort.  A (sort, restriction)
-pair is indexed by a string, `index_key`: the sort's name and the
-restriction's canonical form written out in full, each node tagged with its
-class and each name quoted, so restrictions equal up to bound names share a
-key, and a variable and a constant of one name, or two annotations, do
-not.  A string's hash is worked out in C once per string, where a term's
-is read back through a Python call.  A state keeps its referents as a
-chain, newest first, that it shares with the state it extends, so a
-registration costs the same however many referents came before; only the
-index maps, one entry per sort and per distinct restriction, are copied.
+pair is indexed by a string, `index_key`: the `repr` of the sort's name
+and of the restriction's canonical form, which names each node's class and
+quotes each name, so restrictions equal up to bound names share a key, and
+a variable and a constant of one name, or two annotations, do not.  A
+string's hash is worked out in C once per string, where a term's is
+worked out at each use, a Python call per node.  A state keeps its
+referents as a chain, newest first, that it shares with the state it
+extends, so a registration costs the same however many referents came
+before; only the index maps, one entry per sort and per distinct
+restriction, are copied.
 
 A session replays most sentences (see `composer.replay`), and a
 replayed indefinite registers again with the sort's name, the
@@ -40,9 +41,8 @@ from __future__ import annotations
 from operator import attrgetter, itemgetter
 
 from .errors import NoAntecedent
-from .kernel import (App, Arrow, BaseSort, Const, Lam, Pi, Term, TyApp, TyLam,
-                     Type, TypeVar, Var, canon)
-from .node import _delattr, _reduce, _setattr, emit
+from .kernel import BaseSort, Term, Type, canon
+from .node import _delattr, _reduce, _setattr
 
 
 def _sort_name(ty: Type | str) -> str:
@@ -54,19 +54,7 @@ def _sort_name(ty: Type | str) -> str:
 def index_key(sort: str, key: Term) -> str:
     """The key a state indexes referents of `sort` whose restriction's
     canonical form is `key` by: equal for equal pairs, apart otherwise."""
-    return f"{sort!r} {emit(key, _KEY_TEXT)}"
-
-
-_KEY_TEXT = {  # each node tagged by its class, its names quoted; last first
-    BaseSort: lambda n: f"B{n.name!r}", TypeVar: lambda n: f"V{n.name!r}",
-    Arrow: lambda n: (")", n.cod, " ", n.dom, "A("),
-    Pi: lambda n: (")", n.body, f"P({n.var!r} "),
-    Var: lambda n: (")", n.type, f"v({n.name!r} "),
-    Const: lambda n: (")", n.type, f"c({n.name!r} "),
-    App: lambda n: (")", n.arg, " ", n.fun, "a("),
-    Lam: lambda n: (")", n.body, " ", n.var_type, f"l({n.var!r} "),
-    TyApp: lambda n: (")", n.ty, " ", n.fun, "t("),
-    TyLam: lambda n: (")", n.body, f"T({n.tyvar!r} ")}
+    return f"{sort!r} {key!r}"
 
 
 class Referent(tuple):

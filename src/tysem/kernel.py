@@ -15,11 +15,11 @@ a type are tables of layouts on one printer, `node.emit`.  No walk
 recurses, so a term thousands of binders deep is walked within the
 default recursion limit.
 
-Types and terms are slotted, immutable nodes (see `node`), each keeping its
-hash once worked out.  The substitutions return a subterm in which nothing
-changes as it is, so a beta step allocates only along the paths to the
-variable's occurrences and shares the rest with its input; a normal term
-normalizes to itself.  Everything here is immutable and pure; the
+Types and terms are slotted, immutable nodes (see `node`), holding their
+fields and nothing else.  The substitutions return a subterm in which
+nothing changes as it is, so a beta step allocates only along the paths to
+the variable's occurrences and shares the rest with its input; a normal
+term normalizes to itself.  Everything here is immutable and pure; the
 operations are safe to share across threads.
 """
 
@@ -29,14 +29,14 @@ from operator import attrgetter
 
 from .errors import (StepBudgetExceeded, ParseError, TyLamEscape, TypeClash,
                      UnboundName, UnknownSort)
-from .node import KeepsHash, Tree, emit, node
+from .node import Tree, emit, node
 from .sexpr import Atom, SExpr, expect_atom, expect_len, read_one
 
 # ---------------------------------------------------------------------------
 # types
 
 
-class Type(KeepsHash):
+class Type:
     __slots__ = ()
 
     def __str__(self):
@@ -84,7 +84,7 @@ def arrow(*types: Type) -> Type:
 # terms
 
 
-class Term(KeepsHash):
+class Term:
     __slots__ = ()
 
     def __str__(self):

@@ -3,22 +3,22 @@ traversal over trees of them, and one printer.
 
 `node` builds a class again as a slotted node class, without `dataclasses`
 and the `inspect` it imports: its fields are its annotations, in order.
-Each node class gets its own `__init__`, `__eq__` and, unless it keeps its
-hash, `__hash__`: code compiled once per number of fields, copied with the
-class's field names put in (`CodeType.replace`).  `__init__` sets each
-field through its slot descriptor; a frozen dataclass's own calls
-`object.__setattr__` per field, and builds a two-field node in about 1.6
-times the time (CPython 3.11).  `__eq__` and `__hash__` read the fields as
-a dataclass's do.  They are hot, and a version shared by every class,
-reading the fields with an `attrgetter`, made `App == App` 2.1 times
-slower and `hash` of a `Pred` about 1.6 times.
+Each node class gets its own `__init__`, `__eq__` and `__hash__`: code
+compiled once per number of fields, copied with the class's field names put
+in (`CodeType.replace`).  `__init__` sets each field through its slot
+descriptor; a frozen dataclass's own calls `object.__setattr__` per field,
+and builds a two-field node in about 1.6 times the time (CPython 3.11).
+`__eq__` and `__hash__` read the fields as a dataclass's do.  They are
+hot, and a version shared by every class, reading the fields with an
+`attrgetter`, made `App == App` 2.1 times slower and `hash` of a `Pred`
+about 1.6 times.
 
 The rest is written once here and shared by every node class: `__repr__`,
 a frozen dataclass's, `__setattr__`/`__delattr__` that raise
 `FrozenInstanceError`, and `__reduce__`, which copies and pickles a node
 as its class called on its fields.  A method the class defines itself
-stays.  A `KeepsHash` node works its hash out on first use and keeps it,
-unpickled: string hashes differ between processes.
+stays.  A node holds its fields and nothing else: its hash is worked out
+at each use.
 
 `Tree` walks one kind of tree, kernel terms and types or formulas, from
 a table of the fields holding each class's children, and `emit` prints
@@ -36,13 +36,6 @@ from types import CodeType, FunctionType
 
 class FrozenInstanceError(AttributeError):
     """A field of a node was assigned or deleted."""
-
-
-class KeepsHash:
-    __slots__ = ("_hash",)
-
-
-_set_kept_hash = KeepsHash._hash.__set__
 
 
 def node(cls):
@@ -63,8 +56,6 @@ def node(cls):
         methods[name].__qualname__ = f"{cls.__qualname__}.{name}"
     methods["__init__"].__defaults__ = tuple(
         body[n] for n in names if n in body) or None
-    if issubclass(cls, KeepsHash):
-        methods["__hash__"] = _kept_hash(attrgetter(*names))
     methods.update((k, v) for k, v in body.items() if k not in names
                    and k not in ("__dict__", "__weakref__"))
     cls = type(cls)(cls.__name__, cls.__bases__, methods)
@@ -108,17 +99,6 @@ def _delattr(self, name):
 
 def _reduce(self):
     return type(self), tuple(getattr(self, n) for n in self.__match_args__)
-
-
-def _kept_hash(values):
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(values(self))
-            _set_kept_hash(self, h)
-            return h
-    return __hash__
 
 
 _SHARED = {"__repr__": _repr, "__setattr__": _setattr, "__delattr__": _delattr,

@@ -11,9 +11,8 @@ import pytest
 
 from generators import FORMULA_CONSTANTS, FormulaGen, TermGen, \
     generator_context
-from tysem.cli import AnalysisOptions, analyze_tree, discourse_formula
+from tysem.cli import AnalysisOptions, analyze_session, discourse_formula
 from tysem.composer import compose, parse_tree
-from tysem.discourse import DiscourseState
 from tysem.errors import RigidityViolation
 from tysem.kernel import (BaseSort, TyApp, alpha_eq, normalize,
                           parse_term, type_of)
@@ -168,12 +167,8 @@ def test_criterion_7_discourse_session():
                       "existential binds both occurrences", 1.0):
         lex = _load("homme.lex")
         options = AnalysisOptions(rewrite=True)
-        state = DiscourseState()
-        results = []
-        for text in ("(est_entre (un homme))", "(a_hurle il)"):
-            analysis, state = analyze_tree(lex, parse_tree(text), state,
-                                           options)
-            results.append(analysis)
+        results, state = analyze_session(
+            lex, ["(est_entre (un homme))", "(a_hurle il)"], options)
 
         # the pronoun's term is the registered referent's term
         registered = state.referents[0].term

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 
 import per_sentence
 import referents
+from session_oracle import fresh_session
 from tysem import cli, discourse
 from tysem.cli import (AnalysisOptions, _json_report, _sexpr_report,
-                       _text_report, analyze_tree, discourse_formula, main)
-from tysem.composer import compose, parse_tree
+                       _text_report, analyze_session, analyze_tree,
+                       discourse_formula, main)
+from tysem.composer import Logs, compose, parse_tree, replay
 from tysem.discourse import DiscourseState
 from tysem.errors import TysemError
 from tysem.kernel import reduction_steps
@@ -372,27 +375,18 @@ def test_sentence_cache_matches_fresh_analysis(family, mode, rewrite, trace,
     first, *rest = CACHE_SENTENCES[family]
     rng = random.Random(5)
     options = AnalysisOptions(mode, rewrite=rewrite, trace=trace)
-    state, store, results = DiscourseState(), {}, []
-    for text in [first] + [rng.choice((first, *rest)) for _ in range(60)]:
-        tree = parse_tree(text)
-        shared, after = analyze_tree(lex, tree, state, options, store)
-        fresh, fresh_after = analyze_tree(lex, tree, state, options, {})
-        assert shared == fresh  # every field but the printed lines
-        assert after == fresh_after
-        assert _stored(store, shared)
-        # print the shared analysis twice: the second report comes from the
-        # stored analysis whichever sentence filled it
-        assert _reports(shared, options) == _reports(fresh, options)
-        assert _reports(shared, options) == _reports(fresh, options)
-        results.append(shared)
-        state = after
-    assert sum(map(len, store.values())) < len(results)
-    # every sentence was served by the analysis stored for its tree
-    assert all(_stored(store, r) for r in results)
-
-
-def _stored(store, r):
-    return any(r is seen for _, seen in store[r.tree])
+    lines = [first] + [rng.choice((first, *rest)) for _ in range(60)]
+    results, state = analyze_session(lex, lines, options)
+    fresh, fresh_state = fresh_session(lex, lines, options)
+    assert results == fresh  # every field but the printed lines
+    assert state == fresh_state
+    for shared, alone in zip(results, fresh):
+        # print the shared analysis twice: the second report comes from
+        # the stored analysis whichever sentence filled it
+        assert _reports(shared, options) == _reports(alone, options)
+        assert _reports(shared, options) == _reports(alone, options)
+    # sentences were served by the analyses stored for their lines
+    assert len(set(map(id, results))) < len(results)
 
 
 PANTHER_LEXICON = """
@@ -477,12 +471,14 @@ REPLAY_LEXICA = {name: load_lexicon(REPLAY_LEXICON if name == "panth" else
                  for name in REPLAY_POOLS}
 
 
-def _outcome(lex, tree, state, options, store):
+def _outcome(session, lex, lines, options):
+    """The analyses, the final state and each analysis's three reports, or
+    the exception class and message."""
     try:
-        r, after = analyze_tree(lex, tree, state, options, store)
+        results, state = session(lex, lines, options)
     except TysemError as exc:
         return type(exc), str(exc)
-    return r, after, _reports(r, options)
+    return results, state, [_reports(r, options) for r in results]
 
 
 @given(st.sampled_from(sorted(REPLAY_POOLS)), st.data(),
@@ -494,26 +490,42 @@ def test_replay_matches_fresh_composition(family, data, mode, rewrite,
     texts = data.draw(st.lists(st.sampled_from(REPLAY_POOLS[family]),
                                min_size=1, max_size=30))
     options = AnalysisOptions(mode, rewrite, trace, style)
-    state, store, shared_results, fresh_results = DiscourseState(), {}, [], []
+    # a session of the sentences that composed so far and one that fails
+    # raises as it does composed afresh
+    kept = []  # the sentences that compose
     for text in texts:
-        tree = parse_tree(text)
-        shared = _outcome(lex, tree, state, options, store)
-        fresh = _outcome(lex, tree, state, options, {})
-        # every AnalysisResult field, the three reports and the next state,
-        # or the exception class and message
-        assert shared == fresh
-        if len(shared) == 3:
-            shared_results.append(shared[0])
-            fresh_results.append(fresh[0])
-            state = shared[1]
-    if shared_results:
-        assert discourse_formula(shared_results, options) == \
-            discourse_formula(fresh_results, options)
-    # each stored composition against an empty discourse, where a pronoun
-    # read fails and a definite gets no answer
-    for tree in store:
-        assert _outcome(lex, tree, DiscourseState(), options, store) == \
-            _outcome(lex, tree, DiscourseState(), options, {})
+        fresh = _outcome(fresh_session, lex, kept + [text], options)
+        if len(fresh) == 2:
+            assert _outcome(analyze_session, lex, kept + [text],
+                            options) == fresh
+        else:
+            kept.append(text)
+    # every AnalysisResult field, the three reports and the final state
+    shared = _outcome(analyze_session, lex, kept, options)
+    fresh = _outcome(fresh_session, lex, kept, options)
+    assert shared == fresh
+    if kept:
+        assert discourse_formula(shared[0], options) == \
+            discourse_formula(fresh[0], options)
+    # each line's stored compositions against an empty discourse, where a
+    # pronoun read fails and a definite gets no answer: a replay that
+    # answers yields what composing afresh there does
+    stored = {}
+    for text, r in zip(kept, shared[0]):
+        logs = stored.setdefault(text, Logs())
+        if all(r is not seen for _, seen in logs):
+            logs.add(r.log, r)
+    for text, logs in stored.items():
+        tree, replayed = parse_tree(text), []
+        after, missed = replay([(tree, logs)], DiscourseState(), lex,
+                               replayed)
+        if missed is None:
+            alone, fresh_after = analyze_tree(lex, tree, DiscourseState(),
+                                              options)
+            assert (replayed[0], after) == (alone, fresh_after)
+            assert _reports(replayed[0], options) == _reports(alone, options)
+        else:
+            assert replayed == [] and missed[1] is logs
 
 
 def _state_fields(state):
@@ -542,19 +554,19 @@ def test_replayed_state_matches_fresh_state(family, data):
     lex = STATE_LEXICA[family]
     texts = data.draw(st.lists(st.sampled_from(STATE_POOLS[family]),
                                min_size=1, max_size=30))
-    state, store = DiscourseState(), {}
+    state, kept = DiscourseState(), []
     for text in texts:
-        tree = parse_tree(text)
         try:
-            fresh = compose(tree, lex, state).state
+            fresh = compose(parse_tree(text), lex, state).state
         except TysemError:
-            continue  # the stored sentence raises the same
-        _, after = analyze_tree(lex, tree, state, AnalysisOptions(), store)
+            continue  # the session raises the same
+        kept.append(text)
+        _, after = analyze_session(lex, kept, AnalysisOptions())
         assert _state_fields(after) == _state_fields(fresh)
         # and a state built from the referents alone
         assert _state_fields(DiscourseState(after.referents)) == \
             _state_fields(after)
-        state = after
+        state = fresh
 
 
 def test_per_sentence_times_the_benchmark_sessions(monkeypatch):
@@ -665,8 +677,8 @@ def test_presuppositions_are_worked_out_only_where_read(chat_lex, mode):
 
 def test_a_sentence_replays_once(monkeypatch):
     """A session of `tests/referents.py` stores many logs per `(vJ il)`
-    tree, one per antecedent; each sentence still replays once and makes
-    the reads of one log."""
+    line, one per antecedent; each sentence still replays once and makes
+    the reads of one log, and each that misses is composed once."""
     counts = {"replay": 0, "reads": 0, "compose": 0}
 
     def counted(module, name, key):
@@ -684,17 +696,16 @@ def test_a_sentence_replays_once(monkeypatch):
     n = 1000
     lex = load_lexicon(referents.lexicon_text(referents.nouns(n)))
     lines = referents.session_lines(n)
-    state, store = DiscourseState(), {}
-    options = AnalysisOptions("off", rewrite=True)
-    for text in lines:
-        _, state = analyze_tree(lex, parse_tree(text), state, options, store)
-    stored = sum(map(len, store.values()))
-    assert stored == counts["compose"]
-    assert max(map(len, store.values())) > 20
-    assert counts["replay"] == n - len(store)  # all but each tree's first
-    # a tree makes one read (`il`, `le`) or none (`un`), in each replay and
-    # in each composition
-    assert counts["reads"] <= counts["replay"] + counts["compose"]
+    results, _ = analyze_session(lex, lines, AnalysisOptions("off",
+                                                             rewrite=True))
+    stored = dict(zip(map(id, results), lines))  # analysis -> its line
+    assert len(stored) == counts["compose"]
+    assert max(Counter(stored.values()).values()) > 20
+    # one replay, taken up again after each sentence composed
+    assert counts["replay"] == counts["compose"] + 1
+    # a line makes one read (`il`, `le`) or none (`un`), in its sentence's
+    # replay and in its composition
+    assert counts["reads"] <= n + counts["compose"]
 
 
 # ---------------------------------------------------------------------------
@@ -772,12 +783,10 @@ def test_eval_rejects_deep_nesting_without_a_traceback():
 @pytest.mark.parametrize("n", [300, 5000])
 def test_sexpr_discourse_reads_back_and_evaluates(capsys, tmp_path, n):
     lex = load_lexicon(Path(f"{LEXICA}/homme.lex").read_text())
-    state, store, results = DiscourseState(), {}, []
     options = AnalysisOptions()
-    for i in range(n):
-        tree = parse_tree(("(est_entre (un homme))", "(a_hurle il)")[i % 2])
-        r, state = analyze_tree(lex, tree, state, options, store)
-        results.append(r)
+    lines = [("(est_entre (un homme))", "(a_hurle il)")[i % 2]
+             for i in range(n)]
+    results, _ = analyze_session(lex, lines, options)
     f = discourse_formula(results, options)
     text = print_formula(f, "sexpr")
     assert text.startswith("(and " * n)

@@ -16,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_sentence
+import referents
 from generators import TermGen
+from session_oracle import fresh_session
+from tysem import cli, discourse
 from tysem.cli import (AnalysisOptions, _json_report, _sexpr_report,
-                       _text_report, analyze_tree, discourse_formula, main)
-from tysem.composer import compose, parse_tree
+                       _text_report, analyze_session, discourse_formula, main)
+from tysem.composer import Leaf, Node, compose, parse_tree
 from tysem.discourse import (DiscourseState, Referent, coercion_between,
                              index_key, register_referent, resolve_definite,
                              resolve_pronoun)
@@ -399,36 +402,34 @@ def test_a_replayed_sentence_leaves_one_object_per_registration(family):
     lex = load_lexicon(
         (per_sentence.REPO / per_sentence.FAMILIES[family][0]).read_text())
     lines = per_sentence.session_lines(random.Random(1), family, 2_000)
-    trees = [parse_tree(line) for line in lines]
-    options, store = AnalysisOptions(rewrite=True), {}
+    options = AnalysisOptions(rewrite=True)
 
-    def session():
-        state, results = DiscourseState(), []
-        for tree in trees:
-            analysis, state = analyze_tree(lex, tree, state, options, store)
-            results.append(analysis)
-        return state, results
+    def session(lines):
+        """The tracked objects a session leaves, its analyses and state."""
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            results, state = analyze_session(lex, lines, options)
+            return len(gc.get_objects()) - before, results, state
+        finally:
+            if enabled:
+                gc.enable()
 
-    session()  # composes each distinct tree once
-    stored = sum(map(len, store.values()))
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        before = len(gc.get_objects())
-        state, results = session()
-        grown = len(gc.get_objects()) - before
-    finally:
-        if enabled:
-            gc.enable()
-    assert sum(map(len, store.values())) == stored  # every sentence replayed
+    session(lines)  # builds what the first session in a process builds
+    # the first half composes each distinct line, and the second replays
+    # every sentence: it composes no analysis the first half did not
+    half_grown, half, _ = session(lines[:1_000])
+    grown, results, state = session(lines)
+    assert len(set(map(id, results))) == len(set(map(id, half)))
     registrations = sum(" (un " in line for line in lines)
     assert len(state.referents) == registrations == 1_000
-    # one object per referent, where a referent and its link of the chain
-    # made two, and a few whatever the length: the results list, the last
-    # state and its two index maps
+    # in the second half, one object per referent, where a referent and
+    # its link of the chain made two, and a few whatever the length
+    grown -= half_grown
+    registrations -= sum(" (un " in line for line in lines[:1_000])
     assert registrations <= grown <= registrations + 8
-    assert round(grown / len(lines), 2) == 0.5  # tracked objects a sentence
 
 
 def _python_hash_and_eq_calls(argv) -> Counter:
@@ -461,11 +462,66 @@ def test_a_replayed_sentence_hashes_and_compares_no_node(family, tmp_path):
         path = tmp_path / f"{n}.session"
         path.write_text("".join(line + "\n" for line in lines[:n]))
         runs[n] = per_sentence.argv(family, path)
-    # module-level types keep the hash a first run works out
+    # a first run builds what the first session in a process builds
     _python_hash_and_eq_calls(runs[40])
     calls = {n: _python_hash_and_eq_calls(argv) for n, argv in runs.items()}
     assert calls[40]["__hash__"] > 0 and calls[40]["__eq__"] > 0
     assert calls[320] == calls[40]
+
+
+def test_a_session_hashes_no_tree_and_reads_a_sentence_twice_at_most(
+        monkeypatch, tmp_path):
+    """A session keys its compositions by line, so `main` hashes no tree.
+    A sentence is replayed once, and composed once if the replay misses:
+    its discourse reads are made at most once by the replay and once by
+    the composition, on a `tests/referents.py` session where many
+    sentences miss a line's stored logs."""
+    n = 500
+    lexicon, session = tmp_path / "referents.lex", tmp_path / "s.session"
+    lexicon.write_text(referents.lexicon_text(referents.nouns(n)))
+    lines = referents.session_lines(n)
+    session.write_text("".join(line + "\n" for line in lines))
+    hashes, reads = Counter(), Counter()
+    made_by, composed = ["replay"], []  # composed: each fresh analysis
+
+    def counted(owner, name, counter, key):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            counter[key(args)] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for cls in (Leaf, Node):
+        counted(cls, "__hash__", hashes, lambda args: type(args[0]).__name__)
+    for name in ("resolve_pronoun", "resolve_definite"):
+        counted(discourse, name, reads, lambda args: made_by[-1])
+    analyze_tree = cli.analyze_tree
+
+    def composing(*args):
+        made_by.append("compose")
+        try:
+            r, state = analyze_tree(*args)
+        finally:
+            made_by.pop()
+        composed.append(r)
+        return r, state
+
+    monkeypatch.setattr(cli, "analyze_tree", composing)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", "--lexicon", str(lexicon), "--session",
+                     str(session), "--rewrite"]) == 0
+    assert hashes == Counter()
+
+    def reads_of(results):
+        return sum(kind != "register" for r in results for kind, _, _ in r.log)
+
+    monkeypatch.undo()
+    fresh, _ = fresh_session(load_lexicon(lexicon.read_text()), lines,
+                             AnalysisOptions(rewrite=True))
+    assert 0 < reads["replay"] <= reads_of(fresh)
+    assert reads["compose"] == reads_of(composed) > 0
+    assert len(composed) > len(set(lines))  # lines whose stored logs miss
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +612,8 @@ TIERS_POOL = ("(dort (un chat))", "(dort (le chat))", "(dort (le chien))",
 def _fresh_run(texts, options, fmt) -> tuple[int, str, str]:
     """What `tysem analyze --session` writes for texts, each sentence
     composed afresh, with no store of compositions."""
-    state, results = DiscourseState(), []
     try:
-        for text in texts:
-            r, state = analyze_tree(TIERS_LEXICON, parse_tree(text), state,
-                                    options)
-            results.append(r)
+        results, _ = fresh_session(TIERS_LEXICON, texts, options)
     except TysemError as exc:
         return 2, "", f"error: {exc}\n"
     if fmt == "json":

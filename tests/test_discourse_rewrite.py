@@ -27,9 +27,7 @@ import referents
 from rewrite_oracle import spine_discourse_formula, spine_rewrite_hilbert
 from test_rewrite import _formula_pool
 from tysem import cli
-from tysem.cli import AnalysisOptions, analyze_tree, discourse_formula
-from tysem.composer import parse_tree
-from tysem.discourse import DiscourseState
+from tysem.cli import AnalysisOptions, analyze_session, discourse_formula
 from tysem.lexicon import load_lexicon
 from tysem.logic import (And, Formula, conjoin, print_formula,
                          rewrite_conjunction, rewrite_hilbert)
@@ -44,12 +42,7 @@ FLAGS = [(mode, rewrite) for mode in MODES for rewrite in (False, True)]
 
 
 def analyses(lex, lines: list[str]) -> list:
-    state, store, results = DiscourseState(), {}, []
-    for line in lines:
-        r, state = analyze_tree(lex, parse_tree(line), state,
-                                AnalysisOptions(), store)
-        results.append(r)
-    return results
+    return analyze_session(lex, lines, AnalysisOptions())[0]
 
 
 def printed(f: Formula) -> list[str]:

@@ -11,10 +11,9 @@ from generators import FORMULA_CONSTANTS, FormulaGen, TermGen, \
     generator_context
 from logic_oracle import old_presuppositions, old_repr
 from tysem import node
-from tysem.cli import (AnalysisOptions, _signature_of, analyze_tree,
+from tysem.cli import (AnalysisOptions, _signature_of, analyze_session,
                        discourse_formula)
 from tysem.composer import compose, parse_tree
-from tysem.discourse import DiscourseState
 from tysem.errors import (ExtractionError, NotNormal, NotTruthType,
                           ResidualLambda, TysemError)
 from tysem.kernel import (App, Arrow, BaseSort, Const, Lam, T, TyApp,
@@ -348,16 +347,14 @@ def test_presuppositions_match_the_kernel_route_on_shipped_lexica():
         if path not in lexica:
             with open(path, encoding="utf-8") as fh:
                 lexica[path] = load_lexicon(fh.read())
-        lex = lexica[path]
-        state, store = DiscourseState(), {}
-        for text in lines:
-            try:
-                r, state = analyze_tree(lex, parse_tree(text), state,
-                                        AnalysisOptions(), store)
-            except TysemError:
-                continue
+        try:  # only sessions of one sentence fail
+            results, _ = analyze_session(lexica[path], lines,
+                                         AnalysisOptions())
+        except TysemError:
+            continue
+        for r in results:
             assert r.presupposition_list == \
-                old_presuppositions(r.normal, lex.typing_context())
+                old_presuppositions(r.normal, lexica[path].typing_context())
             checked += bool(r.presupposition_list)
     assert checked > 50
 
@@ -383,11 +380,10 @@ def test_session_presuppositions_match_fresh_calls(family, mode, homme_lex,
     first, *rest = SESSION_SENTENCES[family]
     rng = random.Random(9)
     options = AnalysisOptions(mode, rewrite=True)
-    state, cache, results = DiscourseState(), {}, []
-    for text in [first] + [rng.choice((first, *rest)) for _ in range(60)]:
-        r, state = analyze_tree(lex, parse_tree(text), state, options, cache)
+    lines = [first] + [rng.choice((first, *rest)) for _ in range(60)]
+    results, _ = analyze_session(lex, lines, options)
+    for r in results:
         assert r.presupposition_list == old_presuppositions(r.normal, ctx)
-        results.append(r)
     # the session keeps the first of each alpha-class of presuppositions,
     # found here by pairwise comparison instead of canon_formula keys
     parts = []

@@ -3,7 +3,7 @@ and terms, logic terms and formulas, s-expressions and syntactic trees.
 
 Each node is immutable, compares, hashes, copies, pickles and prints by its
 fields, and keeps the fields, `match` order and `repr` it had as a plain
-frozen dataclass.  Kernel and tree nodes keep their hash once worked out.
+frozen dataclass.  A node holds its fields and nothing else.
 """
 
 import builtins
@@ -19,7 +19,7 @@ from tysem.kernel import (CHOICE_TYPE, T, App, Arrow, BaseSort, Const, Lam,
                           Pi, TyApp, TyLam, TypeVar, Var)
 from tysem.logic import (And, Eps, Eq, Exists, Forall, Implies, LApp, LConst,
                          LVar, Not, Or, Pred, TruthConst)
-from tysem.node import FrozenInstanceError, KeepsHash, node
+from tysem.node import FrozenInstanceError, node
 from tysem.sexpr import Atom, SList
 
 ANI = BaseSort("ani")
@@ -106,6 +106,8 @@ def test_fields_match_order_and_repr(n, names, text):
     assert type(n).__match_args__ == type(n).__slots__ == names
     assert repr(n) == text
     assert not hasattr(n, "__dict__")
+    # no base class adds a slot, such as a kept hash
+    assert all(not vars(c).get("__slots__") for c in type(n).__mro__[1:])
 
 
 @pytest.mark.parametrize("n", NODES)
@@ -136,18 +138,6 @@ def test_equality_needs_the_same_class_and_fields():
     assert Atom("a", 1, 1) != Atom("a", 1, 1, True)
 
 
-def test_kernel_and_tree_nodes_keep_their_hash():
-    keeps = [n for n in NODES if isinstance(n, KeepsHash)]
-    assert {type(n).__module__ for n in keeps} == {"tysem.kernel",
-                                                  "tysem.composer"}
-    for n in keeps:
-        h = hash(n)
-        assert n._hash == h and hash(n) == h
-        # the kept hash is not pickled: hashes of strings differ between
-        # processes
-        assert not hasattr(pickle.loads(pickle.dumps(n)), "_hash")
-
-
 def test_match_binds_fields_in_order():
     match Lam("x", ANI, Var("x", ANI)):
         case Lam(v, ty, Var(name, _)):
@@ -172,7 +162,7 @@ def test_defining_a_node_class_compiles_at_most_once(monkeypatch):
     monkeypatch.setattr(builtins, "exec", counting_exec)
 
     @node
-    class Wide(KeepsHash):
+    class Wide:
         a: int
         b: int
         c: int

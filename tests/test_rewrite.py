@@ -20,8 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from generators import FORMULA_CONSTANTS, FormulaGen
-from tysem.cli import AnalysisOptions, analyze_tree, discourse_formula
-from tysem.composer import parse_tree
+from tysem.cli import AnalysisOptions, analyze_session, discourse_formula
 from tysem.discourse import (DiscourseState, coercion_between,
                              register_referent, resolve_definite)
 from tysem.kernel import alpha_eq, parse_term
@@ -449,12 +448,7 @@ def _session(lex, family: str, rng: random.Random, n: int):
     """Analyses of n random sentences, and the discourse state after them."""
     first, *rest = SESSION_SENTENCES[family]
     lines = [first] + [rng.choice((first, *rest)) for _ in range(n - 1)]
-    state, results = DiscourseState(), []
-    for line in lines:
-        analysis, state = analyze_tree(lex, parse_tree(line), state,
-                                       AnalysisOptions())
-        results.append(analysis)
-    return results, state
+    return analyze_session(lex, lines, AnalysisOptions())
 
 
 @pytest.mark.parametrize("family", ["homme", "chat"])

@@ -80,7 +80,8 @@ tree = parse_tree("(dort (un chat))")
 composed = compose(tree, lex, DiscourseState())
 normal = normalize(composed.term)
 f = extract_formula(normal, lex.typing_context(), composed.type)
-r = cli.AnalysisResult(tree, composed.term, normal, [], composed.report, f, f)
+r = cli.AnalysisResult(tree, composed.term, normal, [], composed.report, f, f,
+                       composed.log)
 options = cli.AnalysisOptions()
 out = []
 """
