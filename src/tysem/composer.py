@@ -40,8 +40,8 @@ from operator import length_hint
 
 from . import discourse as disc
 from .discourse import DiscourseState
-from .errors import (AmbiguousCoercion, CompositionError, NoAntecedent,
-                     NoCoercionPath, RigidityViolation, TypeClash)
+from .errors import (AmbiguousCoercion, CompositionError, NoCoercionPath,
+                     RigidityViolation, TypeClash)
 from .kernel import (App, Arrow, BaseSort, Const, Pi, Term, Type, TyApp,
                      TypeVar, canon, free_tyvars, subst_type, type_of)
 from .lexicon import Coercion, LexEntry, Lexicon, lookup_entry
@@ -280,6 +280,12 @@ def replay(items: Iterable[tuple], state: DiscourseState, lex: Lexicon,
     the items are spent.  A session replays its sentences in one call, so
     a sentence makes no call of its own.
 
+    `state` extends the state each stored composition left, as
+    `cli.analyze_session` guarantees, since it made every one earlier in
+    the same session.  So a pronoun read that answered then finds a
+    referent now, and a definite read that found none then finds the one
+    its composition registered.
+
     Each registration is made again.  A read answers as recorded when it
     returns the very object its log holds, as it does where a composition
     registered the term already registered (`_Composer._register`).  Where
@@ -302,25 +308,17 @@ def replay(items: Iterable[tuple], state: DiscourseState, lex: Lexicon,
                     after = disc.register_referent(after, *args)
                     continue
                 if kind == "pronoun":
-                    try:
-                        got = disc.resolve_pronoun(after, *args)
-                    except NoAntecedent:
-                        return state, item
+                    got = disc.resolve_pronoun(after, *args)
                     if got is answer:
                         continue
                 else:
                     sort, restriction, index = args
                     ref = disc.resolve_definite(after, sort, restriction, lex,
                                                 index)
-                    if ref is None:
-                        if answer is None:
-                            continue
-                        got = None
-                    elif (answer is not None and ref.term is answer[0]
-                          and ref.sort == answer[1]):
+                    if (answer is not None and ref.term is answer[0]
+                            and ref.sort == answer[1]):
                         continue
-                    else:
-                        got = ref.term, ref.sort
+                    got = ref.term, ref.sort
                 break  # the read answered otherwise
             else:
                 break  # every read answered as recorded

@@ -15,9 +15,12 @@ compiles each formula once per check into nested closures and runs them on
 up to 2^16 models at once: each subformula gives an int with one bit per
 model, connectives become bitwise operations, quantifiers combine their
 body over the carrier, and a choice term gives the set of models on which
-it denotes each element.  `enumerate_models` and `eval_formula` stay as the
-reference it is tested against.  `_signature_of` reads the sorts and
-predicates that `eval --equiv` enumerates models over off its formulas.
+it denotes each element.  Where the formulas' structure lets `eval_formula`
+raise (a Henkin choice term, say), the checker walks `enumerate_models`
+with `eval_formula` instead, so the interpreter owns every error; both stay
+as the reference the closures are tested against.  `_signature_of` reads
+the sorts and predicates that `eval --equiv` enumerates models over off its
+formulas.
 """
 
 from __future__ import annotations
@@ -315,15 +318,12 @@ class _Step:
         self.offsets = [sum(map(len, self.rows[i + 1:]))
                         for i in range(len(self.rows))]
         self.bits = sum(map(len, self.rows))
-        self.by_sort: dict[str, tuple[int, ...] | None] = {}
+        self.by_sort: dict[str, tuple[int, ...]] = {}
 
-    def carrier(self, sort: str) -> tuple[int, ...] | None:
-        """`Model.carrier` over ids, or None where it raises."""
+    def carrier(self, sort: str) -> tuple[int, ...]:
+        """`Model.carrier` over ids."""
         if sort not in self.by_sort:
-            try:
-                self.by_sort[sort] = Model(self.carriers).carrier(sort)
-            except (EvalError, ModelError):
-                self.by_sort[sort] = None
+            self.by_sort[sort] = Model(self.carriers).carrier(sort)
         return self.by_sort[sort]
 
     def models(self):
@@ -397,24 +397,31 @@ def check_equivalence(f1: Formula, f2: Formula, sorts: list[str],
     """Brute force: evaluate both formulas on every enumerated model and
     return the first counter-model, or `equivalent`.
 
-    Each formula is compiled once (`_compile`) and run once per word of
-    models, one bit per model (`_Word`).  The first model in enumeration
-    order on which the formulas differ or either raises is decoded and
-    evaluated again by `eval_formula`, so that an error keeps the
-    interpreter's class and message.  A free constant or function symbol is
-    rejected while compiling, since no enumerated model interprets it."""
+    Each formula is compiled once (`_compile`).  Where `eval_formula` can
+    raise on some model, the enumerated models are evaluated one by one,
+    and the first on which the formulas differ or either raises decides.
+    Otherwise each formula runs once per word of models, one bit per model
+    (`_Word`), and the first model in enumeration order on which they
+    differ is decoded and evaluated again by `eval_formula`, which must
+    agree.  A free constant or function symbol is rejected while
+    compiling, since no enumerated model interprets it."""
     if max_carrier < 1:
         raise ValueError("max_carrier must be at least 1")
-    run1, run2 = _compile((f1, f2), sorts, predicates)
+    runs = _compile((f1, f2), sorts, predicates)
     checked = 0
+    if runs is None:  # the interpreter owns every error
+        for m in enumerate_models(sorts, max_carrier, predicates):
+            checked += 1
+            if eval_formula(m, f1) != eval_formula(m, f2):
+                return Verdict(False, m, checked)
+        return Verdict(True, None, checked)
+    run1, run2 = runs
     for step in _ModelSpace(sorts, max_carrier, predicates).steps():
         width = min(step.bits, WORD_BITS)
         candidates = []  # the first bad model of each word
         for chunk in range(1 << step.bits - width):
             word = _Word(step, chunk, width)
-            holds1, raises1 = run1(word, {})
-            holds2, raises2 = run2(word, {})
-            bad = raises1 | raises2 | holds1 ^ holds2
+            bad = run1(word, {}) ^ run2(word, {})
             if bad:
                 candidates.append(chunk << width | word.first(bad))
         if candidates:
@@ -480,34 +487,39 @@ def _row_masks(width: int) -> list[int]:
 
 
 def _compile(formulas, sorts: list[str],
-             predicates: list[PredicateSig]) -> list:
+             predicates: list[PredicateSig]) -> list | None:
     """Each formula as a function of a `_Word` and an environment (variable
-    -> element id) that gives two masks of the word's models: where
-    `eval_formula` holds and where it raises.  The short circuits are the
-    interpreter's, in the same order, so they decide which errors are
-    reached; where a formula raises, its holds-mask is unspecified.  What
-    does not depend on the word is decided here, once per check."""
+    -> element id) that gives the mask of the word's models on which
+    `eval_formula` holds; or None where it can raise on some enumerated
+    model, as the formulas' structure decides: a free variable, a choice
+    term whose body has free variables other than its hole (a Henkin
+    dependency), a predicate neither listed nor `hat_<sort>` of a sort with
+    a carrier, or a binder or choice term over a sort with none (`e` has
+    none when `sorts` is empty).  Every formula is compiled in full even
+    then, so that a free constant or function symbol raises `FreeSymbol`.
+    What does not depend on the word is decided here, once per check."""
     choices: dict[Eps, object] = {}  # equal choice terms share one function
-    names, sorts = {name for name, _ in predicates}, {*sorts, "e"}
+    names = {name for name, _ in predicates}
+    carried = {*sorts, "e"} if sorts else set()
+    sites = []  # where eval_formula can raise
 
     def formula(f: Formula):
         t = type(f)
         if t is TruthConst:
             value = f.value
-            return lambda w, env: (w.all if value else 0, 0)
+            return lambda w, env: w.all if value else 0
         if t is Pred:
             return pred(f.name, f.args)
         if t is And:  # a discourse's spine: loop, do not recurse
             first, *rest = map(formula, flatten_and(f))
 
             def conjunction(w, env):
-                holds, raises = first(w, env)
+                holds = first(w, env)
                 for part in rest:
                     if not holds:
                         break
-                    r_holds, r_raises = part(w, env)
-                    holds, raises = holds & r_holds, raises | holds & r_raises
-                return holds, raises
+                    holds &= part(w, env)
+                return holds
             return conjunction
         if t is Not:
             return negation(formula(f.operand))
@@ -515,101 +527,73 @@ def _compile(formulas, sorts: list[str],
             left, right = term(f.left), term(f.right)
 
             def equal(w, env):
-                (ls, l_raises), (rs, r_raises) = left(w, env), right(w, env)
-                return (sum(models & rs[el] for el, models in ls.items()
-                            if el in rs), l_raises | r_raises)
+                ls, rs = left(w, env), right(w, env)
+                return sum(models & rs[el] for el, models in ls.items()
+                           if el in rs)
             return equal
         if t is Exists or t is Forall:
-            var, sort, body = f.var, f.sort, formula(f.body)
+            var, sort, every, body = f.var, f.sort, t is Forall, formula(f.body)
+            if sort not in carried:
+                sites.append(f)
 
             def quantifier(w, env):
-                carrier = w.step.carrier(sort)
-                if carrier is None:
-                    return 0, w.all
                 env = {**env}  # one per call, rebound to each element
-                holds, raises = (w.all if t is Forall else 0), 0
-                undecided = w.all  # no verdict and no error yet
-                for el in carrier:
+                undecided = w.all  # the models the body has not decided
+                for el in w.step.carrier(sort):
                     env[var] = el
-                    b_holds, b_raises = body(w, env)
-                    raises |= undecided & b_raises
-                    if t is Forall:
-                        holds &= b_holds
-                        undecided &= b_holds & ~b_raises
-                    else:
-                        holds |= b_holds
-                        undecided &= ~(b_holds | b_raises)
+                    undecided &= body(w, env) if every else ~body(w, env)
                     if not undecided:
                         break
-                return holds, raises
+                return undecided if every else w.all ^ undecided
             return quantifier
         if t is Or:
             return disjunction(formula(f.left), formula(f.right))
-        if t is Implies:  # as `not l or r`: same masks, same short circuit
+        if t is Implies:  # as `not l or r`
             return disjunction(negation(formula(f.left)), formula(f.right))
         raise AssertionError(f)
 
     def negation(op):
-        def run(w, env):
-            holds, raises = op(w, env)
-            return w.all ^ holds, raises
-        return run
+        return lambda w, env: w.all ^ op(w, env)
 
     def disjunction(left, right):
         def run(w, env):
-            holds, raises = left(w, env)
-            if holds == w.all:
-                return holds, raises
-            r_holds, r_raises = right(w, env)
-            return holds | r_holds, raises | r_raises & ~holds
+            holds = left(w, env)
+            return holds if holds == w.all else holds | right(w, env)
         return run
 
     def pred(name: str, args):  # `_pred_holds` after resolving the args
         if name in names and all(type(a) is LVar for a in args):
             variables = [a.name for a in args]
-
-            def atom(w, env):
-                try:
-                    row = tuple([env[v] for v in variables])
-                except KeyError:
-                    return 0, w.all  # unbound
-                # no row matches arguments off the predicate's signature
-                return w.atoms[name].get(row, 0), 0
-            return atom
+            # no row matches arguments off the predicate's signature
+            return lambda w, env: w.atoms[name].get(
+                tuple([env[v] for v in variables]), 0)
         terms = list(map(term, args))
 
         def rows(w, env):  # argument tuples and their (disjoint) models
-            out, raises = [((), w.all)], 0
+            out = [((), w.all)]
             for value in terms:
-                choice, v_raises = value(w, env)
-                raises |= v_raises
                 out = [(row + (el,), models & m) for row, models in out
-                       for el, m in choice.items() if models & m]
-            return out, raises
+                       for el, m in value(w, env).items() if models & m]
+            return out
         if name in names:
             def product(w, env):
-                out, raises = rows(w, env)
                 atoms = w.atoms[name]
-                return sum(atoms.get(row, 0) & m for row, m in out), raises
+                return sum(atoms.get(row, 0) & m for row, m in rows(w, env))
             return product
         sort = name[4:]
-        if not name.startswith("hat_") or sort not in sorts:
-            return lambda w, env: (0, w.all)  # uninterpreted
+        if not name.startswith("hat_") or sort not in carried:
+            sites.append(name)  # uninterpreted
 
         def member(w, env):
-            (out, raises), carrier = rows(w, env), w.step.carrier(sort)
-            if len(args) != 1:
-                return 0, raises
-            if carrier is None:
-                return 0, w.all
-            return sum(m for (el,), m in out if el in carrier), raises
+            carrier = w.step.carrier(sort)
+            return sum(m for row, m in rows(w, env)
+                       if len(row) == 1 and row[0] in carrier)
         return member
 
     def term(t: LTerm):
         if type(t) is LVar:
             name = t.name
-            return lambda w, env: (({env[name]: w.all}, 0) if name in env
-                                   else ({}, w.all))  # unbound
+            return lambda w, env: {env[name]: w.all}
         if type(t) is not Eps:  # no enumerated model interprets it
             raise FreeSymbol(t.fn if type(t) is LApp else t.name)
         if t not in choices:
@@ -620,10 +604,9 @@ def _compile(formulas, sorts: list[str],
         """The element a closed choice term denotes on each model: the
         first in carrier order whose body has the wanted value, else the
         first element.  Worked out once per word."""
-        # compiled even under a Henkin dependency, to find free symbols
         sort, hole, body = eps.sort, eps.hole, formula(eps.body)
-        if free_formula_vars(eps.body) - {hole}:
-            return lambda w, env: ({}, w.all)  # a Henkin dependency
+        if free_formula_vars(eps.body) - {hole} or sort not in carried:
+            sites.append(eps)  # a Henkin dependency, or no carrier
         want = eps.mode != UNIVERSAL
         last: list = [None, None]  # the last word and its result
 
@@ -631,28 +614,26 @@ def _compile(formulas, sorts: list[str],
             if last[0] is w:
                 return last[1]
             carrier = w.step.carrier(sort)
-            if carrier is None:
-                return {}, w.all
-            chosen, raises, undecided = {}, 0, w.all
-            env = {}
+            chosen, undecided, env = {}, w.all, {}
             for el in carrier:
                 env[hole] = el
-                holds, b_raises = body(w, env)
-                raises |= undecided & b_raises
-                undecided &= ~b_raises
+                holds = body(w, env)
                 hit = undecided & (holds if want else ~holds)
                 if hit:
                     chosen[el] = hit
                     undecided ^= hit
-                if not undecided:
-                    break
+                    if not undecided:
+                        break
             if undecided:
                 chosen[carrier[0]] = chosen.get(carrier[0], 0) | undecided
-            last[:] = w, (chosen, raises)
-            return last[1]
+            last[:] = w, chosen
+            return chosen
         return run
 
-    return [formula(f) for f in formulas]
+    runs = [formula(f) for f in formulas]
+    if sites or any(map(free_formula_vars, formulas)):
+        return None
+    return runs
 
 
 class _Word:

@@ -507,25 +507,28 @@ def test_replay_matches_fresh_composition(family, data, mode, rewrite,
     if kept:
         assert discourse_formula(shared[0], options) == \
             discourse_formula(fresh[0], options)
-    # each line's stored compositions against an empty discourse, where a
-    # pronoun read fails and a definite gets no answer: a replay that
-    # answers yields what composing afresh there does
-    stored = {}
+    # each line's stored compositions against states that extend the one
+    # its last stored composition left: that state, composed afresh, and
+    # the session's last.  A replay that answers yields what composing
+    # afresh there does
+    stored, state = {}, DiscourseState()
     for text, r in zip(kept, shared[0]):
-        logs = stored.setdefault(text, Logs())
-        if all(r is not seen for _, seen in logs):
-            logs.add(r.log, r)
-    for text, logs in stored.items():
-        tree, replayed = parse_tree(text), []
-        after, missed = replay([(tree, logs)], DiscourseState(), lex,
-                               replayed)
-        if missed is None:
-            alone, fresh_after = analyze_tree(lex, tree, DiscourseState(),
-                                              options)
-            assert (replayed[0], after) == (alone, fresh_after)
-            assert _reports(replayed[0], options) == _reports(alone, options)
-        else:
-            assert replayed == [] and missed[1] is logs
+        state = analyze_tree(lex, parse_tree(text), state, options)[1]
+        logs = stored.setdefault(text, [Logs(), None])
+        if all(r is not seen for _, seen in logs[0]):
+            logs[0].add(r.log, r)
+            logs[1] = state
+    for text, (logs, left) in stored.items():
+        for state in (left, shared[1]):
+            tree, replayed = parse_tree(text), []
+            after, missed = replay([(tree, logs)], state, lex, replayed)
+            if missed is None:
+                alone, fresh_after = analyze_tree(lex, tree, state, options)
+                assert (replayed[0], after) == (alone, fresh_after)
+                assert _reports(replayed[0], options) == \
+                    _reports(alone, options)
+            else:
+                assert replayed == [] and missed[1] is logs
 
 
 def _state_fields(state):

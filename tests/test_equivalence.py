@@ -1,12 +1,15 @@
 """The bit-parallel equivalence checker against the interpretive evaluator.
 
-`check_equivalence` compiles each formula once and runs it once per word of
-up to 2^16 models, one bit per model, and decodes only the first model on
-which the formulas differ or raise.  The reference below walks the decoded
+`check_equivalence` compiles each formula once.  Where evaluation cannot
+raise, it runs each once per word of up to 2^16 models, one bit per model,
+and decodes only the first model on which the formulas differ; elsewhere it
+walks the models with `eval_formula`.  The reference below walks the decoded
 models of `enumerate_models` with `eval_formula`; the two must give the same
 verdict (equivalence, models checked and counter-model) or raise the same
-error.  The compiled formulas are also checked model by model: on every
-word, their holds- and raises-masks against `eval_formula` on each model.
+error.  Which formulas
+`_compile` leaves to the interpreter is pinned by a table, and the compiled
+formulas are checked model by model: on every word, `eval_formula` raises on
+no model and holds exactly where the compiled mask does.
 """
 
 import itertools
@@ -370,6 +373,37 @@ def test_first_error_comes_after_the_first_model(f):
 
 
 # ---------------------------------------------------------------------------
+# where `_compile` leaves the check to the interpreter
+
+
+@pytest.mark.parametrize("f, sorts, predicates, refused", [
+    (Exists("x", "s", Pred("P", (LVar("y", "s"),))), ["s"],
+     [("P", ("s",))], True),  # a free variable
+    (parse_formula(HENKIN), ["s"], [("P", ("s",)), ("Q", ("s",))], True),
+    (Exists("x", "s", Pred("G", (x_s,))), ["s"], [("P", ("s",))],
+     True),  # a predicate no model interprets
+    (Exists("x", "u", TruthConst(True)), ["s"], [], True),  # no carrier
+    # no carrier for hat_e's membership: refused whatever its arity
+    (Pred("hat_e", ()), [], [], True),
+    (parse_formula(PAPER_PAIRS[0][0]), ["s"], [("P", ("s",))],
+     False),  # accepted: closed, every name interpreted
+])
+def test_compile_refuses_formulas_that_can_raise(f, sorts, predicates,
+                                                 refused):
+    assert (_compile([f], sorts, predicates) is None) == refused
+    for f2 in (TruthConst(True), TruthConst(False)):
+        assert_agrees(f, f2, sorts, 2, predicates)
+
+
+def test_error_site_never_reached_checks_every_model():
+    f = Or(TruthConst(True), Pred("P", (LVar("y", "s"),)))
+    sorts, predicates = ["s"], [("P", ("s",))]
+    assert _compile([f], sorts, predicates) is None
+    verdict = assert_agrees(f, TruthConst(True), sorts, 3, predicates)
+    assert verdict == Verdict(True, None, model_count(sorts, 3, predicates))
+
+
+# ---------------------------------------------------------------------------
 # steps of more than one word
 
 
@@ -401,29 +435,27 @@ def test_first_counter_model_outside_the_first_word():
 
 def assert_masks_match(f, sorts, max_carrier, predicates, width=WORD_BITS,
                        sample=None):
-    """On each word, the compiled formula raises exactly on the models on
-    which `eval_formula` raises, and elsewhere holds exactly where it
-    returns True.  With `sample`, only that many models of each word are
-    decoded, drawn by a seeded generator."""
-    [run] = _compile([f], sorts, predicates)
+    """Where `_compile` accepts the formula, `eval_formula` raises on no
+    model of any word, and the compiled mask holds exactly where it returns
+    True.  With `sample`, only that many models of each word are decoded,
+    drawn by a seeded generator.  A formula `_compile` refuses counts as
+    one "refused"."""
+    runs = _compile([f], sorts, predicates)
+    if runs is None:
+        return Counter(["refused"])
+    [run] = runs
     rng, seen = random.Random(0), Counter()
     for step in _ModelSpace(sorts, max_carrier, predicates).steps():
         w = min(step.bits, width)
         for chunk in range(1 << step.bits - w):
             word = _Word(step, chunk, w)
-            holds, raises = run(word, {})
+            holds = run(word, {})
             bits = range(1 << w)
             if sample is not None and sample < len(bits):
                 bits = rng.sample(bits, sample)
             for bit in bits:
                 m = step.decode(chunk << w | bit)
-                try:
-                    value = eval_formula(m, f)
-                except TysemError:
-                    assert raises >> bit & 1, (print_model(m), "raises")
-                    seen["raises"] += 1
-                    continue
-                assert not raises >> bit & 1, (print_model(m), "no error")
+                value = eval_formula(m, f)  # accepted: must not raise
                 assert holds >> bit & 1 == value, (print_model(m), value)
                 seen[value] += 1
     return seen
@@ -441,8 +473,8 @@ def test_compiled_masks_match_eval_formula_on_random_formulas():
         k = max(k for k in (1, 2, 3)
                 if k == 1 or model_count(sorts, k, predicates) <= 300)
         seen += assert_masks_match(f, sorts, k, predicates)
-    # every kind of model occurs in the draw
-    assert min(seen[kind] for kind in (True, False, "raises")) >= 100
+    # both values occur in the draw, and formulas that can raise
+    assert min(seen[True], seen[False]) >= 100 and seen["refused"]
 
 
 P_s = Pred("P", (x_s,))
