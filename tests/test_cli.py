@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 import per_sentence
 import referents
 from session_oracle import fresh_session
+from test_composer import (COPREDICATION, ID_T, IDENTITY_ASPECT_TREE, T2,
+                           T2B)
 from tysem import cli, discourse
 from tysem.cli import (AnalysisOptions, _json_report, _sexpr_report,
                        _text_report, analyze_session, analyze_tree,
@@ -123,6 +125,20 @@ def test_a_pi_variable_already_pending_is_renamed(capsys, tmp_path, g,
     assert (code, out, err) == (2, "", (
         f"error: type variables {pending} of 'g' were never determined by "
         "any argument\n"))
+
+
+@pytest.mark.parametrize("options, message", [
+    (T2, "no coercion from T to T in the entry for 'Liverpool'"),
+    (f"{ID_T} {T2} {T2B}",
+     "ambiguous coercion for 'Liverpool': candidates t2, t2b"),
+])
+def test_copredication_coercion_errors_exit_2(capsys, tmp_path, options,
+                                              message):
+    lex = tmp_path / "town.lex"
+    lex.write_text(COPREDICATION.format(options=options))
+    code, out, err = run(capsys, "analyze", "--lexicon", str(lex),
+                         "--tree", IDENTITY_ASPECT_TREE)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_a_coercion_used_twice_on_one_occurrence_is_reported_once(capsys):

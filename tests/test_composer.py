@@ -180,29 +180,53 @@ def test_copredication_rigid_rejected(fig2):
     assert "t1" in err.value.rigid_labels
 
 
-def test_copredication_identity_aspect(fig2):
+# The town of fig2 with two predicates, over the town and over its people;
+# `{options}` are the town's coercions.
+COPREDICATION = """
+(sort T) (sort P)
+(const Liverpool T)
+(const est_jolie (-> T t))
+(const a_vote (-> P t))
+(entry "Liverpool" (principal Liverpool)
+  {options})
+(entry "est_jolie" (principal est_jolie))
+(entry "a_vote" (principal a_vote))
+(entry "et" (principal (tylam a (tylam b
+  (lam p (-> a t) (lam q (-> b t)
+    (tylam c (lam x c (lam f (-> c a) (lam g (-> c b)
+      (and (p (f x)) (q (g x)))))))))))))
+"""
+ID_T = "(option Id_T (-> T T) flexible)"
+T2 = "(option t2 (-> T P) flexible)"
+T2B = "(option t2b (-> T P) flexible)"
+IDENTITY_ASPECT_TREE = "((et est_jolie a_vote) Liverpool)"
+
+
+def test_copredication_identity_aspect():
     # predicating directly over the town uses the declared identity option
-    lex = load_lexicon("""
-    (sort T) (sort P)
-    (const Liverpool T)
-    (const est_jolie (-> T t))
-    (const a_vote (-> P t))
-    (entry "Liverpool" (principal Liverpool)
-      (option Id_T (-> T T) flexible)
-      (option t2 (-> T P) flexible))
-    (entry "est_jolie" (principal est_jolie))
-    (entry "a_vote" (principal a_vote))
-    (entry "et" (principal (tylam a (tylam b
-      (lam p (-> a t) (lam q (-> b t)
-        (tylam c (lam x c (lam f (-> c a) (lam g (-> c b)
-          (and (p (f x)) (q (g x)))))))))))))
-    """)
-    result = compose(parse_tree("((et est_jolie a_vote) Liverpool)"), lex)
+    lex = load_lexicon(COPREDICATION.format(options=f"{ID_T} {T2}"))
+    result = compose(parse_tree(IDENTITY_ASPECT_TREE), lex)
     normal = normalize(result.term)
     expected = parse_term(
         "(and (est_jolie (Id_T Liverpool)) (a_vote (t2 Liverpool)))",
         lex.typing_context())
     assert alpha_eq(normal, expected)
+
+
+def test_copredication_without_the_identity_option_has_no_path():
+    lex = load_lexicon(COPREDICATION.format(options=T2))
+    with pytest.raises(NoCoercionPath) as err:
+        compose(parse_tree(IDENTITY_ASPECT_TREE), lex)
+    assert str(err.value) == \
+        "no coercion from T to T in the entry for 'Liverpool'"
+
+
+def test_copredication_with_two_options_to_one_aspect_is_ambiguous():
+    lex = load_lexicon(COPREDICATION.format(options=f"{ID_T} {T2} {T2B}"))
+    with pytest.raises(AmbiguousCoercion) as err:
+        compose(parse_tree(IDENTITY_ASPECT_TREE), lex)
+    assert str(err.value) == \
+        "ambiguous coercion for 'Liverpool': candidates t2, t2b"
 
 
 def test_selectional_restriction_diagnostic():
