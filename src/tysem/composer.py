@@ -20,18 +20,23 @@ the polymorphic lexicon work:
   those from the argument's coercions (this is how one conjunction constant
   copredicates over two aspects of a single referent).
 
+One method, `_Composer._coercion`, chooses every option an entry supplies:
+the single one that goes from the argument's type to an instance of a
+clashing domain, or to a copredication slot's codomain.
+
 Every type a value holds has its bindings substituted already, so each
 application substitutes once: the bindings its argument made, into what
 remains of the function's type.
 
-Determiner leaves feed the discourse registry: an indefinite registers the
-choice term it built, a definite tries to resolve against the registry and
-falls back to a fresh term, a pronoun copies its antecedent's term.  These
-are composition's only contact with the discourse; everything else is a
-function of the lexicon and the tree.  The composer logs each of these
-calls in order, with the answer of each read, and the result carries the
-log: `replay` makes the calls again against another state, and where
-every read answers the same, the composition would too.
+Determiner leaves feed the discourse registry, which takes each sort by its
+name: an indefinite registers the choice term it built, a definite tries to
+resolve against the registry and falls back to a fresh term, a pronoun
+copies its antecedent's term.  These are composition's only contact with
+the discourse; everything else is a function of the lexicon and the tree.
+The composer logs each of these calls in order, with the answer of each
+read, and the result carries the log: `replay` makes the calls again
+against another state, and where every read answers the same, the
+composition would too.
 """
 from __future__ import annotations
 
@@ -42,8 +47,8 @@ from . import discourse as disc
 from .discourse import DiscourseState
 from .errors import (AmbiguousCoercion, CompositionError, NoCoercionPath,
                      RigidityViolation, TypeClash)
-from .kernel import (App, Arrow, BaseSort, Const, Pi, Term, Type, TyApp,
-                     TypeVar, canon, free_tyvars, subst_type, type_of)
+from .kernel import (App, Arrow, BaseSort, Pi, Term, Type, TyApp, TypeVar,
+                     canon, free_tyvars, subst_type, type_of)
 from .lexicon import Coercion, LexEntry, Lexicon, lookup_entry
 from .node import emit, node
 from .sexpr import Atom, SExpr, expect_len, read_one
@@ -160,35 +165,6 @@ def _matches(pattern: Type, concrete: Type, bindable: frozenset[str],
     None if no extension does."""
     trial = dict(subst)
     return trial if _match_type(pattern, concrete, bindable, trial) else None
-
-
-# ---------------------------------------------------------------------------
-# coercion insertion
-
-
-def insert_coercions(arg: Term, found: Type, wanted: Type,
-                     entry: LexEntry | None, report: CoercionReport,
-                     occurrence: str = "?", as_function: bool = False) -> Term:
-    """Repair a sort clash using the argument head word's options.
-
-    Returns the coerced argument `(o arg)`; with `as_function` the option
-    term itself is returned, for slots that demand a function from the
-    argument's sort (the copredication slots).  Exactly one option must
-    apply; a rigid option combined with any other use of the same
-    occurrence raises.
-    """
-    if found == wanted and not as_function:
-        return arg
-    word = entry.word if entry is not None else "?"
-    candidates = [o for o in (entry.options if entry else ())
-                  if o.source == found and o.target == wanted]
-    if not candidates:
-        raise NoCoercionPath(found, wanted, word)
-    if len(candidates) > 1:
-        raise AmbiguousCoercion(word, [o.label for o in candidates])
-    option = candidates[0]
-    report.record(occurrence, word, option)
-    return option.term if as_function else App(option.term, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +367,12 @@ class _Composer:
         bindings = _matches(body.dom, arg.type, bindable, fun.bindings)
         arg_term = arg.term
         if bindings is None:
-            bindings, arg_term = self._coerce_open(body.dom, arg, bindable,
-                                                   fun)
+            option, bindings = self._coercion(arg, body.dom, bindable,
+                                              fun.bindings)
+            if option is None:
+                raise TypeClash(body.dom, arg.type, fun_word=fun.head_word,
+                                arg_word=arg.head_word)
+            arg_term = App(option.term, arg.term)
         slots.append(("term", arg_term))
         new = {v: bindings[v] for v in unbound if v in bindings}
         rest = _apply_subst(body.cod, new)
@@ -415,39 +395,40 @@ class _Composer:
         value = _Value(term, rest, word, occ, entry)
         return self._notify_determiner(fun, value)
 
-    def _coerce_open(self, domain: Type, arg: _Value,
-                     bindable: frozenset[str], fun: _Value):
-        """Sort clash against a possibly open domain: apply the one option
-        whose target completes the match."""
+    def _coercion(self, arg: _Value, pattern: Type,
+                  bindable: frozenset[str], bindings: TypeSubstitution):
+        """The one option of the argument head word's entry from the
+        argument's type to an instance of `pattern`, recorded, and
+        `bindings` extended by what the instance binds of `bindable`;
+        (None, None) if no option fits, AmbiguousCoercion if two do."""
         entry = arg.head_entry
         hits = []
         for option in (entry.options if entry else ()):
             if option.source != arg.type:
                 continue
-            trial = _matches(domain, option.target, bindable, fun.bindings)
+            trial = _matches(pattern, option.target, bindable, bindings)
             if trial is not None:
                 hits.append((option, trial))
-        if not hits:
-            raise TypeClash(domain, arg.type, fun_word=fun.head_word,
-                            arg_word=arg.head_word)
         if len(hits) > 1:
             raise AmbiguousCoercion(arg.head_word,
                                     [o.label for o, _ in hits])
-        option, trial = hits[0]
-        self.report.record(arg.head_occ, entry.word, option)
-        return trial, App(option.term, arg.term)
+        if not hits:
+            return None, None
+        self.report.record(arg.head_occ, entry.word, hits[0][0])
+        return hits[0]
 
     def _fill_function_slots(self, term: Term, rest: Type, arg: _Value):
         """After an argument filled a bare type-variable slot, satisfy any
         following `sort-of-arg -> X` domains from that argument's own
-        coercions rather than from the tree."""
+        coercions rather than from the tree: each takes the option term
+        itself."""
         while (isinstance(rest, Arrow) and isinstance(rest.dom, Arrow)
                and rest.dom.dom == arg.type
                and not free_tyvars(rest.dom)):
-            option_term = insert_coercions(arg.term, arg.type, rest.dom.cod,
-                                           arg.head_entry, self.report,
-                                           arg.head_occ, as_function=True)
-            term = App(term, option_term)
+            option, _ = self._coercion(arg, rest.dom.cod, frozenset(), {})
+            if option is None:
+                raise NoCoercionPath(arg.type, rest.dom.cod, arg.head_word)
+            term = App(term, option.term)
             rest = rest.cod
         return term, rest
 
@@ -462,20 +443,17 @@ class _Composer:
         return fun.head_word, fun.head_occ, fun.head_entry
 
     def _notify_determiner(self, det: _Value, value: _Value) -> _Value:
-        """If `det` is a determiner, it just combined with its restriction
-        (a choice constant completes on its first argument): tell the
-        discourse registry."""
+        """If `det` is a determiner, it just combined with its restriction:
+        tell the discourse registry."""
         mode = det.head_entry.determiner_mode if det.head_entry else "none"
-        if mode == "none" or not isinstance(value.term, App):
-            return value
-        applied = value.term
-        if not (isinstance(applied.fun, TyApp)
-                and isinstance(applied.fun.fun, Const)):
-            return value
-        if mode == "universal":
+        if mode in ("none", "universal"):
             return value  # no referent introduced
+        # `lexicon._parse_entry` gives a mode only to a bare `eps`, `ieps`
+        # or `tau` constant, and its first argument completes it, so the
+        # term is ((tyapp C S) R)
+        applied = value.term
         sort = applied.fun.ty
-        want = disc._sort_name(sort)
+        want = sort.name if isinstance(sort, BaseSort) else str(sort)
         restriction = applied.arg
         # the sort's name, the restriction's canonical form and its index
         # key, worked out once and logged, so that a replay reuses them

@@ -41,14 +41,8 @@ from __future__ import annotations
 from operator import attrgetter, itemgetter
 
 from .errors import NoAntecedent
-from .kernel import BaseSort, Term, Type, canon
+from .kernel import BaseSort, Term, canon
 from .node import _delattr, _reduce, _setattr
-
-
-def _sort_name(ty: Type | str) -> str:
-    if type(ty) is str:
-        return ty
-    return ty.name if isinstance(ty, BaseSort) else str(ty)
 
 
 def index_key(sort: str, key: Term) -> str:
@@ -147,14 +141,13 @@ class DiscourseState:
         return DiscourseState, (self.referents,)
 
 
-def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
+def register_referent(state: DiscourseState, eps_term: Term, sort: str,
                       predicate: Term, source: str, key: Term | None = None,
                       index: str | None = None) -> DiscourseState:
-    """Append a referent; the newest one is the most salient.  Registration
-    is by token: composing the same sentence twice yields two referents.
-    `key`, when given, is `kernel.canon(predicate)`, and `index`
-    `index_key(sort, key)`."""
-    sort = sort if type(sort) is str else _sort_name(sort)
+    """Append a referent of the sort named `sort`; the newest one is the
+    most salient.  Registration is by token: composing the same sentence
+    twice yields two referents.  `key`, when given, is
+    `kernel.canon(predicate)`, and `index` `index_key(sort, key)`."""
     key = canon(predicate) if key is None else key
     index = index_key(sort, key) if index is None else index
     ref = _record(Referent, (state._size, eps_term, sort, predicate, source,
@@ -168,27 +161,26 @@ def register_referent(state: DiscourseState, eps_term: Term, sort: Type | str,
     return out
 
 
-def resolve_definite(state: DiscourseState, sort: Type | str, predicate: Term,
+def resolve_definite(state: DiscourseState, sort: str, predicate: Term,
                      lex=None, index: str | None = None) -> Referent | None:
     """Most salient referent matching a definite description, or None.
 
-    Prefers, newest first: the requested sort with an alpha-equivalent
+    Prefers, newest first: the sort named `sort` with an alpha-equivalent
     restriction, then the sort alone, then any referent whose sort reaches
     the requested one through a single coercion declared in `lex`.  The
     caller treats None as "no antecedent" and falls back to a fresh choice
     term plus presupposition.  `index`, when given, is
     `index_key(sort, kernel.canon(predicate))`.
     """
-    want = sort if type(sort) is str else _sort_name(sort)
-    newest = state._newest.get(want)
+    newest = state._newest.get(sort)
     if newest is not None:
         if index is None:
-            index = index_key(want, canon(predicate))
+            index = index_key(sort, canon(predicate))
         return state._by_key.get(index, newest)
     if lex is not None:
         # the newest referent of any sort is the newest of its own sort
         for ref in reversed(state._newest.values()):
-            if coercion_between(lex, ref.sort, want) is not None:
+            if coercion_between(lex, ref.sort, sort) is not None:
                 return ref
     return None
 
@@ -206,18 +198,17 @@ def coercion_between(lex, source_sort: str, target_sort: str):
 
 
 def resolve_pronoun(state: DiscourseState,
-                    requested_sort: Type | str | None = None) -> Term:
-    """Copy the most salient sort-compatible referent's term.
+                    requested_sort: str | None = None) -> Term:
+    """Copy the term of the most salient referent of the sort named
+    `requested_sort`, or of any sort when it is None.
 
     This is the E-type reading: the pronoun denotes whatever choice term its
     antecedent introduced, extending that term's reach beyond its own
     sentence.  Raises NoAntecedent when nothing compatible is registered.
     """
-    want = requested_sort
-    if want is not None and type(want) is not str:
-        want = _sort_name(want)
-    ref = state._last if want is None else state._newest.get(want)
+    ref = (state._last if requested_sort is None
+           else state._newest.get(requested_sort))
     if ref is not None:
         return ref.term
-    raise NoAntecedent("no referent" if want is None
-                       else f"no referent of sort {want}")
+    raise NoAntecedent("no referent" if requested_sort is None
+                       else f"no referent of sort {requested_sort}")

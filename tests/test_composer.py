@@ -3,8 +3,8 @@ from pathlib import Path
 import pytest
 
 from tysem.composer import (CoercionReport, Leaf, Node, _apply_subst,
-                            _Composer, _matches, compose, insert_coercions,
-                            parse_tree, print_tree)
+                            _Composer, _matches, compose, parse_tree,
+                            print_tree)
 from tysem.discourse import DiscourseState
 from tysem.errors import (AmbiguousCoercion, NoCoercionPath, NotFound,
                           RigidityViolation, TypeClash, TysemError)
@@ -88,51 +88,32 @@ def test_instantiation_polymorphic_conjunction(fig2):
 # coercion insertion
 
 
-def test_insert_coercions_no_clash(fig2):
-    entry = lookup_entry(fig2, "Liverpool")
-    report = CoercionReport()
-    term = Const("Liverpool", BaseSort("T"))
-    assert insert_coercions(term, BaseSort("T"), BaseSort("T"), entry,
-                            report) is term
-    assert report.uses == {}
+def test_a_coercion_is_applied_and_recorded(fig2):
+    result = compose(parse_tree("(a_vote Liverpool)"), fig2)
+    assert alpha_eq(result.term, parse_term("(a_vote (t2 Liverpool))",
+                                            fig2.typing_context()))
+    assert result.report.uses == {"Liverpool#2": [("t2", "flexible")]}
 
 
-def test_insert_coercions_applies_option(fig2):
-    entry = lookup_entry(fig2, "Liverpool")
-    report = CoercionReport()
-    term = Const("Liverpool", BaseSort("T"))
-    out = insert_coercions(term, BaseSort("T"), BaseSort("P"), entry,
-                           report, "Liverpool#1")
-    assert isinstance(out, App) and out.fun.name == "t2"
-    assert report.uses["Liverpool#1"] == [("t2", "flexible")]
-
-
-def test_insert_coercions_no_path(fig2):
-    entry = lookup_entry(fig2, "est_vaste")
-    with pytest.raises(NoCoercionPath):
-        insert_coercions(Const("x", BaseSort("T")), BaseSort("T"),
-                         BaseSort("P"), entry, CoercionReport())
+def _option(lex, word, label):
+    return next(o for o in lookup_entry(lex, word).options
+                if o.label == label)
 
 
 def test_rigid_plus_other_is_violation(fig2):
-    entry = lookup_entry(fig2, "Liverpool")
     report = CoercionReport()
-    term = Const("Liverpool", BaseSort("T"))
-    insert_coercions(term, BaseSort("T"), BaseSort("F"), entry, report, "o")
+    report.record("o", "Liverpool", _option(fig2, "Liverpool", "t1"))
     with pytest.raises(RigidityViolation) as err:
-        insert_coercions(term, BaseSort("T"), BaseSort("P"), entry,
-                         report, "o")
+        report.record("o", "Liverpool", _option(fig2, "Liverpool", "t2"))
     assert "t1" in err.value.rigid_labels
     assert err.value.word == "Liverpool"
     assert report.uses["o"] == [("t1", "rigid")]
 
 
 def test_two_flexible_coercions_allowed(fig2):
-    entry = lookup_entry(fig2, "Liverpool")
     report = CoercionReport()
-    term = Const("Liverpool", BaseSort("T"))
-    insert_coercions(term, BaseSort("T"), BaseSort("P"), entry, report, "o")
-    insert_coercions(term, BaseSort("T"), BaseSort("Pl"), entry, report, "o")
+    for label in ("t2", "t3"):
+        report.record("o", "Liverpool", _option(fig2, "Liverpool", label))
     assert [l for l, _ in report.uses["o"]] == ["t2", "t3"]
 
 

@@ -197,3 +197,20 @@ def test_an_empty_clause_is_a_parse_error(tmp_path, command, text, where):
     path.write_text(text)
     code, err = run(*command, path)
     assert code == 1 and err.startswith(f"error: {where}: empty clause")
+
+
+# a modifier that keeps its noun's meaning and adds two nodes per use
+DOUBLE_NEGATION = ('(entry "nn" (principal (lam P (-> ani t) '
+                   '(lam x ani (not (not (P x)))))))\n')
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: formula == and hash recurse, and 130 modifiers "
+    "overflow the stack in logic.presuppositions (exit 3, RecursionError); "
+    "120 pass"))
+def test_a_noun_under_130_modifiers_analyzes(tmp_path):
+    lex = tmp_path / "nn.lex"
+    lex.write_text(LEXICA["chat.lex"].read_text() + DOUBLE_NEGATION)
+    noun = "(nn " * 130 + "chat" + ")" * 130
+    assert run("analyze", "--lexicon", lex, "--tree",
+               f"(dort (un {noun}))")[0] == 0

@@ -248,6 +248,11 @@ HAND_WRITTEN = [
     # and the renamed body captures it, so only the left conjunction fires
     "(and (and (exists (z s) (R (eps s x (exists (y s) (R x y))) z)) "
     "(T (eps s x (exists (y s) (R x y))))) (exists (x s) (Q k)))",
+    # firing the first pivot fires the second one at its quantifier before
+    # the second one's own turn comes
+    "(and (and (P (eps s x (P x))) (R (eps s x (P x)) (eps s y (exists (x s) "
+    "(and (and (P x) (R x y)) (exists (z s) (Q z))))))) "
+    "(exists (z s) (Q z)))",
 ]
 
 

@@ -7,9 +7,10 @@ the modules it runs: `eval` the formulas and the model checker, and
 `check-lexicon` the lexicon, neither the composer nor the discourse state.
 The functions the tests call directly work without `main` having run, and
 importing the package imports neither `dataclasses` nor the `inspect` it
-needs.
+needs.  No module of the package imports a name it never uses.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -216,3 +217,37 @@ import tysem, tysem.cli, tysem.model
 print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
 """)
     assert out.strip() == "[]"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names `source` imports and never uses; a name in an annotation,
+    quoted or not, counts as a use."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0]
+                            for a in n.names)
+        elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+            imported.update(a.asname or a.name for a in n.names)
+        elif isinstance(n, ast.Name):
+            used.add(n.id)
+        for field in ("annotation", "returns"):
+            ann = getattr(n, field, None)
+            for m in ast.walk(ann) if ann is not None else ():
+                if isinstance(m, ast.Constant) and isinstance(m.value, str):
+                    used.update(k.id for k in ast.walk(ast.parse(m.value))
+                                if isinstance(k, ast.Name))
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    assert _unused_imports("import os\nfrom a.b import c, d as e\n"
+                           "x: 'c' = 1\ndef f() -> e: pass") == ["os"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in (ROOT / "src" / "tysem").glob("*.py")))
+def test_no_module_imports_a_name_it_never_uses(module):
+    source = (ROOT / "src" / "tysem" / module).read_text(encoding="utf-8")
+    assert _unused_imports(source) == []
