@@ -20,14 +20,15 @@ raise (a Henkin choice term, say), the checker walks `enumerate_models`
 with `eval_formula` instead, so the interpreter owns every error; both stay
 as the reference the closures are tested against.  `_signature_of` reads
 the sorts and predicates that `eval --equiv` enumerates models over off its
-formulas.
+formulas.  Monadic formulas are checked on each sort's sizes up to 2^(its
+predicates), past which they tell no models apart, and the rest are counted.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cache, cached_property
+from functools import cache
 
 from .errors import (EmptyCarrier, EvalError, FreeSymbol, ModelError,
                      ParseError, UninterpretedConstant)
@@ -270,37 +271,63 @@ PredicateSig = tuple[str, tuple[str, ...]]  # name, argument sorts
 # A word holds the models of one step, at most 2**WORD_BITS of them; a
 # larger step runs in chunks over its high bits.
 WORD_BITS = 16
+COUNT_DIGITS = 4300  # the most digits of an int Python prints by default
 
 
 class _ModelSpace:
     """The models over `sorts` with carrier sizes 1..max_carrier and every
-    extension of `predicates`.
-
-    Element i of sort s is named `s<i+1>` and gets an integer id; equal
-    names share one id, so comparing ids compares elements across sorts
-    too."""
+    extension of `predicates`; steps stop at `caps`, max_carrier if none.
+    Element i of sort s is named `s<i+1>`, and elements of two sorts with
+    one name (`a11` of sorts a and a1) are one."""
 
     def __init__(self, sorts: list[str], max_carrier: int,
-                 predicates: list[PredicateSig]):
+                 predicates: list[PredicateSig], caps: list | None = None):
         self.sorts, self.max_carrier = sorts, max_carrier
         self.predicates = predicates
-        ids: dict[str, int] = {}
-        self.ids = {s: tuple(ids.setdefault(f"{s}{i + 1}", len(ids))
-                             for i in range(max_carrier))
-                    for s in sorts}
-        self.names = list(ids)
+        self.caps = caps or [max_carrier] * len(sorts)
 
     def steps(self):
         """The enumeration order: one `_Step` per combination of carrier
-        sizes, in `itertools.product` order."""
-        for sizes in itertools.product(range(1, self.max_carrier + 1),
-                                       repeat=len(self.sorts)):
-            yield _Step(self, {s: self.ids[s][:n]
+        sizes up to the caps, in `itertools.product` order."""
+        for sizes in itertools.product(*(range(1, n + 1) for n in self.caps)):
+            yield _Step(self, {s: tuple(f"{s}{i + 1}" for i in range(n))
                                for s, n in zip(self.sorts, sizes)})
+
+    def count(self, step: _Step | None = None, more: int = 0) -> int:
+        """`more` plus the models of the steps up to max_carrier before
+        `step`, or of all of them.  A sort of p unary predicates at size n
+        multiplies a step's models by 2**(p*n): a geometric series."""
+        end = self.max_carrier + 1
+        ps = [sum(g == (s,) for _, g in self.predicates) for s in self.sorts]
+
+        def series(p, n):  # of sizes 1..n-1; cut past 2**(4*COUNT_DIGITS)
+            n = min(n, 4 * COUNT_DIGITS + 2) if p else n
+            return ((1 << p * n) - (1 << p)) // ((1 << p) - 1) if p else n - 1
+        count, shift = more, 0  # shift: the bits of the sizes before i
+        sizes = map(len, step.carriers.values()) if step else [end]
+        for i, (p, n) in enumerate(zip(ps, sizes)):
+            count += series(p, n) * math.prod(
+                series(q, end) for q in ps[i + 1:]) << shift
+            shift += p * n
+        if count >> 3 * COUNT_DIGITS and count >= 10 ** COUNT_DIGITS:
+            raise ModelError(f"the count of models up to carrier size "
+                             f"{end - 1} has over {COUNT_DIGITS} digits")
+        return count
+
+
+def _caps(sorts: list[str], max_carrier: int,
+          predicates: list[PredicateSig]) -> list[int] | None:
+    """Each sort's size past which monadic formulas tell no models apart,
+    2**(its unary predicates); None if two sorts' elements share a name."""
+    if any(t.startswith(s) and (t == s or t[len(s):].isdigit())
+           for s, t in itertools.permutations(sorts, 2)):
+        return None
+    return [min(max_carrier, 2 ** sum(sig == (s,) for _, sig in predicates))
+            for s in sorts]
 
 
 class _Step:
-    """The models of one combination of carrier sizes (sort -> ids).
+    """The models of one combination of carrier sizes (sort -> elements).
 
     Predicate i has `rows[i]`, its argument tuples in `itertools.product`
     order, and an extension is a mask over those rows.  Extensions come by
@@ -311,17 +338,17 @@ class _Step:
     `2**bits`; `rank` gives a number's place in the enumeration order."""
 
     def __init__(self, space: _ModelSpace,
-                 carriers: dict[str, tuple[int, ...]]):
+                 carriers: dict[str, tuple[str, ...]]):
         self.space, self.carriers = space, carriers
         self.rows = [tuple(itertools.product(*(carriers[s] for s in sorts)))
                      for _, sorts in space.predicates]
         self.offsets = [sum(map(len, self.rows[i + 1:]))
                         for i in range(len(self.rows))]
         self.bits = sum(map(len, self.rows))
-        self.by_sort: dict[str, tuple[int, ...]] = {}
+        self.by_sort: dict[str, tuple[str, ...]] = {}
 
-    def carrier(self, sort: str) -> tuple[int, ...]:
-        """`Model.carrier` over ids."""
+    def carrier(self, sort: str) -> tuple[str, ...]:
+        """`Model.carrier`, worked out once."""
         if sort not in self.by_sort:
             self.by_sort[sort] = Model(self.carriers).carrier(sort)
         return self.by_sort[sort]
@@ -358,27 +385,17 @@ class _Step:
             index = index << n | place
         return index
 
-    @cached_property
-    def named(self) -> tuple[dict[str, tuple[str, ...]], list[tuple]]:
-        """The carriers and every predicate's rows by element name."""
-        names = self.space.names
-        return ({s: tuple(names[el] for el in elems)
-                 for s, elems in self.carriers.items()},
-                [tuple(tuple(names[el] for el in row) for row in rows)
-                 for rows in self.rows])
-
     def decode(self, number: int) -> Model:
-        carriers, tables = self.named
         interps: dict[str, Interp] = {}
-        for (name, _), table, offset in zip(self.space.predicates, tables,
-                                            self.offsets):
-            mask, rows = number >> offset & ((1 << len(table)) - 1), []
+        for (name, _), rows, offset in zip(self.space.predicates, self.rows,
+                                           self.offsets):
+            mask, extension = number >> offset & ((1 << len(rows)) - 1), []
             while mask:
                 low = mask & -mask
-                rows.append(table[low.bit_length() - 1])
+                extension.append(rows[low.bit_length() - 1])
                 mask ^= low
-            interps[name] = frozenset(rows)
-        return Model(dict(carriers), interps)
+            interps[name] = frozenset(extension)
+        return Model(dict(self.carriers), interps)
 
 
 def enumerate_models(sorts: list[str], max_carrier: int,
@@ -404,7 +421,17 @@ def check_equivalence(f1: Formula, f2: Formula, sorts: list[str],
     (`_Word`), and the first model in enumeration order on which they
     differ is decoded and evaluated again by `eval_formula`, which must
     agree.  A free constant or function symbol is rejected while
-    compiling, since no enumerated model interprets it."""
+    compiling, since no enumerated model interprets it.
+
+    Monadic formulas (every predicate unary; no `=`, `hat_` or binder over `e`)
+    run the steps up to each sort's cap (`_caps`) and count the rest in closed
+    form (`_ModelSpace.count`), to the same verdict.  Cut a model to the first
+    element of each profile (the predicates it satisfies): a choice term and
+    its fallback `carrier[0]` denote first elements of a profile, and a
+    quantifier sees only which profiles occur, so both formulas keep their
+    values.  Past a cap, the cut model's step comes earlier in
+    `itertools.product` order, so the first counter-model is within the
+    caps."""
     if max_carrier < 1:
         raise ValueError("max_carrier must be at least 1")
     runs = _compile((f1, f2), sorts, predicates)
@@ -415,8 +442,10 @@ def check_equivalence(f1: Formula, f2: Formula, sorts: list[str],
             if eval_formula(m, f1) != eval_formula(m, f2):
                 return Verdict(False, m, checked)
         return Verdict(True, None, checked)
-    run1, run2 = runs
-    for step in _ModelSpace(sorts, max_carrier, predicates).steps():
+    (run1, run2), monadic = runs
+    caps = _caps(sorts, max_carrier, predicates) if monadic else None
+    space = _ModelSpace(sorts, max_carrier, predicates, caps)
+    for step in space.steps():
         width = min(step.bits, WORD_BITS)
         candidates = []  # the first bad model of each word
         for chunk in range(1 << step.bits - width):
@@ -430,9 +459,11 @@ def check_equivalence(f1: Formula, f2: Formula, sorts: list[str],
             if eval_formula(m, f1) == eval_formula(m, f2):
                 raise AssertionError(
                     "bit-parallel evaluation disagrees with eval_formula")
-            return Verdict(False, m, checked + step.rank(number) + 1)
+            rank = step.rank(number) + 1
+            return Verdict(False, m, space.count(step, rank) if caps
+                           else checked + rank)
         checked += 1 << step.bits
-    return Verdict(True, None, checked)
+    return Verdict(True, None, space.count() if caps else checked)
 
 
 # every class but LApp: a function symbol is rejected before its arguments
@@ -487,10 +518,11 @@ def _row_masks(width: int) -> list[int]:
 
 
 def _compile(formulas, sorts: list[str],
-             predicates: list[PredicateSig]) -> list | None:
+             predicates: list[PredicateSig]) -> tuple[list, bool] | None:
     """Each formula as a function of a `_Word` and an environment (variable
-    -> element id) that gives the mask of the word's models on which
-    `eval_formula` holds; or None where it can raise on some enumerated
+    -> element) that gives the mask of the word's models on which
+    `eval_formula` holds, and whether the formulas are monadic in the sense
+    of `check_equivalence`; or None where it can raise on some enumerated
     model, as the formulas' structure decides: a free variable, a choice
     term whose body has free variables other than its hole (a Henkin
     dependency), a predicate neither listed nor `hat_<sort>` of a sort with
@@ -502,6 +534,7 @@ def _compile(formulas, sorts: list[str],
     names = {name for name, _ in predicates}
     carried = {*sorts, "e"} if sorts else set()
     sites = []  # where eval_formula can raise
+    unbounded = [n for n, sig in predicates if len(sig) != 1]  # not monadic
 
     def formula(f: Formula):
         t = type(f)
@@ -525,6 +558,7 @@ def _compile(formulas, sorts: list[str],
             return negation(formula(f.operand))
         if t is Eq:
             left, right = term(f.left), term(f.right)
+            unbounded.append(f)
 
             def equal(w, env):
                 ls, rs = left(w, env), right(w, env)
@@ -535,6 +569,8 @@ def _compile(formulas, sorts: list[str],
             var, sort, every, body = f.var, f.sort, t is Forall, formula(f.body)
             if sort not in carried:
                 sites.append(f)
+            if sort == "e":
+                unbounded.append(f)
 
             def quantifier(w, env):
                 env = {**env}  # one per call, rebound to each element
@@ -581,6 +617,7 @@ def _compile(formulas, sorts: list[str],
                 return sum(atoms.get(row, 0) & m for row, m in rows(w, env))
             return product
         sort = name[4:]
+        unbounded.append(name)
         if not name.startswith("hat_") or sort not in carried:
             sites.append(name)  # uninterpreted
 
@@ -607,6 +644,8 @@ def _compile(formulas, sorts: list[str],
         sort, hole, body = eps.sort, eps.hole, formula(eps.body)
         if free_formula_vars(eps.body) - {hole} or sort not in carried:
             sites.append(eps)  # a Henkin dependency, or no carrier
+        if sort == "e":
+            unbounded.append(eps)
         want = eps.mode != UNIVERSAL
         last: list = [None, None]  # the last word and its result
 
@@ -633,7 +672,7 @@ def _compile(formulas, sorts: list[str],
     runs = [formula(f) for f in formulas]
     if sites or any(map(free_formula_vars, formulas)):
         return None
-    return runs
+    return runs, not unbounded
 
 
 class _Word:

@@ -159,6 +159,8 @@ _F_FUNCS = {"mere": (("ani",), "ani"), "boite": (("ani",), "obj")}
 
 
 class FormulaGen:
+    sorts = ("ani", "obj")
+
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
         self.counter = 0
@@ -183,7 +185,7 @@ class FormulaGen:
             return Not(self.gen(env, depth - 1))
         cls = self.rng.choice((Exists, Forall))
         var = self.fresh()
-        sort = self.rng.choice(("ani", "obj"))
+        sort = self.rng.choice(self.sorts)
         return cls(var, sort, self.gen({**env, var: sort}, depth - 1))
 
     def atom(self, env: dict[str, str]) -> Formula:
@@ -215,4 +217,41 @@ class FormulaGen:
         mode = self.rng.choice(("indef", "def", "universal"))
         hole = self.fresh()
         body = self.gen({**env, hole: sort}, depth - 1)
+        return Eps(mode, sort, hole, body)
+
+
+class MonadicFormulaGen(FormulaGen):
+    """Formulas over 1-3 sorts, `s`, `t` and `u`, each with 0-3 unary
+    predicates: every connective and quantifier, and choice terms of every
+    mode nested two deep, each closed (no Henkin dependency).  No `=`, no
+    constant and no function symbol, so `model.check_equivalence` bounds
+    every pair of them."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.sorts = ("s", "t", "u")[:self.rng.randint(1, 3)]
+        self.preds = {f"{sort.upper()}{i}": sort for sort in self.sorts
+                      for i in range(self.rng.randint(0, 3))}
+        self.nesting = 0
+
+    def atom(self, env: dict[str, str]) -> Formula:
+        if not self.preds or self.rng.random() < 0.1:
+            return TruthConst(self.rng.random() < 0.5)
+        name = self.rng.choice(sorted(self.preds))
+        return Pred(name, (self.term(self.preds[name], env, 0),))
+
+    def term(self, sort: str, env: dict[str, str], depth: int) -> LTerm:
+        in_scope = [n for n, s in env.items() if s == sort]
+        if in_scope and self.rng.random() < 0.5:
+            return LVar(self.rng.choice(in_scope), sort)
+        mode = self.rng.choice(("indef", "def", "universal"))
+        hole = self.fresh()
+        if self.nesting == 2:  # innermost: a predicate of the hole
+            own = sorted(p for p, s in self.preds.items() if s == sort)
+            body = (Pred(self.rng.choice(own), (LVar(hole, sort),)) if own
+                    else TruthConst(self.rng.random() < 0.5))
+        else:
+            self.nesting += 1
+            body = self.gen({hole: sort}, self.rng.randint(0, 2))
+            self.nesting -= 1
         return Eps(mode, sort, hole, body)

@@ -4,8 +4,9 @@ One row per raise site: the input, the exit code, and the exact `error: ...`
 line that in-process `cli.main` prints for it.  The front door is the
 command that reads the input: a lexicon through `check-lexicon -`, a tree
 through `analyze --tree` over `lexica/chat.lex`, a formula through
-`eval --formula` over `EVAL_MODEL`, and a model file through
-`eval --model -`.  Positions count from 1:1, one column per character.
+`eval --formula` over `EVAL_MODEL`, a model file through
+`eval --model -`, and a carrier size through `--max-carrier` with README's
+`eval --equiv` pair.  Positions count from 1:1, one column per character.
 """
 
 import contextlib
@@ -32,6 +33,10 @@ FRONT = {  # the arguments of main, and what standard input holds
                              EVAL_MODEL),
     "model": lambda text: (["eval", "--model", "-", "--formula",
                             "(exists (x e) (chat x))"], text),
+    "carrier": lambda text: (["eval", "--model", "models/chat.model",
+                              "--formula", "(chat (eps ani x (chat x)))",
+                              "--equiv", "(exists (x ani) (chat x))",
+                              "--max-carrier", text], ""),
 }
 
 # In a formula, a list opened past the cap as the left operand of an `(and`
@@ -280,6 +285,9 @@ ROWS = [
      "function 'mere' has more than one value at (c1): c1, c2"),
     ("formula", "(exists (x ani) (chat (pere x)))", 1,
      "function 'pere' undefined at (c2)"),
+    # 2**20001 - 2 models, past the digits Python prints
+    ("carrier", "20000", 1,
+     "the count of models up to carrier size 20000 has over 4300 digits"),
 ]
 
 

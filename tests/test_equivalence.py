@@ -16,21 +16,23 @@ import itertools
 import math
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import FormulaGen
-from tysem.cli import _signature_of
-from tysem.errors import EvalError, FreeSymbol, TysemError
+from generators import FormulaGen, MonadicFormulaGen
+from tysem import model
+from tysem.cli import _signature_of, main
+from tysem.errors import EvalError, FreeSymbol, ModelError, TysemError
 from tysem.logic import (DEF, INDEF, UNIVERSAL, And, Eps, Eq, Exists, Forall,
                          Implies, LVar, Not, Or, Pred, TruthConst,
                          parse_formula, print_formula, rewrite_hilbert)
-from tysem.model import (WORD_BITS, Model, Verdict, _compile, _ModelSpace,
-                         _Word, check_equivalence, enumerate_models,
-                         eval_formula, print_model)
+from tysem.model import (WORD_BITS, Model, Verdict, _caps, _compile,
+                         _ModelSpace, _Word, check_equivalence,
+                         enumerate_models, eval_formula, print_model)
 
 
 def reference(f1, f2, sorts, max_carrier, predicates) -> Verdict:
@@ -443,7 +445,7 @@ def assert_masks_match(f, sorts, max_carrier, predicates, width=WORD_BITS,
     runs = _compile([f], sorts, predicates)
     if runs is None:
         return Counter(["refused"])
-    [run] = runs
+    [run], _ = runs
     rng, seen = random.Random(0), Counter()
     for step in _ModelSpace(sorts, max_carrier, predicates).steps():
         w = min(step.bits, width)
@@ -565,3 +567,225 @@ def test_compiled_masks_match_eval_formula_past_one_word():
     assert 3 ** 2 * 2 > WORD_BITS
     seen = assert_masks_match(f, sorts, 3, predicates, sample=200)
     assert seen[True] and seen[False]
+
+
+# ---------------------------------------------------------------------------
+# the small-model bound of monadic formulas
+
+
+def uncapped(*args):
+    """`check_equivalence` on every step up to max_carrier: the compiled
+    walk with no cap."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(model, "_caps", lambda *_: None)
+        return check_equivalence(*args)
+
+
+def monadic_pair(seed):
+    """A formula of `MonadicFormulaGen` and, by the seed, its rewrite (an
+    equivalent), another formula, a disjunction or conjunction with one,
+    which differs from it on some models only, or a disjunction with one
+    that holds only where the first sort with a predicate has elements of
+    two profiles, which differs from it on larger models of that sort."""
+    gen = MonadicFormulaGen(seed)
+    f1 = gen.random_formula(4)
+    kind = seed % 5
+    if kind == 0:
+        return f1, rewrite_hilbert(f1)
+    if kind == 1:
+        return f1, gen.random_formula(4)
+    if kind < 4:
+        return (Or if kind == 2 else And)(f1, gen.random_formula(3)), f1
+    sorts, _ = _signature_of(f1)
+    own = [(p, s) for s in sorts + list(gen.sorts)
+           for p, t in sorted(gen.preds.items()) if t == s]
+    if not own:
+        return f1, Not(Not(f1))
+    p, s = own[0]
+    x, y = LVar("x", s), LVar("y", s)
+    two = Exists("x", s, Exists("y", s, And(Pred(p, (x,)), Not(Pred(p, (y,))))))
+    return f1, Or(f1, And(two, gen.random_formula(3)))
+
+
+def skipped_before(sorts, caps, max_carrier, verdict) -> bool:
+    """Whether a step past the caps comes before the counter-model's."""
+    sizes = tuple(len(verdict.counter_model.carriers[s]) for s in sorts)
+    return any(step < sizes and any(n > c for n, c in zip(step, caps))
+               for step in itertools.product(range(1, max_carrier + 1),
+                                             repeat=len(sorts)))
+
+
+def test_capped_verdicts_match_the_whole_enumeration():
+    """Generated monadic pairs at every max_carrier from 1 to the largest
+    cap + 2, against `reference` where it walks at most 1,500 models and
+    against the uncapped walk where that walks at most 2**13; a larger
+    walk is left out, and the draw checks most settings past a cap."""
+    seen = Counter()
+    for seed in range(60):
+        f1, f2 = monadic_pair(seed)
+        sorts, predicates = _signature_of(f1, f2)
+        caps = _caps(sorts, 10 ** 6, predicates)
+        assert _compile([f1, f2], sorts, predicates)[1]
+        for k in range(1, max(caps, default=1) + 3):
+            args = (f1, f2, sorts, k, predicates)
+            verdict = check_equivalence(*args)
+            if verdict.models_checked <= 1500:
+                assert verdict == reference(*args), (seed, k)
+            elif verdict.models_checked <= 2 ** 13:
+                assert verdict == uncapped(*args), (seed, k)
+            else:
+                seen["left out"] += 1
+                continue
+            past = any(k > c for c in caps)
+            seen["past a cap"] += past
+            seen["within the caps"] += not past
+            seen[verdict.equivalent] += 1
+            if not verdict.equivalent and skipped_before(sorts, caps, k,
+                                                          verdict):
+                seen["counter-model after a skipped step"] += 1
+    # 188 past a cap and 145 within; 121 equivalent, 212 not, 15 of them
+    # after a skipped step; 28 left out
+    assert seen["past a cap"] >= 150 and seen["within the caps"] >= 100
+    assert min(seen[True], seen[False]) >= 100
+    assert seen["counter-model after a skipped step"] >= 12
+    assert seen["left out"] <= 40
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), past=st.integers(1, 2))
+def test_capped_verdicts_match_the_uncapped_walk(seed, past):
+    """At `past` sizes beyond the largest cap, or at the largest size where
+    the uncapped walk checks at most 2**14 models."""
+    f1, f2 = monadic_pair(seed)
+    sorts, predicates = _signature_of(f1, f2)
+    top = max(_caps(sorts, 10 ** 6, predicates), default=1) + past
+    k = max(k for k in range(1, top + 1)
+            if k == 1 or model_count(sorts, k, predicates) <= 2 ** 14)
+    args = (f1, f2, sorts, k, predicates)
+    assert check_equivalence(*args) == uncapped(*args)
+
+
+# (P s-element 1 and not P of the second) and a t-element: the first
+# counter-model has two s-elements, after every step with one, (1, n) for
+# n up to max_carrier; t has no predicate, so only (1, 1) is checked
+SKIPPED_FIRST = ("(and (exists (x s) (exists (y s) (and (P x) (not (P y)))))"
+                 " (exists (z t) true))")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 100, 10 ** 6])
+def test_first_counter_model_after_skipped_steps(k):
+    f1, f2 = parse_formula(SKIPPED_FIRST), TruthConst(False)
+    sorts, predicates = _signature_of(f1, f2)
+    assert (sorts, _caps(sorts, k, predicates)) == (["s", "t"], [min(k, 2), 1])
+    args = (f1, f2, sorts, k, predicates)
+    verdict = check_equivalence(*args)
+    if k == 1:
+        assert verdict == Verdict(True, None, 2)
+        return
+    # (1, n): 2 models each; then at (2, 1) P runs [], {s1}
+    assert verdict.models_checked == 2 * k + 2
+    assert print_model(verdict.counter_model) == (
+        "(model\n  (carrier s (s1 s2))\n  (carrier t (t1))\n"
+        "  (interp P ((s1))))")
+    if k <= 100:  # the uncapped walk takes a step per size of t
+        assert verdict == (reference(*args) if k <= 4
+                           else uncapped(*args))
+
+
+def test_readme_pair_at_carrier_40_is_answered_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["eval", "--model", "models/chat.model",
+                 "--formula", "(chat (eps ani x (chat x)))",
+                 "--equiv", "(exists (x ani) (chat x))",
+                 "--max-carrier", "40"])
+    elapsed = time.perf_counter() - start
+    assert (code, capsys.readouterr().out) == \
+        (0, "equivalent (2199023255550 models)\n")
+    assert 2199023255550 == 2 ** 41 - 2 and elapsed < 0.2
+
+
+def test_a_count_too_long_to_print_is_an_error(capsys):
+    """At 10**12 elements the count has about 3 * 10**11 digits: refused
+    before it is built."""
+    start = time.perf_counter()
+    code = main(["eval", "--model", "models/chat.model",
+                 "--formula", "(chat (eps ani x (chat x)))",
+                 "--equiv", "(exists (x ani) (chat x))",
+                 "--max-carrier", "1000000000000"])
+    elapsed = time.perf_counter() - start
+    assert (code, capsys.readouterr()) == (1, (
+        "", "error: the count of models up to carrier size 1000000000000 "
+        "has over 4300 digits\n"))
+    assert elapsed < 1
+
+
+def test_the_longest_count_that_prints():
+    """sum(2**n for n in 1..k) = 2**(k+1) - 2 has 4,300 digits at k =
+    14283, the most Python prints by default, and 4,301 at 14284."""
+    f1 = parse_formula("(P (eps s x (P x)))")
+    f2 = parse_formula("(exists (x s) (P x))")
+    assert 10 ** 4299 <= 2 ** 14284 - 2 < 10 ** 4300 <= 2 ** 14285 - 2
+    verdict = check_equivalence(f1, f2, ["s"], 14283, [("P", ("s",))])
+    assert verdict == Verdict(True, None, 2 ** 14284 - 2)
+    assert len(str(verdict.models_checked)) == 4300
+    with pytest.raises(ModelError, match="size 14284 has over 4300 digits"):
+        check_equivalence(f1, f2, ["s"], 14284, [("P", ("s",))])
+
+
+# where the argument is not made, every step up to max_carrier is checked
+
+
+def bounded(f1, f2, sorts, max_carrier, predicates) -> bool:
+    runs = _compile([f1, f2], sorts, predicates)
+    return bool(runs and runs[1] and _caps(sorts, max_carrier, predicates))
+
+
+@pytest.mark.parametrize("f1, k, checked", [
+    # three distinct elements: a counter-model at size 3, past 2**0
+    ("(exists (x s) (exists (y s) (exists (z s) (and (not (= x y))"
+     " (and (not (= x z)) (not (= y z)))))))", 3, 1 + 1 + 1),
+    # R(x, y) without R(x, x): at size 2, R = {(s1, s2)} is third
+    ("(exists (x s) (exists (y s) (and (R x y) (not (R x x)))))", 2, 2 + 3),
+])
+def test_no_cap_where_it_would_miss_the_counter_model(f1, k, checked):
+    f1, f2 = parse_formula(f1), TruthConst(False)
+    sorts, predicates = _signature_of(f1, f2)
+    assert not bounded(f1, f2, sorts, k, predicates)
+    verdict = assert_agrees(f1, f2, sorts, k, predicates)
+    assert not verdict.equivalent and verdict.models_checked == checked
+    assert len(verdict.counter_model.carriers["s"]) == k
+
+
+@pytest.mark.parametrize("f1, sorts, predicates", [
+    # hat_ of a sort with a carrier
+    (Exists("x", "s", And(Pred("hat_s", (x_s,)), P_s)), ["s"],
+     [("P", ("s",))]),
+    # a binder over e, with its own carrier or over the union of the sorts
+    (parse_formula("(exists (x e) (exists (y e) (and (P x) (not (P y)))))"),
+     ["e"], [("P", ("e",))]),
+    (Exists("x", "e", Exists("y", "s", Pred("P", (x_e,)))), ["s"],
+     [("P", ("s",))]),
+    (Forall("x", "s", Pred("P", (Eps(INDEF, "e", "y", Pred("P", (LVar(
+        "y", "e"),))),))), ["s"], [("P", ("s",))]),
+    # a Henkin choice term
+    (parse_formula(HENKIN), ["s"], [("P", ("s",)), ("Q", ("s",))]),
+])
+def test_no_cap_where_the_argument_is_not_made(f1, sorts, predicates):
+    for f2 in (TruthConst(True), TruthConst(False)):
+        assert not bounded(f1, f2, sorts, 4, predicates)
+        assert_agrees(f1, f2, sorts, 4, predicates)
+
+
+def test_no_cap_where_elements_of_two_sorts_share_a_name():
+    """An F over sort a1 holds of a variable over sort a only at a's
+    eleventh element, `a11`, which is also a1's first: the counter-model
+    comes at sizes (11, 1), past any cap on a."""
+    f = Exists("x", "a", Pred("F", (LVar("x", "a1"),)))
+    sorts, predicates = ["a", "a1"], [("F", ("a1",))]
+    assert _compile([f], sorts, predicates)[1]
+    assert not bounded(f, TruthConst(False), sorts, 11, predicates)
+    verdict = check_equivalence(f, TruthConst(False), sorts, 11, predicates)
+    assert verdict.models_checked == 10 * (2 ** 12 - 2) + 2
+    assert print_model(verdict.counter_model) == (
+        "(model\n  (carrier a (a1 a2 a3 a4 a5 a6 a7 a8 a9 a10 a11))\n"
+        "  (carrier a1 (a11))\n  (interp F ((a11))))")
