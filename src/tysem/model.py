@@ -300,7 +300,7 @@ class _ModelSpace:
         end = self.max_carrier + 1
         ps = [sum(g == (s,) for _, g in self.predicates) for s in self.sorts]
 
-        def series(p, n):  # of sizes 1..n-1; cut past 2**(4*COUNT_DIGITS)
+        def series(p, n):  # of sizes 1..n-1, cut where too long to print
             n = min(n, 4 * COUNT_DIGITS + 2) if p else n
             return ((1 << p * n) - (1 << p)) // ((1 << p) - 1) if p else n - 1
         count, shift = more, 0  # shift: the bits of the sizes before i
@@ -318,7 +318,7 @@ class _ModelSpace:
 def _caps(sorts: list[str], max_carrier: int,
           predicates: list[PredicateSig]) -> list[int] | None:
     """Each sort's size past which monadic formulas tell no models apart,
-    2**(its unary predicates); None if two sorts' elements share a name."""
+    2**(its unary predicates); None if two sorts' elements can share a name."""
     if any(t.startswith(s) and (t == s or t[len(s):].isdigit())
            for s, t in itertools.permutations(sorts, 2)):
         return None

@@ -9,7 +9,10 @@ verdict (equivalence, models checked and counter-model) or raise the same
 error.  Which formulas
 `_compile` leaves to the interpreter is pinned by a table, and the compiled
 formulas are checked model by model: on every word, `eval_formula` raises on
-no model and holds exactly where the compiled mask does.
+no model and holds exactly where the compiled mask does.  Monadic pairs,
+which the checker enumerates only up to each sort's cap, give the verdict of
+`reference` and of the uncapped walk, and every other pair is enumerated in
+full.
 """
 
 import itertools
@@ -603,7 +606,8 @@ def monadic_pair(seed):
         return f1, Not(Not(f1))
     p, s = own[0]
     x, y = LVar("x", s), LVar("y", s)
-    two = Exists("x", s, Exists("y", s, And(Pred(p, (x,)), Not(Pred(p, (y,))))))
+    two = Exists("x", s, Exists("y", s, And(Pred(p, (x,)),
+                                            Not(Pred(p, (y,))))))
     return f1, Or(f1, And(two, gen.random_formula(3)))
 
 
